@@ -228,10 +228,6 @@ class Polytope:
         x = _point(x)
         return all(f.value(x) >= 0 for f in self.facets)
 
-    def strictly_contains(self, x: Sequence) -> bool:
-        x = _point(x)
-        return all(f.value(x) > 0 for f in self.facets)
-
     def bounding_box(self) -> tuple[tuple[Q, Q], ...]:
         return tuple(
             (min(v[a] for v in self.vertices), max(v[a] for v in self.vertices))
@@ -490,17 +486,6 @@ def _transform_normal(nu: tuple[int, ...], T: Sequence[Sequence[int]]) -> tuple[
 
 
 # -- text format --------------------------------------------------------------
-
-FORMAT_DOC = """\
-Polytope text format:
-  dim N
-  vertices            |  facets
-  x1 x2 ... xN        |  nu1 ... nuN c [w]
-Entries are rationals written p/q or integers; normals must be primitive
-integers.  In facets mode each line is an inequality <nu, x> >= c with an
-optional positive sigma-weight w (default 1).  Lines starting with # are
-comments."""
-
 
 def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
     """Parse the documented polytope text format.

@@ -3,19 +3,23 @@
 L(f) = integral of f over the weighted boundary minus A times the integral
 over the interior, A = bvol/vol, so constants are annihilated.  Linear
 functions give the Futaki vector; creases max(0, <a,x> - c) are the search
-family for destabilizers on surfaces.  Everything here is exact rational
-arithmetic.
+family for destabilizers on surfaces.  Every value returned is exact
+rational arithmetic; the crease search uses float64 only to decide which
+creases to evaluate exactly.
 """
 
 from __future__ import annotations
 
 import bisect
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from kstab.polytope import (
     EMPTY,
@@ -31,6 +35,8 @@ from kstab.polytope import (
 )
 
 Q = Fraction
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,6 @@ class PLConvexFunction:
             for c, d in other.pieces:
                 pieces.append((tuple(ai + ci for ai, ci in zip(a, c)), b + d))
         return PLConvexFunction(tuple(pieces))
-
-    def is_affine_on(self, P: Polytope) -> bool:
-        return len(decompose(P, self)) <= 1
 
     def compose_inverse(self, T: Sequence[Sequence[int]], shift: Sequence = None):
         """f o T^{-1}(y - shift): the pushforward of f under x -> Tx + shift."""
@@ -214,10 +217,15 @@ class StabilityVerdict:
     best_creases: list[CreaseResult] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.status == "unstable":
-            assert self.witness is not None and self.witness_L < 0
-        if self.status == "semistable-boundary":
-            assert self.witness is not None and self.witness_L == 0
+        if self.status not in ("unstable", "semistable-boundary"):
+            return
+        if self.witness is None or self.witness_L is None:
+            raise ValueError(f"a {self.status} verdict needs a witness")
+        if self.status == "unstable" and self.witness_L >= 0:
+            raise ValueError(f"an unstable verdict needs witness L < 0, got {self.witness_L}")
+        if self.status == "semistable-boundary" and self.witness_L != 0:
+            raise ValueError(f"a semistable-boundary verdict needs witness L = 0, "
+                             f"got {self.witness_L}")
 
 
 class _DirectionProfile:
@@ -309,6 +317,67 @@ class _DirectionProfile:
         ival = p[0] + c * (p[1] + c * (p[2] + c * p[3]))
         return bval, ival
 
+    def ratio_bounds(self, num: np.ndarray, den: np.ndarray,
+                     A: Q) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 bounds lo <= L/mass <= hi of the creases at offsets num/den.
+
+        The piece of each offset is decided exactly in integers; L = B - A*M
+        and M are then evaluated by Horner's rule on the rounded exact
+        coefficients.  Where the floats overflow or the mass is not bounded
+        away from 0 the bounds are (-inf, inf).
+        """
+        inner = self.bps[1:-1]
+        # s <= num/den  iff  ceil(s*den) <= num
+        ceils = np.array([[math.ceil(s * d) for s in inner] for d in range(int(den.max()) + 1)],
+                         dtype=np.int64)
+        piece = (num[:, None] >= ceils[den]).sum(axis=1)
+        lco = np.array([[_float(b - A * i) for b, i in zip(bc + [Q(0)], ic)]
+                        for bc, ic in zip(self._bco, self._ico)])[piece]
+        mco = np.array([[_float(i) for i in ic] for ic in self._ico])[piece]
+        c = num / den
+        with np.errstate(all="ignore"):
+            lval, lsum = _horner(lco, c)
+            mval, msum = _horner(mco, c)
+            lerr = _HORNER * lsum + _TINY
+            merr = _HORNER * msum + _TINY
+            ratio = lval / mval
+            floor = mval - merr
+            # |L/M - lval/mval| <= (lerr + |lval/mval|*merr) / (mval - merr); the
+            # two margins cover the rounding of the division and of this bound
+            err = (lerr + abs(ratio) * merr) / floor * (1 + 32 * _U) + 4 * _U * abs(ratio)
+            bad = ~np.isfinite(err) | ~(floor > 0)
+            return np.where(bad, -np.inf, ratio - err), np.where(bad, np.inf, ratio + err)
+
+
+# _U is the float64 unit roundoff.  Horner's rule for a cubic, with every
+# coefficient rounded once and the argument twice (numerator, then the
+# division), is within gamma_13 * sum |p_i| |c|^i of the exact value (Higham,
+# Accuracy and Stability of Numerical Algorithms, 5.1); the float sum itself
+# is within a factor 1 - gamma_13 of that, so 16u times it bounds the error.
+# _TINY absorbs underflow, where relative error bounds fail.
+_U = 2.0 ** -53
+_HORNER = 16 * _U
+_TINY = 2.0 ** -960
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum coef[:, i] x^i and sum |coef[:, i]| |x|^i, both by Horner's rule."""
+    val = coef[:, -1]
+    mag = abs(val)
+    ax = abs(x)
+    for k in range(coef.shape[1] - 2, -1, -1):
+        val = val * x + coef[:, k]
+        mag = mag * ax + abs(coef[:, k])
+    return val, mag
+
+
+def _float(q: Q) -> float:
+    """float(q), or an infinity of q's sign where q overflows float64."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
 
 def _chord_length(P: Polytope, a: tuple[int, int], s: Q) -> Q:
     """Lattice length of the chord {<a, x> = s} in P (0 at extreme vertices)."""
@@ -348,42 +417,71 @@ def primitive_directions(dim: int, R: int) -> list[tuple[int, ...]]:
     return out
 
 
-def admissible_offsets(smin: Q, smax: Q, R: int) -> list[Q]:
-    """Rationals with denominator <= R strictly inside (smin, smax)."""
-    vals = set()
+def admissible_offsets(smin: Q, smax: Q, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rationals with denominator <= R strictly inside (smin, smax).
+
+    Returned as int64 numerators and denominators, each rational once and in
+    lowest terms, grouped by denominator.
+    """
+    nums, dens = [], []
     for den in range(1, R + 1):
         lo = math.floor(smin * den) + 1
         hi = math.ceil(smax * den) - 1
-        for num in range(lo, hi + 1):
-            c = Q(num, den)
-            if smin < c < smax:
-                vals.add(c)
-    return sorted(vals)
+        if max(abs(lo), abs(hi)) >= 2 ** 62:
+            raise ValueError(f"crease offsets near {smax} exceed the int64 range")
+        num = np.arange(lo, hi + 1, dtype=np.int64)
+        num = num[np.gcd(num, den) == 1]
+        nums.append(num)
+        dens.append(np.full(len(num), den, dtype=np.int64))
+    return np.concatenate(nums), np.concatenate(dens)
 
 
-def _scan_direction(P: Polytope, sigma: BoundaryMeasure, A: Q, a: tuple[int, ...],
-                    R: int) -> tuple[list[CreaseResult], int]:
-    prof = _DirectionProfile(P, sigma, a)
-    results = []
-    offsets = admissible_offsets(prof.smin, prof.smax, R)
-    for c in offsets:
-        bval, mass = prof.eval(c)
-        lval = bval - A * mass
-        results.append(CreaseResult(a, c, lval, mass, lval / mass))
-    results.sort(key=lambda r: (r.ratio, r.direction, r.offset))
-    return results[:10], len(offsets)
+_TOP = 10   # creases kept in a verdict
+
+
+def _rank(r: CreaseResult):
+    return (r.ratio, r.direction, r.offset)
 
 
 def _scan_chunk(args):
+    """The exact ten best creases over some directions, plus two counts.
+
+    Each crease is screened by float64 bounds lo <= ratio <= hi.  Let t be
+    the 10th-smallest hi so far: ten creases have ratio <= t, so a crease
+    with lo > t is not among the ten best.  The survivors of the final t
+    include every one of the exact ten best and their ties, and only they
+    are evaluated in Fractions.  Returns (best, creases scanned, creases
+    evaluated exactly).
+    """
     P, sigma, A, dirs, R = args
-    best: list[CreaseResult] = []
-    count = 0
+    top_hi = np.empty(0)
+    t = np.inf
+    survivors = []
+    n_creases = 0
     for a in dirs:
-        top, n = _scan_direction(P, sigma, A, a, R)
-        count += n
-        best.extend(top)
-    best.sort(key=lambda r: (r.ratio, r.direction, r.offset))
-    return best[:10], count
+        prof = _DirectionProfile(P, sigma, a)
+        num, den = admissible_offsets(prof.smin, prof.smax, R)
+        n_creases += len(num)
+        if not len(num):
+            continue
+        lo, hi = prof.ratio_bounds(num, den, A)
+        pool = np.concatenate([top_hi, hi])
+        top_hi = np.partition(pool, _TOP - 1)[:_TOP] if len(pool) > _TOP else pool
+        if len(top_hi) == _TOP:
+            t = top_hi.max()
+        keep = lo <= t
+        if keep.any():
+            survivors.append((prof, num[keep], den[keep], lo[keep]))
+    best = []
+    for prof, num, den, lo in survivors:
+        keep = lo <= t
+        for n, d in zip(num[keep].tolist(), den[keep].tolist()):
+            c = Q(n, d)
+            bval, mass = prof.eval(c)
+            lval = bval - A * mass
+            best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
+    best.sort(key=_rank)
+    return best[:_TOP], n_creases, len(best)
 
 
 def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
@@ -396,6 +494,13 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     L(f) / integral of f.  A nonzero Futaki vector short-circuits the
     verdict to unstable with a linear witness, but the scan still runs so
     reports can list the worst creases.
+
+    Every crease is first screened in float64: its ratio is bounded by a
+    proven forward-error bound for Horner's rule, and only creases whose
+    lower bound can still reach the ten best are recomputed in exact
+    Fractions.  Every value reported (L, mass, ratio) and the ranking by
+    (ratio, direction, offset) are exact.  The numbers of creases screened
+    and recomputed are logged at DEBUG.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -410,18 +515,16 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     dirs = primitive_directions(P.dim, resolution)
     if workers is None:
         workers = int(os.environ.get("KSTAB_THREADS", "1"))
-    best: list[CreaseResult] = []
-    n_creases = 0
     if workers > 1 and len(dirs) > 4:
-        chunks = [dirs[i::workers] for i in range(workers)]
+        tasks = [(P, sigma, A, dirs[i::workers], resolution) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            for top, count in ex.map(_scan_chunk, [(P, sigma, A, ch, resolution) for ch in chunks]):
-                best.extend(top)
-                n_creases += count
+            chunks = list(ex.map(_scan_chunk, tasks))
     else:
-        best, n_creases = _scan_chunk((P, sigma, A, dirs, resolution))
-    best.sort(key=lambda r: (r.ratio, r.direction, r.offset))
-    best = best[:10]
+        chunks = [_scan_chunk((P, sigma, A, dirs, resolution))]
+    best = sorted((r for top, _, _ in chunks for r in top), key=_rank)[:_TOP]
+    n_creases = sum(n for _, n, _ in chunks)
+    log.debug("crease search: %d creases screened in float64, %d recomputed exactly",
+              n_creases, sum(n for _, _, n in chunks))
     meta = dict(resolution=resolution, n_directions=len(dirs), n_creases=n_creases,
                 best_creases=best, futaki=fut)
     if any(v != 0 for v in fut):

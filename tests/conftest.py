@@ -5,8 +5,6 @@ import pytest
 
 from kstab.polytope import BoundaryMeasure, Polytope
 
-pytest.register_assert_rewrite
-
 
 @pytest.fixture
 def segment01():

@@ -8,18 +8,54 @@ from kstab.polytope import BoundaryMeasure, integrate_affine, measures, unimodul
 from kstab import stability as stab
 from kstab.stability import (
     L,
+    CreaseResult,
     PLConvexFunction,
+    StabilityVerdict,
     _DirectionProfile,
     crease_search,
     decompose,
     futaki_linear,
 )
 
-from conftest import random_polygon, random_unimodular, random_weights
+from conftest import random_integral_polygon, random_polygon, random_unimodular, random_weights
 
 
 def unit(P):
     return BoundaryMeasure.unit(P)
+
+
+def exact_offsets(smin, smax, R):
+    """Rationals with denominator <= R strictly inside (smin, smax), sorted."""
+    vals = set()
+    for den in range(1, R + 1):
+        for num in range(math.floor(smin * den) + 1, math.ceil(smax * den)):
+            c = Q(num, den)
+            if smin < c < smax:
+                vals.add(c)
+    return sorted(vals)
+
+
+def exact_scan(args):
+    """Reference for stability._scan_chunk: every crease in exact Fractions."""
+    P, sigma, A, dirs, R = args
+    results = []
+    for a in dirs:
+        prof = _DirectionProfile(P, sigma, a)
+        for c in exact_offsets(prof.smin, prof.smax, R):
+            bval, mass = prof.eval(c)
+            lval = bval - A * mass
+            results.append(CreaseResult(a, c, lval, mass, lval / mass))
+    results.sort(key=lambda r: (r.ratio, r.direction, r.offset))
+    return results[:10], len(results), len(results)
+
+
+def assert_matches_oracle(monkeypatch, P, sigma, R):
+    fast = crease_search(P, sigma, R, workers=1)
+    with monkeypatch.context() as m:
+        m.setattr(stab, "_scan_chunk", exact_scan)
+        oracle = crease_search(P, sigma, R, workers=1)
+    assert fast == oracle
+    return fast
 
 
 class TestPLConvexFunction:
@@ -242,6 +278,73 @@ class TestCreaseSearch:
             gen_mass = sum(integrate_affine(cell, *f.pieces[i])
                            for i, cell in decompose(P, f))
             assert mass == gen_mass
+
+    @pytest.mark.parametrize("R", [4, 6])
+    def test_square_ties_match_oracle(self, monkeypatch, square, R):
+        v = assert_matches_oracle(monkeypatch, square, unit(square), R)
+        assert len({c.ratio for c in v.best_creases}) < 10
+
+    @pytest.mark.parametrize("R", [4, 12])
+    def test_segments_match_oracle(self, monkeypatch, segment01, segment_sym, R):
+        assert_matches_oracle(monkeypatch, segment01, BoundaryMeasure((Q(1), Q(2))), R)
+        assert_matches_oracle(monkeypatch, segment_sym, unit(segment_sym), R)
+
+    @pytest.mark.parametrize("R", [4, 6])
+    def test_hexagon_matches_oracle(self, monkeypatch, unstable_hexagon, R):
+        assert_matches_oracle(monkeypatch, *unstable_hexagon, R)
+
+    def test_random_corpus_matches_oracle(self, monkeypatch):
+        rng = random.Random(53)
+        for _ in range(16):
+            P = random_polygon(rng, span=1)
+            assert_matches_oracle(monkeypatch, P, random_weights(rng, P), 5)
+
+    def test_float_overflow_falls_back_to_exact(self, monkeypatch, square, caplog):
+        sigma = BoundaryMeasure((Q(10 ** 400),) + (Q(1),) * 3)
+        with caplog.at_level("DEBUG", logger="kstab.stability"):
+            v = assert_matches_oracle(monkeypatch, square, sigma, 4)
+        assert f"{v.n_creases} creases screened in float64, {v.n_creases} recomputed" \
+            in caplog.text
+
+    def test_screening_counts_logged(self, unstable_hexagon, caplog):
+        with caplog.at_level("DEBUG", logger="kstab.stability"):
+            v = crease_search(*unstable_hexagon, 6)
+        assert f"{v.n_creases} creases screened in float64, 10 recomputed" in caplog.text
+
+    def test_verdict_invariants_checked(self):
+        f = PLConvexFunction.crease((1, 0), Q(1, 2))
+        with pytest.raises(ValueError):
+            StabilityVerdict("unstable", f, Q(0), futaki=(Q(0), Q(0)), resolution=4)
+        with pytest.raises(ValueError):
+            StabilityVerdict("unstable", None, Q(-1), futaki=(Q(0), Q(0)), resolution=4)
+        with pytest.raises(ValueError):
+            StabilityVerdict("semistable-boundary", f, Q(1), futaki=(Q(0), Q(0)), resolution=4)
+
+    def test_offsets_match_oracle(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            lo = Q(rng.randint(-40, 40), rng.randint(1, 7))
+            hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
+            R = rng.randint(1, 9)
+            num, den = stab.admissible_offsets(lo, hi, R)
+            got = [Q(n, d) for n, d in zip(num.tolist(), den.tolist())]
+            assert sorted(got) == exact_offsets(lo, hi, R)
+        with pytest.raises(ValueError):
+            stab.admissible_offsets(Q(2 ** 62), Q(2 ** 62 + 2), 1)
+
+    def test_ratio_bounds_contain_exact_ratio(self):
+        rng = random.Random(61)
+        for k in range(20):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            sigma = random_weights(rng, P)
+            A = measures(P, sigma).A
+            for a in rng.sample(stab.primitive_directions(2, 4), 3):
+                prof = _DirectionProfile(P, sigma, a)
+                num, den = stab.admissible_offsets(prof.smin, prof.smax, 4)
+                lo, hi = prof.ratio_bounds(num, den, A)
+                for n, d, l, h in zip(num.tolist(), den.tolist(), lo, hi):
+                    bval, mass = prof.eval(Q(n, d))
+                    assert Q(l) <= (bval - A * mass) / mass <= Q(h)
 
     def test_parallel_matches_serial(self, square):
         v1 = crease_search(square, unit(square), 4, workers=1)
