@@ -24,12 +24,7 @@ from kstab import geometry as geo
 from kstab import kempfness as kn
 from kstab import solver as sol
 from kstab.futaki import count_and_weigh, expansion, filtration_futaki
-from kstab.polytope import (
-    PolytopeParseError,
-    is_delzant,
-    measures,
-    parse_polytope_text,
-)
+from kstab.polytope import is_delzant, measures, parse_polytope_text
 from kstab.stability import PLConvexFunction, crease_search, futaki_linear
 
 EXIT_OK = 0
@@ -288,10 +283,16 @@ def cmd_ray(args) -> int:
 
 def cmd_flow_sphere(args) -> int:
     rows = []
-    for line in Path(args.points).read_text().splitlines():
+    for line_no, line in enumerate(Path(args.points).read_text().splitlines(), 1):
         s = line.split("#", 1)[0].strip()
         if s:
-            rows.append([float(t) for t in s.split()])
+            row = [float(t) for t in s.split()]
+            if len(row) not in (3, 4):
+                raise ValueError(f"{args.points}: line {line_no}: expected x y z [multiplicity]")
+            if not any(row[:3]):
+                raise ValueError(f"{args.points}: line {line_no}: the zero vector is not "
+                                 "a point of the sphere")
+            rows.append(row)
     pts = np.array([r[:3] for r in rows])
     mult = np.array([r[3] if len(r) > 3 else 1.0 for r in rows])
     pts = pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -473,10 +474,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except PolytopeParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, geo.ConvexityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

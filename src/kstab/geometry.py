@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from kstab.polytope import BoundaryMeasure, Polytope, is_delzant, measures
 
@@ -27,7 +28,7 @@ class ConvexityError(RuntimeError):
     """Hessian not positive definite at some node; carries the location."""
 
     def __init__(self, point, detail=""):
-        self.point = tuple(point)
+        self.point = tuple(float(v) for v in point)
         super().__init__(f"convexity violated near {self.point} {detail}".rstrip())
 
 
@@ -61,7 +62,7 @@ def graded_nodes(lo: float, hi: float, m: int, ratio: float = 1.15) -> np.ndarra
 
 @dataclass
 class Axis1D:
-    """One mesh axis: nodes, gaps, trapezoid weights, difference stencils."""
+    """One mesh axis: nodes, gaps, trapezoid weights, difference matrices."""
 
     nodes: np.ndarray
     lo: float
@@ -77,7 +78,9 @@ class Axis1D:
         w[:-1] += self.gaps / 2
         w[1:] += self.gaps / 2
         self.trapezoid = w
+        # nodes -> interior (d1, d2) and interior -> two layers in (d1i, d2i)
         self.d1, self.d2 = _stencils(x)
+        self.d1i, self.d2i = _stencils(x[1:-1])
 
     def interior(self):
         return self.nodes[1:-1]
@@ -125,24 +128,47 @@ class Axis1D:
 
 
 def _stencils(x: np.ndarray):
-    """Non-uniform centred 3-point first/second derivative coefficients.
+    """Non-uniform centred 3-point first/second difference matrices.
 
-    Returns (d1, d2), each a (m-2, 3) array of (left, centre, right)
-    coefficients; exact on quadratics.
+    Returns (d1, d2), each a sparse (len(x) - 2, len(x)) matrix taking
+    values at the points x to derivatives at x[1:-1]; exact on quadratics.
     """
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
     s = hm + hp
-    d1 = np.stack([-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s)], axis=1)
-    d2 = np.stack([2 / (hm * s), -2 / (hm * hp), 2 / (hp * s)], axis=1)
-    return d1, d2
+    k = len(x) - 2
+    rows = np.repeat(np.arange(k), 3)
+    cols = (np.arange(k)[:, None] + np.arange(3)[None, :]).ravel()
+
+    def matrix(*coef):
+        return sp.csr_matrix((np.stack(coef, axis=1).ravel(), (rows, cols)), shape=(k, k + 2))
+
+    return (matrix(-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s)),
+            matrix(2 / (hm * s), -2 / (hm * hp), 2 / (hp * s)))
 
 
-def apply_stencil(coef: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a (m-2, 3) stencil along the given axis of arr."""
-    arr = np.moveaxis(arr, axis, 0)
-    out = (coef[:, 0] * arr[:-2].T + coef[:, 1] * arr[1:-1].T + coef[:, 2] * arr[2:].T).T
-    return np.moveaxis(out, 0, axis)
+def _along(M, arr: np.ndarray, axis: int) -> np.ndarray:
+    """An axis matrix M applied along `axis` of a 1D or 2D grid array.
+
+    The other axis loses its two end entries, so a node array maps to the
+    interior lattice and an interior array to the one two layers in.
+    Results are C-ordered, so sums over them run in the usual order.
+    """
+    if arr.ndim == 1:
+        return M @ arr
+    if axis == 0:
+        return M @ arr[:, 1:-1]
+    return np.ascontiguousarray((M @ arr[1:-1].T).T)
+
+
+def _mixed(Mx, My, arr: np.ndarray) -> np.ndarray:
+    """Mx along axis 0, then My along axis 1 (the cross difference)."""
+    return np.ascontiguousarray((My @ (Mx @ arr).T).T)
+
+
+def _on_axis(vec: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """A per-axis vector shaped to broadcast along `axis` of an n-D grid."""
+    return vec.reshape([-1 if a == axis else 1 for a in range(n)])
 
 
 def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, float, float]]:
@@ -220,9 +246,7 @@ class PotentialGrid:
     def u0_values(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for a, ax in enumerate(self.axes):
-            shape = [1] * self.n
-            shape[a] = ax.m
-            out = out + ax.u0().reshape(shape)
+            out = out + _on_axis(ax.u0(), self.n, a)
         return out
 
     def u_values(self) -> np.ndarray:
@@ -264,7 +288,8 @@ def guillemin(P: Polytope, sigma: BoundaryMeasure, m=65, ratio: float = 1.15) ->
 def hessian_field(g: PotentialGrid, mode: str = "analytic"):
     """Hessian components of u on the interior lattice.
 
-    mode "analytic": u0 differentiated in closed form, phi by stencils.
+    mode "analytic": u0 differentiated in closed form, phi by the axis
+    difference matrices.
     mode "numeric": everything differenced from node values (the
     independent check of the analytic route; second-order accurate).
     Returns a dict {(a, b): array} with symmetric entries aliased.
@@ -277,28 +302,14 @@ def hessian_field(g: PotentialGrid, mode: str = "analytic"):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     H = {}
-    for a in range(n):
-        arr = apply_stencil(g.axes[a].d2, base, axis=a)
-        arr = _restrict(arr, n, skip=a)
+    for a, ax in enumerate(g.axes):
+        arr = _along(ax.d2, base, a)
         if mode == "analytic":
-            shape = [1] * n
-            shape[a] = g.axes[a].m - 2
-            arr = arr + g.axes[a].u0_d2().reshape(shape)
+            arr = arr + _on_axis(ax.u0_d2(), n, a)
         H[(a, a)] = arr
     if n == 2:
-        arr = apply_stencil(g.axes[0].d1, base, axis=0)
-        arr = apply_stencil(g.axes[1].d1, arr, axis=1)
-        H[(0, 1)] = arr
-        H[(1, 0)] = arr
+        H[(0, 1)] = H[(1, 0)] = _mixed(g.axes[0].d1, g.axes[1].d1, base)
     return H
-
-
-def _restrict(arr: np.ndarray, n: int, skip: int) -> np.ndarray:
-    """Drop boundary entries along every axis except `skip` (already interior)."""
-    sl = []
-    for a in range(n):
-        sl.append(slice(None) if a == skip else slice(1, -1))
-    return arr[tuple(sl)]
 
 
 def det_field(g: PotentialGrid, H=None, mode: str = "analytic") -> np.ndarray:
@@ -331,10 +342,6 @@ def inverse_hessian_field(g: PotentialGrid, H=None, mode: str = "analytic"):
             (0, 1): -H[(0, 1)] / det, (1, 0): -H[(0, 1)] / det}
 
 
-def _interior_stencils(ax: Axis1D):
-    return _stencils(ax.nodes[1:-1])
-
-
 def abreu_residual_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np.ndarray:
     """sum_ab d^2 U^{ab} / dx_a dx_b + A on the two-layers-in lattice.
 
@@ -348,19 +355,10 @@ def abreu_residual_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np
 def divergence2_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np.ndarray:
     """sum_ab (U^{ab})_{,ab} by centred differences of the inverse Hessian."""
     U = inverse_hessian_field(g, mode=mode) if U is None else U
-    n = g.n
-    out = None
-    for a in range(n):
-        d1i, d2i = _interior_stencils(g.axes[a])
-        arr = apply_stencil(d2i, U[(a, a)], axis=a)
-        arr = _restrict(arr, n, skip=a)
-        out = arr if out is None else out + arr
-    if n == 2:
-        d1x, _ = _interior_stencils(g.axes[0])
-        d1y, _ = _interior_stencils(g.axes[1])
-        arr = apply_stencil(d1x, U[(0, 1)], axis=0)
-        arr = apply_stencil(d1y, arr, axis=1)
-        out = out + 2 * arr
+    out = _along(g.axes[0].d2i, U[(0, 0)], 0)
+    if g.n == 2:
+        x, y = g.axes
+        out = out + _along(y.d2i, U[(1, 1)], 1) + 2 * _mixed(x.d1i, y.d1i, U[(0, 1)])
     return out
 
 
@@ -395,16 +393,12 @@ def abreu_S(g: PotentialGrid, x, mode: str = "analytic") -> MetricSample:
 
 def gradient_field(g: PotentialGrid, mode: str = "analytic"):
     """du at interior nodes, one array per component."""
-    n = g.n
     base = g.phi if mode == "analytic" else g.u_values()
     out = []
-    for a in range(n):
-        arr = apply_stencil(g.axes[a].d1, base, axis=a)
-        arr = _restrict(arr, n, skip=a)
+    for a, ax in enumerate(g.axes):
+        arr = _along(ax.d1, base, a)
         if mode == "analytic":
-            shape = [1] * n
-            shape[a] = g.axes[a].m - 2
-            arr = arr + g.axes[a].u0_d1().reshape(shape)
+            arr = arr + _on_axis(ax.u0_d1(), g.n, a)
         out.append(arr)
     return out
 
@@ -507,30 +501,21 @@ def _lagrange3(x0, x1, x2, x3):
     return c1, c2, c3
 
 
+def _box_integral(g: PotentialGrid, axis_integral) -> float:
+    """Integral over the box of a sum of one-axis terms, from each term's axis integral."""
+    lams = [ax.hi - ax.lo for ax in g.axes]
+    return sum(axis_integral(ax) * math.prod(lams[:a] + lams[a + 1:])
+               for a, ax in enumerate(g.axes))
+
+
 def integral_u0_exact(g: PotentialGrid) -> float:
     """Closed-form integral of u0 over the box."""
-    lams = [ax.hi - ax.lo for ax in g.axes]
-    total = 0.0
-    for a, ax in enumerate(g.axes):
-        cross = 1.0
-        for b, lam in enumerate(lams):
-            if b != a:
-                cross *= lam
-        total += ax.integral_u0() * cross
-    return total
+    return _box_integral(g, Axis1D.integral_u0)
 
 
 def integral_log_terms_exact(g: PotentialGrid) -> float:
     """Closed-form integral of sum_k log(w_k ell_k) over the box."""
-    lams = [ax.hi - ax.lo for ax in g.axes]
-    total = 0.0
-    for a, ax in enumerate(g.axes):
-        cross = 1.0
-        for b, lam in enumerate(lams):
-            if b != a:
-                cross *= lam
-        total += ax.integral_log_terms() * cross
-    return total
+    return _box_integral(g, Axis1D.integral_log_terms)
 
 
 def boundary_integral_u0_exact(g: PotentialGrid) -> float:

@@ -41,6 +41,8 @@ class SphereConfig:
         if self.multiplicities is None:
             self.multiplicities = np.ones(len(self.points))
         self.multiplicities = np.asarray(self.multiplicities, dtype=float)
+        if not np.isfinite(self.points).all():
+            raise ValueError("points must be finite")
         norms = np.linalg.norm(self.points, axis=1)
         if np.abs(norms - 1).max() > 1e-9:
             raise ValueError("points must lie on the unit sphere")

@@ -36,53 +36,42 @@ Q = Fraction
 
 # -- discrete operators -------------------------------------------------------
 
-def _stencil_matrix(coef: np.ndarray, m: int) -> sp.csr_matrix:
-    """(m-2) x m sparse matrix applying a 3-point stencil at interior nodes."""
-    rows = np.repeat(np.arange(m - 2), 3)
-    cols = (np.arange(m - 2)[:, None] + np.array([0, 1, 2])[None, :]).ravel()
-    return sp.csr_matrix((coef.ravel(), (rows, cols)), shape=(m - 2, m))
+def _tensor_second_differences(d1x, d2x, d1y, d2y) -> dict:
+    """Second-difference matrices {(a, b): D_ab} on a 2D tensor grid.
 
-
-def _restrict_matrix(m: int) -> sp.csr_matrix:
-    return sp.eye(m, format="csr")[1:-1]
+    Kronecker products of the axis matrices; an axis that is not
+    differenced is restricted to its inner entries.
+    """
+    rx = sp.eye(*d2x.shape, k=1, format="csr")
+    ry = sp.eye(*d2y.shape, k=1, format="csr")
+    D = {(0, 0): sp.kron(d2x, ry, format="csr"),
+         (1, 1): sp.kron(rx, d2y, format="csr"),
+         (0, 1): sp.kron(d1x, d1y, format="csr")}
+    D[(1, 0)] = D[(0, 1)]
+    return D
 
 
 class GridOperators:
-    """Sparse difference operators and quadrature vectors for a grid."""
+    """Sparse difference operators and quadrature vectors for a grid.
+
+    The Hessian (nodes -> interior) and the second divergence (interior ->
+    two layers in) are assembled from the grid axes' own matrices.
+    """
 
     def __init__(self, g: geo.PotentialGrid):
         self.g = g
-        n = g.n
-        d1 = [_stencil_matrix(ax.d1, ax.m) for ax in g.axes]
-        d2 = [_stencil_matrix(ax.d2, ax.m) for ax in g.axes]
-        r = [_restrict_matrix(ax.m) for ax in g.axes]
-        icoords = [ax.nodes[1:-1] for ax in g.axes]
-        d1i, d2i, ri = [], [], []
-        for x in icoords:
-            c1, c2 = geo._stencils(x)
-            d1i.append(_stencil_matrix(c1, len(x)))
-            d2i.append(_stencil_matrix(c2, len(x)))
-            ri.append(_restrict_matrix(len(x)))
-        if n == 1:
-            self.hess = {(0, 0): d2[0]}
-            self.d2i = {(0, 0): d2i[0]}
+        if g.n == 1:
+            self.hess = {(0, 0): g.axes[0].d2}
+            self.d2i = {(0, 0): g.axes[0].d2i}
         else:
-            self.hess = {
-                (0, 0): sp.kron(d2[0], r[1], format="csr"),
-                (1, 1): sp.kron(r[0], d2[1], format="csr"),
-                (0, 1): sp.kron(d1[0], d1[1], format="csr"),
-            }
-            self.hess[(1, 0)] = self.hess[(0, 1)]
-            self.d2i = {
-                (0, 0): sp.kron(d2i[0], ri[1], format="csr"),
-                (1, 1): sp.kron(ri[0], d2i[1], format="csr"),
-                (0, 1): sp.kron(d1i[0], d1i[1], format="csr"),
-            }
-            self.d2i[(1, 0)] = self.d2i[(0, 1)]
+            x, y = g.axes
+            self.hess = _tensor_second_differences(x.d1, x.d2, y.d1, y.d2)
+            self.d2i = _tensor_second_differences(x.d1i, x.d2i, y.d1i, y.d2i)
         self.t_full = geo.node_weights(g).ravel()
         self.t_int = geo.interior_weights(g).ravel()
         self.n_all = int(np.prod(g.shape))
         self.deep_shape = tuple(m - 4 for m in g.shape)
+        self.t_deep = self.t_full.reshape(g.shape)[(slice(2, -2),) * g.n].ravel()
         # affine basis on nodes (constants first)
         grids = g.node_grids()
         basis = [np.ones(self.n_all)]
@@ -215,9 +204,91 @@ class SolveReport:
         return self.termination == "converged"
 
 
-def residual_field(g: geo.PotentialGrid, U: dict | None = None) -> np.ndarray:
-    """sum_ab (u^{ab})_{,ab} + A on the depth-2 lattice (= A - 2S)."""
-    return geo.abreu_residual_field(g, U)
+@dataclass
+class Iterate:
+    """One evaluated potential: grid, Hessian, det, inverse, residual, F."""
+    g: geo.PotentialGrid
+    H: dict
+    det: np.ndarray
+    U: dict
+    r: np.ndarray
+    F: float
+
+
+def evaluate(P: Polytope, sigma: BoundaryMeasure, grid: geo.PotentialGrid) -> Iterate | None:
+    """The solver's view of a grid; None off the convex cone."""
+    H = geo.hessian_field(grid)
+    det = geo.det_field(grid, H)
+    if (det <= 0).any() or (H[(0, 0)] <= 0).any():
+        return None
+    U = geo.inverse_hessian_field(grid, H)
+    r = geo.abreu_residual_field(grid, U)
+    return Iterate(grid, H, det, U, r, mabuchi(P, sigma, grid, H))
+
+
+def _moved(s: Iterate, delta: np.ndarray) -> Iterate | None:
+    """Evaluate the iterate's grid with phi moved by the node vector delta."""
+    g = s.g
+    return evaluate(g.P, g.sigma, g.with_phi(g.phi + delta.reshape(g.shape)))
+
+
+def _flow_step(ops: GridOperators, s: Iterate, dt: float,
+               include_linear: bool) -> tuple[Iterate | None, float]:
+    """Preconditioned gradient descent with Armijo backtracking.
+
+    Returns the accepted iterate (None if no step lowers F) and the next dt.
+    """
+    grad = ops.embed_deep(s.r.ravel() * ops.t_deep)
+    if include_linear:
+        grad = ops.gauge_project(grad, include_linear=True)
+    d = ops.preconditioner().solve(grad)
+    d = ops.gauge_project(d, include_linear=include_linear)
+    dd = float(grad @ d)   # = <dF-direction, d>; positive for descent
+    if dd <= 0:
+        return None, dt
+    dsup = float(np.abs(d).max())
+    # cap the per-step movement so escape rays grow geometrically,
+    # not in one jump (keeps the certificate history meaningful)
+    dt = min(dt, 4.0 * (1.0 + float(np.abs(s.g.phi).max())) / max(dsup, 1e-300))
+    for _ in range(40):
+        trial = _moved(s, dt * d)
+        if trial is not None and trial.F <= s.F - 1e-4 * dt * dd:
+            return trial, min(dt * 1.3, 1e12)
+        dt /= 2
+    return None, dt
+
+
+def _gauss_newton_step(ops: GridOperators, s: Iterate, damping: float,
+                       include_linear: bool) -> tuple[Iterate | None, float]:
+    """Gauss-Newton with H2-seminorm Levenberg damping.
+
+    Among steps with equal linear residual the damping picks the one of
+    least bending, which keeps the boundary layer inside its linearization
+    radius.  Returns the accepted iterate (None if every damping failed to
+    lower the sup residual) and the next damping.
+    """
+    sup = float(np.abs(s.r).max())
+    J = ops.jacobian(s.U)
+    rhs = -(J.T @ s.r.ravel())
+    JtJ = (J.T @ J).tocsc()
+    M2 = ops.h2_matrix()
+    for _ in range(8):
+        try:
+            delta = spla.splu((JtJ + damping * M2).tocsc()).solve(rhs)
+        except RuntimeError:
+            damping *= 10
+            continue
+        delta = ops.gauge_project(delta, include_linear=include_linear)
+        rho = ops.max_hessian_rel_change(s.H, delta)
+        step = min(1.0, 0.3 / max(rho, 1e-30))
+        for _ in range(4):
+            trial = _moved(s, step * delta)
+            if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
+                                      or np.abs(trial.r).max() < 0.9 * sup):
+                return trial, max(damping / 5, 1e-14)
+            step /= 4
+        damping = min(damping * 10, 1e8)
+    return None, damping
 
 
 def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
@@ -249,47 +320,32 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     diam = math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in P.bounding_box()))
     if ceiling is None:
         ceiling = 1e3 * diam * A
-    phi = ops.gauge_project(g.phi.ravel(), include_linear=futaki_zero)
-    g.phi = phi.reshape(g.shape)
+    g.phi = ops.gauge_project(g.phi.ravel(), include_linear=futaki_zero).reshape(g.shape)
+    s = evaluate(P, sigma, g)
+    if s is None:
+        geo.check_convexity(g)
 
     hist_F, hist_r, hist_det, hist_u, hist_phi = [], [], [], [], []
     dt = 1.0
-    lm_damp = 1e-2
-    lm_fails = 0
-    lm_cooldown = 0
+    damping = 1e-2
+    gn_fails = 0
+    gn_cooldown = 0
     termination = "max-iter"
     certificate = None
     it = 0
     sup = float("inf")
-
-    def evaluate(grid):
-        H = geo.hessian_field(grid)
-        det = geo.det_field(grid, H)
-        if (det <= 0).any() or (H[(0, 0)] <= 0).any():
-            return None
-        U = geo.inverse_hessian_field(grid, H)
-        r = residual_field(grid, U)
-        F = mabuchi(P, sigma, grid, H)
-        return H, det, U, r, F
-
-    state = evaluate(g)
-    if state is None:
-        geo.check_convexity(g)
-    H, det, U, r, F = state
-
-    t_deep = ops.t_full.reshape(g.shape)[(slice(2, -2),) * g.n].ravel()
-    vol = float(t_deep.sum())
+    vol = float(ops.t_deep.sum())
 
     for it in range(1, max_iter + 1):
-        sup = float(np.abs(r).max())
-        l2w = float(np.sqrt((t_deep * r.ravel() ** 2).sum() / vol))
-        hist_F.append(F)
+        sup = float(np.abs(s.r).max())
+        l2w = float(np.sqrt((ops.t_deep * s.r.ravel() ** 2).sum() / vol))
+        hist_F.append(s.F)
         hist_r.append(sup)
-        hist_det.append(float(det.min()))
-        hist_u.append(float(np.abs(g.u_values()).max()))
-        hist_phi.append(float(np.abs(g.phi).max()))
+        hist_det.append(float(s.det.min()))
+        hist_u.append(float(np.abs(s.g.u_values()).max()))
+        hist_phi.append(float(np.abs(s.g.phi).max()))
         if callback is not None:
-            callback(it, g)
+            callback(it, s.g)
         if sup < tol:
             termination = "converged"
             break
@@ -297,109 +353,48 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
             window = hist_F[-8:]
             if len(window) >= 2 and window[-1] < window[0]:
                 termination = "divergence-certificate"
-                nphi = g.phi / max(hist_phi[-1], 1e-300)
-                mloc = np.unravel_index(np.argmin(det), det.shape)
+                mloc = np.unravel_index(np.argmin(s.det), s.det.shape)
                 certificate = {
                     "message": "phi ceiling exceeded while F still decreasing; "
                                "the normalized direction is a destabilizer candidate",
-                    "direction": nphi,
+                    "direction": s.g.phi / max(hist_phi[-1], 1e-300),
                     "recent_F": window,
-                    "min_det": float(det.min()),
-                    "min_det_location": tuple(g.axes[a].nodes[i + 1]
+                    "min_det": float(s.det.min()),
+                    "min_det_location": tuple(float(s.g.axes[a].nodes[i + 1])
                                               for a, i in enumerate(mloc)),
                 }
             else:
                 termination = "stalled"
             break
 
-        def lm_attempt():
-            # Gauss-Newton with H2-seminorm Levenberg damping: among steps
-            # with equal linear residual it picks the one of least bending,
-            # which keeps the boundary layer inside its linearization radius.
-            nonlocal g, H, det, U, r, F, lm_damp
-            J = ops.jacobian(U)
-            rhs = -(J.T @ r.ravel())
-            JtJ = (J.T @ J).tocsc()
-            M2 = ops.h2_matrix()
-            for _ in range(8):
-                try:
-                    delta = spla.splu((JtJ + lm_damp * M2).tocsc()).solve(rhs)
-                except RuntimeError:
-                    lm_damp *= 10
-                    continue
-                delta = ops.gauge_project(delta, include_linear=futaki_zero)
-                rho = ops.max_hessian_rel_change(H, delta)
-                step = min(1.0, 0.3 / max(rho, 1e-30))
-                for _ in range(4):
-                    trial = g.with_phi(g.phi + step * delta.reshape(g.shape))
-                    st = evaluate(trial)
-                    if st is not None and (np.abs(st[3]).max() < sup * (1 - 1e-3 * step)
-                                           or np.abs(st[3]).max() < 0.9 * sup):
-                        g = trial
-                        H, det, U, r, F = st
-                        lm_damp = max(lm_damp / 5, 1e-14)
-                        return True
-                    step /= 4
-                lm_damp = min(lm_damp * 10, 1e8)
-            return False
-
-        def flow_attempt():
-            # preconditioned gradient descent with Armijo backtracking
-            nonlocal g, H, det, U, r, F, dt
-            grad = ops.embed_deep(r.ravel() * t_deep)
-            if futaki_zero:
-                grad = ops.gauge_project(grad, include_linear=True)
-            d = ops.preconditioner().solve(grad)
-            d = ops.gauge_project(d, include_linear=futaki_zero)
-            dd = float(grad @ d)   # = <dF-direction, d>; positive for descent
-            if dd <= 0:
-                return False
-            dsup = float(np.abs(d).max())
-            # cap the per-step movement so escape rays grow geometrically,
-            # not in one jump (keeps the certificate history meaningful)
-            dt_cap = 4.0 * (1.0 + hist_phi[-1]) / max(dsup, 1e-300)
-            dt = min(dt, dt_cap)
-            for _ in range(40):
-                trial = g.with_phi(g.phi + dt * d.reshape(g.shape))
-                st = evaluate(trial)
-                if st is not None and st[4] <= F - 1e-4 * dt * dd:
-                    g = trial
-                    H, det, U, r, F = st
-                    dt = min(dt * 1.3, 1e12)
-                    return True
-                dt /= 2
-            return False
-
-        accepted = False
         stagnant = len(hist_r) > 12 and hist_r[-1] > 0.99 * hist_r[-12]
         # while F is in free fall the state is escaping along a destabilizing
         # ray; polishing the (inconsistent) residual there would only chase
         # spurious large-amplitude zeros of the discrete operator
-        free_fall = len(hist_F) >= 3 and hist_F[-3] - F > 0.05 * (1 + abs(F))
-        lm_tried = False
-        if (l2w < newton_gate or stagnant) and lm_cooldown == 0 and not free_fall:
-            lm_tried = True
-            accepted = lm_attempt()
-            if not accepted:
-                lm_fails += 1
-                if lm_fails >= 3:
-                    lm_cooldown = 25
-                    lm_fails = 0
-            else:
-                lm_fails = 0
-        elif lm_cooldown > 0:
-            lm_cooldown -= 1
-        if not accepted:
-            accepted = flow_attempt()
-        if not accepted and not lm_tried and not free_fall:
-            accepted = lm_attempt()
-        if not accepted:
+        free_fall = len(hist_F) >= 3 and hist_F[-3] - s.F > 0.05 * (1 + abs(s.F))
+        nxt = None
+        gn_tried = False
+        if (l2w < newton_gate or stagnant) and gn_cooldown == 0 and not free_fall:
+            gn_tried = True
+            nxt, damping = _gauss_newton_step(ops, s, damping, futaki_zero)
+            gn_fails = 0 if nxt is not None else gn_fails + 1
+            if gn_fails >= 3:
+                gn_cooldown = 25
+                gn_fails = 0
+        elif gn_cooldown > 0:
+            gn_cooldown -= 1
+        if nxt is None:
+            nxt, dt = _flow_step(ops, s, dt, futaki_zero)
+        if nxt is None and not gn_tried and not free_fall:
+            nxt, damping = _gauss_newton_step(ops, s, damping, futaki_zero)
+        if nxt is None:
             termination = "stalled"
             break
+        s = nxt
     else:
         it = max_iter
 
-    report = SolveReport(g, termination, sup, it, hist_F, hist_r, hist_det,
+    report = SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
                          hist_u, hist_phi, fut, certificate)
     report.wall_time = time.time() - t_start
     return report

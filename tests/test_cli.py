@@ -147,6 +147,15 @@ class TestSolveCommand:
                      "--max-iter", "600", "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_certificate_location_prints_plain_floats(self, tmp_path, capsys):
+        p = tmp_path / "bad.poly"
+        p.write_text("dim 2\nfacets\n1 0 0 1\n-1 0 -1 1/4\n0 1 0 1\n0 -1 -1 1\n")
+        code = main(["solve", str(p), "--mesh", "25", "--allow-nonzero-futaki",
+                     "--max-iter", "600", "--out", str(tmp_path / "o")])
+        assert code == 4
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "near (" in ln)
+        assert "np.float64" not in line
+
 
 class TestRayCommand:
     def test_linear_ray(self, wseg_file, tmp_path, capsys):
@@ -155,6 +164,16 @@ class TestRayCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "slope: 0.5" in text
+
+    def test_ray_leaving_convex_cone_is_an_error(self, tmp_path, capsys):
+        p = tmp_path / "seg.poly"
+        p.write_text(SEG)
+        code = main(["ray", str(p), "--quadratic", "1", "--smax", "1e300",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: convexity violated near (")
+        assert "np.float64" not in err[0]
 
 
 class TestFlows:
@@ -165,6 +184,21 @@ class TestFlows:
         assert main(["flow-sphere", "--points", str(f), "--out", str(out)]) == 0
         data = json.loads((out / "flow.json").read_text())
         assert data["verdict"] == "balanced"
+
+    def test_flow_sphere_zero_point_rejected(self, tmp_path, capsys):
+        f = tmp_path / "pts.txt"
+        f.write_text("0 0 1\n# comment\n0 0 0 2\n")
+        out = tmp_path / "o"
+        assert main(["flow-sphere", "--points", str(f), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "zero vector" in err
+        assert not out.exists()
+
+    def test_flow_sphere_nonfinite_point_rejected(self, tmp_path, capsys):
+        f = tmp_path / "pts.txt"
+        f.write_text("0 0 1\nnan 0 1\n")
+        assert main(["flow-sphere", "--points", str(f), "--out", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_flow_matrix(self, tmp_path):
         f = tmp_path / "mat.txt"

@@ -122,6 +122,14 @@ class TestAbreuOperator:
             geo.abreu_S(g2, (g.axes[0].nodes[16],))
         assert 0 < ei.value.point[0] < 1
 
+    def test_convexity_error_reports_plain_floats(self, square):
+        g = geo.guillemin(square, unit(square), m=17).with_phi(
+            lambda x, y: -40.0 * (x - 0.5) ** 2)
+        with pytest.raises(geo.ConvexityError) as ei:
+            geo.check_convexity(g)
+        assert all(type(v) is float for v in ei.value.point)
+        assert "np.float64" not in str(ei.value)
+
     def test_numeric_mode_second_order_segment(self, segment01):
         g1 = geo.guillemin(segment01, unit(segment01), m=65)
         g2 = g1.refined()
@@ -276,3 +284,93 @@ class TestFieldExtension:
         assert len(rows) == 17
         assert len(rows[0]) == 4   # x, u, det, S
         assert math.isnan(rows[0][2])
+
+
+# -- the stencil route the axis matrices replaced, kept as the test oracle ----
+
+def oracle_stencils(x):
+    """(m-2, 3) arrays of (left, centre, right) first/second difference coefficients."""
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    s = hm + hp
+    d1 = np.stack([-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s)], axis=1)
+    d2 = np.stack([2 / (hm * s), -2 / (hm * hp), 2 / (hp * s)], axis=1)
+    return d1, d2
+
+
+def apply_stencil(coef, arr, axis):
+    arr = np.moveaxis(arr, axis, 0)
+    out = (coef[:, 0] * arr[:-2].T + coef[:, 1] * arr[1:-1].T + coef[:, 2] * arr[2:].T).T
+    return np.moveaxis(out, 0, axis)
+
+
+def restrict(arr, skip):
+    """Drop the end entries along every axis except `skip`."""
+    return arr[tuple(slice(None) if a == skip else slice(1, -1) for a in range(arr.ndim))]
+
+
+def oracle_hessian_and_gradient(g, mode):
+    base = g.phi if mode == "analytic" else g.u_values()
+    H, grad = {}, []
+    for a, ax in enumerate(g.axes):
+        d1, d2 = oracle_stencils(ax.nodes)
+        h = restrict(apply_stencil(d2, base, a), a)
+        gr = restrict(apply_stencil(d1, base, a), a)
+        if mode == "analytic":
+            shape = [1] * g.n
+            shape[a] = ax.m - 2
+            h = h + ax.u0_d2().reshape(shape)
+            gr = gr + ax.u0_d1().reshape(shape)
+        H[(a, a)] = h
+        grad.append(gr)
+    if g.n == 2:
+        d1x, d1y = (oracle_stencils(ax.nodes)[0] for ax in g.axes)
+        H[(0, 1)] = H[(1, 0)] = apply_stencil(d1y, apply_stencil(d1x, base, 0), 1)
+    return H, grad
+
+
+def oracle_divergence2(g, U):
+    out = None
+    for a, ax in enumerate(g.axes):
+        arr = restrict(apply_stencil(oracle_stencils(ax.nodes[1:-1])[1], U[(a, a)], a), a)
+        out = arr if out is None else out + arr
+    if g.n == 2:
+        d1x, d1y = (oracle_stencils(ax.nodes[1:-1])[0] for ax in g.axes)
+        out = out + 2 * apply_stencil(d1y, apply_stencil(d1x, U[(0, 1)], 0), 1)
+    return out
+
+
+def perturbed_grids():
+    """A unit segment, a weighted segment and a weighted non-square box, each
+    with a smooth bump plus seeded noise in phi."""
+    rng = np.random.default_rng(3)
+    seg = Polytope.from_vertices([(0,), (1,)])
+    sq = Polytope.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+    wsq = BoundaryMeasure(tuple(Q(2) if f.normal[0] != 0 else Q(3) for f in sq.facets))
+    out = []
+    for P, sigma, m, bump in (
+            (seg, unit(seg), 33, lambda x: 0.05 * np.sin(np.pi * x) ** 2),
+            (seg, BoundaryMeasure((Q(1), Q(2))), 40, lambda x: 0.02 * x ** 3),
+            (sq, wsq, (19, 23), lambda x, y: 0.02 * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+             + 0.01 * x * y ** 2)):
+        g = geo.PotentialGrid.build(P, sigma, m, phi=bump)
+        out.append(g.with_phi(g.phi + 1e-6 * rng.standard_normal(g.shape)))
+    return out
+
+
+class TestStencilOracle:
+    """The sparse axis matrices reproduce the stencil route bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    @pytest.mark.parametrize("case", range(3))
+    def test_fields_equal_oracle(self, case, mode):
+        g = perturbed_grids()[case]
+        H_want, grad_want = oracle_hessian_and_gradient(g, mode)
+        H = geo.hessian_field(g, mode)
+        assert H.keys() == H_want.keys()
+        for key in H:
+            assert np.array_equal(H[key], H_want[key]), key
+        for got, want in zip(geo.gradient_field(g, mode), grad_want, strict=True):
+            assert np.array_equal(got, want)
+        U = geo.inverse_hessian_field(g, H)
+        assert np.array_equal(geo.divergence2_field(g, U, mode), oracle_divergence2(g, U))

@@ -22,6 +22,12 @@ class TestSphereMoment:
         with pytest.raises(ValueError):
             kn.SphereConfig(np.array([[0, 0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        # NaN fails every comparison, so the unit-norm check alone lets it pass
+        with pytest.raises(ValueError, match="finite"):
+            kn.SphereConfig(np.array([[0, 0, 1.0], [bad, 0, 0]]))
+
 
 class TestSphereFlow:
     def test_balanced_two_two(self):

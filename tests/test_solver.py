@@ -60,6 +60,32 @@ class TestMabuchi:
             sol.mabuchi(segment01, unit(segment01), g2)
 
 
+class TestJacobian:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_central_differences(self, dim, segment01, square):
+        # the residual is smooth in phi, so central differences with step
+        # eps agree with the exact Jacobian to O(eps^2)
+        if dim == 1:
+            P, sigma = segment01, BoundaryMeasure((Q(1), Q(2)))
+            phi = lambda x: bump1(x) + 0.02 * x ** 3   # noqa: E731
+        else:
+            P, sigma = square, BoundaryMeasure(tuple(
+                Q(2) if f.normal[0] != 0 else Q(3) for f in square.facets))
+            phi = lambda x, y: bump2(x, y) + 0.01 * x * y ** 2   # noqa: E731
+        g = geo.PotentialGrid.build(P, sigma, 17, phi=phi)
+        J = sol.GridOperators(g).jacobian(geo.inverse_hessian_field(g)).toarray()
+        eps = 1e-6
+        fd = np.empty_like(J)
+        for j in range(g.phi.size):
+            e = np.zeros(g.phi.size)
+            e[j] = eps
+            e = e.reshape(g.shape)
+            rp = geo.abreu_residual_field(g.with_phi(g.phi + e))
+            rm = geo.abreu_residual_field(g.with_phi(g.phi - e))
+            fd[:, j] = ((rp - rm) / (2 * eps)).ravel()
+        assert np.abs(fd - J).max() < 1e-6 * np.abs(J).max()
+
+
 class TestSolve:
     def test_segment_csck(self, segment01):
         t0 = time.time()
