@@ -3,8 +3,10 @@
 Every subcommand reads polytope/config files, writes a manifest
 (inputs with hashes, parameters, package version) plus human-readable and
 machine-readable outputs into --out, and uses exit codes to communicate
-verdicts.  Machine-readable outputs are byte-deterministic for identical
-inputs and seed.
+verdicts.  Inputs and parameters are checked before --out is created, so a
+run that rejects them (exit 1) leaves no output directory.
+Machine-readable outputs are byte-deterministic for identical inputs and
+seed.
 """
 
 from __future__ import annotations
@@ -56,6 +58,27 @@ def _write_manifest(outdir: Path, command: str, params: dict, inputs: list[str])
         },
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _number_rows(path, number) -> list[tuple[int, list]]:
+    """(line number, entries) for each non-blank line of a file of numbers.
+
+    Entries are whitespace separated and converted by `number` (float or
+    complex); '#' starts a comment.  A file without entries is an error.
+    """
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        row = []
+        for tok in line.split("#", 1)[0].split():
+            try:
+                row.append(number(tok))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: {tok!r} is not a number") from None
+        if row:
+            rows.append((line_no, row))
+    if not rows:
+        raise ValueError(f"{path}: no numbers")
+    return rows
 
 
 def _write_json(outdir: Path, name: str, payload):
@@ -191,15 +214,17 @@ def cmd_filtration(args) -> int:
 def cmd_solve(args) -> int:
     P, sigma = _load_polytope(args.polytope)
     out = Path(args.out)
-    _write_manifest(out, "solve", vars_of(args), [args.polytope])
     callback = None
     if args.dump_every:
+        # solve() has checked the polytope and the mesh before its first iteration
         def callback(it, grid):
             if it % args.dump_every == 0:
+                out.mkdir(parents=True, exist_ok=True)
                 _dump_grid(out / f"grid_{it:05d}.csv", grid)
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter,
                        require_futaki_zero=not args.allow_nonzero_futaki,
                        callback=callback)
+    _write_manifest(out, "solve", vars_of(args), [args.polytope])
     _write_json(out, "solve.json", {
         "termination": report.termination,
         "residual_sup": report.residual_sup,
@@ -283,16 +308,13 @@ def cmd_ray(args) -> int:
 
 def cmd_flow_sphere(args) -> int:
     rows = []
-    for line_no, line in enumerate(Path(args.points).read_text().splitlines(), 1):
-        s = line.split("#", 1)[0].strip()
-        if s:
-            row = [float(t) for t in s.split()]
-            if len(row) not in (3, 4):
-                raise ValueError(f"{args.points}: line {line_no}: expected x y z [multiplicity]")
-            if not any(row[:3]):
-                raise ValueError(f"{args.points}: line {line_no}: the zero vector is not "
-                                 "a point of the sphere")
-            rows.append(row)
+    for line_no, row in _number_rows(args.points, float):
+        if len(row) not in (3, 4):
+            raise ValueError(f"{args.points}: line {line_no}: expected x y z [multiplicity]")
+        if not any(row[:3]):
+            raise ValueError(f"{args.points}: line {line_no}: the zero vector is not "
+                             "a point of the sphere")
+        rows.append(row)
     pts = np.array([r[:3] for r in rows])
     mult = np.array([r[3] if len(r) > 3 else 1.0 for r in rows])
     pts = pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -321,9 +343,13 @@ def cmd_flow_sphere(args) -> int:
 
 
 def cmd_flow_matrix(args) -> int:
-    lines = [ln.split("#", 1)[0].strip() for ln in Path(args.matrix).read_text().splitlines()]
-    rows = [[complex(t) for t in ln.split()] for ln in lines if ln]
-    res = kn.matrix_flow(np.array(rows), step=args.step, max_steps=args.max_steps)
+    rows = _number_rows(args.matrix, complex)
+    for line_no, row in rows:
+        if len(row) != len(rows):
+            raise ValueError(f"{args.matrix}: line {line_no}: expected {len(rows)} entries "
+                             f"(the matrix has {len(rows)} rows), found {len(row)}")
+    res = kn.matrix_flow(np.array([row for _, row in rows]), step=args.step,
+                         max_steps=args.max_steps)
     out = Path(args.out)
     _write_manifest(out, "flow-matrix", vars_of(args), [args.matrix])
     with (out / "trajectory.csv").open("w", newline="") as fh:
@@ -347,46 +373,44 @@ def cmd_flow_matrix(args) -> int:
 
 def cmd_pipeline(args) -> int:
     P, sigma = _load_polytope(args.polytope)
+    log, code = _pipeline(P, sigma, args)
     out = Path(args.out)
     _write_manifest(out, "pipeline", vars_of(args), [args.polytope])
+    log["exit"] = code
+    _write_json(out, "pipeline.json", log)
+    return code
+
+
+def _pipeline(P, sigma, args) -> tuple[dict, int]:
+    """The pipeline.json record (without "exit") and the exit code."""
     verdict = crease_search(P, sigma, args.resolution, workers=args.workers)
     log = {"stability": verdict.status,
            "futaki": [_rat(v) for v in verdict.futaki]}
     print(f"stability verdict: {verdict.status}")
     if any(v != 0 for v in verdict.futaki):
-        log["exit"] = EXIT_FUTAKI
-        _write_json(out, "pipeline.json", log)
         print(f"Futaki vector {tuple(map(str, verdict.futaki))} is nonzero (exit 3)")
-        return EXIT_FUTAKI
+        return log, EXIT_FUTAKI
     if verdict.status == "unstable":
         c = verdict.best_creases[0]
         log["witness"] = {"direction": list(c.direction), "offset": _rat(c.offset),
                           "L": _rat(c.L_value)}
-        log["exit"] = EXIT_UNSTABLE
-        _write_json(out, "pipeline.json", log)
         print(f"destabilizing crease a={c.direction}, c={c.offset} with L = {c.L_value} (exit 2)")
-        return EXIT_UNSTABLE
+        return log, EXIT_UNSTABLE
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter)
     log["solver"] = report.termination
     if report.termination == "converged":
-        log["exit"] = EXIT_OK
-        _write_json(out, "pipeline.json", log)
         print(f"solved: sup residual {report.residual_sup:.3e} (exit 0)")
-        return EXIT_OK
+        return log, EXIT_OK
     if report.termination == "divergence-certificate":
         # search said stable, solver disagreed: log the anomaly loudly
         log["anomaly"] = ("stability search found no destabilizer at this "
                           "resolution but the solver emitted a divergence "
                           "certificate; increase the resolution")
-        log["exit"] = EXIT_DIVERGENCE
-        _write_json(out, "pipeline.json", log)
         print("divergence certificate despite stable-at-resolution verdict "
               "(logged anomaly, exit 4)")
-        return EXIT_DIVERGENCE
-    log["exit"] = EXIT_ERROR
-    _write_json(out, "pipeline.json", log)
+        return log, EXIT_DIVERGENCE
     print(f"solver did not converge: {report.termination} (exit 1)")
-    return EXIT_ERROR
+    return log, EXIT_ERROR
 
 
 def vars_of(args) -> dict:

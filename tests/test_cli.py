@@ -140,6 +140,14 @@ class TestSolveCommand:
         snaps = sorted(out.glob("grid_*.csv"))
         assert snaps and snaps[0].name == "grid_00001.csv"
 
+    def test_rejected_mesh_leaves_no_output(self, tmp_path, capsys):
+        p = tmp_path / "seg.poly"
+        p.write_text(SEG)
+        out = tmp_path / "o"
+        assert main(["solve", str(p), "--mesh", "4", "--out", str(out)]) == 1
+        assert "8 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exit4(self, tmp_path):
         p = tmp_path / "bad.poly"
         p.write_text("dim 2\nfacets\n1 0 0 1\n-1 0 -1 1/4\n0 1 0 1\n0 -1 -1 1\n")
@@ -200,6 +208,34 @@ class TestFlows:
         assert main(["flow-sphere", "--points", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_flow_sphere_bad_number_reports_line(self, tmp_path, capsys):
+        f = tmp_path / "pts.txt"
+        f.write_text("0 0 1\n# comment\n1 zz 0\n")
+        out = tmp_path / "o"
+        assert main(["flow-sphere", "--points", str(f), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {f}: line 3: 'zz' is not a number"]
+        assert not out.exists()
+
+    def test_flow_matrix_ragged_reports_line(self, tmp_path, capsys):
+        f = tmp_path / "mat.txt"
+        f.write_text("1 2\n3\n")
+        out = tmp_path / "o"
+        assert main(["flow-matrix", "--matrix", str(f), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {f}: line 2: expected 2 entries")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,option", [("flow-sphere", "--points"),
+                                                 ("flow-matrix", "--matrix")])
+    def test_flow_empty_file_rejected(self, tmp_path, capsys, command, option):
+        f = tmp_path / "in.txt"
+        f.write_text("# nothing\n\n")
+        out = tmp_path / "o"
+        assert main([command, option, str(f), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {f}: no numbers"]
+        assert not out.exists()
+
     def test_flow_matrix(self, tmp_path):
         f = tmp_path / "mat.txt"
         f.write_text("1 1\n0 2\n")
@@ -215,6 +251,13 @@ class TestPipeline:
         code = main(["pipeline", str(square_file), "--resolution", "3",
                      "--mesh", "25", "--out", str(tmp_path / "o")])
         assert code == 0
+
+    def test_rejected_mesh_leaves_no_output(self, square_file, tmp_path):
+        out = tmp_path / "o"
+        code = main(["pipeline", str(square_file), "--resolution", "2",
+                     "--mesh", "4", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_weighted_segment_exit3(self, wseg_file, tmp_path):
         code = main(["pipeline", str(wseg_file), "--resolution", "4",

@@ -1,3 +1,6 @@
+import itertools
+import logging
+import math
 import random
 from fractions import Fraction as Q
 
@@ -9,13 +12,50 @@ from kstab.futaki import (
     expansion,
     expansion_exact,
     filtration_futaki,
+    floor_sum,
     interpolate_polynomial,
     lattice_points,
 )
+from kstab import futaki
 from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import L, PLConvexFunction, futaki_linear
+from kstab import stability as stab
 
-from conftest import random_integral_polygon
+from conftest import random_integral_polygon, random_polygon
+
+
+def box_lattice_points(P, k):
+    """Oracle: every point of the bounding box of k*P, tested against every facet.
+
+    This is the scan lattice_points used before it went row by row; it
+    costs O(k^n * #facets) and yields the points in the same order.
+    """
+    tests = [(f.normal, f.offset.numerator, f.offset.denominator) for f in P.facets]
+    ranges = [range(math.ceil(lo * k), math.floor(hi * k) + 1) for lo, hi in P.bounding_box()]
+    for m in itertools.product(*ranges):
+        if all(q * sum(n * mi for n, mi in zip(nu, m)) >= k * p for nu, p, q in tests):
+            yield m
+
+
+def oracle_count_and_weigh(P, xi, k):
+    pts = list(box_lattice_points(P, k))
+    return len(pts), sum(sum(x * mi for x, mi in zip(xi, m)) for m in pts)
+
+
+@pytest.fixture
+def fixture_polytopes(segment01, segment_sym, square, trapezoid, unstable_hexagon):
+    return [segment01, segment_sym, square, trapezoid, unstable_hexagon[0],
+            Polytope.from_vertices([(0, 0), (6, 0), (0, 3)])]
+
+
+def configuration_polytopes():
+    """3D test configurations; the integral ones come from integral creases."""
+    sq2 = Polytope.from_vertices([(0, 0), (2, 0), (2, 2), (0, 2)])
+    trap = Polytope.from_vertices([(0, 0), (2, 0), (1, 1), (0, 1)])
+    integral = [stab.test_configuration(sq2, PLConvexFunction.crease((1, 0), 1)).polytope,
+                stab.test_configuration(trap, PLConvexFunction.crease((1, 1), 1)).polytope]
+    rational = [stab.test_configuration(trap, PLConvexFunction.crease((1, 0), Q(1, 2))).polytope]
+    return integral, rational
 
 
 class TestCountAndWeigh:
@@ -62,6 +102,23 @@ class TestEhrhart:
             poly = interpolate_polynomial([1, 2, 3], counts[:3])
             for k in range(1, 13):
                 assert sum(c * k ** j for j, c in enumerate(poly)) == counts[k - 1]
+
+    def test_inconsistent_counts_raise(self, trapezoid, monkeypatch):
+        real = futaki.count_and_weigh
+
+        def off_by_one(attr):
+            def fake(P, xi, k):
+                wd = real(P, xi, k)
+                if k != 4:
+                    return wd
+                d, w = wd.d_k + (attr == "d"), wd.w_k + (attr == "w")
+                return futaki.WeightData(k, d, w, Q(w, k * d))
+            return fake
+
+        for attr in ("d", "w"):
+            monkeypatch.setattr(futaki, "count_and_weigh", off_by_one(attr))
+            with pytest.raises(ArithmeticError, match="do not fit"):
+                expansion_exact(trapezoid, (1, 0))
 
     def test_interpolator_exact(self):
         poly = interpolate_polynomial([1, 2, 3], [Q(2), Q(5), Q(10)])
@@ -173,6 +230,101 @@ class TestFiltration:
         with caplog.at_level(logging.INFO, logger="kstab.futaki"):
             filtration_futaki(segment_sym, f, 16)
         assert any("below 0" in r.message for r in caplog.records)
+
+
+class TestRowScanOracle:
+    """The row scan against the box scan it replaced, point for point."""
+
+    KS = (1, 2, 3, 5)
+
+    def test_fixture_sequences(self, fixture_polytopes):
+        for P in fixture_polytopes:
+            for k in self.KS:
+                assert list(lattice_points(P, k)) == list(box_lattice_points(P, k))
+
+    def test_random_polygon_sequences(self):
+        rng = random.Random(11)
+        for i in range(12):
+            P = random_polygon(rng) if i % 2 else random_integral_polygon(rng)
+            for k in self.KS:
+                assert list(lattice_points(P, k)) == list(box_lattice_points(P, k))
+
+    def test_test_configuration_sequences(self):
+        integral, rational = configuration_polytopes()
+        for P in integral + rational:
+            for k in (1, 2, 3):
+                pts = list(lattice_points(P, k))
+                assert pts and pts == list(box_lattice_points(P, k))
+
+    def test_count_and_weigh(self, fixture_polytopes):
+        rng = random.Random(12)
+        integral, _ = configuration_polytopes()
+        polys = fixture_polytopes + [random_integral_polygon(rng) for _ in range(6)] + integral
+        for P in polys:
+            for k in self.KS:
+                for xi in ((1, 0, 0), (-2, 3, 1)):
+                    xi = xi[:P.dim]
+                    wd = count_and_weigh(P, xi, k)
+                    assert (wd.d_k, wd.w_k) == oracle_count_and_weigh(P, xi, k)
+
+    def test_pick_up_to_k512(self):
+        rng = random.Random(13)
+        for _ in range(4):
+            P = random_integral_polygon(rng)
+            vs = P.vertices
+            boundary = sum(math.gcd(int(b[0] - a[0]), int(b[1] - a[1]))
+                           for a, b in zip(vs, vs[1:] + vs[:1]))
+            area = measures(P).vol
+            for k in list(range(1, 40)) + [127, 255, 256, 511, 512]:
+                assert count_and_weigh(P, (1, 0), k).d_k == area * k * k + Q(boundary, 2) * k + 1
+
+
+class TestFloorSum:
+    def test_against_direct_sum(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            n, m = rng.randint(0, 40), rng.randint(1, 30)
+            a, b = rng.randint(-100, 100), rng.randint(-1000, 1000)
+            assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+class TestPLFiltrationOracle:
+    """The row and floor-sum path for PLConvexFunction against the per-point path."""
+
+    def check(self, P, f, k, caplog):
+        """Both paths agree, and log the same minimum when f dips below 0."""
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="kstab.futaki"):
+            fast = filtration_futaki(P, f, k)
+            slow = filtration_futaki(P, lambda x: f(x), k)
+        assert fast == slow
+        logged = [r.getMessage() for r in caplog.records]
+        assert len(logged) in (0, 2) and logged[:1] == logged[1:]
+        return logged
+
+    def test_random_pieces(self, caplog):
+        rng = random.Random(15)
+        for i in range(10):
+            P = random_integral_polygon(rng, span=3)
+            pieces = tuple(((Q(rng.randint(-5, 5), rng.randint(1, 4)),
+                             Q(rng.randint(-5, 5), rng.randint(1, 4))),
+                            Q(rng.randint(-9, 9), rng.randint(1, 6)))
+                           for _ in range(rng.randint(1, 4)))
+            for k in (1, 3, 8):
+                self.check(P, PLConvexFunction(pieces), k, caplog)
+
+    def test_fixtures_and_ties(self, square, segment_sym, caplog):
+        # pieces tie at single points (the creases) and on the whole row x = 0
+        for k in (4, 7, 16):
+            self.check(square, PLConvexFunction.crease((1, 0), Q(1, 2)), k, caplog)
+            self.check(square, PLConvexFunction.crease((1, 1), 1), k, caplog)
+            self.check(square, PLConvexFunction.crease((0, 1), Q(1, 2)), k, caplog)
+            self.check(square, PLConvexFunction((((Q(1), Q(1, 2)), Q(0)),
+                                                 ((Q(-1), Q(1, 2)), Q(0)),
+                                                 ((Q(0), Q(-2)), Q(1, 3)))), k, caplog)
+            self.check(segment_sym, PLConvexFunction.abs_coordinate(1), k, caplog)
+            negative = PLConvexFunction.affine((Q(-3, 2),), Q(-2, 3))
+            assert "below 0" in self.check(segment_sym, negative, k, caplog)[0]
 
 
 class TestLatticePoints:
