@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kstab import geometry as geo
 from kstab import solver as sol
@@ -84,6 +86,84 @@ class TestJacobian:
             rm = geo.abreu_residual_field(g.with_phi(g.phi - e))
             fd[:, j] = ((rp - rm) / (2 * eps)).ravel()
         assert np.abs(fd - J).max() < 1e-6 * np.abs(J).max()
+
+
+def weighted_box(square):
+    return BoundaryMeasure(tuple(
+        Q(2) if f.normal[0] != 0 else Q(3) for f in square.facets))
+
+
+def band_matrix(rng, n, kl, ku):
+    """Random nonsymmetric sparse matrix with kl sub- and ku superdiagonals."""
+    offsets = list(range(-kl, ku + 1))
+    return sp.diags([rng.standard_normal(n - abs(k)) for k in offsets], offsets,
+                    format="csr")
+
+
+class TestBandedLU:
+    @pytest.mark.parametrize("n, kl, ku", [(40, 3, 7), (60, 9, 2), (256, 3, 4)])
+    def test_matches_dense_solve(self, n, kl, ku):
+        rng = np.random.default_rng(n + 100 * kl + ku)
+        A = band_matrix(rng, n, kl, ku)
+        b = rng.standard_normal(n)
+        lu = sol._BandedLU(A)
+        assert (lu.kl, lu.ku) == (kl, ku)
+        want = np.linalg.solve(A.toarray(), b)
+        assert np.abs(lu.solve(b) - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_exactly_singular_raises(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(RuntimeError):
+            sol._BandedLU(A)
+
+    def test_factor_stays_in_its_mmap(self):
+        # a copy made by the LAPACK wrapper would put the band back on the
+        # heap, where glibc does not return it to the system
+        lu = sol._BandedLU(band_matrix(np.random.default_rng(0), 50, 2, 3))
+        assert np.shares_memory(lu.lu, np.frombuffer(lu.buffer, dtype=np.uint8))
+
+
+class TestGaussNewtonStep:
+    @pytest.mark.parametrize("damping", [1e-2, 4e-4])
+    def test_matches_sparse_lu_through_the_jacobian(self, square, damping):
+        # the damped normal equations are singular to working precision, so
+        # two LU factorizations give very different steps; only J*delta,
+        # the step's effect on the linearized residual, is determined
+        sigma = weighted_box(square)
+        g = geo.PotentialGrid.build(square, sigma, 33, phi=bump2)
+        ops = sol.GridOperators(g)
+        s = sol.evaluate(square, sigma, g)
+        J = ops.jacobian(s.U)
+        r = s.r.ravel()
+        A = (J.T @ J + damping * ops.h2_matrix()).tocsc()
+        rhs = -(J.T @ r)
+        delta = sol._BandedLU(A).solve(rhs)
+        oracle = spla.splu(A).solve(rhs)
+        assert np.abs(J @ (delta - oracle)).max() <= 1e-6 * np.abs(r).max()
+        assert np.abs(A @ delta - rhs).max() <= 1e-8 * np.abs(rhs).max()
+
+    def test_singular_factor_raises_the_damping(self, square, monkeypatch):
+        sigma = weighted_box(square)
+        g = geo.PotentialGrid.build(square, sigma, 17, phi=bump2)
+        ops = sol.GridOperators(g)
+        s = sol.evaluate(square, sigma, g)
+        matrices = []
+
+        class FailOnce(sol._BandedLU):
+            def __init__(self, A):
+                matrices.append(A)
+                if len(matrices) == 1:
+                    raise RuntimeError("exactly singular")
+                super().__init__(A)
+
+        monkeypatch.setattr(sol, "_BandedLU", FailOnce)
+        nxt, damping = sol._gauss_newton_step(ops, s, 1e-2, True)
+        assert nxt is not None and len(matrices) == 2
+        # A = JtJ + damping * M2, so the retry adds (10 - 1) * 1e-2 * M2
+        diff = matrices[1] - matrices[0] - 9e-2 * ops.h2_matrix()
+        assert abs(diff).max() <= 1e-12 * abs(matrices[0]).max()
+        # an accepted step eases the damping it used by a factor of 5
+        assert damping == pytest.approx(2e-2)
 
 
 class TestSolve:
