@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -414,7 +415,7 @@ def _pipeline(P, sigma, args) -> tuple[dict, int]:
 
 
 def vars_of(args) -> dict:
-    skip = {"func"}
+    skip = {"func", "log_level"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -425,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and moment-map flows. File formats: docs/formats.md.")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed recorded in the manifest (flows are deterministic)")
+    ap.add_argument("--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
+                    help="send kstab's log records at this level and above to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -496,11 +499,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    logger = logging.getLogger("kstab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except (ValueError, OSError, geo.ConvexityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
 
 
 if __name__ == "__main__":

@@ -191,12 +191,17 @@ def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, f
 
 
 class PotentialGrid:
-    """Discretized symplectic potential u = u0 + phi on a graded box mesh."""
+    """Discretized symplectic potential u = u0 + phi on a graded box mesh.
+
+    A = bvol/vol is computed once and shared by the grids with_phi and
+    refined derive from this one.
+    """
 
     def __init__(self, P: Polytope, sigma: BoundaryMeasure, axes: list[Axis1D],
-                 phi: np.ndarray | None = None):
+                 phi: np.ndarray | None = None, A: float | None = None):
         self.P = P
         self.sigma = sigma
+        self.A = float(measures(P, sigma).A) if A is None else A
         self.axes = axes
         self.n = len(axes)
         self.shape = tuple(ax.m for ax in axes)
@@ -218,7 +223,7 @@ class PotentialGrid:
         return g
 
     def with_phi(self, phi) -> "PotentialGrid":
-        return PotentialGrid(self.P, self.sigma, self.axes, _phi_array(self, phi))
+        return PotentialGrid(self.P, self.sigma, self.axes, _phi_array(self, phi), self.A)
 
     def refined(self, phi=None) -> "PotentialGrid":
         """Bisection refinement: every gap exactly halved (nodes are nested).
@@ -233,7 +238,7 @@ class PotentialGrid:
             nodes[0::2] = x
             nodes[1::2] = (x[:-1] + x[1:]) / 2
             axes.append(Axis1D(nodes, ax.lo, ax.hi, ax.w_lo, ax.w_hi))
-        g = PotentialGrid(self.P, self.sigma, axes)
+        g = PotentialGrid(self.P, self.sigma, axes, A=self.A)
         if phi is not None:
             g.phi = _phi_array(g, phi)
         return g
@@ -348,8 +353,7 @@ def abreu_residual_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np
     Zero exactly at a discrete solution of the constant scalar curvature
     equation; equals A - 2S.
     """
-    A = float(measures(g.P, g.sigma).A)
-    return divergence2_field(g, U, mode) + A
+    return divergence2_field(g, U, mode) + g.A
 
 
 def divergence2_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np.ndarray:
@@ -553,11 +557,10 @@ def boundary_integral_nodes(g: PotentialGrid, values: np.ndarray) -> float:
 
 def l_functional_quadrature(g: PotentialGrid, values_phi: np.ndarray | None = None) -> float:
     """L(u0 + phi) with the u0 parts in closed form and phi by trapezoid."""
-    A = float(measures(g.P, g.sigma).A)
     phi = g.phi if values_phi is None else values_phi
     boundary = boundary_integral_u0_exact(g) + boundary_integral_nodes(g, phi)
     interior = integral_u0_exact(g) + integrate_nodes(g, phi)
-    return boundary - A * interior
+    return boundary - g.A * interior
 
 
 def grid_dump_rows(g: PotentialGrid, mode: str = "analytic"):

@@ -172,15 +172,13 @@ class Polytope:
 
     @classmethod
     def _from_facets_1d(cls, fs: list[Facet]) -> "Polytope":
-        lo, hi = None, None
-        for f in fs:
-            if f.normal == (1,):
-                lo = f.offset if lo is None else max(lo, f.offset)
-            else:
-                hi = -f.offset if hi is None else min(hi, -f.offset)
-        if lo is None or hi is None or lo >= hi:
+        lo = [f.offset for f in fs if f.normal == (1,)]
+        hi = [-f.offset for f in fs if f.normal == (-1,)]
+        if len(lo) > 1 or len(hi) > 1:
+            raise ValueError("facet system contains redundant or repeated inequalities")
+        if not lo or not hi or lo[0] >= hi[0]:
             raise DegenerateInputError("facets do not bound a proper interval")
-        return cls.from_vertices([(lo,), (hi,)])
+        return cls.from_vertices([(lo[0],), (hi[0],)])
 
     @classmethod
     def _from_facets_2d(cls, fs: list[Facet]) -> "Polytope":

@@ -367,10 +367,9 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         report.wall_time = time.time() - t_start
         return report
     ops = GridOperators(g)
-    A = float(measures(P, sigma).A)
     diam = math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in P.bounding_box()))
     if ceiling is None:
-        ceiling = 1e3 * diam * A
+        ceiling = 1e3 * diam * g.A
     g.phi = ops.gauge_project(g.phi.ravel(), include_linear=futaki_zero).reshape(g.shape)
     s = evaluate(P, sigma, g)
     if s is None:

@@ -228,84 +228,107 @@ class StabilityVerdict:
                              f"got {self.witness_L}")
 
 
+class _IntegerPolygon:
+    """P and sigma over common denominators, made once per crease scan.
+
+    verts are D*v for the lcm D of the vertex denominators.  Each boundary
+    piece (p, q, mu) runs from verts[p] to verts[q] and carries the
+    sigma-weighted lattice measure mu/(D*W), W the lcm of the weight
+    denominators.  On a segment the two pieces are its ends (p == q), each
+    a point mass of its facet's weight.
+    """
+
+    def __init__(self, P: Polytope, sigma: BoundaryMeasure):
+        self.D = math.lcm(*(x.denominator for v in P.vertices for x in v))
+        self.W = math.lcm(*(w.denominator for w in sigma.weights))
+        self.verts = [tuple(int(x * self.D) for x in v) for v in P.vertices]
+        wts = [w.numerator * (self.W // w.denominator) for w in sigma.weights]
+        if P.dim == 1:                  # facet k is the end verts[k]
+            self.edges = [(k, k, self.D * w) for k, w in enumerate(wts)]
+        else:
+            # the lattice length of a scaled edge is the gcd of its coordinates
+            nxt = self.verts[1:] + self.verts[:1]
+            self.edges = [(k, (k + 1) % len(nxt), w * math.gcd(q[0] - p[0], q[1] - p[1]))
+                          for k, (p, q, w) in enumerate(zip(self.verts, nxt, wts))]
+
+
 class _DirectionProfile:
     """Exact piecewise polynomials c -> (boundary term, interior mass).
 
     For a fixed integer direction a, the boundary integral of
     max(0, <a,x> - c) is piecewise quadratic in c and the interior integral
     is piecewise cubic, with breakpoints at the vertex values of <a, x>.
+
+    Both are built in integers on the scaled polygon, in S = <a, D*v> and
+    C = D*c.  The chord of P at level S has width w(S)/(D*|a|^2) in lattice
+    units; E*w is piecewise linear with integer slopes, E the lcm of the
+    edges' |dS|, so one sweep of the edges gives it at every breakpoint.
+    The boundary term is then an integer quadratic in C over 2*D^2*W*E and
+    the mass an integer cubic over 6*D^3*E*|a|^2; each coefficient of c
+    becomes one Fraction.
     """
 
-    def __init__(self, P: Polytope, sigma: BoundaryMeasure, a: tuple[int, ...]):
+    def __init__(self, poly: _IntegerPolygon, a: tuple[int, ...]):
         self.a = a
-        if P.dim == 1:
-            svals = sorted({a[0] * v[0] for v in P.vertices})
-            rho = [Q(1), Q(1)]
-            edges = []
-            wmap = {f.normal: w for f, w in zip(P.facets, sigma.weights)}
-            (lo,), (hi,) = P.vertices
-            edges.append((wmap[(1,)], a[0] * lo, a[0] * lo, Q(1)))
-            edges.append((wmap[(-1,)], a[0] * hi, a[0] * hi, Q(1)))
-            bps = svals
+        D = poly.D
+        S = [sum(ai * x for ai, x in zip(a, v)) for v in poly.verts]
+        brk = sorted(set(S))
+        at = {s: j for j, s in enumerate(brk)}
+        nI = len(brk) - 1
+        E = math.lcm(*(abs(S[q] - S[p]) for p, q, _ in poly.edges if S[q] != S[p]))
+        # E*w at brk[0], and the jumps of its slope at each breakpoint
+        dslope = [0] * (nI + 1)
+        if len(a) == 1:
+            w = D                       # unit density: E = |a|^2 = 1
         else:
-            sv = [a[0] * v[0] + a[1] * v[1] for v in P.vertices]
-            bps = sorted(set(sv))
-            rho = [_chord_length(P, a, s) for s in bps]
-            edges = []
-            nv = len(P.vertices)
-            for k in range(nv):
-                sp, sq = sv[k], sv[(k + 1) % nv]
-                ell = P.edge_lattice_length(k) * sigma.weights[k]
-                edges.append((Q(1), min(sp, sq), max(sp, sq), ell))
-        self.smin, self.smax = bps[0], bps[-1]
-        self.bps = bps
-        nI = len(bps) - 1
-        bco = [[Q(0)] * 3 for _ in range(nI)]
-        for w, slo, shi, ell in edges:
-            wl = w * ell
-            for j in range(nI):
-                sj, sj1 = bps[j], bps[j + 1]
-                if slo == shi:
-                    if sj1 <= slo:
-                        bco[j][0] += wl * slo
-                        bco[j][1] -= wl
-                elif sj1 <= slo:
-                    bco[j][0] += wl * (slo + shi) / 2
-                    bco[j][1] -= wl
-                elif sj >= shi:
+            T = [a[0] * y - a[1] * x for x, y in poly.verts]
+            w = 0
+            for p, q, _ in poly.edges:
+                if S[q] == S[p]:        # an edge along a level line is extreme
+                    if S[p] == brk[0]:
+                        w = E * abs(T[q] - T[p])
                     continue
-                else:
-                    k = wl / (2 * (shi - slo))
-                    bco[j][0] += k * shi * shi
-                    bco[j][1] -= 2 * k * shi
-                    bco[j][2] += k
-        # suffix integrals of rho and s*rho
-        I1 = [Q(0)] * (nI + 1)
-        I2 = [Q(0)] * (nI + 1)
-        alphas, betas = [], []
+                # counterclockwise, each edge moves the width by -dT/|dS|
+                k = -(T[q] - T[p]) * (E // abs(S[q] - S[p]))
+                dslope[at[min(S[p], S[q])]] += k
+                dslope[at[max(S[p], S[q])]] -= k
+        lines = []                      # E*w(S) = al + be*S on piece j
+        be = 0
         for j in range(nI):
-            dj = bps[j + 1] - bps[j]
-            beta = (rho[j + 1] - rho[j]) / dj
-            alpha = rho[j] - beta * bps[j]
-            alphas.append(alpha)
-            betas.append(beta)
+            be += dslope[j]
+            lines.append((w - be * brk[j], be))
+            w += be * (brk[j + 1] - brk[j])
+        # 6 * the mass, from suffix integrals of E*w and S*E*w
+        ico = [None] * nI
+        I1 = I2 = 0
         for j in range(nI - 1, -1, -1):
-            s0, s1 = bps[j], bps[j + 1]
-            I1[j] = I1[j + 1] + alphas[j] * (s1 - s0) + betas[j] * (s1 * s1 - s0 * s0) / 2
-            I2[j] = I2[j + 1] + alphas[j] * (s1 * s1 - s0 * s0) / 2 \
-                + betas[j] * (s1 ** 3 - s0 ** 3) / 3
-        ico = []
-        for j in range(nI):
-            e = bps[j + 1]
-            al, be = alphas[j], betas[j]
-            ico.append([
-                be * e ** 3 / 3 + al * e * e / 2 + I2[j + 1],
-                -(be * e * e / 2 + al * e) - I1[j + 1],
-                al / 2,
-                be / 6,
-            ])
-        self._bco = bco
-        self._ico = ico
+            (al, be), s0, e = lines[j], brk[j], brk[j + 1]
+            ico[j] = [2 * be * e ** 3 + 3 * al * e * e + I2,
+                      -(3 * be * e * e + 6 * al * e) - I1, 3 * al, be]
+            I1 += 6 * al * (e - s0) + 3 * be * (e * e - s0 * s0)
+            I2 += 3 * al * (e * e - s0 * s0) + 2 * be * (e ** 3 - s0 ** 3)
+        # 2 * D^2 * W * E * the boundary term
+        bco = [[0, 0, 0, 0] for _ in range(nI)]
+        for p, q, mu in poly.edges:
+            lo, hi = min(S[p], S[q]), max(S[p], S[q])
+            for j in range(at[lo]):           # the whole piece lies above c
+                bco[j][0] += E * mu * (lo + hi)
+                bco[j][1] -= 2 * E * mu
+            for j in range(at[lo], at[hi]):   # the crease crosses the piece
+                f = mu * (E // (hi - lo))
+                bco[j][0] += f * hi * hi
+                bco[j][1] -= 2 * f * hi
+                bco[j][2] += f
+        # numerators of the coefficients of c^k, over _bden and _iden
+        self._D, self._brk = D, brk
+        self._bden = 2 * D * D * poly.W * E
+        self._iden = 6 * D ** 3 * E * sum(ai * ai for ai in a)
+        self._bnum = [[n * D ** k for k, n in enumerate(row)] for row in bco]
+        self._inum = [[n * D ** k for k, n in enumerate(row)] for row in ico]
+        self.bps = [Q(s, D) for s in brk]
+        self.smin, self.smax = self.bps[0], self.bps[-1]
+        self._bco = [[Q(n, self._bden) for n in row[:3]] for row in self._bnum]
+        self._ico = [[Q(n, self._iden) for n in row] for row in self._inum]
 
     def eval(self, c: Q) -> tuple[Q, Q]:
         """(boundary integral, interior mass) of max(0, <a,x> - c)."""
@@ -321,19 +344,20 @@ class _DirectionProfile:
                      A: Q) -> tuple[np.ndarray, np.ndarray]:
         """Float64 bounds lo <= L/mass <= hi of the creases at offsets num/den.
 
-        The piece of each offset is decided exactly in integers; L = B - A*M
-        and M are then evaluated by Horner's rule on the rounded exact
-        coefficients.  Where the floats overflow or the mass is not bounded
-        away from 0 the bounds are (-inf, inf).
+        The piece of each offset is decided exactly in integers.  Each
+        coefficient of L = B - A*M and of M is rounded once, by one int/int
+        division, to the float nearest its exact value; L and M are then
+        evaluated by Horner's rule.  Where the floats overflow or the mass is
+        not bounded away from 0 the bounds are (-inf, inf).
         """
-        inner = self.bps[1:-1]
-        # s <= num/den  iff  ceil(s*den) <= num
-        ceils = np.array([[math.ceil(s * d) for s in inner] for d in range(int(den.max()) + 1)],
-                         dtype=np.int64)
+        # s <= num/den  iff  ceil(s*den) <= num, and ceil(S*d/D) = -(-S*d // D)
+        ceils = np.array([[-(-s * d // self._D) for s in self._brk[1:-1]]
+                          for d in range(int(den.max()) + 1)], dtype=np.int64)
         piece = (num[:, None] >= ceils[den]).sum(axis=1)
-        lco = np.array([[_float(b - A * i) for b, i in zip(bc + [Q(0)], ic)]
-                        for bc, ic in zip(self._bco, self._ico)])[piece]
-        mco = np.array([[_float(i) for i in ic] for ic in self._ico])[piece]
+        bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
+        lco = np.array([[_float(b * iden * Ad - An * i * bden, bden * iden * Ad)
+                         for b, i in zip(bn, im)] for bn, im in zip(self._bnum, self._inum)])[piece]
+        mco = np.array([[_float(i, iden) for i in im] for im in self._inum])[piece]
         c = num / den
         with np.errstate(all="ignore"):
             lval, lsum = _horner(lco, c)
@@ -371,37 +395,12 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, mag
 
 
-def _float(q: Q) -> float:
-    """float(q), or an infinity of q's sign where q overflows float64."""
+def _float(num: int, den: int) -> float:
+    """num/den (den > 0) rounded as float(Fraction(num, den)), or +-inf on overflow."""
     try:
-        return float(q)
+        return num / den
     except OverflowError:
-        return math.inf if q > 0 else -math.inf
-
-
-def _chord_length(P: Polytope, a: tuple[int, int], s: Q) -> Q:
-    """Lattice length of the chord {<a, x> = s} in P (0 at extreme vertices)."""
-    perp = (-a[1], a[0])
-    norm2 = a[0] * a[0] + a[1] * a[1]
-    taus = []
-    verts = P.vertices
-    nv = len(verts)
-    for k in range(nv):
-        p, q = verts[k], verts[(k + 1) % nv]
-        sp = a[0] * p[0] + a[1] * p[1]
-        sq = a[0] * q[0] + a[1] * q[1]
-        if sp == sq:
-            if sp == s:
-                taus.append((perp[0] * p[0] + perp[1] * p[1]))
-                taus.append((perp[0] * q[0] + perp[1] * q[1]))
-            continue
-        if min(sp, sq) <= s <= max(sp, sq):
-            t = (s - sp) / (sq - sp)
-            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-            taus.append(perp[0] * x[0] + perp[1] * x[1])
-    if not taus:
-        return Q(0)
-    return (max(taus) - min(taus)) / norm2
+        return math.inf if num > 0 else -math.inf
 
 
 def primitive_directions(dim: int, R: int) -> list[tuple[int, ...]]:
@@ -425,8 +424,8 @@ def admissible_offsets(smin: Q, smax: Q, R: int) -> tuple[np.ndarray, np.ndarray
     """
     nums, dens = [], []
     for den in range(1, R + 1):
-        lo = math.floor(smin * den) + 1
-        hi = math.ceil(smax * den) - 1
+        lo = smin.numerator * den // smin.denominator + 1
+        hi = -(-smax.numerator * den // smax.denominator) - 1
         if max(abs(lo), abs(hi)) >= 2 ** 62:
             raise ValueError(f"crease offsets near {smax} exceed the int64 range")
         num = np.arange(lo, hi + 1, dtype=np.int64)
@@ -458,8 +457,9 @@ def _scan_chunk(args):
     t = np.inf
     survivors = []
     n_creases = 0
+    poly = _IntegerPolygon(P, sigma)
     for a in dirs:
-        prof = _DirectionProfile(P, sigma, a)
+        prof = _DirectionProfile(poly, a)
         num, den = admissible_offsets(prof.smin, prof.smax, R)
         n_creases += len(num)
         if not len(num):
@@ -495,12 +495,12 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     verdict to unstable with a linear witness, but the scan still runs so
     reports can list the worst creases.
 
-    Every crease is first screened in float64: its ratio is bounded by a
-    proven forward-error bound for Horner's rule, and only creases whose
-    lower bound can still reach the ten best are recomputed in exact
-    Fractions.  Every value reported (L, mass, ratio) and the ranking by
-    (ratio, direction, offset) are exact.  The numbers of creases screened
-    and recomputed are logged at DEBUG.
+    Each direction's exact profile is built in integers (_DirectionProfile).
+    Every crease is screened in float64 by a proven forward-error bound for
+    Horner's rule; only creases whose lower bound can still reach the ten
+    best are recomputed in exact Fractions.  Every value reported (L, mass,
+    ratio) and the ranking by (ratio, direction, offset) are exact.  The
+    numbers of creases screened and recomputed are logged at DEBUG.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a

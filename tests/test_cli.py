@@ -87,6 +87,38 @@ class TestDestabilize:
         assert outs[0] == outs[1]
 
 
+class TestLogLevel:
+    def test_debug_reports_screening_on_stderr_only(self, square_file, tmp_path, capsys):
+        runs = []
+        for extra in ([], ["--log-level", "DEBUG"]):
+            out = tmp_path / f"o{len(runs)}"
+            code = main(extra + ["destabilize", str(square_file), "--resolution", "4",
+                                 "--out", str(out)])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err, (out / "verdict.json").read_bytes(),
+                         (out / "manifest.json").read_text().replace(str(out), "OUT")))
+        (code0, out0, err0, *files0), (code1, out1, err1, *files1) = runs
+        assert (code0, out0, files0) == (code1, out1, files1)
+        assert err0 == ""
+        assert "DEBUG kstab.stability: crease search:" in err1
+        assert "creases screened in float64" in err1
+
+    def test_default_hides_info(self, tmp_path, capsys):
+        # the level function max(-1, -x - 1) is below 0 on the segment: an INFO record
+        p = tmp_path / "seg.poly"
+        p.write_text(SEG)
+        for level, shown in (("WARNING", False), ("INFO", True)):
+            assert main(["--log-level", level, "filtration", str(p), "--pieces", "0,-1;-1,-1",
+                         "--ks", "4", "--out", str(tmp_path / level)]) == 0
+            assert ("INFO kstab.futaki:" in capsys.readouterr().err) == shown
+
+    def test_bad_level_rejected(self, square_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "LOUD", "analyze", str(square_file), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+
 class TestFutakiCommand:
     def test_square_table(self, square_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kstab.polytope import (
     EMPTY,
@@ -196,3 +198,76 @@ class TestTextFormat:
     def test_comments_and_blanks(self):
         P, _ = parse_polytope_text("# squares\n\ndim 2\nvertices\n0 0\n1 0 # corner\n1 1\n0 1\n")
         assert len(P.vertices) == 4
+
+
+# -- properties of the text format -------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+RATIONALS = st.builds(Q, st.integers(-24, 24), st.integers(1, 6))
+WEIGHTS = st.builds(Q, st.integers(1, 40), st.integers(1, 9))
+
+
+@st.composite
+def weighted_polytopes(draw):
+    """A rational segment or polygon with a random positive weight per facet."""
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(RATIONALS, min_size=2, max_size=2, unique=True)))
+        P = Polytope.from_vertices([(lo,), (hi,)])
+    else:
+        pts = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=3, max_size=9))
+        try:
+            P = Polytope.from_vertices(pts)
+        except DegenerateInputError:
+            assume(False)
+    return P, BoundaryMeasure(tuple(draw(WEIGHTS) for _ in P.facets))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid polytope file after one to three character or line edits."""
+    text = format_polytope_text(*draw(weighted_polytopes()))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete", "repeat line", "drop line"]))
+        if op in ("repeat line", "drop line"):
+            lines = text.split("\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = [lines[k]] * 2 if op == "repeat line" else []
+            text = "\n".join(lines)
+            continue
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from("0123456789-/ #\nx."))
+        text = text[:i] + (c if op != "delete" else "") + text[i + (op != "insert"):]
+    return text
+
+
+class TestTextFormatProperties:
+    @PROPERTY
+    @given(weighted_polytopes())
+    def test_roundtrip_exact(self, polytope):
+        P, sigma = polytope
+        P2, sigma2 = parse_polytope_text(format_polytope_text(P, sigma))
+        assert P2.vertices == P.vertices
+        assert P2.facets == P.facets
+        assert sigma2.weights == sigma.weights
+
+    @PROPERTY
+    @given(mutated_texts())
+    def test_mutated_text_raises_only_parse_errors(self, text):
+        try:
+            parse_polytope_text(text)
+        except PolytopeParseError as e:
+            assert 1 <= e.line_no <= max(1, len(text.splitlines()))
+
+    @PROPERTY
+    @given(weighted_polytopes(), st.data())
+    def test_repeated_facet_rejected(self, polytope, data):
+        lines = format_polytope_text(*polytope).splitlines()
+        k = data.draw(st.integers(2, len(lines) - 1))
+        with pytest.raises(PolytopeParseError, match="redundant or repeated"):
+            parse_polytope_text("\n".join(lines[:k + 1] + lines[k:]))
+
+    def test_redundant_endpoint_rejected(self):
+        # a segment used to keep the tighter bound but the last facet's weight
+        with pytest.raises(PolytopeParseError, match="redundant or repeated") as ei:
+            parse_polytope_text("dim 1\nfacets\n1 0 5\n1 -1 7\n-1 -1\n")
+        assert ei.value.line_no == 3

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 
 from kstab import geometry as geo
 from kstab import solver as sol
-from kstab.polytope import BoundaryMeasure
+from kstab import stability as stab
+from kstab.polytope import BoundaryMeasure, measures
 from kstab.stability import L, PLConvexFunction, crease_search
 
 
@@ -181,6 +182,25 @@ class TestSolve:
         assert abs(H[(0, 0)][mid] - exact) / exact < 1e-4
         assert history_non_increasing(rep.mabuchi_history)
         assert time.time() - t0 < 10
+
+    @pytest.mark.parametrize("weight, termination", [(Q(1), "converged"),
+                                                     (Q(1, 4), "divergence-certificate")])
+    def test_measures_computed_once_per_grid(self, square, monkeypatch, weight, termination):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return measures(*args)
+
+        for mod in (geo, sol, stab):
+            monkeypatch.setattr(mod, "measures", counted)
+        sigma = BoundaryMeasure(tuple(
+            weight if f.normal == (-1, 0) else Q(1) for f in square.facets))
+        rep = sol.solve(square, sigma, m=25, tol=1e-6, phi0=bump2,
+                        require_futaki_zero=False, max_iter=600)
+        assert rep.termination == termination and rep.iterations > 1
+        # futaki_linear and the first grid; every later grid shares its A
+        assert len(calls) == 2
 
     def test_weighted_segment_refused(self, segment01):
         rep = sol.solve(segment01, BoundaryMeasure((Q(1), Q(2))), m=64)

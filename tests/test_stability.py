@@ -1,10 +1,13 @@
+import bisect
 import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
-from kstab.polytope import BoundaryMeasure, integrate_affine, measures, unimodular_image, facet_index_map
+from kstab.polytope import (BoundaryMeasure, Polytope, facet_index_map, integrate_affine, measures,
+                            unimodular_image)
 from kstab import stability as stab
 from kstab.stability import (
     L,
@@ -35,12 +38,170 @@ def exact_offsets(smin, smax, R):
     return sorted(vals)
 
 
+def chord_length(P, a, s):
+    """Lattice length of the chord {<a, x> = s} in P (0 at extreme vertices)."""
+    perp = (-a[1], a[0])
+    norm2 = a[0] * a[0] + a[1] * a[1]
+    taus = []
+    verts = P.vertices
+    nv = len(verts)
+    for k in range(nv):
+        p, q = verts[k], verts[(k + 1) % nv]
+        sp = a[0] * p[0] + a[1] * p[1]
+        sq = a[0] * q[0] + a[1] * q[1]
+        if sp == sq:
+            if sp == s:
+                taus.append((perp[0] * p[0] + perp[1] * p[1]))
+                taus.append((perp[0] * q[0] + perp[1] * q[1]))
+            continue
+        if min(sp, sq) <= s <= max(sp, sq):
+            t = (s - sp) / (sq - sp)
+            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            taus.append(perp[0] * x[0] + perp[1] * x[1])
+    if not taus:
+        return Q(0)
+    return (max(taus) - min(taus)) / norm2
+
+
+def float_or_inf(q):
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+class FractionProfile:
+    """Reference for stability._DirectionProfile, built in Fractions.
+
+    The chord length is clipped from P at every vertex value, and the
+    boundary and interior polynomials are summed piece by piece.
+    """
+
+    def __init__(self, P, sigma, a):
+        self.a = a
+        if P.dim == 1:
+            svals = sorted({a[0] * v[0] for v in P.vertices})
+            rho = [Q(1), Q(1)]
+            edges = []
+            wmap = {f.normal: w for f, w in zip(P.facets, sigma.weights)}
+            (lo,), (hi,) = P.vertices
+            edges.append((wmap[(1,)], a[0] * lo, a[0] * lo, Q(1)))
+            edges.append((wmap[(-1,)], a[0] * hi, a[0] * hi, Q(1)))
+            bps = svals
+        else:
+            sv = [a[0] * v[0] + a[1] * v[1] for v in P.vertices]
+            bps = sorted(set(sv))
+            rho = [chord_length(P, a, s) for s in bps]
+            edges = []
+            nv = len(P.vertices)
+            for k in range(nv):
+                sp, sq = sv[k], sv[(k + 1) % nv]
+                ell = P.edge_lattice_length(k) * sigma.weights[k]
+                edges.append((Q(1), min(sp, sq), max(sp, sq), ell))
+        self.smin, self.smax = bps[0], bps[-1]
+        self.bps = bps
+        nI = len(bps) - 1
+        bco = [[Q(0)] * 3 for _ in range(nI)]
+        for w, slo, shi, ell in edges:
+            wl = w * ell
+            for j in range(nI):
+                sj, sj1 = bps[j], bps[j + 1]
+                if slo == shi:
+                    if sj1 <= slo:
+                        bco[j][0] += wl * slo
+                        bco[j][1] -= wl
+                elif sj1 <= slo:
+                    bco[j][0] += wl * (slo + shi) / 2
+                    bco[j][1] -= wl
+                elif sj >= shi:
+                    continue
+                else:
+                    k = wl / (2 * (shi - slo))
+                    bco[j][0] += k * shi * shi
+                    bco[j][1] -= 2 * k * shi
+                    bco[j][2] += k
+        # suffix integrals of rho and s*rho
+        I1 = [Q(0)] * (nI + 1)
+        I2 = [Q(0)] * (nI + 1)
+        alphas, betas = [], []
+        for j in range(nI):
+            dj = bps[j + 1] - bps[j]
+            beta = (rho[j + 1] - rho[j]) / dj
+            alpha = rho[j] - beta * bps[j]
+            alphas.append(alpha)
+            betas.append(beta)
+        for j in range(nI - 1, -1, -1):
+            s0, s1 = bps[j], bps[j + 1]
+            I1[j] = I1[j + 1] + alphas[j] * (s1 - s0) + betas[j] * (s1 * s1 - s0 * s0) / 2
+            I2[j] = I2[j + 1] + alphas[j] * (s1 * s1 - s0 * s0) / 2 \
+                + betas[j] * (s1 ** 3 - s0 ** 3) / 3
+        ico = []
+        for j in range(nI):
+            e = bps[j + 1]
+            al, be = alphas[j], betas[j]
+            ico.append([
+                be * e ** 3 / 3 + al * e * e / 2 + I2[j + 1],
+                -(be * e * e / 2 + al * e) - I1[j + 1],
+                al / 2,
+                be / 6,
+            ])
+        self._bco = bco
+        self._ico = ico
+
+    def eval(self, c):
+        j = bisect.bisect_right(self.bps, c) - 1
+        j = min(max(j, 0), len(self._bco) - 1)
+        b = self._bco[j]
+        bval = b[0] + c * (b[1] + c * b[2])
+        p = self._ico[j]
+        ival = p[0] + c * (p[1] + c * (p[2] + c * p[3]))
+        return bval, ival
+
+    def ratio_bounds(self, num, den, A):
+        inner = self.bps[1:-1]
+        ceils = np.array([[math.ceil(s * d) for s in inner] for d in range(int(den.max()) + 1)],
+                         dtype=np.int64)
+        piece = (num[:, None] >= ceils[den]).sum(axis=1)
+        lco = np.array([[float_or_inf(b - A * i) for b, i in zip(bc + [Q(0)], ic)]
+                        for bc, ic in zip(self._bco, self._ico)])[piece]
+        mco = np.array([[float_or_inf(i) for i in ic] for ic in self._ico])[piece]
+        c = num / den
+        U, H, TINY = stab._U, stab._HORNER, stab._TINY
+        with np.errstate(all="ignore"):
+            lval, lsum = stab._horner(lco, c)
+            mval, msum = stab._horner(mco, c)
+            lerr = H * lsum + TINY
+            merr = H * msum + TINY
+            ratio = lval / mval
+            floor = mval - merr
+            err = (lerr + abs(ratio) * merr) / floor * (1 + 32 * U) + 4 * U * abs(ratio)
+            bad = ~np.isfinite(err) | ~(floor > 0)
+            return np.where(bad, -np.inf, ratio - err), np.where(bad, np.inf, ratio + err)
+
+
+def profile(P, sigma, a):
+    return _DirectionProfile(stab._IntegerPolygon(P, sigma), a)
+
+
+def assert_profiles_match(P, sigma, R):
+    """Every direction's profile and float bounds equal the Fraction oracle's."""
+    A = measures(P, sigma).A
+    poly = stab._IntegerPolygon(P, sigma)
+    for a in stab.primitive_directions(P.dim, R):
+        fast, ref = _DirectionProfile(poly, a), FractionProfile(P, sigma, a)
+        assert (fast.bps, fast._bco, fast._ico) == (ref.bps, ref._bco, ref._ico), a
+        num, den = stab.admissible_offsets(ref.smin, ref.smax, R)
+        if len(num):
+            for got, want in zip(fast.ratio_bounds(num, den, A), ref.ratio_bounds(num, den, A)):
+                assert np.array_equal(got, want), a
+
+
 def exact_scan(args):
     """Reference for stability._scan_chunk: every crease in exact Fractions."""
     P, sigma, A, dirs, R = args
     results = []
     for a in dirs:
-        prof = _DirectionProfile(P, sigma, a)
+        prof = FractionProfile(P, sigma, a)
         for c in exact_offsets(prof.smin, prof.smax, R):
             bval, mass = prof.eval(c)
             lval = bval - A * mass
@@ -270,7 +431,7 @@ class TestCreaseSearch:
                 continue
             g = math.gcd(abs(a[0]), abs(a[1]))
             a = (a[0] // g, a[1] // g)
-            prof = _DirectionProfile(P, sigma, a)
+            prof = profile(P, sigma, a)
             c = prof.smin + (prof.smax - prof.smin) * Q(rng.randint(1, 19), 20)
             bval, mass = prof.eval(c)
             f = PLConvexFunction.crease(a, c)
@@ -339,7 +500,7 @@ class TestCreaseSearch:
             sigma = random_weights(rng, P)
             A = measures(P, sigma).A
             for a in rng.sample(stab.primitive_directions(2, 4), 3):
-                prof = _DirectionProfile(P, sigma, a)
+                prof = profile(P, sigma, a)
                 num, den = stab.admissible_offsets(prof.smin, prof.smax, 4)
                 lo, hi = prof.ratio_bounds(num, den, A)
                 for n, d, l, h in zip(num.tolist(), den.tolist(), lo, hi):
@@ -352,6 +513,48 @@ class TestCreaseSearch:
         assert v1.status == v2.status
         assert [(c.direction, c.offset, c.ratio) for c in v1.best_creases] == \
                [(c.direction, c.offset, c.ratio) for c in v2.best_creases]
+
+
+class TestIntegerProfiles:
+    """Every profile and its float bounds against the Fraction builder, at R = 8."""
+
+    @pytest.mark.parametrize("name", ["square", "trapezoid"])
+    def test_polygon_fixtures(self, request, name):
+        P = request.getfixturevalue(name)
+        assert_profiles_match(P, unit(P), 8)
+
+    def test_hexagon(self, unstable_hexagon):
+        assert_profiles_match(*unstable_hexagon, 8)
+
+    def test_segments(self, segment01, segment_sym):
+        assert_profiles_match(segment01, BoundaryMeasure((Q(1), Q(2))), 8)
+        assert_profiles_match(segment_sym, unit(segment_sym), 8)
+        P = Polytope.from_vertices([(Q(-7, 3),), (Q(5, 2),)])
+        assert_profiles_match(P, BoundaryMeasure((Q(3, 4), Q(2, 9))), 8)
+
+    def test_random_corpus(self):
+        rng = random.Random(67)
+        for k in range(8):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            assert_profiles_match(P, random_weights(rng, P), 8)
+
+    def test_large_vertex_denominators(self):
+        p, q = 2 ** 61 - 1, 10 ** 12 + 39
+        P = Polytope.from_vertices([
+            (Q(-2 * p + 1, p), Q(-q - 3, q)), (Q(3 * q + 7, q), Q(-1, p)),
+            (Q(2 * p - 5, p), Q(2 * q + 1, q)), (Q(-1, q), Q(3 * p - 2, p)),
+            (Q(-2 * q - 11, q), Q(p + 4, p))])
+        assert max(v[0].denominator * v[1].denominator for v in P.vertices) > 2 ** 100
+        sigma = BoundaryMeasure(tuple(Q(k + 2, 2 * k + 3) for k in range(len(P.facets))))
+        assert_profiles_match(P, sigma, 8)
+
+    def test_float_overflow(self, square):
+        sigma = BoundaryMeasure((Q(10 ** 400),) + (Q(1),) * 3)
+        assert_profiles_match(square, sigma, 8)
+        prof = profile(square, sigma, (0, 1))   # A*M overflows; along (1, 0) it cancels
+        num, den = stab.admissible_offsets(prof.smin, prof.smax, 8)
+        lo, hi = prof.ratio_bounds(num, den, measures(square, sigma).A)
+        assert np.isneginf(lo).all() and np.isposinf(hi).all()
 
 
 class TestTestConfiguration:
