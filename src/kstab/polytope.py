@@ -13,6 +13,7 @@ optionally rescaled by a positive weight per facet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -485,6 +486,23 @@ def _transform_normal(nu: tuple[int, ...], T: Sequence[Sequence[int]]) -> tuple[
 
 # -- text format --------------------------------------------------------------
 
+def _parse_rational(token: str, line_no: int, line: str) -> Q:
+    """Fraction(token), refusing a decimal exponent that would build a number
+    of more digits than int() parses (sys.get_int_max_str_digits())."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, has_exponent, exponent = token.lower().partition("e")
+    try:
+        digits = len(mantissa) + abs(int(exponent)) if has_exponent else 0
+    except ValueError:
+        digits = 0   # not a number; Fraction says so below
+    if digits > limit:
+        raise PolytopeParseError(line_no, f"{token!r} would have more than {limit} digits")
+    try:
+        return Q(token)
+    except (ValueError, ZeroDivisionError):
+        raise PolytopeParseError(line_no, f"bad rational in {line!r}") from None
+
+
 def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
     """Parse the documented polytope text format.
 
@@ -521,10 +539,7 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
             toks = s.split()
             if len(toks) != dim:
                 raise PolytopeParseError(ln3, f"expected {dim} coordinates, got {len(toks)}")
-            try:
-                pts.append(tuple(Q(t) for t in toks))
-            except (ValueError, ZeroDivisionError):
-                raise PolytopeParseError(ln3, f"bad rational in {s!r}") from None
+            pts.append(tuple(_parse_rational(t, ln3, s) for t in toks))
         try:
             P = Polytope.from_vertices(pts)
         except DegenerateInputError as e:
@@ -544,11 +559,8 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
         if all(n == 0 for n in nu):
             raise PolytopeParseError(ln3, "zero facet normal")
         g = math.gcd(*(abs(n) for n in nu))
-        try:
-            c = Q(toks[dim])
-            w = Q(toks[dim + 1]) if len(toks) == dim + 2 else Q(1)
-        except (ValueError, ZeroDivisionError):
-            raise PolytopeParseError(ln3, f"bad rational in {s!r}") from None
+        c = _parse_rational(toks[dim], ln3, s)
+        w = _parse_rational(toks[dim + 1], ln3, s) if len(toks) == dim + 2 else Q(1)
         if g != 1:
             raise PolytopeParseError(
                 ln3, f"normal {nu} is not primitive; use {tuple(n // g for n in nu)} "

@@ -4,16 +4,19 @@ The functional is F(u) = -int log det(u_ab) dmu + L(u); its L2 gradient at
 u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A, so the
 descent flow is phi_dot = residual.  The explicit flow is fourth-order
 stiff, so the descent direction is smoothed by an H2-seminorm
-preconditioner built on the graded mesh; a Gauss-Newton phase (damped
-normal equations on the exact discrete residual) takes over below a
-residual gate and polishes to tolerance.  The H2 preconditioner is one
-sparse LU per solve; each Gauss-Newton matrix is factored by banded LU
-with partial pivoting (LAPACK dgbtrf), because in the row-major node
-ordering of a tensor grid its bandwidth is only 4m + 4 while a sparse LU
-fills in far more.  Affine gauge: constants are
-always projected out of phi; linear components only when the Futaki vector
-vanishes (they are exactly F-neutral then, and genuine escape directions
-otherwise).
+preconditioner built on the graded mesh (one sparse LU per solve).
+
+A Newton phase takes over below a residual gate, or when the flow
+stagnates, and polishes to tolerance.  The residual lives on the nodes two
+layers in, so phi's two outer layers on each side are closed off as the
+cubic extrapolation E of the deep values (Guillemin's boundary condition
+makes phi smooth up to the boundary).  J*E is then square, singular only
+along the affine gauge, which Newton pins at n + 1 deep nodes.  The pinned
+system is factored by banded LU with partial pivoting (LAPACK dgbtrf): in
+the deep row-major ordering of a tensor grid its bandwidths l and u are
+about 3(m - 4) + 3.  Affine gauge of phi: constants are always projected
+out; linear components only when the Futaki vector vanishes (they are
+exactly F-neutral then, and genuine escape directions otherwise).
 
 A run that leaves the phi ceiling while F is still decreasing terminates
 with a divergence certificate carrying the normalized escape direction:
@@ -85,6 +88,13 @@ class GridOperators:
             basis.append(arr.ravel())
         self.affine_basis = np.stack(basis, axis=1)
         self._precond = None
+        # closure: deep values -> all nodes (Guillemin: phi is smooth up to dP)
+        E = [_closure_1d(ax.nodes) for ax in g.axes]
+        self.closure = E[0] if g.n == 1 else sp.kron(E[0], E[1], format="csr")
+        # n + 1 deep nodes that fix the affine gauge of a Newton step
+        k = self.deep_shape
+        self.pinned = np.array([0, k[0] - 1] if g.n == 1
+                               else [0, k[1] - 1, (k[0] - 1) * k[1]])
 
     def gauge_project(self, v: np.ndarray, include_linear: bool) -> np.ndarray:
         """Remove the weighted-L2 best affine (or constant) fit from v."""
@@ -118,40 +128,59 @@ class GridOperators:
             self._precond = spla.splu(M.tocsc())
         return self._precond
 
-    def max_hessian_rel_change(self, H: dict, delta: np.ndarray) -> float:
-        """Relative pointwise Hessian change of a step (trust-region monitor)."""
-        n = self.g.n
-        worst = 0.0
-        for a in range(n):
-            dH = (self.hess[(a, a)] @ delta).reshape(H[(a, a)].shape)
-            worst = max(worst, float(np.abs(dH / H[(a, a)]).max()))
-        if n == 2:
-            dH = (self.hess[(0, 1)] @ delta).reshape(H[(0, 0)].shape)
-            worst = max(worst, float(np.abs(dH / np.sqrt(H[(0, 0)] * H[(1, 1)])).max()))
-        return worst
-
     def embed_deep(self, v_deep: np.ndarray) -> np.ndarray:
         full = np.zeros(self.g.shape)
         full[(slice(2, -2),) * self.g.n] = v_deep.reshape(self.deep_shape)
         return full.ravel()
 
     def jacobian(self, U: dict) -> sp.csr_matrix:
-        """d(residual)/d(phi): residual = sum_ab D2I_ab U^{ab} + A."""
-        n = self.g.n
-        J = None
+        """d(residual)/d(phi) = -sum_abcd D2I_ab diag(U^{ac} U^{db}) Hess_cd.
+
+        D2I and Hess are symmetric in their index pair, so the sum is taken
+        over pairs a <= b and c <= d: J = sum_ab D2I_ab K_ab with K_ab =
+        sum_cd diag(w_abcd) Hess_cd, each term a row scaling of Hess_cd's
+        CSR data.  That is n(n+1)/2 sparse products in place of n^4.
+        """
+        pairs = [(a, b) for a in range(self.g.n) for b in range(a, self.g.n)]
         Uv = {k: U[k].ravel() for k in U}
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        w = -Uv[_key(a, c)] * Uv[_key(d, b)]
-                        term = self.d2i[(a, b)] @ sp.diags(w) @ self.hess[(c, d)]
-                        J = term if J is None else J + term
+        J = None
+        for a, b in pairs:
+            K = None
+            for c, d in pairs:
+                w = -sum(Uv[_key(i, k)] * Uv[_key(l, j)]
+                         for i, j in _orderings(a, b) for k, l in _orderings(c, d))
+                H = self.hess[(c, d)]
+                term = sp.csr_matrix((H.data * np.repeat(w, np.diff(H.indptr)),
+                                      H.indices, H.indptr), shape=H.shape)
+                K = term if K is None else K + term
+            term = self.d2i[(a, b)] @ K
+            J = term if J is None else J + term
         return J.tocsr()
 
 
 def _key(a, b):
     return (min(a, b), max(a, b))
+
+
+def _orderings(a, b):
+    return [(a, b)] if a == b else [(a, b), (b, a)]
+
+
+def _closure_1d(x: np.ndarray) -> sp.csr_matrix:
+    """Sparse (m, m - 4) map from the deep values x[2:-2] to all m nodes.
+
+    The deep nodes map to themselves; each outer node (two per side) gets
+    the cubic Lagrange extrapolation through the 4 nearest deep nodes, so
+    cubics, and affine functions in particular, are reproduced.
+    """
+    m = len(x)
+    E = np.zeros((m, m - 4))
+    E[2:-2] = np.eye(m - 4)
+    for j in (0, 1, m - 2, m - 1):
+        src = range(2, 6) if j < 2 else range(m - 3, m - 7, -1)
+        for i in src:
+            E[j, i - 2] = math.prod((x[j] - x[k]) / (x[i] - x[k]) for k in src if k != i)
+    return sp.csr_matrix(E)
 
 
 class _BandedLU:
@@ -237,6 +266,9 @@ class SolveReport:
     min_det_history: list[float] = field(default_factory=list)
     sup_u_history: list[float] = field(default_factory=list)
     sup_phi_history: list[float] = field(default_factory=list)
+    # the step each iteration took ("flow" or "newton"); the last iteration,
+    # which only tests for termination, takes none
+    phase_history: list[str] = field(default_factory=list)
     futaki: tuple = ()
     certificate: dict | None = None
     wall_time: float = 0.0
@@ -300,46 +332,57 @@ def _flow_step(ops: GridOperators, s: Iterate, dt: float,
     return None, dt
 
 
-def _gauss_newton_step(ops: GridOperators, s: Iterate, damping: float,
-                       include_linear: bool) -> tuple[Iterate | None, float]:
-    """Gauss-Newton with H2-seminorm Levenberg damping.
+def _newton_system(ops: GridOperators, J: sp.csr_matrix,
+                   r: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The closed Newton system J*E x = -r with the affine gauge pinned.
 
-    Among steps with equal linear residual the damping picks the one of
-    least bending, which keeps the boundary layer inside its linearization
-    radius.  Returns the accepted iterate (None if every damping failed to
-    lower the sup residual) and the next damping.
-
-    The damped normal equations are solved by banded LU (_BandedLU); an
-    exactly singular factor retries with ten times the damping.  The step
-    itself is determined only through J: the residual lives two layers
-    inside the grid, so J has m^2 - (m-4)^2 null directions that the
-    1e-12 ridge of M2 barely fixes, and the matrix is singular to working
-    precision.  Two correct factorizations give steps that differ by
-    several times their size but agree in J*delta to about 1e-6 |r|, so
-    iteration counts, not terminations, depend on the factorization.
+    J*E is square on the deep nodes, singular only along the n + 1 affine
+    directions.  The pinned nodes' rows and columns are zeroed, with
+    max|J*E| on their diagonal and 0 on the right-hand side, so x vanishes
+    there and the matrix keeps the band of the deep row-major ordering
+    (l and u about 3(m - 4) + 3).
     """
+    A = (J @ ops.closure).tocsr()
+    scale = float(np.abs(A.data).max())
+    keep = np.ones(A.shape[0])
+    keep[ops.pinned] = 0.0
+    A = sp.diags(keep) @ A @ sp.diags(keep) + sp.diags(scale * (1.0 - keep))
+    return A.tocsr(), -r.ravel() * keep
+
+
+def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool) -> Iterate | None:
+    """Newton on the closed square system, from the closure of the iterate.
+
+    The iterate is first closed (its two outer layers replaced by the
+    extrapolation of its deep values); iterates that came from a full
+    Newton step already are.  The step solves the pinned J*E system by
+    banded LU and is accepted, from the full step down in quarters, once
+    it lowers the sup residual.  Returns None when no trial does, or when
+    the closed iterate leaves the convex cone.
+    """
+    phi = s.g.phi.ravel()
+    phi_c = ops.closure @ phi.reshape(s.g.shape)[(slice(2, -2),) * s.g.n].ravel()
+    base = s
+    if np.abs(phi_c - phi).max() > 1e-12 * (1.0 + np.abs(phi).max()):
+        base = _moved(s, phi_c - phi)
+        if base is None:
+            return None
+    A, rhs = _newton_system(ops, ops.jacobian(base.U), base.r)
+    try:
+        x = _BandedLU(A).solve(rhs)
+    except RuntimeError:   # an exactly singular factor: leave it to the flow
+        return None
+    delta = (phi_c - phi) + ops.closure @ x
+    delta = ops.gauge_project(delta, include_linear=include_linear)
     sup = float(np.abs(s.r).max())
-    J = ops.jacobian(s.U)
-    rhs = -(J.T @ s.r.ravel())
-    JtJ = J.T @ J
-    M2 = ops.h2_matrix()
-    for _ in range(8):
-        try:
-            delta = _BandedLU(JtJ + damping * M2).solve(rhs)
-        except RuntimeError:
-            damping *= 10
-            continue
-        delta = ops.gauge_project(delta, include_linear=include_linear)
-        rho = ops.max_hessian_rel_change(s.H, delta)
-        step = min(1.0, 0.3 / max(rho, 1e-30))
-        for _ in range(4):
-            trial = _moved(s, step * delta)
-            if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
-                                      or np.abs(trial.r).max() < 0.9 * sup):
-                return trial, max(damping / 5, 1e-14)
-            step /= 4
-        damping = min(damping * 10, 1e8)
-    return None, damping
+    step = 1.0
+    for _ in range(4):
+        trial = _moved(s, step * delta)
+        if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
+                                  or np.abs(trial.r).max() < 0.9 * sup):
+            return trial
+        step /= 4
+    return None
 
 
 def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
@@ -376,8 +419,9 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         geo.check_convexity(g)
 
     hist_F, hist_r, hist_det, hist_u, hist_phi = [], [], [], [], []
+    phases = []
     dt = 1.0
-    damping = 1e-2
+    newton_on = False
     gn_fails = 0
     gn_cooldown = 0
     termination = "max-iter"
@@ -424,28 +468,33 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         free_fall = len(hist_F) >= 3 and hist_F[-3] - s.F > 0.05 * (1 + abs(s.F))
         nxt = None
         gn_tried = False
-        if (l2w < newton_gate or stagnant) and gn_cooldown == 0 and not free_fall:
+        # once a Newton step is accepted the next iteration tries Newton first
+        if ((l2w < newton_gate or stagnant or newton_on) and gn_cooldown == 0
+                and not free_fall):
             gn_tried = True
-            nxt, damping = _gauss_newton_step(ops, s, damping, futaki_zero)
+            nxt = _newton_step(ops, s, futaki_zero)
             gn_fails = 0 if nxt is not None else gn_fails + 1
             if gn_fails >= 3:
                 gn_cooldown = 25
                 gn_fails = 0
         elif gn_cooldown > 0:
             gn_cooldown -= 1
+        newton_on = nxt is not None
         if nxt is None:
             nxt, dt = _flow_step(ops, s, dt, futaki_zero)
         if nxt is None and not gn_tried and not free_fall:
-            nxt, damping = _gauss_newton_step(ops, s, damping, futaki_zero)
+            nxt = _newton_step(ops, s, futaki_zero)
+            newton_on = nxt is not None
         if nxt is None:
             termination = "stalled"
             break
+        phases.append("newton" if newton_on else "flow")
         s = nxt
     else:
         it = max_iter
 
     report = SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
-                         hist_u, hist_phi, fut, certificate)
+                         hist_u, hist_phi, phases, fut, certificate)
     report.wall_time = time.time() - t_start
     return report
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -187,6 +188,25 @@ class TestTextFormat:
         with pytest.raises(PolytopeParseError) as ei:
             parse_polytope_text("dim 2\nvertices\n0 0\n1 bad\n")
         assert ei.value.line_no == 4
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("dim 1\nfacets\n1 0 1e200000\n-1 -1\n", 3),
+        ("dim 1\nfacets\n1 0\n-1 -1E+200000\n", 4),
+        ("dim 1\nfacets\n1 0 1\n-1 -1.5e-200000 2\n", 4),
+        ("dim 2\nvertices\n0 0\n1 0\n0 1e200000\n", 5),
+    ])
+    def test_huge_exponent_rejected(self, text, line_no):
+        # Fraction would build a 200,001-digit integer before any check ran
+        with pytest.raises(PolytopeParseError, match="digits") as ei:
+            parse_polytope_text(text)
+        assert ei.value.line_no == line_no
+
+    def test_exponent_bound_is_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        P, _ = parse_polytope_text(f"dim 1\nvertices\n0\n1e{limit - 2}\n")
+        assert P.vertices[-1] == (Q(10) ** (limit - 2),)
+        with pytest.raises(PolytopeParseError, match="digits"):
+            parse_polytope_text(f"dim 1\nvertices\n0\n1e{limit}\n")
 
     def test_roundtrip(self, trapezoid):
         rng = random.Random(5)

@@ -124,47 +124,127 @@ class TestBandedLU:
         assert np.shares_memory(lu.lu, np.frombuffer(lu.buffer, dtype=np.uint8))
 
 
-class TestGaussNewtonStep:
-    @pytest.mark.parametrize("damping", [1e-2, 4e-4])
-    def test_matches_sparse_lu_through_the_jacobian(self, square, damping):
-        # the damped normal equations are singular to working precision, so
-        # two LU factorizations give very different steps; only J*delta,
-        # the step's effect on the linearized residual, is determined
-        sigma = weighted_box(square)
-        g = geo.PotentialGrid.build(square, sigma, 33, phi=bump2)
-        ops = sol.GridOperators(g)
-        s = sol.evaluate(square, sigma, g)
-        J = ops.jacobian(s.U)
-        r = s.r.ravel()
-        A = (J.T @ J + damping * ops.h2_matrix()).tocsc()
-        rhs = -(J.T @ r)
-        delta = sol._BandedLU(A).solve(rhs)
-        oracle = spla.splu(A).solve(rhs)
-        assert np.abs(J @ (delta - oracle)).max() <= 1e-6 * np.abs(r).max()
-        assert np.abs(A @ delta - rhs).max() <= 1e-8 * np.abs(rhs).max()
+class TestClosure:
+    @pytest.mark.parametrize("m", [9, 17, 65])
+    def test_reproduces_cubics_1d(self, m):
+        x = geo.graded_nodes(0.0, 1.0, m)
+        E = sol._closure_1d(x)
+        assert E.shape == (m, m - 4)
+        for p in [lambda t: 1 + 0 * t, lambda t: t - 0.3, lambda t: (t - 0.4) ** 2,
+                  lambda t: 2 * t ** 3 - t + 5]:
+            assert np.abs(E @ p(x[2:-2]) - p(x)).max() <= 1e-12
 
-    def test_singular_factor_raises_the_damping(self, square, monkeypatch):
-        sigma = weighted_box(square)
-        g = geo.PotentialGrid.build(square, sigma, 17, phi=bump2)
+    def test_reproduces_bicubics_2d(self, square):
+        g = geo.PotentialGrid.build(square, unit(square), (17, 21))
         ops = sol.GridOperators(g)
-        s = sol.evaluate(square, sigma, g)
-        matrices = []
+        X, Y = g.node_grids()
+        for i in range(4):
+            for j in range(4):
+                f = (X - 0.3) ** i * (Y + 0.2) ** j
+                deep = f[2:-2, 2:-2].ravel()
+                assert np.abs(ops.closure @ deep - f.ravel()).max() <= 1e-12
 
-        class FailOnce(sol._BandedLU):
+
+def jacobian_by_16_products(ops, U):
+    """d(residual)/d(phi) as the plain sum over a, b, c, d (n^4 products)."""
+    n = ops.g.n
+    J = None
+    Uv = {k: U[k].ravel() for k in U}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    w = -Uv[sol._key(a, c)] * Uv[sol._key(d, b)]
+                    term = ops.d2i[(a, b)] @ sp.diags(w) @ ops.hess[(c, d)]
+                    J = term if J is None else J + term
+    return J.tocsr()
+
+
+class TestGroupedJacobian:
+    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 33), (2, 65)])
+    def test_matches_16_products(self, dim, m, segment01, square):
+        if dim == 1:
+            P, sigma, phi = segment01, BoundaryMeasure((Q(1), Q(2))), bump1
+        else:
+            P, sigma = square, weighted_box(square)
+            phi = lambda x, y: bump2(x, y) + 0.01 * x * y ** 2   # noqa: E731
+        g = geo.PotentialGrid.build(P, sigma, m, phi=phi)
+        ops = sol.GridOperators(g)
+        U = geo.inverse_hessian_field(g)
+        J, oracle = ops.jacobian(U), jacobian_by_16_products(ops, U)
+        assert J.nnz == oracle.nnz
+        assert abs(J - oracle).max() <= 1e-15 * abs(oracle).max()
+
+
+class SpsolveLU:
+    """Stand-in for _BandedLU that solves with SuperLU through spsolve."""
+
+    def __init__(self, A):
+        self.A = A.tocsc()
+
+    def solve(self, b):
+        return spla.spsolve(self.A, b)
+
+
+def box_start(square, m):
+    g = geo.PotentialGrid.build(square, weighted_box(square), m, phi=bump2)
+    return sol.GridOperators(g), sol.evaluate(square, weighted_box(square), g)
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("m", [17, 33])
+    def test_banded_lu_matches_spsolve(self, square, m):
+        ops, s = box_start(square, m)
+        A, rhs = sol._newton_system(ops, ops.jacobian(s.U), s.r)
+        lu = sol._BandedLU(A)
+        # deep row-major ordering: the closure reaches 3 deep rows across
+        assert lu.kl <= 3 * (m - 4) + 3 and lu.ku <= 3 * (m - 4) + 3
+        x = lu.solve(rhs)
+        oracle = spla.spsolve(A.tocsc(), rhs)
+        assert np.abs(x - oracle).max() <= 1e-9 * np.abs(oracle).max()
+        # x vanishes at the pinned nodes and solves every other equation
+        assert np.all(x[ops.pinned] == 0)
+        keep = np.setdiff1d(np.arange(len(x)), ops.pinned)
+        lin = ops.jacobian(s.U) @ (ops.closure @ x) + s.r.ravel()
+        assert np.abs(lin[keep]).max() <= 1e-8 * np.abs(s.r).max()
+
+    def test_step_lands_on_a_closed_iterate(self, square):
+        ops, s = box_start(square, 17)
+        nxt = sol._newton_step(ops, s, True)
+        assert nxt is not None
+        assert np.abs(nxt.r).max() < 0.5 * np.abs(s.r).max()
+        phi = nxt.g.phi
+        closed = ops.closure @ phi[2:-2, 2:-2].ravel()
+        assert np.abs(closed - phi.ravel()).max() <= 1e-12 * (1 + np.abs(phi).max())
+
+    def test_singular_factor_returns_none(self, square, monkeypatch):
+        ops, s = box_start(square, 17)
+
+        class Singular:
             def __init__(self, A):
-                matrices.append(A)
-                if len(matrices) == 1:
-                    raise RuntimeError("exactly singular")
-                super().__init__(A)
+                raise RuntimeError("exactly singular")
 
-        monkeypatch.setattr(sol, "_BandedLU", FailOnce)
-        nxt, damping = sol._gauss_newton_step(ops, s, 1e-2, True)
-        assert nxt is not None and len(matrices) == 2
-        # A = JtJ + damping * M2, so the retry adds (10 - 1) * 1e-2 * M2
-        diff = matrices[1] - matrices[0] - 9e-2 * ops.h2_matrix()
-        assert abs(diff).max() <= 1e-12 * abs(matrices[0]).max()
-        # an accepted step eases the damping it used by a factor of 5
-        assert damping == pytest.approx(2e-2)
+        monkeypatch.setattr(sol, "_BandedLU", Singular)
+        assert sol._newton_step(ops, s, True) is None
+
+    @pytest.mark.parametrize("case", ["box-33", "box-65", "criterion-1"])
+    def test_spsolve_gives_the_same_iteration_counts(self, case, segment01, square,
+                                                     monkeypatch):
+        # the closed system is well posed, so two LAPACK paths take the
+        # same steps up to rounding and the solve the same path
+        if case == "criterion-1":
+            def run():
+                return sol.solve(segment01, unit(segment01), m=256, tol=1e-5, phi0=bump1)
+        else:
+            def run():
+                return sol.solve(square, weighted_box(square), m=int(case[4:]),
+                                 tol=1e-6, phi0=bump2)
+        banded = run()
+        monkeypatch.setattr(sol, "_BandedLU", SpsolveLU)
+        superlu = run()
+        assert banded.converged and superlu.converged
+        assert superlu.iterations == banded.iterations
+        assert superlu.phase_history == banded.phase_history
 
 
 class TestSolve:
@@ -264,6 +344,34 @@ class TestSolve:
         assert len(rep.min_det_history) == n
         assert len(rep.sup_u_history) == n
         assert min(rep.min_det_history) > 0
+        # one step per iteration but the last, which only tests for convergence
+        assert len(rep.phase_history) == n - 1
+        assert set(rep.phase_history) <= {"flow", "newton"}
+
+    def test_box_polish_ends_in_newton_steps(self, square):
+        rep = sol.solve(square, weighted_box(square), m=65, tol=1e-6, phi0=bump2)
+        assert rep.converged
+        assert rep.phase_history[-3:] == ["newton"] * 3
+
+    def test_box_m97_converges_quickly(self, square):
+        # the damped normal equations took 389 iterations and minutes here
+        t0 = time.time()
+        rep = sol.solve(square, weighted_box(square), m=97, tol=1e-6, phi0=bump2)
+        assert time.time() - t0 < 10
+        assert rep.converged and rep.iterations <= 25
+        # the canonical potential of a box is the exact discrete solution
+        # too, so the converged Hessian matches it to rounding on the core
+        g = rep.grid
+        H = geo.hessian_field(g)
+        ref, core = [], []
+        for ax in g.axes:
+            x = ax.nodes[1:-1]
+            ref.append(1 / (ax.w_lo * (x - ax.lo)) + 1 / (ax.w_hi * (ax.hi - x)))
+            core.append(np.abs(x - (ax.lo + ax.hi) / 2) <= (ax.hi - ax.lo) / 4)
+        r0, r1 = ref[0][:, None], ref[1][None, :]
+        err = np.maximum.reduce([np.abs(H[(0, 0)] - r0) / r0, np.abs(H[(1, 1)] - r1) / r1,
+                                 np.abs(H[(0, 1)]) / np.sqrt(r0 * r1)])
+        assert err[np.ix_(*core)].max() <= 1e-10
 
 
 class TestObstruction:
@@ -284,6 +392,8 @@ class TestObstruction:
         assert rep.certificate is not None
         assert rep.certificate["min_det"] > 0
         assert np.abs(rep.certificate["direction"]).max() <= 1.0 + 1e-12
+        # the escape is all flow: F is in free fall, so Newton is never tried
+        assert set(rep.phase_history) == {"flow"}
 
     def test_weighted_segment_escapes_along_linear(self, segment01):
         rep = sol.solve(segment01, BoundaryMeasure((Q(1), Q(2))), m=96,
