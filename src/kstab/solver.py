@@ -1,30 +1,36 @@
 """Minimization of the toric Mabuchi functional and the Abreu equation.
 
 The functional is F(u) = -int log det(u_ab) dmu + L(u); its L2 gradient at
-u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A, so the
-descent flow is phi_dot = residual.  The explicit flow is fourth-order
-stiff, so the descent direction is smoothed by an H2-seminorm
-preconditioner built on the graded mesh (one sparse LU per solve).
+u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A.
 
-A Newton phase takes over below a residual gate, or when the flow
-stagnates, and polishes to tolerance.  The residual lives on the nodes two
-layers in, so phi's two outer layers on each side are closed off as the
-cubic extrapolation E of the deep values (Guillemin's boundary condition
-makes phi smooth up to the boundary).  J*E is then square, singular only
-along the affine gauge, which Newton pins at n + 1 deep nodes.  The pinned
-system is factored by banded LU with partial pivoting (LAPACK dgbtrf): in
-the deep row-major ordering of a tensor grid its bandwidths l and u are
-about 3(m - 4) + 3.  Affine gauge of phi: constants are always projected
-out; linear components only when the Futaki vector vanishes (they are
-exactly F-neutral then, and genuine escape directions otherwise).
+When the Futaki vector vanishes F is convex and the Abreu equation has a
+solution, so Newton on the residual runs from the first iteration.  The
+residual lives on the nodes two layers in, so phi's two outer layers on
+each side are closed off as the cubic extrapolation E of the deep values
+(Guillemin's boundary condition makes phi smooth up to the boundary).
+J*E is then square, singular only along the affine gauge, which Newton
+pins at n + 1 deep nodes.  The pinned system is factored by banded LU with
+partial pivoting (LAPACK dgbtrf): in the deep row-major ordering of a
+tensor grid its bandwidths l and u are about 3(m - 4) + 3.  The last
+factor is kept: from a closed iterate a Newton step first tries it as a
+chord step (one dgbtrs, one evaluation), accepted only if it cuts the sup
+residual ten-fold, and refactors otherwise.  Affine gauge of phi:
+constants are always projected out; linear components only when the
+Futaki vector vanishes (they are exactly F-neutral then, and genuine
+escape directions otherwise).
 
-A run that leaves the phi ceiling while F is still decreasing terminates
+The descent flow phi_dot = residual is the fallback after failed Newton
+steps and the only path on nonzero-Futaki data.  It is fourth-order stiff,
+so the descent direction is smoothed by an H2-seminorm preconditioner
+built on the graded mesh (one sparse LU per solve, made on first use).  A
+run that leaves the phi ceiling while F is still decreasing terminates
 with a divergence certificate carrying the normalized escape direction:
 that is the numerical footprint of a destabilizing ray.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import mmap
 import time
@@ -41,6 +47,12 @@ from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import futaki_linear
 
 Q = Fraction
+log = logging.getLogger(__name__)
+
+# a chord step (the kept factor, the current residual) is accepted only if it
+# cuts the sup residual at least this much; a weaker rule stops the box
+# polish short of the rounding floor
+_CHORD_CUT = 0.1
 
 
 # -- discrete operators -------------------------------------------------------
@@ -95,6 +107,8 @@ class GridOperators:
         k = self.deep_shape
         self.pinned = np.array([0, k[0] - 1] if g.n == 1
                                else [0, k[1] - 1, (k[0] - 1) * k[1]])
+        self.unpinned = np.ones(int(np.prod(k)))
+        self.unpinned[self.pinned] = 0.0
 
     def gauge_project(self, v: np.ndarray, include_linear: bool) -> np.ndarray:
         """Remove the weighted-L2 best affine (or constant) fit from v."""
@@ -272,6 +286,7 @@ class SolveReport:
     futaki: tuple = ()
     certificate: dict | None = None
     wall_time: float = 0.0
+    factorizations: int = 0       # banded LUs of the Newton system
 
     @property
     def converged(self) -> bool:
@@ -344,44 +359,81 @@ def _newton_system(ops: GridOperators, J: sp.csr_matrix,
     """
     A = (J @ ops.closure).tocsr()
     scale = float(np.abs(A.data).max())
-    keep = np.ones(A.shape[0])
-    keep[ops.pinned] = 0.0
-    A = sp.diags(keep) @ A @ sp.diags(keep) + sp.diags(scale * (1.0 - keep))
-    return A.tocsr(), -r.ravel() * keep
+    keep = sp.diags(ops.unpinned)
+    A = keep @ A @ keep + sp.diags(scale * (1.0 - ops.unpinned))
+    return A.tocsr(), _newton_rhs(ops, r)
 
 
-def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool) -> Iterate | None:
+def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
+    """-r with the pinned nodes' equations zeroed (see _newton_system)."""
+    return -r.ravel() * ops.unpinned
+
+
+@dataclass
+class _Factor:
+    """The solver's last banded LU of the pinned J*E system, and a count.
+
+    Newton steps from a closed iterate try it as a chord step before they
+    refactor.  It is dropped before a new Jacobian is assembled, so at most
+    one band buffer is alive.
+    """
+    lu: _BandedLU | None = None
+    count: int = 0
+
+
+def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool,
+                 factor: _Factor | None = None) -> Iterate | None:
     """Newton on the closed square system, from the closure of the iterate.
 
-    The iterate is first closed (its two outer layers replaced by the
-    extrapolation of its deep values); iterates that came from a full
-    Newton step already are.  The step solves the pinned J*E system by
-    banded LU and is accepted, from the full step down in quarters, once
-    it lowers the sup residual.  Returns None when no trial does, or when
-    the closed iterate leaves the convex cone.
+    From a closed iterate with a kept factor, the chord step (that factor
+    applied to the current residual) is taken first, and accepted at full
+    length if it cuts the sup residual by _CHORD_CUT.  Otherwise the
+    iterate is closed (its two outer layers replaced by the extrapolation
+    of its deep values; iterates that came from a full Newton step already
+    are), the pinned J*E system is factored afresh and kept in `factor`,
+    and the step is accepted, from the full step down in quarters, once it
+    lowers the sup residual.  Returns None, with no factor kept, when no
+    trial does, or when the closed iterate leaves the convex cone.
     """
+    factor = _Factor() if factor is None else factor
     phi = s.g.phi.ravel()
     phi_c = ops.closure @ phi.reshape(s.g.shape)[(slice(2, -2),) * s.g.n].ravel()
+    closed = np.abs(phi_c - phi).max() <= 1e-12 * (1.0 + np.abs(phi).max())
+    sup = float(np.abs(s.r).max())
+    if closed and factor.lu is not None:
+        x = factor.lu.solve(_newton_rhs(ops, s.r))
+        trial = _moved(s, ops.gauge_project((phi_c - phi) + ops.closure @ x, include_linear))
+        if trial is not None and np.abs(trial.r).max() <= _CHORD_CUT * sup:
+            log.debug("newton step: reuse, sup residual %.3e -> %.3e, step 1",
+                      sup, np.abs(trial.r).max())
+            return trial
+    factor.lu = None   # before the Jacobian: one band buffer at a time
     base = s
-    if np.abs(phi_c - phi).max() > 1e-12 * (1.0 + np.abs(phi).max()):
+    if not closed:
         base = _moved(s, phi_c - phi)
         if base is None:
+            log.debug("newton step: the closed iterate leaves the convex cone")
             return None
     A, rhs = _newton_system(ops, ops.jacobian(base.U), base.r)
+    factor.count += 1
     try:
-        x = _BandedLU(A).solve(rhs)
+        factor.lu = _BandedLU(A)
     except RuntimeError:   # an exactly singular factor: leave it to the flow
+        log.debug("newton step: refactor, exactly singular")
         return None
-    delta = (phi_c - phi) + ops.closure @ x
+    delta = (phi_c - phi) + ops.closure @ factor.lu.solve(rhs)
     delta = ops.gauge_project(delta, include_linear=include_linear)
-    sup = float(np.abs(s.r).max())
     step = 1.0
     for _ in range(4):
         trial = _moved(s, step * delta)
         if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
                                   or np.abs(trial.r).max() < 0.9 * sup):
+            log.debug("newton step: refactor, sup residual %.3e -> %.3e, step %g",
+                      sup, np.abs(trial.r).max(), step)
             return trial
         step /= 4
+    factor.lu = None   # the flow moves off the closed iterates next
+    log.debug("newton step: refactor, sup residual %.3e -> no decrease", sup)
     return None
 
 
@@ -389,15 +441,21 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
           max_iter: int = 400, phi0=None, ceiling: float | None = None,
           require_futaki_zero: bool = True, newton_gate: float = 1e-2,
           ratio: float = 1.15, callback=None) -> SolveReport:
-    """Descend the Mabuchi functional to solve the Abreu equation.
+    """Solve the Abreu equation by Newton, or descend the Mabuchi functional.
 
-    Refuses when the Futaki vector is nonzero (no constant-scalar-curvature
-    solution exists) unless require_futaki_zero=False, which is the mode
-    used to exhibit divergence certificates on destabilized data.  phi0 may
-    be a callable on coordinates or a node array; the default start is the
-    reference potential itself (phi = 0).  The Newton gate compares the
-    mu-weighted L2 residual.  callback(iteration, grid) is invoked once per
-    iteration (grid snapshots, progress logging).
+    On zero-Futaki data Newton runs from the first iteration, reusing the
+    last banded LU factor as a chord step while that cuts the residual
+    ten-fold.  After a failed Newton step the preconditioned descent flow
+    takes over until the mu-weighted L2 residual is below newton_gate or
+    the residual stagnates; after 3 failures in a row Newton rests for 25
+    iterations.  Refuses when the Futaki vector is nonzero (no
+    constant-scalar-curvature solution exists) unless
+    require_futaki_zero=False, which is the mode used to exhibit divergence
+    certificates on destabilized data: there the flow is the path, and a
+    run that escapes along a ray never factors.  phi0 may be a callable on
+    coordinates or a node array; the default start is the reference
+    potential itself (phi = 0).  callback(iteration, grid) is invoked once
+    per iteration (grid snapshots, progress logging).
     """
     t_start = time.time()
     fut = futaki_linear(P, sigma)
@@ -421,7 +479,8 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     hist_F, hist_r, hist_det, hist_u, hist_phi = [], [], [], [], []
     phases = []
     dt = 1.0
-    newton_on = False
+    newton_on = futaki_zero
+    factor = _Factor()
     gn_fails = 0
     gn_cooldown = 0
     termination = "max-iter"
@@ -464,15 +523,19 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         stagnant = len(hist_r) > 12 and hist_r[-1] > 0.99 * hist_r[-12]
         # while F is in free fall the state is escaping along a destabilizing
         # ray; polishing the (inconsistent) residual there would only chase
-        # spurious large-amplitude zeros of the discrete operator
-        free_fall = len(hist_F) >= 3 and hist_F[-3] - s.F > 0.05 * (1 + abs(s.F))
+        # spurious large-amplitude zeros of the discrete operator.  A
+        # zero-Futaki box or segment has a solution, so F is bounded below
+        # and a steep fall there is Newton's descent to it, not an escape.
+        free_fall = (not futaki_zero and len(hist_F) >= 3
+                     and hist_F[-3] - s.F > 0.05 * (1 + abs(s.F)))
         nxt = None
         gn_tried = False
-        # once a Newton step is accepted the next iteration tries Newton first
+        # Newton first at the start of a zero-Futaki run and after an
+        # accepted Newton step
         if ((l2w < newton_gate or stagnant or newton_on) and gn_cooldown == 0
                 and not free_fall):
             gn_tried = True
-            nxt = _newton_step(ops, s, futaki_zero)
+            nxt = _newton_step(ops, s, futaki_zero, factor)
             gn_fails = 0 if nxt is not None else gn_fails + 1
             if gn_fails >= 3:
                 gn_cooldown = 25
@@ -483,7 +546,7 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         if nxt is None:
             nxt, dt = _flow_step(ops, s, dt, futaki_zero)
         if nxt is None and not gn_tried and not free_fall:
-            nxt = _newton_step(ops, s, futaki_zero)
+            nxt = _newton_step(ops, s, futaki_zero, factor)
             newton_on = nxt is not None
         if nxt is None:
             termination = "stalled"
@@ -494,7 +557,8 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         it = max_iter
 
     report = SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
-                         hist_u, hist_phi, phases, fut, certificate)
+                         hist_u, hist_phi, phases, fut, certificate,
+                         factorizations=factor.count)
     report.wall_time = time.time() - t_start
     return report
 

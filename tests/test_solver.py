@@ -1,4 +1,6 @@
+import logging
 import time
+import weakref
 from fractions import Fraction as Q
 
 import numpy as np
@@ -247,6 +249,71 @@ class TestNewtonStep:
         assert superlu.phase_history == banded.phase_history
 
 
+def core_hessian(g):
+    """Hessian entries on the core (middle half of each axis), flattened."""
+    H = geo.hessian_field(g)
+    core = np.ix_(*[np.abs(ax.nodes[1:-1] - (ax.lo + ax.hi) / 2) <= (ax.hi - ax.lo) / 4
+                    for ax in g.axes])
+    return np.concatenate([H[k][core].ravel() for k in sorted(H)])
+
+
+def counted_factors(monkeypatch):
+    """Patch _BandedLU to record, at each construction, which earlier
+    factors are still alive; returns the list of those records."""
+    made, alive_at_start = [], []
+
+    class Counted(sol._BandedLU):
+        def __init__(self, A):
+            alive_at_start.append([r() is not None for r in made])
+            made.append(weakref.ref(self))
+            super().__init__(A)
+
+    monkeypatch.setattr(sol, "_BandedLU", Counted)
+    return alive_at_start
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("case", ["box-33", "box-65", "criterion-1"])
+    def test_matches_refactoring_every_step(self, case, segment01, square, monkeypatch):
+        # the chord steps are a fast path; with _CHORD_CUT = 0 no chord step
+        # is accepted, every step refactors, and that run is the oracle
+        if case == "criterion-1":
+            def run():
+                return sol.solve(segment01, unit(segment01), m=256, tol=1e-5, phi0=bump1)
+        else:
+            def run():
+                return sol.solve(square, weighted_box(square), m=int(case[4:]),
+                                 tol=1e-6, phi0=bump2)
+        fast = run()
+        monkeypatch.setattr(sol, "_CHORD_CUT", 0.0)
+        slow = run()
+        assert fast.converged and slow.converged
+        assert fast.factorizations < slow.factorizations == slow.phase_history.count("newton")
+        a, b = core_hessian(fast.grid), core_hessian(slow.grid)
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+    def test_box_m65_factors_at_most_three_times(self, square, monkeypatch, caplog):
+        made = counted_factors(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="kstab.solver"):
+            rep = sol.solve(square, weighted_box(square), m=65, tol=1e-6, phi0=bump2)
+        assert rep.converged
+        assert rep.factorizations == len(made) <= 3
+        # one debug line per Newton step, saying whether it refactored
+        steps = [r.getMessage() for r in caplog.records if r.name == "kstab.solver"]
+        assert len(steps) == rep.phase_history.count("newton") == len(rep.phase_history)
+        assert sum("refactor" in m for m in steps) == rep.factorizations
+        assert sum("reuse" in m for m in steps) == len(steps) - rep.factorizations
+
+    def test_one_band_buffer_at_a_time(self, square, monkeypatch):
+        # the kept factor is dropped before the next one is built: a stray
+        # reference to it would keep a second band buffer (16.6 MB at
+        # m = 65) alive through the factorization
+        made = counted_factors(monkeypatch)
+        rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2)
+        assert rep.converged and len(made) >= 2
+        assert not any(any(alive) for alive in made)
+
+
 class TestSolve:
     def test_segment_csck(self, segment01):
         t0 = time.time()
@@ -323,14 +390,17 @@ class TestSolve:
         assert errs[1] <= errs[0] + 1e-7
 
     def test_large_asymmetric_start(self, segment01):
-        # nonlinear regime: the flow phase must carry the state into the
-        # Newton basin from a sizeable non-symmetric perturbation
+        # nonlinear regime: Newton from the start converges from a sizeable
+        # non-symmetric perturbation, where the flow crawled for 136 steps
         rep = sol.solve(segment01, unit(segment01), m=128, tol=1e-6,
                         phi0=lambda x: 0.3 * x ** 2 * (1 - x) ** 3 * np.sin(3 * x))
         assert rep.converged
+        assert "flow" not in rep.phase_history
+        # F falls steeply here, but with zero Futaki that is no escape ray
         rep2 = sol.solve(segment01, unit(segment01), m=128, tol=1e-6,
                          phi0=lambda x: 0.15 * np.sin(np.pi * x) ** 2)
         assert rep2.converged
+        assert "flow" not in rep2.phase_history
 
     def test_square_larger_start(self, square):
         rep = sol.solve(square, unit(square), m=25, tol=1e-6,
@@ -394,6 +464,21 @@ class TestObstruction:
         assert np.abs(rep.certificate["direction"]).max() <= 1.0 + 1e-12
         # the escape is all flow: F is in free fall, so Newton is never tried
         assert set(rep.phase_history) == {"flow"}
+
+    def test_escape_never_factors(self, square, monkeypatch):
+        # nonzero Futaki: the flow is the only path, so the escape never
+        # builds a Newton factor (an attempt would raise out of solve)
+        class Refused:
+            def __init__(self, A):
+                raise AssertionError("an escape run factored the Newton system")
+
+        monkeypatch.setattr(sol, "_BandedLU", Refused)
+        sigma = BoundaryMeasure(tuple(
+            Q(1, 4) if f.normal == (-1, 0) else Q(1) for f in square.facets))
+        rep = sol.solve(square, sigma, m=25, tol=1e-6,
+                        require_futaki_zero=False, max_iter=600)
+        assert rep.termination == "divergence-certificate"
+        assert rep.factorizations == 0
 
     def test_weighted_segment_escapes_along_linear(self, segment01):
         rep = sol.solve(segment01, BoundaryMeasure((Q(1), Q(2))), m=96,
