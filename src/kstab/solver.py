@@ -3,29 +3,32 @@
 The functional is F(u) = -int log det(u_ab) dmu + L(u); its L2 gradient at
 u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A.
 
-When the Futaki vector vanishes F is convex and the Abreu equation has a
-solution, so Newton on the residual runs from the first iteration.  The
-residual lives on the nodes two layers in, so phi's two outer layers on
-each side are closed off as the cubic extrapolation E of the deep values
-(Guillemin's boundary condition makes phi smooth up to the boundary).
-J*E is then square, singular only along the affine gauge, which Newton
-pins at n + 1 deep nodes.  The pinned system is factored by banded LU with
-partial pivoting (LAPACK dgbtrf): in the deep row-major ordering of a
-tensor grid its bandwidths l and u are about 3(m - 4) + 3.  The last
-factor is kept: from a closed iterate a Newton step first tries it as a
-chord step (one dgbtrs, one evaluation), accepted only if it cuts the sup
-residual ten-fold, and refactors otherwise.  Affine gauge of phi:
+The Futaki vector decides before the first iteration which question a run
+answers, and each answer has one step.  When it vanishes F is convex and
+the Abreu equation has a solution, so every iteration is a Newton step on
+the residual.  The residual lives on the nodes two layers in, so phi's two
+outer layers on each side are closed off as the cubic extrapolation E of
+the deep values (Guillemin's boundary condition makes phi smooth up to the
+boundary).  J*E is then square, singular only along the affine gauge,
+which Newton pins at n + 1 deep nodes.  The pinned system is factored by
+banded LU with partial pivoting (LAPACK dgbtrf): in the deep row-major
+ordering of a tensor grid its bandwidths l and u are about 3(m - 4) + 3.
+The last factor is kept: from a closed iterate a Newton step first tries
+it as a chord step (one dgbtrs, one evaluation), accepted only if it cuts
+the sup residual ten-fold, and refactors otherwise.  Affine gauge of phi:
 constants are always projected out; linear components only when the
 Futaki vector vanishes (they are exactly F-neutral then, and genuine
 escape directions otherwise).
 
-The descent flow phi_dot = residual is the fallback after failed Newton
-steps and the only path on nonzero-Futaki data.  It is fourth-order stiff,
-so the descent direction is smoothed by an H2-seminorm preconditioner
-built on the graded mesh (one sparse LU per solve, made on first use).  A
-run that leaves the phi ceiling while F is still decreasing terminates
-with a divergence certificate carrying the normalized escape direction:
-that is the numerical footprint of a destabilizing ray.
+When the Futaki vector does not vanish F falls without bound along a
+destabilizing ray, and every iteration is a step of the descent flow
+phi_dot = residual.  The flow is fourth-order stiff, so the descent
+direction is smoothed by an H2-seminorm preconditioner built on the graded
+mesh (one sparse LU per solve, made on first use).  A run that leaves the
+phi ceiling while F is still decreasing terminates with a divergence
+certificate carrying the normalized escape direction: that is the
+numerical footprint of a destabilizing ray.  A step that finds no
+acceptable trial, in either regime, ends the run as stalled.
 """
 
 from __future__ import annotations
@@ -119,26 +122,19 @@ class GridOperators:
         coef = np.linalg.solve(G, rhs)
         return v - B @ coef
 
-    def h2_matrix(self) -> sp.csc_matrix:
-        """SPD H2-seminorm operator sum_ab Hess_ab^T W Hess_ab (+ tiny ridge)."""
-        if getattr(self, "_h2", None) is None:
-            n = self.g.n
-            M = None
-            for a in range(n):
-                for b in range(n):
-                    Hab = self.hess[(a, b)]
-                    term = Hab.T @ sp.diags(self.t_int) @ Hab
-                    M = term if M is None else M + term
-            scale = M.diagonal().mean()
-            self._h2 = (M + sp.diags(np.full(self.n_all, 1e-12 * scale))).tocsc()
-        return self._h2
-
     def preconditioner(self):
-        """Factorized descent preconditioner (H2 seminorm, mildly ridged)."""
+        """Factorized descent preconditioner, made on first use.
+
+        The SPD H2-seminorm operator sum_ab Hess_ab^T W Hess_ab, with a tiny
+        uniform ridge and then a mild one weighted by the node quadrature.
+        """
         if self._precond is None:
-            M = self.h2_matrix()
-            scale = M.diagonal().mean()
-            M = M + sp.diags(1e-10 * scale * np.maximum(self.t_full, self.t_full.max() * 1e-3))
+            W = sp.diags(self.t_int)
+            M = sum(self.hess[(a, b)].T @ W @ self.hess[(a, b)]
+                    for a in range(self.g.n) for b in range(self.g.n))
+            M = (M + sp.diags(np.full(self.n_all, 1e-12 * M.diagonal().mean()))).tocsc()
+            M = M + sp.diags(1e-10 * M.diagonal().mean()
+                             * np.maximum(self.t_full, self.t_full.max() * 1e-3))
             self._precond = spla.splu(M.tocsc())
         return self._precond
 
@@ -321,17 +317,16 @@ def _moved(s: Iterate, delta: np.ndarray) -> Iterate | None:
     return evaluate(g.P, g.sigma, g.with_phi(g.phi + delta.reshape(g.shape)))
 
 
-def _flow_step(ops: GridOperators, s: Iterate, dt: float,
-               include_linear: bool) -> tuple[Iterate | None, float]:
+def _flow_step(ops: GridOperators, s: Iterate, dt: float) -> tuple[Iterate | None, float]:
     """Preconditioned gradient descent with Armijo backtracking.
 
-    Returns the accepted iterate (None if no step lowers F) and the next dt.
+    The step of nonzero-Futaki runs, so only constants are projected out:
+    linear components are escape directions there.  Returns the accepted
+    iterate (None if no step lowers F) and the next dt.
     """
     grad = ops.embed_deep(s.r.ravel() * ops.t_deep)
-    if include_linear:
-        grad = ops.gauge_project(grad, include_linear=True)
     d = ops.preconditioner().solve(grad)
-    d = ops.gauge_project(d, include_linear=include_linear)
+    d = ops.gauge_project(d, include_linear=False)
     dd = float(grad @ d)   # = <dF-direction, d>; positive for descent
     if dd <= 0:
         return None, dt
@@ -381,9 +376,9 @@ class _Factor:
     count: int = 0
 
 
-def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool,
+def _newton_step(ops: GridOperators, s: Iterate,
                  factor: _Factor | None = None) -> Iterate | None:
-    """Newton on the closed square system, from the closure of the iterate.
+    """Newton on the closed square system, the step of zero-Futaki runs.
 
     From a closed iterate with a kept factor, the chord step (that factor
     applied to the current residual) is taken first, and accepted at full
@@ -392,8 +387,9 @@ def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool,
     of its deep values; iterates that came from a full Newton step already
     are), the pinned J*E system is factored afresh and kept in `factor`,
     and the step is accepted, from the full step down in quarters, once it
-    lowers the sup residual.  Returns None, with no factor kept, when no
-    trial does, or when the closed iterate leaves the convex cone.
+    lowers the sup residual.  The affine gauge is projected out of every
+    step.  Returns None when no trial does, when the factor is exactly
+    singular, or when the closed iterate leaves the convex cone.
     """
     factor = _Factor() if factor is None else factor
     phi = s.g.phi.ravel()
@@ -402,7 +398,8 @@ def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool,
     sup = float(np.abs(s.r).max())
     if closed and factor.lu is not None:
         x = factor.lu.solve(_newton_rhs(ops, s.r))
-        trial = _moved(s, ops.gauge_project((phi_c - phi) + ops.closure @ x, include_linear))
+        trial = _moved(s, ops.gauge_project((phi_c - phi) + ops.closure @ x,
+                                            include_linear=True))
         if trial is not None and np.abs(trial.r).max() <= _CHORD_CUT * sup:
             log.debug("newton step: reuse, sup residual %.3e -> %.3e, step 1",
                       sup, np.abs(trial.r).max())
@@ -418,11 +415,11 @@ def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool,
     factor.count += 1
     try:
         factor.lu = _BandedLU(A)
-    except RuntimeError:   # an exactly singular factor: leave it to the flow
+    except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None
     delta = (phi_c - phi) + ops.closure @ factor.lu.solve(rhs)
-    delta = ops.gauge_project(delta, include_linear=include_linear)
+    delta = ops.gauge_project(delta, include_linear=True)
     step = 1.0
     for _ in range(4):
         trial = _moved(s, step * delta)
@@ -432,27 +429,23 @@ def _newton_step(ops: GridOperators, s: Iterate, include_linear: bool,
                       sup, np.abs(trial.r).max(), step)
             return trial
         step /= 4
-    factor.lu = None   # the flow moves off the closed iterates next
     log.debug("newton step: refactor, sup residual %.3e -> no decrease", sup)
     return None
 
 
 def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
-          max_iter: int = 400, phi0=None, ceiling: float | None = None,
-          require_futaki_zero: bool = True, newton_gate: float = 1e-2,
-          ratio: float = 1.15, callback=None) -> SolveReport:
+          max_iter: int = 400, phi0=None, require_futaki_zero: bool = True,
+          callback=None) -> SolveReport:
     """Solve the Abreu equation by Newton, or descend the Mabuchi functional.
 
-    On zero-Futaki data Newton runs from the first iteration, reusing the
-    last banded LU factor as a chord step while that cuts the residual
-    ten-fold.  After a failed Newton step the preconditioned descent flow
-    takes over until the mu-weighted L2 residual is below newton_gate or
-    the residual stagnates; after 3 failures in a row Newton rests for 25
-    iterations.  Refuses when the Futaki vector is nonzero (no
-    constant-scalar-curvature solution exists) unless
-    require_futaki_zero=False, which is the mode used to exhibit divergence
-    certificates on destabilized data: there the flow is the path, and a
-    run that escapes along a ray never factors.  phi0 may be a callable on
+    The Futaki vector picks the step of every iteration.  On zero-Futaki
+    data it is a Newton step, reusing the last banded LU factor as a chord
+    step while that cuts the residual ten-fold.  A nonzero Futaki vector is
+    refused (no constant-scalar-curvature solution exists) unless
+    require_futaki_zero=False, the mode that exhibits divergence
+    certificates on destabilized data: there every step is a preconditioned
+    flow step, and the run never factors the Newton system.  A step that
+    returns no iterate ends the run as stalled.  phi0 may be a callable on
     coordinates or a node array; the default start is the reference
     potential itself (phi = 0).  callback(iteration, grid) is invoked once
     per iteration (grid snapshots, progress logging).
@@ -462,15 +455,14 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     futaki_zero = all(v == 0 for v in fut)
     if m is None:
         m = 256 if P.dim == 1 else 49
-    g = geo.PotentialGrid.build(P, sigma, m, ratio, phi=phi0)
+    g = geo.PotentialGrid.build(P, sigma, m, phi=phi0)
     if not futaki_zero and require_futaki_zero:
         report = SolveReport(g, "refused-futaki", float("inf"), 0, futaki=fut)
         report.wall_time = time.time() - t_start
         return report
     ops = GridOperators(g)
     diam = math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in P.bounding_box()))
-    if ceiling is None:
-        ceiling = 1e3 * diam * g.A
+    ceiling = 1e3 * diam * g.A
     g.phi = ops.gauge_project(g.phi.ravel(), include_linear=futaki_zero).reshape(g.shape)
     s = evaluate(P, sigma, g)
     if s is None:
@@ -479,19 +471,14 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     hist_F, hist_r, hist_det, hist_u, hist_phi = [], [], [], [], []
     phases = []
     dt = 1.0
-    newton_on = futaki_zero
     factor = _Factor()
-    gn_fails = 0
-    gn_cooldown = 0
     termination = "max-iter"
     certificate = None
     it = 0
     sup = float("inf")
-    vol = float(ops.t_deep.sum())
 
     for it in range(1, max_iter + 1):
         sup = float(np.abs(s.r).max())
-        l2w = float(np.sqrt((ops.t_deep * s.r.ravel() ** 2).sum() / vol))
         hist_F.append(s.F)
         hist_r.append(sup)
         hist_det.append(float(s.det.min()))
@@ -520,38 +507,14 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
                 termination = "stalled"
             break
 
-        stagnant = len(hist_r) > 12 and hist_r[-1] > 0.99 * hist_r[-12]
-        # while F is in free fall the state is escaping along a destabilizing
-        # ray; polishing the (inconsistent) residual there would only chase
-        # spurious large-amplitude zeros of the discrete operator.  A
-        # zero-Futaki box or segment has a solution, so F is bounded below
-        # and a steep fall there is Newton's descent to it, not an escape.
-        free_fall = (not futaki_zero and len(hist_F) >= 3
-                     and hist_F[-3] - s.F > 0.05 * (1 + abs(s.F)))
-        nxt = None
-        gn_tried = False
-        # Newton first at the start of a zero-Futaki run and after an
-        # accepted Newton step
-        if ((l2w < newton_gate or stagnant or newton_on) and gn_cooldown == 0
-                and not free_fall):
-            gn_tried = True
-            nxt = _newton_step(ops, s, futaki_zero, factor)
-            gn_fails = 0 if nxt is not None else gn_fails + 1
-            if gn_fails >= 3:
-                gn_cooldown = 25
-                gn_fails = 0
-        elif gn_cooldown > 0:
-            gn_cooldown -= 1
-        newton_on = nxt is not None
-        if nxt is None:
-            nxt, dt = _flow_step(ops, s, dt, futaki_zero)
-        if nxt is None and not gn_tried and not free_fall:
-            nxt = _newton_step(ops, s, futaki_zero, factor)
-            newton_on = nxt is not None
+        if futaki_zero:
+            nxt = _newton_step(ops, s, factor)
+        else:
+            nxt, dt = _flow_step(ops, s, dt)
         if nxt is None:
             termination = "stalled"
             break
-        phases.append("newton" if newton_on else "flow")
+        phases.append("newton" if futaki_zero else "flow")
         s = nxt
     else:
         it = max_iter
