@@ -27,7 +27,7 @@ from kstab import geometry as geo
 from kstab import kempfness as kn
 from kstab import solver as sol
 from kstab.futaki import count_and_weigh, expansion, filtration_futaki
-from kstab.polytope import is_delzant, measures, parse_polytope_text
+from kstab.polytope import _parse_rational, is_delzant, measures, parse_polytope_text
 from kstab.stability import PLConvexFunction, crease_search, futaki_linear
 
 EXIT_OK = 0
@@ -86,11 +86,18 @@ def _write_json(outdir: Path, name: str, payload):
     (outdir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _float(x: Fraction, what: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} exceeds the float range") from None
+
+
 def _parse_pieces(spec: str, dim: int) -> PLConvexFunction:
     """Pieces 'a1,..,an,b' separated by ';' (rationals)."""
     pieces = []
     for part in spec.split(";"):
-        vals = [Q(tok) for tok in part.split(",")]
+        vals = [_parse_rational(tok) for tok in part.split(",")]
         if len(vals) != dim + 1:
             raise ValueError(f"piece {part!r} needs {dim + 1} rational entries")
         pieces.append((tuple(vals[:dim]), vals[dim]))
@@ -196,6 +203,13 @@ def cmd_filtration(args) -> int:
     f = _parse_pieces(args.pieces, P.dim)
     ks = [int(t) for t in args.ks.split(",")]
     vals = [(k, filtration_futaki(P, f, k)) for k in ks]
+    # the printed floats are checked before --out is created
+    lines = [f"k = {k:>5}: filtration statistic = {v} ~ "
+             f"{_float(v, 'filtration statistic'):.8f}" for k, v in vals]
+    if len(vals) >= 2:
+        (k1, v1), (k2, v2) = vals[-2], vals[-1]
+        f1 = (v1 - v2) / (Q(1, k1) - Q(1, k2))
+        lines.append(f"extrapolated 1/k coefficient: {_float(f1, '1/k coefficient'):.8f}")
     out = Path(args.out)
     _write_manifest(out, "filtration", vars_of(args), [args.polytope])
     with (out / "filtration.csv").open("w", newline="") as fh:
@@ -203,12 +217,7 @@ def cmd_filtration(args) -> int:
         w.writerow(["k", "statistic"])
         for k, v in vals:
             w.writerow([k, _rat(v)])
-    for k, v in vals:
-        print(f"k = {k:>5}: filtration statistic = {v} ~ {float(v):.8f}")
-    if len(vals) >= 2:
-        (k1, v1), (k2, v2) = vals[-2], vals[-1]
-        f1 = (v1 - v2) / (Q(1, k1) - Q(1, k2))
-        print(f"extrapolated 1/k coefficient: {float(f1):.8f}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -264,32 +273,30 @@ def _dump_grid(path: Path, g: geo.PotentialGrid):
     rows = geo.grid_dump_rows(g)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["x1", "x2"][: g.n] + ["u", "det_hess", "S"]
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) for v in row])
+        w.writerow(["x1", "x2"][: g.n] + ["u", "det_hess", "S"])
+        w.writerows(rows)   # csv writes a float as its repr
 
 
 def cmd_ray(args) -> int:
     P, sigma = _load_polytope(args.polytope)
     n = P.dim
-    qvals = [Q(t) for t in args.quadratic.split(",")] if args.quadratic else []
-    lvals = [Q(t) for t in args.linear.split(",")] if args.linear else [Q(0)] * n
+    qvals = [_float(_parse_rational(t), "--quadratic entry")
+             for t in args.quadratic.split(",")] if args.quadratic else []
+    lvals = [_float(_parse_rational(t), "--linear entry")
+             for t in args.linear.split(",")] if args.linear else [0.0] * n
     if args.quadratic and len(qvals) != n * (n + 1) // 2:
         raise ValueError("need n(n+1)/2 entries for the quadratic part")
     if len(lvals) != n:
         raise ValueError("need n entries for the linear part")
 
     if n == 1:
-        qxx = float(qvals[0]) if qvals else 0.0
-        lin = float(lvals[0])
+        qxx = qvals[0] if qvals else 0.0
+        lin = lvals[0]
         def f(x):
             return qxx * x * x + lin * x
     else:
-        qxx = float(qvals[0]) if qvals else 0.0
-        qxy = float(qvals[1]) if qvals else 0.0
-        qyy = float(qvals[2]) if qvals else 0.0
-        l1, l2 = float(lvals[0]), float(lvals[1])
+        qxx, qxy, qyy = qvals if qvals else (0.0, 0.0, 0.0)
+        l1, l2 = lvals
         def f(x, y):
             return qxx * x * x + 2 * qxy * x * y + qyy * y * y + l1 * x + l2 * y
     rs = sol.ray_slope(P, sigma, f, s_max=args.smax, m=args.mesh)
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polytope")
     p.add_argument("--resolution", type=int, default=8)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: KSTAB_THREADS or 1)")
+                   help="parallel worker processes (default: serial)")
 
     p = add("futaki", cmd_futaki, help="lattice-point weight table and expansion fit")
     p.add_argument("polytope")

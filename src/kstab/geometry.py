@@ -4,8 +4,11 @@ A potential is u = u0 + phi where u0 is the reference with the canonical
 boundary behaviour (ell/w) log ell summed over facets (sigma-weights divide
 the defining functions) and phi is smooth up to the boundary.  u0 is
 differentiated analytically; phi by centred finite differences on a mesh
-whose nodes crowd geometrically toward each facet.  Meshes are tensor
-products, so the solvable domains are segments and axis-aligned boxes.
+whose nodes crowd geometrically toward each facet (gap ratio
+GRADING_RATIO).  This is the only route: differencing u0 as well would add
+its truncation error next to the logarithmic singularities.  Meshes are
+tensor products, so the solvable domains are segments and axis-aligned
+boxes.
 
 Grid layout: node arrays have shape (m1,) or (m1, m2) including boundary
 nodes.  Hessian data lives on the interior lattice (one layer in); the
@@ -36,7 +39,11 @@ class UnsupportedPolytopeError(ValueError):
     pass
 
 
-def graded_nodes(lo: float, hi: float, m: int, ratio: float = 1.15) -> np.ndarray:
+# ratio of neighbouring gaps in the graded layers next to each facet
+GRADING_RATIO = 1.15
+
+
+def graded_nodes(lo: float, hi: float, m: int) -> np.ndarray:
     """m nodes on [lo, hi] with gaps shrinking geometrically toward both ends.
 
     The number of graded layers is chosen so the coarsest/finest gap ratio
@@ -46,11 +53,11 @@ def graded_nodes(lo: float, hi: float, m: int, ratio: float = 1.15) -> np.ndarra
     if m < 8:
         raise ValueError("need at least 8 nodes per axis")
     G = m - 1
-    J = int(round(math.log(max(m / 4.0, 2.0)) / math.log(ratio)))
+    J = int(round(math.log(max(m / 4.0, 2.0)) / math.log(GRADING_RATIO)))
     # keep a genuine uniform core: at most a quarter of the gaps graded per side
     J = max(1, min(J, G // 4, (G - 2) // 2))
     expo = np.minimum(np.minimum(np.arange(G), G - 1 - np.arange(G)), J)
-    gaps = ratio ** (expo.astype(float))
+    gaps = GRADING_RATIO ** (expo.astype(float))
     gaps *= (hi - lo) / gaps.sum()
     nodes = np.empty(m)
     nodes[0] = lo
@@ -210,12 +217,11 @@ class PotentialGrid:
             raise ValueError(f"phi must have shape {self.shape}")
 
     @classmethod
-    def build(cls, P: Polytope, sigma: BoundaryMeasure, m, ratio: float = 1.15,
-              phi=None) -> "PotentialGrid":
+    def build(cls, P: Polytope, sigma: BoundaryMeasure, m, phi=None) -> "PotentialGrid":
         if isinstance(m, int):
             m = (m,) * P.dim
         spans = _box_axes(P, sigma)
-        axes = [Axis1D(graded_nodes(lo, hi, mi, ratio), lo, hi, wl, wh)
+        axes = [Axis1D(graded_nodes(lo, hi, mi), lo, hi, wl, wh)
                 for (lo, hi, wl, wh), mi in zip(spans, m)]
         g = cls(P, sigma, axes)
         if phi is not None:
@@ -280,53 +286,40 @@ def _phi_array(g: PotentialGrid, phi) -> np.ndarray:
     return np.asarray(phi, dtype=float)
 
 
-def guillemin(P: Polytope, sigma: BoundaryMeasure, m=65, ratio: float = 1.15) -> PotentialGrid:
+def guillemin(P: Polytope, sigma: BoundaryMeasure, m=65) -> PotentialGrid:
     """Reference potential grid (phi = 0) for a segment or box polytope."""
     if P.dim <= 2 and not is_delzant(P):
         warnings.warn("polytope is not Delzant; the reference potential does not "
                       "compactify smoothly", stacklevel=2)
-    return PotentialGrid.build(P, sigma, m, ratio)
+    return PotentialGrid.build(P, sigma, m)
 
 
 # -- Hessian / inverse / scalar curvature fields -----------------------------
 
-def hessian_field(g: PotentialGrid, mode: str = "analytic"):
+def hessian_field(g: PotentialGrid):
     """Hessian components of u on the interior lattice.
 
-    mode "analytic": u0 differentiated in closed form, phi by the axis
-    difference matrices.
-    mode "numeric": everything differenced from node values (the
-    independent check of the analytic route; second-order accurate).
-    Returns a dict {(a, b): array} with symmetric entries aliased.
+    u0 is differentiated in closed form and phi by the axis difference
+    matrices.  Returns a dict {(a, b): array} with symmetric entries aliased.
     """
-    n = g.n
-    if mode == "analytic":
-        base = g.phi
-    elif mode == "numeric":
-        base = g.u_values()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     H = {}
     for a, ax in enumerate(g.axes):
-        arr = _along(ax.d2, base, a)
-        if mode == "analytic":
-            arr = arr + _on_axis(ax.u0_d2(), n, a)
-        H[(a, a)] = arr
-    if n == 2:
-        H[(0, 1)] = H[(1, 0)] = _mixed(g.axes[0].d1, g.axes[1].d1, base)
+        H[(a, a)] = _along(ax.d2, g.phi, a) + _on_axis(ax.u0_d2(), g.n, a)
+    if g.n == 2:
+        H[(0, 1)] = H[(1, 0)] = _mixed(g.axes[0].d1, g.axes[1].d1, g.phi)
     return H
 
 
-def det_field(g: PotentialGrid, H=None, mode: str = "analytic") -> np.ndarray:
-    H = hessian_field(g, mode) if H is None else H
+def det_field(g: PotentialGrid, H=None) -> np.ndarray:
+    H = hessian_field(g) if H is None else H
     if g.n == 1:
         return H[(0, 0)]
     return H[(0, 0)] * H[(1, 1)] - H[(0, 1)] ** 2
 
 
-def check_convexity(g: PotentialGrid, H=None, mode: str = "analytic"):
+def check_convexity(g: PotentialGrid, H=None):
     """Raise ConvexityError at the first interior node with a bad Hessian."""
-    H = hessian_field(g, mode) if H is None else H
+    H = hessian_field(g) if H is None else H
     det = det_field(g, H)
     bad = (H[(0, 0)] <= 0) | (det <= 0)
     if bad.any():
@@ -335,9 +328,9 @@ def check_convexity(g: PotentialGrid, H=None, mode: str = "analytic"):
         raise ConvexityError(loc, f"(det = {det[idx]:.3e})")
 
 
-def inverse_hessian_field(g: PotentialGrid, H=None, mode: str = "analytic"):
+def inverse_hessian_field(g: PotentialGrid, H=None):
     """Pointwise inverse of the Hessian on the interior lattice."""
-    H = hessian_field(g, mode) if H is None else H
+    H = hessian_field(g) if H is None else H
     det = det_field(g, H)
     if (det <= 0).any() or (H[(0, 0)] <= 0).any():
         check_convexity(g, H)
@@ -347,18 +340,18 @@ def inverse_hessian_field(g: PotentialGrid, H=None, mode: str = "analytic"):
             (0, 1): -H[(0, 1)] / det, (1, 0): -H[(0, 1)] / det}
 
 
-def abreu_residual_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np.ndarray:
+def abreu_residual_field(g: PotentialGrid, U=None) -> np.ndarray:
     """sum_ab d^2 U^{ab} / dx_a dx_b + A on the two-layers-in lattice.
 
     Zero exactly at a discrete solution of the constant scalar curvature
     equation; equals A - 2S.
     """
-    return divergence2_field(g, U, mode) + g.A
+    return divergence2_field(g, U) + g.A
 
 
-def divergence2_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np.ndarray:
+def divergence2_field(g: PotentialGrid, U=None) -> np.ndarray:
     """sum_ab (U^{ab})_{,ab} by centred differences of the inverse Hessian."""
-    U = inverse_hessian_field(g, mode=mode) if U is None else U
+    U = inverse_hessian_field(g) if U is None else U
     out = _along(g.axes[0].d2i, U[(0, 0)], 0)
     if g.n == 2:
         x, y = g.axes
@@ -366,9 +359,9 @@ def divergence2_field(g: PotentialGrid, U=None, mode: str = "analytic") -> np.nd
     return out
 
 
-def scalar_curvature_field(g: PotentialGrid, mode: str = "analytic") -> np.ndarray:
+def scalar_curvature_field(g: PotentialGrid) -> np.ndarray:
     """S = -(1/2) sum (U^{ab})_{,ab} on the depth-2 lattice."""
-    return -0.5 * divergence2_field(g, mode=mode)
+    return -0.5 * divergence2_field(g)
 
 
 @dataclass
@@ -379,14 +372,14 @@ class MetricSample:
     S: float
 
 
-def abreu_S(g: PotentialGrid, x, mode: str = "analytic") -> MetricSample:
+def abreu_S(g: PotentialGrid, x) -> MetricSample:
     """Metric data and scalar curvature at a node >= 2 layers from the boundary."""
     idx = g.find_node(x)
     if g.depth(idx) < 2:
         raise ValueError(f"node {x} is fewer than 2 mesh layers from the boundary")
-    H = hessian_field(g, mode)
-    U = inverse_hessian_field(g, H, mode)
-    S = scalar_curvature_field(g, mode)
+    H = hessian_field(g)
+    U = inverse_hessian_field(g, H)
+    S = scalar_curvature_field(g)
     iin = tuple(j - 1 for j in idx)
     idd = tuple(j - 2 for j in idx)
     n = g.n
@@ -395,19 +388,13 @@ def abreu_S(g: PotentialGrid, x, mode: str = "analytic") -> MetricSample:
     return MetricSample(g.node_point(idx), Hm, Um, float(S[idd]))
 
 
-def gradient_field(g: PotentialGrid, mode: str = "analytic"):
+def gradient_field(g: PotentialGrid):
     """du at interior nodes, one array per component."""
-    base = g.phi if mode == "analytic" else g.u_values()
-    out = []
-    for a, ax in enumerate(g.axes):
-        arr = _along(ax.d1, base, a)
-        if mode == "analytic":
-            arr = arr + _on_axis(ax.u0_d1(), g.n, a)
-        out.append(arr)
-    return out
+    return [_along(ax.d1, g.phi, a) + _on_axis(ax.u0_d1(), g.n, a)
+            for a, ax in enumerate(g.axes)]
 
 
-def legendre(g: PotentialGrid, x, mode: str = "analytic"):
+def legendre(g: PotentialGrid, x):
     """Classical Legendre transform at an interior node.
 
     Returns (<x, du(x)> - u(x), du(x)); the gradient is the log-coordinate
@@ -416,9 +403,8 @@ def legendre(g: PotentialGrid, x, mode: str = "analytic"):
     idx = g.find_node(x)
     if g.depth(idx) < 1:
         raise ValueError(f"node {x} is on the boundary")
-    H = hessian_field(g, mode)
-    check_convexity(g, H)
-    grads = gradient_field(g, mode)
+    check_convexity(g)
+    grads = gradient_field(g)
     iin = tuple(j - 1 for j in idx)
     gvec = tuple(float(gr[iin]) for gr in grads)
     uval = float(g.u_values()[idx])
@@ -563,19 +549,12 @@ def l_functional_quadrature(g: PotentialGrid, values_phi: np.ndarray | None = No
     return boundary - g.A * interior
 
 
-def grid_dump_rows(g: PotentialGrid, mode: str = "analytic"):
-    """Rows (x1[, x2], u, det_hess, S) for CSV export; NaN where undefined."""
-    u = g.u_values()
-    H = hessian_field(g, mode)
-    det = det_field(g, H)
+def grid_dump_rows(g: PotentialGrid) -> list[list[float]]:
+    """Rows [x1[, x2], u, det_hess, S] for CSV export, nodes in C order; NaN
+    where undefined."""
     det_full = np.full(g.shape, np.nan)
-    det_full[(slice(1, -1),) * g.n] = det
-    S = scalar_curvature_field(g, mode)
+    det_full[(slice(1, -1),) * g.n] = det_field(g)
     S_full = np.full(g.shape, np.nan)
-    S_full[(slice(2, -2),) * g.n] = S
-    grids = g.node_grids()
-    rows = []
-    for idx in np.ndindex(*g.shape):
-        rows.append(tuple(float(gr[idx]) for gr in grids)
-                    + (float(u[idx]), float(det_full[idx]), float(S_full[idx])))
-    return rows
+    S_full[(slice(2, -2),) * g.n] = scalar_curvature_field(g)
+    cols = g.node_grids() + [g.u_values(), det_full, S_full]
+    return np.stack(cols, axis=-1).reshape(-1, len(cols)).tolist()

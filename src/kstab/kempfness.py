@@ -179,7 +179,6 @@ class OnePS:
     """Generator of a diagonal 1-parameter subgroup: integer weights."""
 
     weights: tuple[int, ...]
-    basis: str = "standard"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))

@@ -113,13 +113,11 @@ class Polytope:
     but not measures.
     """
 
-    def __init__(self, dim: int, facets: Sequence[Facet], vertices: Sequence[tuple[Q, ...]],
-                 validate: bool = True):
+    def __init__(self, dim: int, facets: Sequence[Facet], vertices: Sequence[tuple[Q, ...]]):
         self.dim = dim
         self.facets = tuple(facets)
         self.vertices = tuple(_point(v) for v in vertices)
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction ------------------------------------------------------
 
@@ -486,9 +484,10 @@ def _transform_normal(nu: tuple[int, ...], T: Sequence[Sequence[int]]) -> tuple[
 
 # -- text format --------------------------------------------------------------
 
-def _parse_rational(token: str, line_no: int, line: str) -> Q:
+def _parse_rational(token: str) -> Q:
     """Fraction(token), refusing a decimal exponent that would build a number
-    of more digits than int() parses (sys.get_int_max_str_digits())."""
+    of more digits than int() parses (sys.get_int_max_str_digits()); every
+    refusal, a zero denominator included, is a ValueError naming the token."""
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     mantissa, has_exponent, exponent = token.lower().partition("e")
     try:
@@ -496,11 +495,11 @@ def _parse_rational(token: str, line_no: int, line: str) -> Q:
     except ValueError:
         digits = 0   # not a number; Fraction says so below
     if digits > limit:
-        raise PolytopeParseError(line_no, f"{token!r} would have more than {limit} digits")
+        raise ValueError(f"{token!r} would have more than {limit} digits")
     try:
         return Q(token)
     except (ValueError, ZeroDivisionError):
-        raise PolytopeParseError(line_no, f"bad rational in {line!r}") from None
+        raise ValueError(f"bad rational {token!r}") from None
 
 
 def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
@@ -509,6 +508,12 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
     Raises PolytopeParseError with a line number on malformed input; a
     non-primitive facet normal is rejected with a repair suggestion.
     """
+    def rational(token, line_no, line):
+        try:
+            return _parse_rational(token)
+        except ValueError as e:
+            raise PolytopeParseError(line_no, f"{e} in {line!r}") from None
+
     lines = text.splitlines()
     rows = []
     for i, raw in enumerate(lines, start=1):
@@ -539,7 +544,7 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
             toks = s.split()
             if len(toks) != dim:
                 raise PolytopeParseError(ln3, f"expected {dim} coordinates, got {len(toks)}")
-            pts.append(tuple(_parse_rational(t, ln3, s) for t in toks))
+            pts.append(tuple(rational(t, ln3, s) for t in toks))
         try:
             P = Polytope.from_vertices(pts)
         except DegenerateInputError as e:
@@ -559,8 +564,8 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
         if all(n == 0 for n in nu):
             raise PolytopeParseError(ln3, "zero facet normal")
         g = math.gcd(*(abs(n) for n in nu))
-        c = _parse_rational(toks[dim], ln3, s)
-        w = _parse_rational(toks[dim + 1], ln3, s) if len(toks) == dim + 2 else Q(1)
+        c = rational(toks[dim], ln3, s)
+        w = rational(toks[dim + 1], ln3, s) if len(toks) == dim + 2 else Q(1)
         if g != 1:
             raise PolytopeParseError(
                 ln3, f"normal {nu} is not primitive; use {tuple(n // g for n in nu)} "

@@ -536,11 +536,13 @@ class RaySlope:
 
 
 def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
-              n_points: int = 9, m=None, ratio_ladder: float = 2.0) -> RaySlope:
+              m=None) -> RaySlope:
     """Fit the asymptotic slope of s -> F(u0 + s f) on a geometric ladder.
 
-    For convex f the slope tends to L(f); linear f gives exactly L(f) at
-    every s because the Hessian term is unchanged.
+    F is sampled at the nine points s_max / 2^j, j = 8, ..., 0, and the
+    slope is the secant through the last two.  For convex f the slope tends
+    to L(f); linear f gives exactly L(f) at every s because the Hessian
+    term is unchanged.
     """
     if m is None:
         m = 257 if P.dim == 1 else 49
@@ -548,7 +550,7 @@ def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
     fvals = geo._phi_array(g0, f_tilde)
     lval = geo.l_functional_quadrature(g0, fvals) - geo.l_functional_quadrature(
         g0, np.zeros_like(fvals))
-    ladder = [s_max / ratio_ladder ** j for j in range(n_points)][::-1]
+    ladder = [s_max / 2.0 ** j for j in range(8, -1, -1)]
     samples = []
     for s in ladder:
         gs = g0.with_phi(s * fvals)

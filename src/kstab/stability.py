@@ -10,10 +10,8 @@ creases to evaluate exactly.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -264,8 +262,8 @@ class _DirectionProfile:
     units; E*w is piecewise linear with integer slopes, E the lcm of the
     edges' |dS|, so one sweep of the edges gives it at every breakpoint.
     The boundary term is then an integer quadratic in C over 2*D^2*W*E and
-    the mass an integer cubic over 6*D^3*E*|a|^2; each coefficient of c
-    becomes one Fraction.
+    the mass an integer cubic over 6*D^3*E*|a|^2.  Values stay integers
+    until eval returns them as Fractions.
     """
 
     def __init__(self, poly: _IntegerPolygon, a: tuple[int, ...]):
@@ -325,20 +323,16 @@ class _DirectionProfile:
         self._iden = 6 * D ** 3 * E * sum(ai * ai for ai in a)
         self._bnum = [[n * D ** k for k, n in enumerate(row)] for row in bco]
         self._inum = [[n * D ** k for k, n in enumerate(row)] for row in ico]
-        self.bps = [Q(s, D) for s in brk]
-        self.smin, self.smax = self.bps[0], self.bps[-1]
-        self._bco = [[Q(n, self._bden) for n in row[:3]] for row in self._bnum]
-        self._ico = [[Q(n, self._iden) for n in row] for row in self._inum]
+        self.smin, self.smax = Q(brk[0], D), Q(brk[-1], D)
 
     def eval(self, c: Q) -> tuple[Q, Q]:
         """(boundary integral, interior mass) of max(0, <a,x> - c)."""
-        j = bisect.bisect_right(self.bps, c) - 1
-        j = min(max(j, 0), len(self._bco) - 1)
-        b = self._bco[j]
-        bval = b[0] + c * (b[1] + c * b[2])
-        p = self._ico[j]
-        ival = p[0] + c * (p[1] + c * (p[2] + c * p[3]))
-        return bval, ival
+        n, d = c.numerator, c.denominator
+        # the piece rule of ratio_bounds: breakpoint S/D <= c iff ceil(S*d/D) <= n
+        j = sum(1 for s in self._brk[1:-1] if -(-s * d // self._D) <= n)
+        # both rows have four coefficients: numerators over den * d^3
+        return (Q(_horner_int(self._bnum[j], n, d), self._bden * d ** 3),
+                Q(_horner_int(self._inum[j], n, d), self._iden * d ** 3))
 
     def ratio_bounds(self, num: np.ndarray, den: np.ndarray,
                      A: Q) -> tuple[np.ndarray, np.ndarray]:
@@ -393,6 +387,15 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         val = val * x + coef[:, k]
         mag = mag * ax + abs(coef[:, k])
     return val, mag
+
+
+def _horner_int(coef: list[int], n: int, d: int) -> int:
+    """d^k * sum coef[i] (n/d)^i, k = len(coef) - 1, by Horner's rule in integers."""
+    acc, dpow = 0, 1
+    for ci in reversed(coef):
+        acc = acc * n + ci * dpow
+        dpow *= d
+    return acc
 
 
 def _float(num: int, den: int) -> float:
@@ -501,6 +504,8 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     best are recomputed in exact Fractions.  Every value reported (L, mass,
     ratio) and the ranking by (ratio, direction, offset) are exact.  The
     numbers of creases screened and recomputed are logged at DEBUG.
+    workers > 1 deals the directions out to that many processes; the
+    default scans serially.  The result does not depend on it.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -513,9 +518,7 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     fut = futaki_linear(P, sigma)
     A = measures(P, sigma).A
     dirs = primitive_directions(P.dim, resolution)
-    if workers is None:
-        workers = int(os.environ.get("KSTAB_THREADS", "1"))
-    if workers > 1 and len(dirs) > 4:
+    if workers is not None and workers > 1 and len(dirs) > 4:
         tasks = [(P, sigma, A, dirs[i::workers], resolution) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_scan_chunk, tasks))

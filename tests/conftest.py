@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
+from kstab import geometry as geo
 from kstab.polytope import BoundaryMeasure, Polytope
 
 
@@ -78,3 +80,68 @@ def random_unimodular(rng: random.Random):
              [rng.randint(-3, 3), rng.randint(-3, 3)]]
         if abs(T[0][0] * T[1][1] - T[0][1] * T[1][0]) == 1:
             return T
+
+
+# -- the stencil route the axis matrices replaced, kept as the test oracle ----
+#
+# mode "analytic" is the library's route: u0 differentiated in closed form,
+# phi by difference stencils.  mode "numeric" differences the node values of
+# u = u0 + phi throughout; it is second-order accurate and independent of
+# the closed forms, so it checks them.
+
+def oracle_stencils(x):
+    """(m-2, 3) arrays of (left, centre, right) first/second difference coefficients."""
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    s = hm + hp
+    d1 = np.stack([-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s)], axis=1)
+    d2 = np.stack([2 / (hm * s), -2 / (hm * hp), 2 / (hp * s)], axis=1)
+    return d1, d2
+
+
+def apply_stencil(coef, arr, axis):
+    arr = np.moveaxis(arr, axis, 0)
+    out = (coef[:, 0] * arr[:-2].T + coef[:, 1] * arr[1:-1].T + coef[:, 2] * arr[2:].T).T
+    return np.moveaxis(out, 0, axis)
+
+
+def restrict(arr, skip):
+    """Drop the end entries along every axis except `skip`."""
+    return arr[tuple(slice(None) if a == skip else slice(1, -1) for a in range(arr.ndim))]
+
+
+def oracle_hessian_and_gradient(g, mode):
+    base = g.phi if mode == "analytic" else g.u_values()
+    H, grad = {}, []
+    for a, ax in enumerate(g.axes):
+        d1, d2 = oracle_stencils(ax.nodes)
+        h = restrict(apply_stencil(d2, base, a), a)
+        gr = restrict(apply_stencil(d1, base, a), a)
+        if mode == "analytic":
+            shape = [1] * g.n
+            shape[a] = ax.m - 2
+            h = h + ax.u0_d2().reshape(shape)
+            gr = gr + ax.u0_d1().reshape(shape)
+        H[(a, a)] = h
+        grad.append(gr)
+    if g.n == 2:
+        d1x, d1y = (oracle_stencils(ax.nodes)[0] for ax in g.axes)
+        H[(0, 1)] = H[(1, 0)] = apply_stencil(d1y, apply_stencil(d1x, base, 0), 1)
+    return H, grad
+
+
+def oracle_divergence2(g, U):
+    out = None
+    for a, ax in enumerate(g.axes):
+        arr = restrict(apply_stencil(oracle_stencils(ax.nodes[1:-1])[1], U[(a, a)], a), a)
+        out = arr if out is None else out + arr
+    if g.n == 2:
+        d1x, d1y = (oracle_stencils(ax.nodes[1:-1])[0] for ax in g.axes)
+        out = out + 2 * apply_stencil(d1y, apply_stencil(d1x, U[(0, 1)], 0), 1)
+    return out
+
+
+def numeric_scalar_curvature(g):
+    """S = -(1/2) sum (u^{ab})_{,ab} on the depth-2 lattice, by the numeric route."""
+    H, _ = oracle_hessian_and_gradient(g, "numeric")
+    return -0.5 * oracle_divergence2(g, geo.inverse_hessian_field(g, H))

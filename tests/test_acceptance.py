@@ -28,7 +28,13 @@ from kstab.polytope import (
 )
 from kstab.stability import L, PLConvexFunction, crease_search, futaki_linear
 
-from conftest import random_integral_polygon, random_polygon, random_unimodular, random_weights
+from conftest import (
+    numeric_scalar_curvature,
+    random_integral_polygon,
+    random_polygon,
+    random_unimodular,
+    random_weights,
+)
 
 
 def report(n, ok, detail):
@@ -73,8 +79,8 @@ def test_criterion_2_scalar_curvature_constant():
         exact_err = float(np.abs(geo.scalar_curvature_field(g1) - a_half).max())
         ok = ok and exact_err < 1e-9
         g2 = g1.refined()
-        S1 = geo.scalar_curvature_field(g1, mode="numeric")
-        S2 = geo.scalar_curvature_field(g2, mode="numeric")
+        S1 = numeric_scalar_curvature(g1)
+        S2 = numeric_scalar_curvature(g2)
         mask = geo.uniform_core_mask(g1)
         if P.dim == 1:
             S2c = S2[2 * np.arange(len(S1)) + 2]

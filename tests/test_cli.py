@@ -143,6 +143,35 @@ class TestFiltrationCommand:
         assert rows[2] == "32,33/65"
 
 
+def assert_one_error_line(capsys, out):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+class TestRationalArguments:
+    """Rational CLI entries go through the polytope parser's bounded reader;
+    a bad one ends in one error line, exit 1 and no --out directory."""
+
+    @pytest.mark.parametrize("pieces", ["0,0,0;1,0,1/0", "0,0,0;1,0,1e4000"])
+    def test_filtration_pieces(self, tmp_path, capsys, pieces):
+        p = tmp_path / "tri.poly"
+        p.write_text("dim 2\nvertices\n0 0\n1 0\n0 1\n")
+        out = tmp_path / "o"
+        assert main(["filtration", str(p), "--pieces", pieces, "--ks", "4,8",
+                     "--out", str(out)]) == 1
+        assert_one_error_line(capsys, out)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--linear", "1/0"), ("--linear", "1e400"), ("--quadratic", "-1e400")])
+    def test_ray_entries(self, tmp_path, capsys, option, value):
+        p = tmp_path / "seg.poly"
+        p.write_text(SEG)
+        out = tmp_path / "o"
+        assert main(["ray", str(p), f"{option}={value}", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, out)
+
+
 class TestSolveCommand:
     def test_segment_converges(self, tmp_path):
         p = tmp_path / "seg.poly"

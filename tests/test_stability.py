@@ -184,12 +184,19 @@ def profile(P, sigma, a):
 
 
 def assert_profiles_match(P, sigma, R):
-    """Every direction's profile and float bounds equal the Fraction oracle's."""
+    """Every direction's exact values and float bounds equal the Fraction oracle's.
+
+    The values are compared at every breakpoint and at three rationals inside
+    each piece.
+    """
     A = measures(P, sigma).A
     poly = stab._IntegerPolygon(P, sigma)
     for a in stab.primitive_directions(P.dim, R):
         fast, ref = _DirectionProfile(poly, a), FractionProfile(P, sigma, a)
-        assert (fast.bps, fast._bco, fast._ico) == (ref.bps, ref._bco, ref._ico), a
+        assert (fast.smin, fast.smax) == (ref.smin, ref.smax), a
+        inside = [s + (t - s) * Q(k, 7) for s, t in zip(ref.bps, ref.bps[1:]) for k in (1, 3, 6)]
+        for c in ref.bps + inside:
+            assert fast.eval(c) == ref.eval(c), (a, c)
         num, den = stab.admissible_offsets(ref.smin, ref.smax, R)
         if len(num):
             for got, want in zip(fast.ratio_bounds(num, den, A), ref.ratio_bounds(num, den, A)):
