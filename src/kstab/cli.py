@@ -1,12 +1,13 @@
 """Command-line interface: file-based, reproducible runs.
 
-Every subcommand reads polytope/config files, writes a manifest
-(inputs with hashes, parameters, package version) plus human-readable and
-machine-readable outputs into --out, and uses exit codes to communicate
-verdicts.  Inputs and parameters are checked before --out is created, so a
-run that rejects them (exit 1) leaves no output directory.
-Machine-readable outputs are byte-deterministic for identical inputs and
-seed.
+Every subcommand reads one polytope, point or matrix file, prints a human
+summary and returns its exit code together with its output files.  `main`
+then writes them into --out in one place: manifest.json (the input with its
+hash, the parameters, the package version) first, then each output.  A run
+that fails before its subcommand returns (exit 1) leaves no output
+directory; `solve --dump-every` is the one exception, writing its snapshots
+during the solve.  Machine-readable outputs are byte-deterministic for
+identical inputs and parameters.
 """
 
 from __future__ import annotations
@@ -36,29 +37,33 @@ EXIT_UNSTABLE = 2
 EXIT_FUTAKI = 3
 EXIT_DIVERGENCE = 4
 
-Q = Fraction
-
-
-def _rat(x) -> str:
-    return str(x)
-
 
 def _load_polytope(path):
-    text = Path(path).read_text()
-    return parse_polytope_text(text)
+    return parse_polytope_text(Path(path).read_text())
 
 
-def _write_manifest(outdir: Path, command: str, params: dict, inputs: list[str]):
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_csv(path: Path, rows):
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)   # csv writes a float as its repr
+
+
+def _write_outputs(args, files: dict):
+    """Create --out and write manifest.json, then each output: a name ending
+    in .csv takes rows (header first), any other name a JSON payload."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    source = getattr(args, args.input)
     manifest = {
-        "command": command,
+        "command": args.command,
         "package_version": kstab.__version__,
-        "parameters": params,
-        "inputs": {
-            str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs
-        },
+        "parameters": vars_of(args),
+        "inputs": {source: hashlib.sha256(Path(source).read_bytes()).hexdigest()},
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for name, payload in {"manifest.json": manifest, **files}.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, payload)
+        else:
+            (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _number_rows(path, number) -> list[tuple[int, list]]:
@@ -82,10 +87,6 @@ def _number_rows(path, number) -> list[tuple[int, list]]:
     return rows
 
 
-def _write_json(outdir: Path, name: str, payload):
-    (outdir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _float(x: Fraction, what: str) -> float:
     try:
         return float(x)
@@ -105,28 +106,26 @@ def _parse_pieces(spec: str, dim: int) -> PLConvexFunction:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each returns (exit code, {output file name: payload}) for _write_outputs.
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     m = measures(P, sigma)
     fut = futaki_linear(P, sigma)
     delzant = is_delzant(P)
     report = {
         "dim": P.dim,
-        "vertices": [[_rat(c) for c in v] for v in P.vertices],
-        "facets": [{"normal": list(f.normal), "offset": _rat(f.offset), "weight": _rat(w)}
+        "vertices": [list(map(str, v)) for v in P.vertices],
+        "facets": [{"normal": list(f.normal), "offset": str(f.offset), "weight": str(w)}
                    for f, w in zip(P.facets, sigma.weights)],
-        "vol": _rat(m.vol),
-        "bvol": _rat(m.bvol),
-        "A": _rat(m.A),
-        "centroid": [_rat(c) for c in m.centroid],
-        "boundary_centroid": [_rat(c) for c in m.boundary_centroid],
+        "vol": str(m.vol),
+        "bvol": str(m.bvol),
+        "A": str(m.A),
+        "centroid": list(map(str, m.centroid)),
+        "boundary_centroid": list(map(str, m.boundary_centroid)),
         "delzant": delzant,
-        "futaki": [_rat(v) for v in fut],
+        "futaki": list(map(str, fut)),
     }
-    out = Path(args.out)
-    _write_manifest(out, "analyze", vars_of(args), [args.polytope])
-    _write_json(out, "report.json", report)
     print(f"polytope: dim {P.dim}, {len(P.vertices)} vertices, {len(P.facets)} facets")
     print(f"vol = {m.vol}   bvol = {m.bvol}   A = {m.A}")
     print(f"centroid          = {tuple(map(str, m.centroid))}")
@@ -136,148 +135,120 @@ def cmd_analyze(args) -> int:
     if any(v != 0 for v in fut):
         print("nonzero Futaki invariant: no constant-scalar-curvature solution; "
               "solve will refuse this input")
-    return EXIT_OK
+    return EXIT_OK, {"report.json": report}
 
 
-def cmd_destabilize(args) -> int:
+def cmd_destabilize(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     verdict = crease_search(P, sigma, args.resolution, workers=args.workers)
-    out = Path(args.out)
-    _write_manifest(out, "destabilize", vars_of(args), [args.polytope])
     payload = {
         "status": verdict.status,
-        "futaki": [_rat(v) for v in verdict.futaki],
+        "futaki": list(map(str, verdict.futaki)),
         "resolution": verdict.resolution,
         "n_directions": verdict.n_directions,
         "n_creases": verdict.n_creases,
         "best_creases": [
-            {"direction": list(c.direction), "offset": _rat(c.offset),
-             "L": _rat(c.L_value), "mass": _rat(c.mass), "ratio": _rat(c.ratio)}
+            {"direction": list(c.direction), "offset": str(c.offset),
+             "L": str(c.L_value), "mass": str(c.mass), "ratio": str(c.ratio)}
             for c in verdict.best_creases
         ],
     }
     if verdict.witness is not None:
         payload["witness"] = {
-            "pieces": [[[_rat(a) for a in piece[0]], _rat(piece[1])]
-                       for piece in verdict.witness.pieces],
-            "L": _rat(verdict.witness_L),
+            "pieces": [[list(map(str, a)), str(b)] for a, b in verdict.witness.pieces],
+            "L": str(verdict.witness_L),
         }
-    _write_json(out, "verdict.json", payload)
     print(f"Futaki vector: {tuple(map(str, verdict.futaki))}")
     print(f"verdict: {verdict.status} (resolution {verdict.resolution}, "
           f"{verdict.n_creases} creases over {verdict.n_directions} directions)")
     for c in verdict.best_creases:
         print(f"  crease a={c.direction} c={c.offset}: L = {c.L_value}, ratio = {c.ratio}")
+    code = EXIT_OK
     if verdict.status == "unstable":
-        return EXIT_FUTAKI if any(v != 0 for v in verdict.futaki) else EXIT_UNSTABLE
-    return EXIT_OK
+        code = EXIT_FUTAKI if any(v != 0 for v in verdict.futaki) else EXIT_UNSTABLE
+    return code, {"verdict.json": payload}
 
 
-def cmd_futaki(args) -> int:
+def cmd_futaki(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     xi = tuple(int(t) for t in args.xi.split(","))
     rows = [count_and_weigh(P, xi, k) for k in range(args.kmin, args.kmax + 1)]
     fit = expansion(P, xi, args.kmin, args.kmax)
-    out = Path(args.out)
-    _write_manifest(out, "futaki", vars_of(args), [args.polytope])
-    with (out / "weights.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "d_k", "w_k", "F_k"])
-        for r in rows:
-            w.writerow([r.k, r.d_k, r.w_k, _rat(r.F_k)])
-    _write_json(out, "fit.json", {
-        "F0": fit.F0, "F1": fit.F1, "F2": fit.F2,
-        "residual": fit.residual, "k_range": list(fit.k_range),
-    })
     print(f"{'k':>4} {'d_k':>10} {'w_k':>12} {'F_k':>14}")
     for r in rows:
         print(f"{r.k:>4} {r.d_k:>10} {r.w_k:>12} {str(r.F_k):>14}")
     print(f"fit over k={fit.k_range}: F(k) ~ {fit.F0:.8g} + {fit.F1:.8g}/k "
           f"+ {fit.F2:.8g}/k^2   (residual {fit.residual:.2e})")
     print(f"Futaki invariant estimate (1/k coefficient): {fit.F1:.8g}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "weights.csv": [["k", "d_k", "w_k", "F_k"]] + [[r.k, r.d_k, r.w_k, r.F_k] for r in rows],
+        "fit.json": {"F0": fit.F0, "F1": fit.F1, "F2": fit.F2,
+                     "residual": fit.residual, "k_range": list(fit.k_range)},
+    }
 
 
-def cmd_filtration(args) -> int:
+def cmd_filtration(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     f = _parse_pieces(args.pieces, P.dim)
     ks = [int(t) for t in args.ks.split(",")]
     vals = [(k, filtration_futaki(P, f, k)) for k in ks]
-    # the printed floats are checked before --out is created
     lines = [f"k = {k:>5}: filtration statistic = {v} ~ "
              f"{_float(v, 'filtration statistic'):.8f}" for k, v in vals]
     if len(vals) >= 2:
         (k1, v1), (k2, v2) = vals[-2], vals[-1]
-        f1 = (v1 - v2) / (Q(1, k1) - Q(1, k2))
+        f1 = (v1 - v2) / (Fraction(1, k1) - Fraction(1, k2))
         lines.append(f"extrapolated 1/k coefficient: {_float(f1, '1/k coefficient'):.8f}")
-    out = Path(args.out)
-    _write_manifest(out, "filtration", vars_of(args), [args.polytope])
-    with (out / "filtration.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "statistic"])
-        for k, v in vals:
-            w.writerow([k, _rat(v)])
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, {"filtration.csv": [["k", "statistic"]] + vals}
 
 
-def cmd_solve(args) -> int:
+def _grid_rows(g: geo.PotentialGrid) -> list[list]:
+    return [["x1", "x2"][: g.n] + ["u", "det_hess", "S"]] + geo.grid_dump_rows(g)
+
+
+def cmd_solve(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
-    out = Path(args.out)
     callback = None
     if args.dump_every:
+        out = Path(args.out)
         # solve() has checked the polytope and the mesh before its first iteration
         def callback(it, grid):
             if it % args.dump_every == 0:
                 out.mkdir(parents=True, exist_ok=True)
-                _dump_grid(out / f"grid_{it:05d}.csv", grid)
+                _write_csv(out / f"grid_{it:05d}.csv", _grid_rows(grid))
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter,
                        require_futaki_zero=not args.allow_nonzero_futaki,
                        callback=callback)
-    _write_manifest(out, "solve", vars_of(args), [args.polytope])
-    _write_json(out, "solve.json", {
-        "termination": report.termination,
-        "residual_sup": report.residual_sup,
-        "iterations": report.iterations,
-        "futaki": [_rat(v) for v in report.futaki],
-        "mabuchi_final": report.mabuchi_history[-1] if report.mabuchi_history else None,
-        "min_det_final": report.min_det_history[-1] if report.min_det_history else None,
-    })
-    with (out / "histories.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "mabuchi", "residual_sup", "min_det", "sup_u", "sup_phi"])
-        for i in range(len(report.mabuchi_history)):
-            w.writerow([i, report.mabuchi_history[i], report.residual_history[i],
-                        report.min_det_history[i], report.sup_u_history[i],
-                        report.sup_phi_history[i]])
-    if report.termination != "refused-futaki":
-        _dump_grid(out / "grid.csv", report.grid)
     print(f"termination: {report.termination}")
     print(f"sup residual: {report.residual_sup:.3e} after {report.iterations} iterations")
     if report.certificate:
         print("divergence certificate:", report.certificate["message"])
         print(f"  min det(u_ab) = {report.certificate['min_det']:.3e} "
               f"near {report.certificate['min_det_location']}")
-    if report.termination == "converged":
-        return EXIT_OK
+    histories = zip(report.mabuchi_history, report.residual_history, report.min_det_history,
+                    report.sup_u_history, report.sup_phi_history)
+    files = {
+        "solve.json": {
+            "termination": report.termination,
+            "residual_sup": report.residual_sup,
+            "iterations": report.iterations,
+            "futaki": list(map(str, report.futaki)),
+            "mabuchi_final": report.mabuchi_history[-1] if report.mabuchi_history else None,
+            "min_det_final": report.min_det_history[-1] if report.min_det_history else None,
+        },
+        "histories.csv": [["iteration", "mabuchi", "residual_sup", "min_det", "sup_u", "sup_phi"]]
+                         + [[i, *row] for i, row in enumerate(histories)],
+    }
     if report.termination == "refused-futaki":
         print(f"Futaki vector {tuple(map(str, report.futaki))} is nonzero; "
               "no constant-scalar-curvature solution exists")
-        return EXIT_FUTAKI
-    if report.termination == "divergence-certificate":
-        return EXIT_DIVERGENCE
-    return EXIT_ERROR
+        return EXIT_FUTAKI, files
+    files["grid.csv"] = _grid_rows(report.grid)
+    exits = {"converged": EXIT_OK, "divergence-certificate": EXIT_DIVERGENCE}
+    return exits.get(report.termination, EXIT_ERROR), files
 
 
-def _dump_grid(path: Path, g: geo.PotentialGrid):
-    rows = geo.grid_dump_rows(g)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2"][: g.n] + ["u", "det_hess", "S"])
-        w.writerows(rows)   # csv writes a float as its repr
-
-
-def cmd_ray(args) -> int:
+def cmd_ray(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     n = P.dim
     qvals = [_float(_parse_rational(t), "--quadratic entry")
@@ -300,21 +271,14 @@ def cmd_ray(args) -> int:
         def f(x, y):
             return qxx * x * x + 2 * qxy * x * y + qyy * y * y + l1 * x + l2 * y
     rs = sol.ray_slope(P, sigma, f, s_max=args.smax, m=args.mesh)
-    out = Path(args.out)
-    _write_manifest(out, "ray", vars_of(args), [args.polytope])
-    with (out / "ray.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "mabuchi"])
-        for s, F in rs.samples:
-            w.writerow([repr(s), repr(F)])
     print(f"asymptotic slope: {rs.slope:.10g}")
     print(f"quadrature L of the ray direction: {rs.l_value:.10g}")
     rel = abs(rs.slope - rs.l_value) / max(abs(rs.l_value), 1e-30)
     print(f"relative gap: {rel:.2e}")
-    return EXIT_OK
+    return EXIT_OK, {"ray.csv": [["s", "mabuchi"]] + [[repr(s), repr(F)] for s, F in rs.samples]}
 
 
-def cmd_flow_sphere(args) -> int:
+def cmd_flow_sphere(args) -> tuple[int, dict]:
     rows = []
     for line_no, row in _number_rows(args.points, float):
         if len(row) not in (3, 4):
@@ -328,29 +292,25 @@ def cmd_flow_sphere(args) -> int:
     pts = pts / np.linalg.norm(pts, axis=1)[:, None]
     res = kn.sphere_flow(kn.SphereConfig(pts, mult), step=args.step,
                          max_steps=args.max_steps)
-    out = Path(args.out)
-    _write_manifest(out, "flow-sphere", vars_of(args), [args.points])
-    with (out / "trajectory.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "mu_norm"])
-        for i, v in enumerate(res.mu_norms):
-            w.writerow([i, repr(v)])
-    _write_json(out, "flow.json", {
-        "verdict": res.verdict,
-        "mu_norm_final": res.mu_norms[-1],
-        "steps": res.steps,
-        "points": res.config.points.tolist(),
-        "multiplicities": res.config.multiplicities.tolist(),
-    })
     print(f"verdict: {res.verdict}, |mu| = {res.mu_norms[-1]:.3e} after {res.steps} steps")
     if res.antipodal is not None:
         axis, plus, minus = res.antipodal
         print(f"antipodal structure: multiplicities ({plus:g}, {minus:g}) along "
               f"({axis[0]:.4f}, {axis[1]:.4f}, {axis[2]:.4f})")
-    return EXIT_OK
+    return EXIT_OK, {
+        "trajectory.csv": [["step", "mu_norm"]] + [
+            [i, repr(v)] for i, v in enumerate(res.mu_norms)],
+        "flow.json": {
+            "verdict": res.verdict,
+            "mu_norm_final": res.mu_norms[-1],
+            "steps": res.steps,
+            "points": res.config.points.tolist(),
+            "multiplicities": res.config.multiplicities.tolist(),
+        },
+    }
 
 
-def cmd_flow_matrix(args) -> int:
+def cmd_flow_matrix(args) -> tuple[int, dict]:
     rows = _number_rows(args.matrix, complex)
     for line_no, row in rows:
         if len(row) != len(rows):
@@ -358,50 +318,42 @@ def cmd_flow_matrix(args) -> int:
                              f"(the matrix has {len(rows)} rows), found {len(row)}")
     res = kn.matrix_flow(np.array([row for _, row in rows]), step=args.step,
                          max_steps=args.max_steps)
-    out = Path(args.out)
-    _write_manifest(out, "flow-matrix", vars_of(args), [args.matrix])
-    with (out / "trajectory.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "commutator_norm"])
-        for i, v in enumerate(res.commutator_norms):
-            w.writerow([i, repr(v)])
-    _write_json(out, "flow.json", {
-        "verdict": res.verdict,
-        "commutator_norm_final": res.commutator_norms[-1],
-        "steps": res.steps,
-        "matrix_real": res.matrix.real.tolist(),
-        "matrix_imag": res.matrix.imag.tolist(),
-        "eigenvalues_real": sorted(np.linalg.eigvals(res.matrix).real.tolist()),
-    })
     print(f"verdict: {res.verdict}, ||[A,A*]|| = {res.commutator_norms[-1]:.3e} "
           f"after {res.steps} steps")
     print(f"Frobenius norm of the limit: {np.linalg.norm(res.matrix):.6g}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "trajectory.csv": [["step", "commutator_norm"]] + [
+            [i, repr(v)] for i, v in enumerate(res.commutator_norms)],
+        "flow.json": {
+            "verdict": res.verdict,
+            "commutator_norm_final": res.commutator_norms[-1],
+            "steps": res.steps,
+            "matrix_real": res.matrix.real.tolist(),
+            "matrix_imag": res.matrix.imag.tolist(),
+            "eigenvalues_real": sorted(np.linalg.eigvals(res.matrix).real.tolist()),
+        },
+    }
 
 
-def cmd_pipeline(args) -> int:
-    P, sigma = _load_polytope(args.polytope)
-    log, code = _pipeline(P, sigma, args)
-    out = Path(args.out)
-    _write_manifest(out, "pipeline", vars_of(args), [args.polytope])
-    log["exit"] = code
-    _write_json(out, "pipeline.json", log)
-    return code
+def cmd_pipeline(args) -> tuple[int, dict]:
+    log, code = _pipeline(args)
+    return code, {"pipeline.json": {**log, "exit": code}}
 
 
-def _pipeline(P, sigma, args) -> tuple[dict, int]:
+def _pipeline(args) -> tuple[dict, int]:
     """The pipeline.json record (without "exit") and the exit code."""
+    P, sigma = _load_polytope(args.polytope)
     verdict = crease_search(P, sigma, args.resolution, workers=args.workers)
     log = {"stability": verdict.status,
-           "futaki": [_rat(v) for v in verdict.futaki]}
+           "futaki": [str(v) for v in verdict.futaki]}
     print(f"stability verdict: {verdict.status}")
     if any(v != 0 for v in verdict.futaki):
         print(f"Futaki vector {tuple(map(str, verdict.futaki))} is nonzero (exit 3)")
         return log, EXIT_FUTAKI
     if verdict.status == "unstable":
         c = verdict.best_creases[0]
-        log["witness"] = {"direction": list(c.direction), "offset": _rat(c.offset),
-                          "L": _rat(c.L_value)}
+        log["witness"] = {"direction": list(c.direction), "offset": str(c.offset),
+                          "L": str(c.L_value)}
         print(f"destabilizing crease a={c.direction}, c={c.offset} with L = {c.L_value} (exit 2)")
         return log, EXIT_UNSTABLE
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter)
@@ -422,7 +374,7 @@ def _pipeline(P, sigma, args) -> tuple[dict, int]:
 
 
 def vars_of(args) -> dict:
-    skip = {"func", "log_level"}
+    skip = {"func", "input", "log_level"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -431,15 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kstab",
         description="Toric K-stability, Futaki invariants, the Abreu equation, "
                     "and moment-map flows. File formats: docs/formats.md.")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed recorded in the manifest (flows are deterministic)")
     ap.add_argument("--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
                     help="send kstab's log records at this level and above to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, input="polytope", **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, input=input)   # input: the argument naming the input file
         p.add_argument("--out", default=f"kstab-{name}-out", help="output directory")
         return p
 
@@ -482,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smax", type=float, default=1e3)
     p.add_argument("--mesh", type=int, default=None)
 
-    p = add("flow-sphere", cmd_flow_sphere, help="center-of-mass flow on the sphere")
+    p = add("flow-sphere", cmd_flow_sphere, "points", help="center-of-mass flow on the sphere")
     p.add_argument("--points", required=True, help="file: x y z [multiplicity] per line")
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--max-steps", type=int, default=200000)
 
-    p = add("flow-matrix", cmd_flow_matrix, help="commutator-norm flow on a matrix orbit")
+    p = add("flow-matrix", cmd_flow_matrix, "matrix", help="commutator-norm flow on a matrix orbit")
     p.add_argument("--matrix", required=True, help="file: complex entries per row")
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--max-steps", type=int, default=100000)
@@ -513,7 +463,9 @@ def main(argv=None) -> int:
     logger.addHandler(handler)
     logger.setLevel(args.log_level)
     try:
-        return args.func(args)
+        code, files = args.func(args)
+        _write_outputs(args, files)
+        return code
     except (ValueError, OSError, geo.ConvexityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

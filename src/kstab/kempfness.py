@@ -71,10 +71,15 @@ def antipodal_structure(c: SphereConfig, tol: float = 1e-6):
     return None
 
 
+def _check_step(step: float):
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
 @dataclass
 class SphereFlowResult:
     config: SphereConfig
-    verdict: str                       # balanced | diverges-to-fixed-point
+    verdict: str                       # balanced | diverges-to-fixed-point | unresolved
     mu_norms: list[float]
     steps: int
     antipodal: tuple | None = None
@@ -85,8 +90,10 @@ def sphere_flow(c: SphereConfig, step: float = 0.05,
     """Gradient flow of |mu|^2: each point moves against the tangential
     component of mu.  |mu|^2 decreases monotonically (backtracking); the
     flow stops at a balanced configuration or at a stationary point, which
-    is necessarily an antipodal pair with multiplicities.
+    is necessarily an antipodal pair with multiplicities; a flow still
+    moving after max_steps is unresolved.  step must be finite and positive.
     """
+    _check_step(step)
     pts = c.points.copy()
     mult = c.multiplicities
     mu = (mult[:, None] * pts).sum(axis=0)
@@ -95,6 +102,7 @@ def sphere_flow(c: SphereConfig, step: float = 0.05,
     dt = step
     n_steps = 0
     flat = 0
+    ending = "diverges-to-fixed-point"
     for n_steps in range(1, max_steps + 1):
         tang = mu[None, :] - (pts @ mu)[:, None] * pts
         grad2 = float((mult[:, None] ** 2 * tang ** 2).sum())
@@ -116,8 +124,10 @@ def sphere_flow(c: SphereConfig, step: float = 0.05,
         if not moved or flat >= 25:
             break
         history.append(np.sqrt(mu2))
+    else:
+        ending = "unresolved"   # still moving after max_steps
     out = SphereConfig(pts, mult.copy())
-    verdict = "balanced" if np.sqrt(mu2) < BALANCED_TOL else "diverges-to-fixed-point"
+    verdict = "balanced" if np.sqrt(mu2) < BALANCED_TOL else ending
     return SphereFlowResult(out, verdict, history, n_steps, antipodal_structure(out))
 
 
@@ -135,8 +145,9 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     Each step is an exact conjugation, so the spectrum is preserved to
     rounding; the commutator norm decreases monotonically to the normal
     (polystable) limit, or the whole matrix flows to the zero-orbit closure
-    for non-semistable starts.
+    for non-semistable starts.  step must be finite and positive.
     """
+    _check_step(step)
     A = np.array(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")

@@ -25,6 +25,14 @@ class DegenerateInputError(ValueError):
     """Input that does not span a full-dimensional polytope."""
 
 
+class FacetError(ValueError):
+    """A bad facet normal; carries the 0-based index of the facet."""
+
+    def __init__(self, index, message):
+        self.index = index
+        super().__init__(message)
+
+
 class PolytopeParseError(ValueError):
     """Malformed polytope text; carries a 1-based line number."""
 
@@ -149,19 +157,23 @@ class Polytope:
 
     @classmethod
     def from_facets(cls, dim: int, facets: Sequence[tuple[Sequence[int], Q]]) -> "Polytope":
-        """Polytope from inequalities <nu, x> >= c with primitive integer nu."""
+        """Polytope from inequalities <nu, x> >= c with primitive integer nu.
+
+        A normal of the wrong length, zero or not primitive raises FacetError
+        with the index of its facet.
+        """
         fs = []
-        for nu, c in facets:
+        for k, (nu, c) in enumerate(facets):
             nu = tuple(int(n) for n in nu)
             if len(nu) != dim:
-                raise ValueError("normal of wrong dimension")
+                raise FacetError(k, "normal of wrong dimension")
             if all(n == 0 for n in nu):
-                raise ValueError("zero facet normal")
+                raise FacetError(k, "zero facet normal")
             g = math.gcd(*(abs(n) for n in nu))
             if g != 1:
-                raise ValueError(
-                    f"facet normal {nu} is not primitive; divide by {g} "
-                    f"(suggested repair: normal {tuple(n // g for n in nu)}, offset {_frac(c) / g})")
+                raise FacetError(k, f"facet normal {nu} is not primitive; divide by {g} "
+                                    f"(suggested repair: normal {tuple(n // g for n in nu)}, "
+                                    f"offset {_frac(c) / g})")
             fs.append(Facet(nu, _frac(c)))
         if dim == 1:
             return cls._from_facets_1d(fs)
@@ -194,16 +206,6 @@ class Polytope:
         P = cls.from_vertices(hull)
         if len(P.facets) != m:
             raise ValueError("facet system contains redundant or repeated inequalities")
-        # reorder the input facet list to match the CCW edge order
-        order = []
-        for f in P.facets:
-            for k, g in enumerate(fs):
-                if g.normal == f.normal and g.offset == f.offset:
-                    order.append(k)
-                    break
-            else:
-                raise ValueError("facet system is inconsistent with its vertex hull")
-        P._input_facet_order = tuple(order)
         return P
 
     def _validate(self):
@@ -506,7 +508,8 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
     """Parse the documented polytope text format.
 
     Raises PolytopeParseError with a line number on malformed input; a
-    non-primitive facet normal is rejected with a repair suggestion.
+    non-primitive facet normal is rejected (by Polytope.from_facets) with a
+    repair suggestion.
     """
     def rational(token, line_no, line):
         try:
@@ -551,7 +554,7 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
             raise PolytopeParseError(body[0][0] if body else ln2, str(e)) from None
         return P, BoundaryMeasure.unit(P)
     facets = []
-    weights = []
+    weights = {}   # by normal: the normals of a valid facet system are distinct
     for ln3, s in body:
         toks = s.split()
         if len(toks) not in (dim + 1, dim + 2):
@@ -561,33 +564,19 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
             nu = tuple(int(t) for t in toks[:dim])
         except ValueError:
             raise PolytopeParseError(ln3, "facet normals must be integers") from None
-        if all(n == 0 for n in nu):
-            raise PolytopeParseError(ln3, "zero facet normal")
-        g = math.gcd(*(abs(n) for n in nu))
         c = rational(toks[dim], ln3, s)
         w = rational(toks[dim + 1], ln3, s) if len(toks) == dim + 2 else Q(1)
-        if g != 1:
-            raise PolytopeParseError(
-                ln3, f"normal {nu} is not primitive; use {tuple(n // g for n in nu)} "
-                     f"with offset {c / g} (and the same weight)")
         if w <= 0:
             raise PolytopeParseError(ln3, "sigma-weight must be positive")
         facets.append((nu, c))
-        weights.append(w)
+        weights[nu] = w
     try:
         P = Polytope.from_facets(dim, facets)
-    except (DegenerateInputError, ValueError) as e:
+    except FacetError as e:
+        raise PolytopeParseError(body[e.index][0], str(e)) from None
+    except ValueError as e:
         raise PolytopeParseError(body[0][0] if body else ln2, str(e)) from None
-    if dim == 2:
-        order = P._input_facet_order
-        weights = [weights[k] for k in order]
-    else:
-        # from_facets_1d normalizes to (x >= lo, -x >= -hi) order
-        wmap = {}
-        for (nu, _), w in zip(facets, weights):
-            wmap[nu] = w
-        weights = [wmap[f.normal] for f in P.facets]
-    return P, BoundaryMeasure(tuple(weights))
+    return P, BoundaryMeasure(tuple(weights[f.normal] for f in P.facets))
 
 
 def format_polytope_text(P: Polytope, sigma: BoundaryMeasure | None = None) -> str:

@@ -542,8 +542,10 @@ def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
     F is sampled at the nine points s_max / 2^j, j = 8, ..., 0, and the
     slope is the secant through the last two.  For convex f the slope tends
     to L(f); linear f gives exactly L(f) at every s because the Hessian
-    term is unchanged.
+    term is unchanged.  s_max must be finite and positive (ValueError).
     """
+    if not 0 < s_max < math.inf:
+        raise ValueError(f"s_max must be finite and positive, got {s_max!r}")
     if m is None:
         m = 257 if P.dim == 1 else 49
     g0 = geo.PotentialGrid.build(P, sigma, m)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,21 @@ from kstab.polytope import format_polytope_text
 SQUARE = "dim 2\nvertices\n0 0\n1 0\n1 1\n0 1\n"
 WSEG = "dim 1\nfacets\n1 0 1\n-1 -1 2\n"
 SEG = "dim 1\nvertices\n0\n1\n"
+ESCAPE = "dim 1\nfacets\n1 0 1\n-1 -1 10/9\n"
+# four unit vectors that balance in 24 steps at the default step
+POINTS = "1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"
+MATRIX = "1 1\n0 2\n"
+INPUTS = {"sq.poly": SQUARE, "wseg.poly": WSEG, "seg.poly": SEG, "esc.poly": ESCAPE,
+          "pts.txt": POINTS, "mat.txt": MATRIX}
+
+
+@pytest.fixture
+def in_inputs(tmp_path, monkeypatch):
+    """Run in tmp_path, next to one file of each input kind."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 @pytest.fixture
@@ -200,6 +216,11 @@ class TestSolveCommand:
         assert code == 0
         snaps = sorted(out.glob("grid_*.csv"))
         assert snaps and snaps[0].name == "grid_00001.csv"
+        iterations = json.loads((out / "solve.json").read_text())["iterations"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.json", "solve.json", "histories.csv", "grid.csv"]
+            + [f"grid_{i:05d}.csv" for i in range(1, iterations + 1)])
+        assert snaps[-1].read_bytes() == (out / "grid.csv").read_bytes()
 
     def test_rejected_mesh_leaves_no_output(self, tmp_path, capsys):
         p = tmp_path / "seg.poly"
@@ -305,6 +326,57 @@ class TestFlows:
         data = json.loads((out / "flow.json").read_text())
         assert data["verdict"] == "normal"
         assert abs(data["eigenvalues_real"][0] - 1) < 1e-6
+
+
+# every subcommand's --out: manifest.json plus the files docs/formats.md names
+LAYOUT = [
+    ("analyze sq.poly", ["report.json"]),
+    ("destabilize sq.poly --resolution 2", ["verdict.json"]),
+    ("futaki sq.poly --kmin 3 --kmax 9", ["weights.csv", "fit.json"]),
+    ("filtration sq.poly --pieces 0,0,0;1,0,-1 --ks 4,8", ["filtration.csv"]),
+    ("solve seg.poly --mesh 32", ["solve.json", "histories.csv", "grid.csv"]),
+    ("solve wseg.poly --mesh 32", ["solve.json", "histories.csv"]),   # refused: no grid
+    ("ray wseg.poly --linear 1", ["ray.csv"]),
+    ("flow-sphere --points pts.txt", ["trajectory.csv", "flow.json"]),
+    ("flow-matrix --matrix mat.txt", ["trajectory.csv", "flow.json"]),
+    ("pipeline sq.poly --resolution 2 --mesh 25", ["pipeline.json"]),
+]
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv, files", LAYOUT, ids=[a.split(" --")[0] for a, _ in LAYOUT])
+    def test_layout(self, in_inputs, argv, files):
+        assert main(argv.split() + ["--out", "o"]) in (0, 3)
+        assert sorted(p.name for p in Path("o").iterdir()) == sorted(["manifest.json"] + files)
+        manifest = json.loads(Path("o/manifest.json").read_text())
+        assert list(manifest["inputs"]) == [t for t in argv.split() if t in INPUTS]
+        assert manifest["command"] == manifest["parameters"]["command"] == argv.split()[0]
+        assert not {"func", "input", "log_level", "seed"} & set(manifest["parameters"])
+
+    def test_no_seed_option(self, in_inputs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "0", "analyze", "sq.poly", "--out", "o"])
+        assert exc.value.code == 2
+        assert not Path("o").exists()
+
+
+class TestNumericParameters:
+    """A ray scale or flow step that is zero, negative or not finite ends in
+    one error line, exit 1 and no --out directory."""
+
+    @pytest.mark.parametrize("argv", [
+        "ray esc.poly --smax 0", "ray esc.poly --smax nan", "ray esc.poly --smax -5",
+        "flow-sphere --points pts.txt --step 0", "flow-sphere --points pts.txt --step -0.05",
+        "flow-sphere --points pts.txt --step nan", "flow-matrix --matrix mat.txt --step 0"])
+    def test_rejected(self, in_inputs, capsys, argv):
+        assert main(argv.split() + ["--out", "o"]) == 1
+        assert_one_error_line(capsys, Path("o"))
+
+    def test_sphere_out_of_steps_is_unresolved(self, in_inputs, capsys):
+        assert main(["flow-sphere", "--points", "pts.txt", "--max-steps", "3", "--out", "o"]) == 0
+        assert capsys.readouterr().out.startswith("verdict: unresolved,")
+        flow = json.loads(Path("o/flow.json").read_text())
+        assert (flow["verdict"], flow["steps"]) == ("unresolved", 3)
 
 
 class TestPipeline:

@@ -57,6 +57,15 @@ class TestSphereFlow:
         assert np.allclose(res.config.points, pts)
         assert res.steps <= 1
 
+    def test_out_of_steps_is_unresolved(self):
+        # a (1, 1, 1, 1) configuration that balances in 24 steps at step 0.05
+        pts = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        assert kn.sphere_flow(kn.SphereConfig(pts)).verdict == "balanced"
+        res = kn.sphere_flow(kn.SphereConfig(pts), max_steps=3)
+        assert (res.verdict, res.steps) == ("unresolved", 3)
+        assert res.mu_norms[-1] > 0.5
+
     def test_mu_monotone(self):
         rng = np.random.default_rng(11)
         p = rng.standard_normal((5, 3))
@@ -97,6 +106,16 @@ class TestMatrixFlow:
         assert np.abs(before - after).max() < 1e-6
         v = np.array(res.commutator_norms)
         assert (np.diff(v) <= 0).all()
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, np.nan, np.inf])
+@pytest.mark.parametrize("flow, start", [
+    (kn.sphere_flow, kn.SphereConfig(np.array([[0, 0, 1.0], [1.0, 0, 0]]))),
+    (kn.matrix_flow, [[1, 1], [0, 2]])])
+def test_flow_step_must_be_finite_and_positive(flow, start, step):
+    # a zero, negative or NaN step used to end in a verdict with no flow behind it
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        flow(start, step=step)
 
 
 class TestHilbertMumford:

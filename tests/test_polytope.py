@@ -10,6 +10,7 @@ from kstab.polytope import (
     EMPTY,
     BoundaryMeasure,
     DegenerateInputError,
+    FacetError,
     Polytope,
     PolytopeParseError,
     clip,
@@ -161,6 +162,13 @@ class TestClip:
             Polytope.from_facets(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0),
                                      ((0, -1), -1), ((1, 1), -5)])
 
+    @pytest.mark.parametrize("normal, message", [
+        ((0, 0), "zero facet normal"), ((0, -2), "not primitive"), ((1,), "wrong dimension")])
+    def test_bad_normal_names_its_facet(self, normal, message):
+        with pytest.raises(FacetError, match=message) as ei:
+            Polytope.from_facets(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), (normal, -1)])
+        assert ei.value.index == 3
+
 
 class TestTextFormat:
     def test_vertices_mode(self):
@@ -177,12 +185,14 @@ class TestTextFormat:
         assert measures(P).vol == Q(1, 6)
 
     def test_nonprimitive_rejected_with_repair(self):
-        text = "dim 2\nfacets\n2 0 0 1\n-1 0 -1 1\n0 1 0 1\n0 -1 -1 1\n"
-        with pytest.raises(PolytopeParseError) as ei:
-            parse_polytope_text(text)
-        assert "not primitive" in str(ei.value)
-        assert "(1, 0)" in str(ei.value)
-        assert ei.value.line_no == 3
+        for text, repair, line_no in [
+                ("dim 2\nfacets\n2 0 0 1\n-1 0 -1 1\n0 1 0 1\n0 -1 -1 1\n", "(1, 0)", 3),
+                ("dim 1\nfacets\n-1 -1\n# lower end\n2 0\n", "(1,)", 5)]:
+            with pytest.raises(PolytopeParseError) as ei:
+                parse_polytope_text(text)
+            assert "not primitive" in str(ei.value)
+            assert repair in str(ei.value)
+            assert ei.value.line_no == line_no
 
     def test_error_carries_line_number(self):
         with pytest.raises(PolytopeParseError) as ei:

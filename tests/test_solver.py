@@ -530,6 +530,12 @@ class TestRaySlope:
         lx = float(L(square, sigma, PLConvexFunction.affine((1, 0), 0)))
         assert abs(rs.slope - lx) < 1e-10
 
+    @pytest.mark.parametrize("s_max", [0.0, -5.0, float("nan"), float("inf")])
+    def test_s_max_must_be_finite_and_positive(self, segment01, s_max):
+        # 0 divided by zero, nan failed in the field extension, -5 ran the ray backwards
+        with pytest.raises(ValueError, match="s_max must be finite and positive"):
+            sol.ray_slope(segment01, unit(segment01), lambda x: 1.0 * x, s_max=s_max)
+
 
 class TestSolutionCertificate:
     def test_ibp_quadratics_at_convergence(self, segment01, square):
