@@ -299,7 +299,7 @@ def cmd_flow_sphere(args) -> tuple[int, dict]:
               f"({axis[0]:.4f}, {axis[1]:.4f}, {axis[2]:.4f})")
     return EXIT_OK, {
         "trajectory.csv": [["step", "mu_norm"]] + [
-            [i, repr(v)] for i, v in enumerate(res.mu_norms)],
+            [i, float(v)] for i, v in enumerate(res.mu_norms)],
         "flow.json": {
             "verdict": res.verdict,
             "mu_norm_final": res.mu_norms[-1],
@@ -323,7 +323,7 @@ def cmd_flow_matrix(args) -> tuple[int, dict]:
     print(f"Frobenius norm of the limit: {np.linalg.norm(res.matrix):.6g}")
     return EXIT_OK, {
         "trajectory.csv": [["step", "commutator_norm"]] + [
-            [i, repr(v)] for i, v in enumerate(res.commutator_norms)],
+            [i, float(v)] for i, v in enumerate(res.commutator_norms)],
         "flow.json": {
             "verdict": res.verdict,
             "commutator_norm_final": res.commutator_norms[-1],

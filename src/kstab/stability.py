@@ -4,8 +4,9 @@ L(f) = integral of f over the weighted boundary minus A times the integral
 over the interior, A = bvol/vol, so constants are annihilated.  Linear
 functions give the Futaki vector; creases max(0, <a,x> - c) are the search
 family for destabilizers on surfaces.  Every value returned is exact
-rational arithmetic; the crease search uses float64 only to decide which
-creases to evaluate exactly.
+rational arithmetic; the crease search uses an exact lower bound per
+direction to decide which directions to screen, and float64 only to decide
+which creases to evaluate exactly.
 """
 
 from __future__ import annotations
@@ -317,12 +318,11 @@ class _DirectionProfile:
                 bco[j][0] += f * hi * hi
                 bco[j][1] -= 2 * f * hi
                 bco[j][2] += f
-        # numerators of the coefficients of c^k, over _bden and _iden
+        # numerators of the coefficients of S^k, over _bden and _iden
         self._D, self._brk = D, brk
         self._bden = 2 * D * D * poly.W * E
         self._iden = 6 * D ** 3 * E * sum(ai * ai for ai in a)
-        self._bnum = [[n * D ** k for k, n in enumerate(row)] for row in bco]
-        self._inum = [[n * D ** k for k, n in enumerate(row)] for row in ico]
+        self._bco, self._ico = bco, ico
         self.smin, self.smax = Q(brk[0], D), Q(brk[-1], D)
 
     def eval(self, c: Q) -> tuple[Q, Q]:
@@ -330,9 +330,40 @@ class _DirectionProfile:
         n, d = c.numerator, c.denominator
         # the piece rule of ratio_bounds: breakpoint S/D <= c iff ceil(S*d/D) <= n
         j = sum(1 for s in self._brk[1:-1] if -(-s * d // self._D) <= n)
-        # both rows have four coefficients: numerators over den * d^3
-        return (Q(_horner_int(self._bnum[j], n, d), self._bden * d ** 3),
-                Q(_horner_int(self._inum[j], n, d), self._iden * d ** 3))
+        # both rows have four coefficients in S = D*n/d: numerators over den * d^3
+        return (Q(_horner_int(self._bco[j], self._D * n, d), self._bden * d ** 3),
+                Q(_horner_int(self._ico[j], self._D * n, d), self._iden * d ** 3))
+
+    def ratio_floor(self, A: Q) -> Q | None:
+        """A rational beta <= L/mass at every offset of the direction, or None.
+
+        On each piece, with S = s0 + h*t for t in [0, 1], L/mass is
+        l(t) / (m(t) * bden * Ad), l and m integer cubics (A = An/Ad).  Write
+        both in the Bernstein basis of degree 3 (three times the coefficients
+        are integers).  The basis is nonnegative on [0, 1], so l >= beta *
+        m * bden * Ad holds wherever it holds coefficient by coefficient:
+        beta is the least l_i / (m_i * bden * Ad) over m_i > 0, valid when
+        every l_i with m_i <= 0 passes the same test.  This is the Bernstein
+        range bound (Garloff 1986; Farouki and Rajan 1987).  None means some
+        piece's coefficients certify no bound.
+        """
+        bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
+        scale = bden * Ad
+        best = None                     # (num, den), den > 0
+        for j, (bc, ic) in enumerate(zip(self._bco, self._ico)):
+            s0, h = self._brk[j], self._brk[j + 1] - self._brk[j]
+            lb = _bernstein3([b * iden * Ad - An * i * bden for b, i in zip(bc, ic)], s0, h)
+            mb = _bernstein3(ic, s0, h)
+            low = None
+            for li, mi in zip(lb, mb):
+                if mi > 0 and (low is None or li * low[1] < low[0] * mi * scale):
+                    low = (li, mi * scale)
+            if low is None or any(li * low[1] < low[0] * mi * scale
+                                  for li, mi in zip(lb, mb) if mi <= 0):
+                return None
+            if best is None or low[0] * best[1] < best[0] * low[1]:
+                best = low
+        return Q(*best)
 
     def ratio_bounds(self, num: np.ndarray, den: np.ndarray,
                      A: Q) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +380,11 @@ class _DirectionProfile:
                           for d in range(int(den.max()) + 1)], dtype=np.int64)
         piece = (num[:, None] >= ceils[den]).sum(axis=1)
         bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
-        lco = np.array([[_float(b * iden * Ad - An * i * bden, bden * iden * Ad)
-                         for b, i in zip(bn, im)] for bn, im in zip(self._bnum, self._inum)])[piece]
-        mco = np.array([[_float(i, iden) for i in im] for im in self._inum])[piece]
+        Dk = [self._D ** k for k in range(4)]   # S^k = D^k c^k
+        lco = np.array([[_float((b * iden * Ad - An * i * bden) * dk, bden * iden * Ad)
+                         for b, i, dk in zip(bc, ic, Dk)]
+                        for bc, ic in zip(self._bco, self._ico)])[piece]
+        mco = np.array([[_float(i * dk, iden) for i, dk in zip(ic, Dk)] for ic in self._ico])[piece]
         c = num / den
         with np.errstate(all="ignore"):
             lval, lsum = _horner(lco, c)
@@ -398,6 +431,16 @@ def _horner_int(coef: list[int], n: int, d: int) -> int:
     return acc
 
 
+def _bernstein3(p: list[int], s0: int, h: int) -> list[int]:
+    """3 * the Bernstein coefficients on [0, 1] of t -> sum p[k] (s0 + h*t)^k."""
+    p0, p1, p2, p3 = p
+    q0 = ((p3 * s0 + p2) * s0 + p1) * s0 + p0
+    q1 = ((3 * p3 * s0 + 2 * p2) * s0 + p1) * h
+    q2 = (3 * p3 * s0 + p2) * h * h
+    q3 = p3 * h ** 3
+    return [3 * q0, 3 * q0 + q1, 3 * q0 + 2 * q1 + q2, 3 * (q0 + q1 + q2 + q3)]
+
+
 def _float(num: int, den: int) -> float:
     """num/den (den > 0) rounded as float(Fraction(num, den)), or +-inf on overflow."""
     try:
@@ -426,16 +469,45 @@ def admissible_offsets(smin: Q, smax: Q, R: int) -> tuple[np.ndarray, np.ndarray
     lowest terms, grouped by denominator.
     """
     nums, dens = [], []
-    for den in range(1, R + 1):
-        lo = smin.numerator * den // smin.denominator + 1
-        hi = -(-smax.numerator * den // smax.denominator) - 1
-        if max(abs(lo), abs(hi)) >= 2 ** 62:
-            raise ValueError(f"crease offsets near {smax} exceed the int64 range")
+    for den, (lo, hi) in enumerate(_numerator_ranges(smin, smax, R), 1):
         num = np.arange(lo, hi + 1, dtype=np.int64)
         num = num[np.gcd(num, den) == 1]
         nums.append(num)
         dens.append(np.full(len(num), den, dtype=np.int64))
     return np.concatenate(nums), np.concatenate(dens)
+
+
+def _numerator_ranges(smin: Q, smax: Q, R: int) -> list[tuple[int, int]]:
+    """For each denominator 1..R, the numerators lo..hi strictly inside (smin, smax)."""
+    out = []
+    for den in range(1, R + 1):
+        lo = smin.numerator * den // smin.denominator + 1
+        hi = -(-smax.numerator * den // smax.denominator) - 1
+        if max(abs(lo), abs(hi)) >= 2 ** 62:
+            raise ValueError(f"crease offsets near {smax} exceed the int64 range")
+        out.append((lo, hi))
+    return out
+
+
+def _moebius_divisors(R: int) -> list[list[tuple[int, int]]]:
+    """For each den in 1..R, the pairs (e, mu(e)) over the squarefree divisors e of den."""
+    mu = [0, 1] + [None] * (R - 1)
+    for n in range(2, R + 1):
+        p = next(p for p in range(2, n + 1) if n % p == 0)      # least prime factor
+        mu[n] = 0 if (n // p) % p == 0 else -mu[n // p]
+    return [[(e, mu[e]) for e in range(1, den + 1) if den % e == 0 and mu[e]]
+            for den in range(1, R + 1)]
+
+
+def _count_offsets(smin: Q, smax: Q, divisors: list[list[tuple[int, int]]]) -> int:
+    """len(admissible_offsets(smin, smax, R)) for divisors = _moebius_divisors(R).
+
+    The numerators in lo..hi prime to den number sum mu(e) * (multiples of e
+    in lo..hi) over the squarefree divisors e of den.
+    """
+    return sum(m * (hi // e - (lo - 1) // e)
+               for (lo, hi), divs in zip(_numerator_ranges(smin, smax, len(divisors)), divisors)
+               for e, m in divs)
 
 
 _TOP = 10   # creases kept in a verdict
@@ -446,25 +518,41 @@ def _rank(r: CreaseResult):
 
 
 def _scan_chunk(args):
-    """The exact ten best creases over some directions, plus two counts.
+    """The exact ten best creases over some directions, plus four counts.
 
     Each crease is screened by float64 bounds lo <= ratio <= hi.  Let t be
     the 10th-smallest hi so far: ten creases have ratio <= t, so a crease
     with lo > t is not among the ten best.  The survivors of the final t
     include every one of the exact ten best and their ties, and only they
-    are evaluated in Fractions.  Returns (best, creases scanned, creases
-    evaluated exactly).
+    are evaluated in Fractions.
+
+    Directions are screened best-first, in the order of their exact lower
+    bounds beta (_DirectionProfile.ratio_floor; None, no bound, first).  The
+    first direction with beta > t ends the scan: every crease from there on
+    has ratio > t, so none can reach the ten best or tie with them.  The
+    offsets of the directions never screened are only counted.  Returns
+    (best, creases, creases screened, creases evaluated exactly, directions
+    pruned).
     """
     P, sigma, A, dirs, R = args
     top_hi = np.empty(0)
     t = np.inf
     survivors = []
-    n_creases = 0
     poly = _IntegerPolygon(P, sigma)
-    for a in dirs:
-        prof = _DirectionProfile(poly, a)
+    profs = [_DirectionProfile(poly, a) for a in dirs]
+    divisors = _moebius_divisors(R)
+    n_creases = sum(_count_offsets(prof.smin, prof.smax, divisors) for prof in profs)
+    floors = [prof.ratio_floor(A) for prof in profs]
+    order = sorted(range(len(profs)),
+                   key=lambda k: (floors[k] is not None, floors[k] or 0, dirs[k]))
+    n_screened = n_pruned = 0
+    for rank, k in enumerate(order):
+        if floors[k] is not None and floors[k] > t:
+            n_pruned = len(order) - rank
+            break
+        prof = profs[k]
         num, den = admissible_offsets(prof.smin, prof.smax, R)
-        n_creases += len(num)
+        n_screened += len(num)
         if not len(num):
             continue
         lo, hi = prof.ratio_bounds(num, den, A)
@@ -484,7 +572,7 @@ def _scan_chunk(args):
             lval = bval - A * mass
             best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
     best.sort(key=_rank)
-    return best[:_TOP], n_creases, len(best)
+    return best[:_TOP], n_creases, n_screened, len(best), n_pruned
 
 
 def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
@@ -498,14 +586,19 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     verdict to unstable with a linear witness, but the scan still runs so
     reports can list the worst creases.
 
-    Each direction's exact profile is built in integers (_DirectionProfile).
-    Every crease is screened in float64 by a proven forward-error bound for
-    Horner's rule; only creases whose lower bound can still reach the ten
-    best are recomputed in exact Fractions.  Every value reported (L, mass,
-    ratio) and the ranking by (ratio, direction, offset) are exact.  The
-    numbers of creases screened and recomputed are logged at DEBUG.
-    workers > 1 deals the directions out to that many processes; the
-    default scans serially.  The result does not depend on it.
+    Each direction's exact profile is built in integers (_DirectionProfile),
+    with an exact lower bound on its ratios.  Directions are screened in
+    the order of that bound and the scan stops at the first one whose bound
+    exceeds the 10th-best ratio so far; the offsets of the rest are only
+    counted.  Every crease screened gets float64 bounds from a proven
+    forward-error bound for Horner's rule; only creases whose lower bound
+    can still reach the ten best are recomputed in exact Fractions.  Every
+    value reported (L, mass, ratio) and the ranking by (ratio, direction,
+    offset) are exact.  The numbers of directions pruned and of creases
+    screened and recomputed are logged at DEBUG.  workers > 1 deals the
+    directions out to that many processes, each scanning its share
+    best-first; the default scans serially.  The result does not depend
+    on it.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -524,10 +617,10 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
             chunks = list(ex.map(_scan_chunk, tasks))
     else:
         chunks = [_scan_chunk((P, sigma, A, dirs, resolution))]
-    best = sorted((r for top, _, _ in chunks for r in top), key=_rank)[:_TOP]
-    n_creases = sum(n for _, n, _ in chunks)
-    log.debug("crease search: %d creases screened in float64, %d recomputed exactly",
-              n_creases, sum(n for _, _, n in chunks))
+    best = sorted((r for chunk in chunks for r in chunk[0]), key=_rank)[:_TOP]
+    n_creases, n_screened, n_exact, n_pruned = (sum(c[i] for c in chunks) for i in range(1, 5))
+    log.debug("crease search: %d of %d directions pruned, %d creases screened in float64, "
+              "%d recomputed exactly", n_pruned, len(dirs), n_screened, n_exact)
     meta = dict(resolution=resolution, n_directions=len(dirs), n_creases=n_creases,
                 best_creases=best, futaki=fut)
     if any(v != 0 for v in fut):

@@ -318,6 +318,16 @@ class TestFlows:
         assert capsys.readouterr().err.splitlines() == [f"error: {f}: no numbers"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", ["flow-sphere --points pts.txt",
+                                      "flow-matrix --matrix mat.txt"])
+    def test_trajectory_plain_numbers(self, in_inputs, capsys, argv):
+        assert main(argv.split() + ["--out", "o"]) == 0
+        header, *rows = Path("o/trajectory.csv").read_text().splitlines()
+        assert rows
+        for i, row in enumerate(rows):
+            step, norm = row.split(",")
+            assert step == str(i) and norm == repr(float(norm))
+
     def test_flow_matrix(self, tmp_path):
         f = tmp_path / "mat.txt"
         f.write_text("1 1\n0 2\n")

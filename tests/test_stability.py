@@ -214,13 +214,47 @@ def exact_scan(args):
             lval = bval - A * mass
             results.append(CreaseResult(a, c, lval, mass, lval / mass))
     results.sort(key=lambda r: (r.ratio, r.direction, r.offset))
-    return results[:10], len(results), len(results)
+    return results[:10], len(results), len(results), len(results), 0
 
 
-def assert_matches_oracle(monkeypatch, P, sigma, R):
+def unpruned_scan(args):
+    """Reference for stability._scan_chunk: the float screen over every direction."""
+    P, sigma, A, dirs, R = args
+    top_hi = np.empty(0)
+    t = np.inf
+    survivors = []
+    n_creases = 0
+    poly = stab._IntegerPolygon(P, sigma)
+    for a in dirs:
+        prof = _DirectionProfile(poly, a)
+        num, den = stab.admissible_offsets(prof.smin, prof.smax, R)
+        n_creases += len(num)
+        if not len(num):
+            continue
+        lo, hi = prof.ratio_bounds(num, den, A)
+        pool = np.concatenate([top_hi, hi])
+        top_hi = np.partition(pool, 9)[:10] if len(pool) > 10 else pool
+        if len(top_hi) == 10:
+            t = top_hi.max()
+        keep = lo <= t
+        if keep.any():
+            survivors.append((prof, num[keep], den[keep], lo[keep]))
+    best = []
+    for prof, num, den, lo in survivors:
+        keep = lo <= t
+        for n, d in zip(num[keep].tolist(), den[keep].tolist()):
+            c = Q(n, d)
+            bval, mass = prof.eval(c)
+            lval = bval - A * mass
+            best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
+    best.sort(key=lambda r: (r.ratio, r.direction, r.offset))
+    return best[:10], n_creases, n_creases, len(best), 0
+
+
+def assert_matches_oracle(monkeypatch, P, sigma, R, oracle_scan=exact_scan):
     fast = crease_search(P, sigma, R, workers=1)
     with monkeypatch.context() as m:
-        m.setattr(stab, "_scan_chunk", exact_scan)
+        m.setattr(stab, "_scan_chunk", oracle_scan)
         oracle = crease_search(P, sigma, R, workers=1)
     assert fast == oracle
     return fast
@@ -477,7 +511,9 @@ class TestCreaseSearch:
     def test_screening_counts_logged(self, unstable_hexagon, caplog):
         with caplog.at_level("DEBUG", logger="kstab.stability"):
             v = crease_search(*unstable_hexagon, 6)
-        assert f"{v.n_creases} creases screened in float64, 10 recomputed" in caplog.text
+        assert v.n_creases == 35664
+        assert "93 of 96 directions pruned, 861 creases screened in float64, " \
+               "10 recomputed exactly" in caplog.text
 
     def test_verdict_invariants_checked(self):
         f = PLConvexFunction.crease((1, 0), Q(1, 2))
@@ -520,6 +556,84 @@ class TestCreaseSearch:
         assert v1.status == v2.status
         assert [(c.direction, c.offset, c.ratio) for c in v1.best_creases] == \
                [(c.direction, c.offset, c.ratio) for c in v2.best_creases]
+
+
+def assert_floor_below_ratios(P, sigma, R):
+    """ratio_floor is at most the exact ratio at every admissible offset."""
+    A = measures(P, sigma).A
+    poly = stab._IntegerPolygon(P, sigma)
+    for a in stab.primitive_directions(P.dim, R):
+        beta = _DirectionProfile(poly, a).ratio_floor(A)
+        if beta is None:
+            continue
+        ref = FractionProfile(P, sigma, a)
+        for c in exact_offsets(ref.smin, ref.smax, R):
+            bval, mass = ref.eval(c)
+            assert beta <= (bval - A * mass) / mass, (a, c)
+
+
+class TestPrunedScan:
+    """The best-first scan against the exact slow paths it replaces."""
+
+    @pytest.mark.parametrize("name", ["square", "trapezoid"])
+    def test_floor_polygon_fixtures(self, request, name):
+        P = request.getfixturevalue(name)
+        assert_floor_below_ratios(P, unit(P), 6)
+
+    def test_floor_hexagon(self, unstable_hexagon):
+        assert_floor_below_ratios(*unstable_hexagon, 6)
+
+    def test_floor_segments(self, segment01, segment_sym):
+        assert_floor_below_ratios(segment01, BoundaryMeasure((Q(1), Q(2))), 6)
+        assert_floor_below_ratios(segment_sym, unit(segment_sym), 6)
+
+    def test_floor_random_corpus(self):
+        rng = random.Random(67)
+        for k in range(8):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            assert_floor_below_ratios(P, random_weights(rng, P), 4)
+
+    def test_floor_needs_every_coefficient(self, square):
+        # the mass (1 - 2S)^2 on the square's one piece [0, 1] has Bernstein
+        # coefficients 1, -1/3, -1/3, 1: a bound must also pass the two negative ones
+        sigma = unit(square)
+        A = measures(square, sigma).A
+        prof = profile(square, sigma, (1, 0))
+        prof._ico = [[1, -4, 4, 0]]
+        prof._bco = [[0, 0, 0, 0]]
+        assert prof.ratio_floor(A) == -A           # L/mass = -A exactly
+        prof._bco = [[-1, 0, 0, 0]]
+        assert prof.ratio_floor(A) is None
+
+    def test_offset_count_matches_offsets(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            lo = Q(rng.randint(-40, 40), rng.randint(1, 7))
+            hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
+            R = rng.randint(1, 9)
+            num, _ = stab.admissible_offsets(lo, hi, R)
+            assert stab._count_offsets(lo, hi, stab._moebius_divisors(R)) == len(num)
+        with pytest.raises(ValueError, match="exceed the int64 range"):
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_divisors(1))
+
+    def test_hexagon_matches_unpruned(self, monkeypatch, unstable_hexagon):
+        assert_matches_oracle(monkeypatch, *unstable_hexagon, 8, oracle_scan=unpruned_scan)
+
+    def test_random_corpus_matches_unpruned(self, monkeypatch):
+        rng = random.Random(71)
+        for k in range(6):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            assert_matches_oracle(monkeypatch, P, random_weights(rng, P), 8,
+                                  oracle_scan=unpruned_scan)
+
+    def test_hexagon_prunes(self, unstable_hexagon):
+        P, sigma = unstable_hexagon
+        dirs = stab.primitive_directions(2, 8)
+        best, n_creases, n_screened, _, n_pruned = stab._scan_chunk(
+            (P, sigma, measures(P, sigma).A, dirs, 8))
+        assert (len(dirs), n_creases) == (176, 164428)
+        assert n_pruned >= 165 and n_screened < n_creases // 10
+        assert best[0].direction == (0, -1)
 
 
 class TestIntegerProfiles:
