@@ -207,6 +207,9 @@ def _grid_rows(g: geo.PotentialGrid) -> list[list]:
 
 
 def cmd_solve(args) -> tuple[int, dict]:
+    if args.dump_every < 0:
+        raise ValueError(f"--dump-every must be 0 (no snapshots) or positive, "
+                         f"got {args.dump_every}")
     P, sigma = _load_polytope(args.polytope)
     callback = None
     if args.dump_every:

@@ -13,6 +13,8 @@ boundary).  J*E is then square, singular only along the affine gauge,
 which Newton pins at n + 1 deep nodes.  The pinned system is factored by
 banded LU with partial pivoting (LAPACK dgbtrf): in the deep row-major
 ordering of a tensor grid its bandwidths l and u are about 3(m - 4) + 3.
+There is one band buffer per solve, refilled in place by each
+refactorization.
 The last factor is kept: from a closed iterate a Newton step first tries
 it as a chord step (one dgbtrs, one evaluation), accepted only if it cuts
 the sup residual ten-fold, and refactors otherwise.  Affine gauge of phi:
@@ -199,23 +201,33 @@ class _BandedLU:
     The lower and upper bandwidths l and u are read off the sparsity
     pattern.  The band storage (2l+u+1 rows, Fortran order, factored in
     place) is an anonymous mmap, not a numpy heap array: once glibc frees
-    the first heap block of this size (27 MB at m = 65) its dynamic mmap
+    the first heap block of this size (16.6 MB at m = 65) its dynamic mmap
     threshold rises above it, every later band comes from the heap, which
     is not trimmed, and the peak RSS of a solve grows by about 20 %.
+
+    A buffer of an earlier factor that is large enough is zeroed and
+    refilled in place, which costs about 1 ms at m = 65 where faulting in a
+    fresh 16.6 MB map costs about 11 ms; a smaller one is left alone and a
+    new map is made.  The earlier factor is overwritten either way.
     """
 
-    def __init__(self, A: sp.spmatrix):
-        A = A.tocsc()
+    def __init__(self, A: sp.spmatrix, buffer: mmap.mmap | None = None):
+        A = A.tocsr()
         A.sum_duplicates()
         n = A.shape[0]
-        col = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-        off = A.indices - col   # row - column of each stored entry
+        row = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+        off = row - A.indices   # row - column of each stored entry
         self.kl = int(off.max(initial=0))
         self.ku = int(-off.min(initial=0))
         rows = 2 * self.kl + self.ku + 1
-        self.buffer = mmap.mmap(-1, rows * n * 8)
+        reuse = buffer is not None and len(buffer) >= rows * n * 8
+        self.buffer = buffer if reuse else mmap.mmap(-1, rows * n * 8)
         ab = np.ndarray((rows, n), dtype=np.float64, buffer=self.buffer, order="F")
-        ab[self.kl + self.ku + off, col] = A.data
+        if reuse:
+            # as a fresh map is; dgbtrf leaves the corner of rows 0 .. l-1
+            # outside the matrix as it finds it
+            ab.fill(0.0)
+        ab[self.kl + self.ku + off, A.indices] = A.data
         self.lu, self.piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
         if info > 0:
             raise RuntimeError(f"banded LU: U[{info - 1}, {info - 1}] is exactly zero")
@@ -354,9 +366,11 @@ def _newton_system(ops: GridOperators, J: sp.csr_matrix,
     """
     A = (J @ ops.closure).tocsr()
     scale = float(np.abs(A.data).max())
-    keep = sp.diags(ops.unpinned)
-    A = keep @ A @ keep + sp.diags(scale * (1.0 - ops.unpinned))
-    return A.tocsr(), _newton_rhs(ops, r)
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data *= ops.unpinned[row] * ops.unpinned[A.indices]
+    # the sum drops the zeroed entries: the same CSR matrix as the products
+    # diag(unpinned) @ A @ diag(unpinned), for less time
+    return A + sp.diags(scale * (1.0 - ops.unpinned), format="csr"), _newton_rhs(ops, r)
 
 
 def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
@@ -366,13 +380,16 @@ def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Factor:
-    """The solver's last banded LU of the pinned J*E system, and a count.
+    """The solver's last banded LU of the pinned J*E system, its band
+    buffer, and a count.
 
-    Newton steps from a closed iterate try it as a chord step before they
-    refactor.  It is dropped before a new Jacobian is assembled, so at most
-    one band buffer is alive.
+    Newton steps from a closed iterate try the LU as a chord step before
+    they refactor.  The stale LU is dropped before a new Jacobian is
+    assembled, and every refactorization refills the one band buffer of
+    the solve in place (a new one is mapped only if the band grows).
     """
     lu: _BandedLU | None = None
+    buffer: mmap.mmap | None = None
     count: int = 0
 
 
@@ -404,7 +421,7 @@ def _newton_step(ops: GridOperators, s: Iterate,
             log.debug("newton step: reuse, sup residual %.3e -> %.3e, step 1",
                       sup, np.abs(trial.r).max())
             return trial
-    factor.lu = None   # before the Jacobian: one band buffer at a time
+    factor.lu = None   # the refactorization below overwrites its band
     base = s
     if not closed:
         base = _moved(s, phi_c - phi)
@@ -414,10 +431,11 @@ def _newton_step(ops: GridOperators, s: Iterate,
     A, rhs = _newton_system(ops, ops.jacobian(base.U), base.r)
     factor.count += 1
     try:
-        factor.lu = _BandedLU(A)
+        factor.lu = _BandedLU(A, factor.buffer)
     except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None
+    factor.buffer = factor.lu.buffer
     delta = (phi_c - phi) + ops.closure @ factor.lu.solve(rhs)
     delta = ops.gauge_project(delta, include_linear=True)
     step = 1.0
@@ -448,8 +466,13 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     returns no iterate ends the run as stalled.  phi0 may be a callable on
     coordinates or a node array; the default start is the reference
     potential itself (phi = 0).  callback(iteration, grid) is invoked once
-    per iteration (grid snapshots, progress logging).
+    per iteration (grid snapshots, progress logging).  tol must be finite
+    and positive and max_iter at least 1 (ValueError).
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     t_start = time.time()
     fut = futaki_linear(P, sigma)
     futaki_zero = all(v == 0 for v in fut)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -596,9 +597,10 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     value reported (L, mass, ratio) and the ranking by (ratio, direction,
     offset) are exact.  The numbers of directions pruned and of creases
     screened and recomputed are logged at DEBUG.  workers > 1 deals the
-    directions out to that many processes, each scanning its share
-    best-first; the default scans serially.  The result does not depend
-    on it.
+    directions out to that many processes, but to no more than there are
+    CPUs or directions, each scanning its share best-first; the default
+    scans serially, and workers < 1 is a ValueError.  The result does not
+    depend on it.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -608,10 +610,13 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     """
     if resolution <= 0:
         raise ValueError("resolution must be a positive integer")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     fut = futaki_linear(P, sigma)
     A = measures(P, sigma).A
     dirs = primitive_directions(P.dim, resolution)
-    if workers is not None and workers > 1 and len(dirs) > 4:
+    workers = min(workers or 1, os.cpu_count() or 1, len(dirs))
+    if workers > 1 and len(dirs) > 4:
         tasks = [(P, sigma, A, dirs[i::workers], resolution) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_scan_chunk, tasks))

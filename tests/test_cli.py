@@ -382,6 +382,23 @@ class TestNumericParameters:
         assert main(argv.split() + ["--out", "o"]) == 1
         assert_one_error_line(capsys, Path("o"))
 
+    # the square is solved exactly at phi = 0, where a tolerance of nan or -1
+    # stalled (exit 1, outputs written), --max-iter -5 reported "after -5
+    # iterations", --dump-every -1 dumped every iteration and --workers 0 or
+    # -1 scanned serially
+    @pytest.mark.parametrize("argv", [
+        "solve sq.poly --tol nan", "solve sq.poly --tol -1", "solve sq.poly --tol 0",
+        "solve sq.poly --tol inf", "solve sq.poly --max-iter 0",
+        "solve sq.poly --max-iter -5", "solve sq.poly --dump-every -1",
+        "pipeline sq.poly --resolution 2 --tol nan",
+        "pipeline sq.poly --resolution 2 --max-iter 0",
+        "destabilize sq.poly --resolution 2 --workers 0",
+        "destabilize sq.poly --resolution 2 --workers -1",
+        "pipeline sq.poly --resolution 2 --workers 0"])
+    def test_rejected_solver_and_scan_options(self, in_inputs, capsys, argv):
+        assert main(argv.split() + ["--out", "o"]) == 1
+        assert_one_error_line(capsys, Path("o"))
+
     def test_sphere_out_of_steps_is_unresolved(self, in_inputs, capsys):
         assert main(["flow-sphere", "--points", "pts.txt", "--max-steps", "3", "--out", "o"]) == 0
         assert capsys.readouterr().out.startswith("verdict: unresolved,")

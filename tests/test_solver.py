@@ -1,5 +1,7 @@
 import logging
+import mmap
 import time
+import types
 import weakref
 from fractions import Fraction as Q
 
@@ -125,6 +127,26 @@ class TestBandedLU:
         lu = sol._BandedLU(band_matrix(np.random.default_rng(0), 50, 2, 3))
         assert np.shares_memory(lu.lu, np.frombuffer(lu.buffer, dtype=np.uint8))
 
+    @pytest.mark.parametrize("first, second", [((4, 6), (4, 6)), ((9, 8), (3, 2)),
+                                               ((2, 3), (9, 8))],
+                             ids=["same-band", "smaller-band", "larger-band"])
+    def test_refill_matches_a_fresh_factor(self, first, second):
+        # the fast path refills the buffer of an earlier factor; the fresh
+        # map of each factorization is its oracle, bit for bit
+        rng = np.random.default_rng(7)
+        n = 120
+        B, A = band_matrix(rng, n, *first), band_matrix(rng, n, *second)
+        b = rng.standard_normal(n)
+        earlier = sol._BandedLU(B)
+        buffer = earlier.buffer
+        refilled = sol._BandedLU(A, buffer)
+        fresh = sol._BandedLU(A)
+        fits = 2 * second[0] + second[1] + 1 <= 2 * first[0] + first[1] + 1
+        assert (refilled.buffer is buffer) == fits
+        assert refilled.lu.tobytes() == fresh.lu.tobytes()
+        assert np.array_equal(refilled.piv, fresh.piv)
+        assert refilled.solve(b).tobytes() == fresh.solve(b).tobytes()
+
 
 class TestClosure:
     @pytest.mark.parametrize("m", [9, 17, 65])
@@ -181,8 +203,9 @@ class TestGroupedJacobian:
 class SpsolveLU:
     """Stand-in for _BandedLU that solves with SuperLU through spsolve."""
 
-    def __init__(self, A):
+    def __init__(self, A, buffer=None):
         self.A = A.tocsc()
+        self.buffer = buffer
 
     def solve(self, b):
         return spla.spsolve(self.A, b)
@@ -193,7 +216,28 @@ def box_start(square, m):
     return sol.GridOperators(g), sol.evaluate(square, weighted_box(square), g)
 
 
+def pinned_by_products(ops, J):
+    """The pinned J*E matrix as diag(keep) @ J*E @ diag(keep) + diagonal."""
+    A = (J @ ops.closure).tocsr()
+    scale = float(np.abs(A.data).max())
+    keep = sp.diags(ops.unpinned)
+    return (keep @ A @ keep + sp.diags(scale * (1.0 - ops.unpinned))).tocsr()
+
+
 class TestNewtonStep:
+    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 17), (2, 65)])
+    def test_masked_system_matches_products(self, dim, m, segment01, square):
+        if dim == 1:
+            g = geo.PotentialGrid.build(segment01, unit(segment01), m, phi=bump1)
+            ops, s = sol.GridOperators(g), sol.evaluate(segment01, unit(segment01), g)
+        else:
+            ops, s = box_start(square, m)
+        J = ops.jacobian(s.U)
+        A, _ = sol._newton_system(ops, J, s.r)
+        oracle = pinned_by_products(ops, J)
+        assert A.format == "csr" and A.nnz == oracle.nnz
+        assert abs(A - oracle).max() == 0
+
     @pytest.mark.parametrize("m", [17, 33])
     def test_banded_lu_matches_spsolve(self, square, m):
         ops, s = box_start(square, m)
@@ -223,7 +267,7 @@ class TestNewtonStep:
         ops, s = box_start(square, 17)
 
         class Singular:
-            def __init__(self, A):
+            def __init__(self, A, buffer=None):
                 raise RuntimeError("exactly singular")
 
         monkeypatch.setattr(sol, "_BandedLU", Singular)
@@ -263,10 +307,10 @@ def counted_factors(monkeypatch):
     made, alive_at_start = [], []
 
     class Counted(sol._BandedLU):
-        def __init__(self, A):
+        def __init__(self, A, buffer=None):
             alive_at_start.append([r() is not None for r in made])
             made.append(weakref.ref(self))
-            super().__init__(A)
+            super().__init__(A, buffer)
 
     monkeypatch.setattr(sol, "_BandedLU", Counted)
     return alive_at_start
@@ -304,14 +348,40 @@ class TestFactorReuse:
         assert sum("refactor" in m for m in steps) == rep.factorizations
         assert sum("reuse" in m for m in steps) == len(steps) - rep.factorizations
 
-    def test_one_band_buffer_at_a_time(self, square, monkeypatch):
-        # the kept factor is dropped before the next one is built: a stray
-        # reference to it would keep a second band buffer (16.6 MB at
-        # m = 65) alive through the factorization
+    def test_one_band_map_per_solve(self, square, monkeypatch):
+        # every refactorization refills the solve's one band buffer (16.6 MB
+        # at m = 65) in place, and the stale factor is dropped before its
+        # band is overwritten
+        maps = []
+
+        def counted_mmap(*args):
+            maps.append(args)
+            return mmap.mmap(*args)
+
+        monkeypatch.setattr(sol, "mmap", types.SimpleNamespace(mmap=counted_mmap))
         made = counted_factors(monkeypatch)
         rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2)
-        assert rep.converged and len(made) >= 2
+        assert rep.converged and rep.factorizations == len(made) >= 2
+        assert len(maps) == 1
         assert not any(any(alive) for alive in made)
+
+    def test_refill_matches_a_fresh_map_every_time(self, square, monkeypatch):
+        # the oracle maps a new band buffer at every factorization
+        def run():
+            return sol.solve(square, weighted_box(square), m=65, tol=1e-6, phi0=bump2)
+
+        refilled = run()
+
+        class Fresh(sol._BandedLU):
+            def __init__(self, A, buffer=None):
+                super().__init__(A)
+
+        monkeypatch.setattr(sol, "_BandedLU", Fresh)
+        fresh = run()
+        assert refilled.converged and refilled.factorizations >= 2
+        assert (refilled.iterations, refilled.factorizations) == (fresh.iterations,
+                                                                  fresh.factorizations)
+        assert refilled.grid.phi.tobytes() == fresh.grid.phi.tobytes()
 
 
 class TestSolve:
@@ -470,7 +540,7 @@ class TestObstruction:
         # nonzero Futaki: the flow is the only path, so the escape never
         # builds a Newton factor (an attempt would raise out of solve)
         class Refused:
-            def __init__(self, A):
+            def __init__(self, A, buffer=None):
                 raise AssertionError("an escape run factored the Newton system")
 
         monkeypatch.setattr(sol, "_BandedLU", Refused)

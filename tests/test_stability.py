@@ -557,6 +557,42 @@ class TestCreaseSearch:
         assert [(c.direction, c.offset, c.ratio) for c in v1.best_creases] == \
                [(c.direction, c.offset, c.ratio) for c in v2.best_creases]
 
+    @pytest.mark.parametrize("workers, cpus, started", [(1000, 3, 3), (1000, 10**6, 16),
+                                                       (5, 8, 5), (3, 1, None)])
+    def test_pool_is_capped(self, square, monkeypatch, workers, cpus, started):
+        # no more processes than workers, CPUs or directions (16 at R = 2);
+        # the stand-in pool scans the shares in this process
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                assert len(tasks) == pools[-1]
+                return map(fn, tasks)
+
+        monkeypatch.setattr(stab, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(stab.os, "cpu_count", lambda: cpus)
+        serial = crease_search(square, unit(square), 2)
+        assert pools == []
+        v = crease_search(square, unit(square), 2, workers=workers)
+        assert pools == ([] if started is None else [started])
+        assert (v.status, v.n_creases, v.best_creases) == (
+            serial.status, serial.n_creases, serial.best_creases)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, square, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            crease_search(square, unit(square), 2, workers=workers)
+
 
 def assert_floor_below_ratios(P, sigma, R):
     """ratio_floor is at most the exact ratio at every admissible offset."""
