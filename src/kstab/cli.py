@@ -13,6 +13,7 @@ identical inputs and parameters.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
@@ -69,8 +70,9 @@ def _write_outputs(args, files: dict):
 def _number_rows(path, number) -> list[tuple[int, list]]:
     """(line number, entries) for each non-blank line of a file of numbers.
 
-    Entries are whitespace separated and converted by `number` (float or
-    complex); '#' starts a comment.  A file without entries is an error.
+    Entries are whitespace separated, converted by `number` (float or
+    complex) and must be finite; '#' starts a comment.  A file without
+    entries is an error.
     """
     rows = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -80,6 +82,8 @@ def _number_rows(path, number) -> list[tuple[int, list]]:
                 row.append(number(tok))
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: {tok!r} is not a number") from None
+            if not cmath.isfinite(row[-1]):
+                raise ValueError(f"{path}: line {line_no}: {tok!r} is not finite")
         if row:
             rows.append((line_no, row))
     if not rows:
@@ -191,6 +195,8 @@ def cmd_filtration(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     f = _parse_pieces(args.pieces, P.dim)
     ks = [int(t) for t in args.ks.split(",")]
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"--ks {args.ks}: the k values must be distinct")
     vals = [(k, filtration_futaki(P, f, k)) for k in ks]
     lines = [f"k = {k:>5}: filtration statistic = {v} ~ "
              f"{_float(v, 'filtration statistic'):.8f}" for k, v in vals]

@@ -37,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from kstab.polytope import Polytope
+from kstab.stability import PLConvexFunction
 
 log = logging.getLogger(__name__)
 
@@ -271,34 +272,20 @@ def _pl_ceiling_sum(P: Polytope, f, k: int) -> tuple[int, int, Q | None]:
     return total, d, None if vmin is None else Q(vmin, D * k)
 
 
-def filtration_futaki(P: Polytope, f, k: int) -> Q:
+def filtration_futaki(P: Polytope, f: PLConvexFunction, k: int) -> Q:
     """Finite-k filtration statistic sum_m ceil(k f(m/k)) / (k d_k).
 
-    f is a convex function on P evaluated exactly (a PLConvexFunction or any
-    callable returning a rational); m enters the sublevel filtration
-    {f <= i/k} at level i = ceil(k f(m/k)).  The statistic converges, as
-    k grows, to F0 + F1/k + ... with F1 = L(f)/(2 Vol P).
-
-    A PLConvexFunction is summed row by row: each run of a row on which one
-    piece is the max is a single floor_sum, so the cost is
-    O(k^(n-1) * pieces * (pieces + log k)).  Any other callable is
-    evaluated at each of the d_k lattice points.
+    m enters the sublevel filtration {f <= i/k} of the PL convex f at level
+    i = ceil(k f(m/k)).  The statistic converges, as k grows, to F0 + F1/k
+    + ... with F1 = L(f)/(2 Vol P).  It is summed row by row: each run of a
+    row on which one piece is the max is a single floor_sum, so the cost is
+    O(k^(n-1) * pieces * (pieces + log k)).
     """
-    from kstab.stability import PLConvexFunction  # deferred: counting alone never needs it
     require_integral(P)
-    if isinstance(f, PLConvexFunction):
-        total, d, minval = _pl_ceiling_sum(P, f, k)
-    else:
-        total = d = 0
-        minval = None
-        for m in lattice_points(P, k):
-            val = Q(f(tuple(Q(mi, k) for mi in m)))
-            minval = val if minval is None else min(minval, val)
-            total += math.ceil(k * val)
-            d += 1
+    total, d, minval = _pl_ceiling_sum(P, f, k)
     if d == 0:
         raise ValueError("polytope contains no lattice points at this k")
-    if minval is not None and minval < 0:
+    if minval < 0:
         log.info("filtration level function dips below 0 (min %s); the integer "
                  "ceiling handles the shift and the k->infinity limit is unchanged",
                  minval)

@@ -88,9 +88,8 @@ class Axis1D:
         # nodes -> interior (d1, d2) and interior -> two layers in (d1i, d2i)
         self.d1, self.d2 = _stencils(x)
         self.d1i, self.d2i = _stencils(x[1:-1])
-
-    def interior(self):
-        return self.nodes[1:-1]
+        # extend_interior_field's weights for a field one or two layers in
+        self.extension = {layers: outer_extrapolation(x, layers, 3) for layers in (1, 2)}
 
     # analytic reference potential (ell/w) log ell for the two end facets
     def u0(self) -> np.ndarray:
@@ -454,41 +453,38 @@ def integrate_nodes(g: PotentialGrid, values: np.ndarray) -> float:
 def extend_interior_field(g: PotentialGrid, F: np.ndarray, layers: int = 1) -> np.ndarray:
     """Extrapolate a field living `layers` in from the boundary to all nodes.
 
-    Quadratic Lagrange extrapolation from the three nearest known lines
-    along each axis; corners are filled by the second pass.
+    Quadratic Lagrange extrapolation (outer_extrapolation with 3 points,
+    made once per axis; layers is 1 or 2) along axis 0, then along axis 1,
+    which fills the corners from the completed rows.
     """
-    full = np.full(g.shape, np.nan)
-    sl = (slice(layers, -layers),) * g.n
-    full[sl] = F
-    for a in range(g.n):
-        x = g.axes[a].nodes
-        for side in range(2):
-            for off in range(layers):
-                j = off if side == 0 else g.shape[a] - 1 - off
-                base = layers if side == 0 else g.shape[a] - 1 - layers
-                step = 1 if side == 0 else -1
-                js = [base, base + step, base + 2 * step]
-                cs = _lagrange3(x[j], x[js[0]], x[js[1]], x[js[2]])
-                idx_t = [slice(None)] * g.n
-                src = []
-                for jj in js:
-                    idx_s = idx_t.copy()
-                    idx_s[a] = jj
-                    src.append(full[tuple(idx_s)])
-                idx_t[a] = j
-                full[tuple(idx_t)] = cs[0] * src[0] + cs[1] * src[1] + cs[2] * src[2]
-    # first pass along axis 0 leaves NaNs at columns near the axis-1 boundary;
-    # the axis-1 pass (run above for a=1) fixes them using complete rows.
-    if np.isnan(full).any():
-        raise RuntimeError("field extension failed to cover the grid")
+    full = np.zeros(g.shape)
+    full[(slice(layers, -layers),) * g.n] = F
+    for a, ax in enumerate(g.axes):
+        lines = np.moveaxis(full, a, 0)
+        for j, src, coef in ax.extension[layers]:
+            terms = [c * lines[i] for c, i in zip(coef, src)]
+            lines[j] = sum(terms[1:], terms[0])
     return full
 
 
-def _lagrange3(x0, x1, x2, x3):
-    c1 = (x0 - x2) * (x0 - x3) / ((x1 - x2) * (x1 - x3))
-    c2 = (x0 - x1) * (x0 - x3) / ((x2 - x1) * (x2 - x3))
-    c3 = (x0 - x1) * (x0 - x2) / ((x3 - x1) * (x3 - x2))
-    return c1, c2, c3
+def outer_extrapolation(x: np.ndarray, layers: int, points: int):
+    """Lagrange extrapolation to the `layers` outer nodes at each end of x.
+
+    Returns (j, src, coef) for each outer node j: src are the `points`
+    nodes nearest that end that are not outer, nearest first, and coef[p]
+    the Lagrange basis polynomial of x[src[p]] through x[src] evaluated at
+    x[j], a product over a product.
+    """
+    m = len(x)
+    out = []
+    for end, step in ((0, 1), (m - 1, -1)):
+        src = [end + step * (layers + p) for p in range(points)]
+        for off in range(layers):
+            j = end + step * off
+            coef = [math.prod([x[j] - x[k] for k in src if k != i])
+                    / math.prod([x[i] - x[k] for k in src if k != i]) for i in src]
+            out.append((j, src, coef))
+    return out
 
 
 def _box_integral(g: PotentialGrid, axis_integral) -> float:

@@ -71,9 +71,11 @@ def antipodal_structure(c: SphereConfig, tol: float = 1e-6):
     return None
 
 
-def _check_step(step: float):
+def _check_flow(step: float, max_steps: int):
     if not 0 < step < np.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
 
 
 @dataclass
@@ -91,9 +93,10 @@ def sphere_flow(c: SphereConfig, step: float = 0.05,
     component of mu.  |mu|^2 decreases monotonically (backtracking); the
     flow stops at a balanced configuration or at a stationary point, which
     is necessarily an antipodal pair with multiplicities; a flow still
-    moving after max_steps is unresolved.  step must be finite and positive.
+    moving after max_steps is unresolved.  step must be finite and
+    positive and max_steps at least 1.
     """
-    _check_step(step)
+    _check_flow(step, max_steps)
     pts = c.points.copy()
     mult = c.multiplicities
     mu = (mult[:, None] * pts).sum(axis=0)
@@ -145,9 +148,10 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     Each step is an exact conjugation, so the spectrum is preserved to
     rounding; the commutator norm decreases monotonically to the normal
     (polystable) limit, or the whole matrix flows to the zero-orbit closure
-    for non-semistable starts.  step must be finite and positive.
+    for non-semistable starts.  step must be finite and positive and
+    max_steps at least 1.
     """
-    _check_step(step)
+    _check_flow(step, max_steps)
     A = np.array(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")

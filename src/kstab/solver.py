@@ -182,16 +182,15 @@ def _closure_1d(x: np.ndarray) -> sp.csr_matrix:
     """Sparse (m, m - 4) map from the deep values x[2:-2] to all m nodes.
 
     The deep nodes map to themselves; each outer node (two per side) gets
-    the cubic Lagrange extrapolation through the 4 nearest deep nodes, so
-    cubics, and affine functions in particular, are reproduced.
+    the cubic Lagrange extrapolation through the 4 nearest deep nodes
+    (geometry.outer_extrapolation), so cubics, and affine functions in
+    particular, are reproduced.
     """
     m = len(x)
     E = np.zeros((m, m - 4))
     E[2:-2] = np.eye(m - 4)
-    for j in (0, 1, m - 2, m - 1):
-        src = range(2, 6) if j < 2 else range(m - 3, m - 7, -1)
-        for i in src:
-            E[j, i - 2] = math.prod((x[j] - x[k]) / (x[i] - x[k]) for k in src if k != i)
+    for j, src, coef in geo.outer_extrapolation(x, 2, 4):
+        E[j, [i - 2 for i in src]] = coef
     return sp.csr_matrix(E)
 
 

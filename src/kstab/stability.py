@@ -137,51 +137,27 @@ def decompose(P: Polytope, f: PLConvexFunction) -> list[tuple[int, Polytope]]:
 def L(P: Polytope, sigma: BoundaryMeasure, f: PLConvexFunction) -> Q:
     """Exact value of the stability functional on f.
 
-    Interior integral by clipping P into the maximal-domain cells of f;
-    boundary integral edge by edge, splitting at the crease crossings.
+    One pass over the cells of f (see decompose): each cell's affine piece
+    is integrated over the cell, times A, and over those facets of the cell
+    that are facets of P, each with P's sigma-weight times its lattice
+    measure (an endpoint has measure 1, an edge its lattice length).  The
+    cuts between cells lie inside P and carry no boundary measure.
     """
-    m = measures(P, sigma)
-    interior = Q(0)
+    A = measures(P, sigma).A
+    weight = dict(zip(P.facets, sigma.weights))
+    total = Q(0)
     for i, cell in decompose(P, f):
         a, b = f.pieces[i]
-        interior += integrate_affine(cell, a, b)
-    boundary = _boundary_integral(P, sigma, f)
-    return boundary - m.A * interior
-
-
-def _boundary_integral(P: Polytope, sigma: BoundaryMeasure, f: PLConvexFunction) -> Q:
-    if P.dim == 1:
-        total = Q(0)
-        wmap = {fc.normal: w for fc, w in zip(P.facets, sigma.weights)}
-        (lo,), (hi,) = P.vertices
-        total += wmap[(1,)] * f((lo,))
-        total += wmap[(-1,)] * f((hi,))
-        return total
-    total = Q(0)
-    verts = P.vertices
-    nv = len(verts)
-    for k in range(nv):
-        p, q = verts[k], verts[(k + 1) % nv]
-        d = (q[0] - p[0], q[1] - p[1])
-        ell = P.edge_lattice_length(k) * sigma.weights[k]
-        # breakpoints where the active piece can change along p + t d
-        ts = {Q(0), Q(1)}
-        pieces = f.pieces
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                (ai, bi), (aj, bj) = pieces[i], pieces[j]
-                da = tuple(x - y for x, y in zip(ai, aj))
-                denom = da[0] * d[0] + da[1] * d[1]
-                if denom == 0:
-                    continue
-                t = -((da[0] * p[0] + da[1] * p[1]) + (bi - bj)) / denom
-                if 0 < t < 1:
-                    ts.add(t)
-        ts = sorted(ts)
-        for t0, t1 in zip(ts, ts[1:]):
-            tm = (t0 + t1) / 2
-            mid = (p[0] + tm * d[0], p[1] + tm * d[1])
-            total += ell * (t1 - t0) * f(mid)
+        total -= A * integrate_affine(cell, a, b)
+        verts = cell.vertices
+        for k, facet in enumerate(cell.facets):
+            if facet not in weight:
+                continue
+            # facet k of a cell is vertex k (n = 1) or the edge from vertex k (n = 2)
+            face = [verts[(k + j) % len(verts)] for j in range(cell.dim)]
+            mid = [sum(c) / cell.dim for c in zip(*face)]
+            size = cell.edge_lattice_length(k) if cell.dim == 2 else 1
+            total += weight[facet] * size * (sum(ai * xi for ai, xi in zip(a, mid)) + b)
     return total
 
 

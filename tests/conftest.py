@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from kstab import geometry as geo
-from kstab.polytope import BoundaryMeasure, Polytope
+from kstab.futaki import lattice_points, require_integral
+from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures
+from kstab.stability import decompose
 
 
 @pytest.fixture
@@ -145,3 +148,97 @@ def numeric_scalar_curvature(g):
     """S = -(1/2) sum (u^{ab})_{,ab} on the depth-2 lattice, by the numeric route."""
     H, _ = oracle_hessian_and_gradient(g, "numeric")
     return -0.5 * oracle_divergence2(g, geo.inverse_hessian_field(g, H))
+
+
+# -- routes the library replaced, kept as test oracles -------------------------
+
+def oracle_boundary_integral(P, sigma, f):
+    """Integral of f over the sigma-weighted boundary, facet by facet.
+
+    Each edge is split at every crossing of two pieces' crease lines and f
+    is evaluated at the midpoint of each part; this was L's boundary route
+    before L integrated each cell over its own facets.
+    """
+    if P.dim == 1:
+        wmap = {fc.normal: w for fc, w in zip(P.facets, sigma.weights)}
+        (lo,), (hi,) = P.vertices
+        return wmap[(1,)] * f((lo,)) + wmap[(-1,)] * f((hi,))
+    total = Q(0)
+    verts = P.vertices
+    nv = len(verts)
+    for k in range(nv):
+        p, q = verts[k], verts[(k + 1) % nv]
+        d = (q[0] - p[0], q[1] - p[1])
+        ell = P.edge_lattice_length(k) * sigma.weights[k]
+        ts = {Q(0), Q(1)}
+        pieces = f.pieces
+        for i in range(len(pieces)):
+            for j in range(i + 1, len(pieces)):
+                (ai, bi), (aj, bj) = pieces[i], pieces[j]
+                da = tuple(x - y for x, y in zip(ai, aj))
+                denom = da[0] * d[0] + da[1] * d[1]
+                if denom == 0:
+                    continue
+                t = -((da[0] * p[0] + da[1] * p[1]) + (bi - bj)) / denom
+                if 0 < t < 1:
+                    ts.add(t)
+        ts = sorted(ts)
+        for t0, t1 in zip(ts, ts[1:]):
+            tm = (t0 + t1) / 2
+            mid = (p[0] + tm * d[0], p[1] + tm * d[1])
+            total += ell * (t1 - t0) * f(mid)
+    return total
+
+
+def oracle_L(P, sigma, f):
+    """L(f) with the boundary integral of oracle_boundary_integral."""
+    interior = sum((integrate_affine(cell, *f.pieces[i]) for i, cell in decompose(P, f)), Q(0))
+    return oracle_boundary_integral(P, sigma, f) - measures(P, sigma).A * interior
+
+
+def oracle_extend_interior_field(g, F, layers=1):
+    """The NaN-filled extension loop with its own 3-point Lagrange weights."""
+    def lagrange3(x0, x1, x2, x3):
+        c1 = (x0 - x2) * (x0 - x3) / ((x1 - x2) * (x1 - x3))
+        c2 = (x0 - x1) * (x0 - x3) / ((x2 - x1) * (x2 - x3))
+        c3 = (x0 - x1) * (x0 - x2) / ((x3 - x1) * (x3 - x2))
+        return c1, c2, c3
+
+    full = np.full(g.shape, np.nan)
+    full[(slice(layers, -layers),) * g.n] = F
+    for a in range(g.n):
+        x = g.axes[a].nodes
+        for side in range(2):
+            for off in range(layers):
+                j = off if side == 0 else g.shape[a] - 1 - off
+                base = layers if side == 0 else g.shape[a] - 1 - layers
+                step = 1 if side == 0 else -1
+                js = [base, base + step, base + 2 * step]
+                cs = lagrange3(x[j], x[js[0]], x[js[1]], x[js[2]])
+                idx_t = [slice(None)] * g.n
+                src = []
+                for jj in js:
+                    idx_s = idx_t.copy()
+                    idx_s[a] = jj
+                    src.append(full[tuple(idx_s)])
+                idx_t[a] = j
+                full[tuple(idx_t)] = cs[0] * src[0] + cs[1] * src[1] + cs[2] * src[2]
+    assert not np.isnan(full).any()
+    return full
+
+
+def oracle_filtration_futaki(P, f, k):
+    """(sum of ceil(k f(m/k)) / (k d_k), min of f(m/k)), one lattice point at a time.
+
+    f is any callable returning a rational; this is the per-point route the
+    row and floor-sum path of filtration_futaki replaced.
+    """
+    require_integral(P)
+    total = d = 0
+    minval = None
+    for m in lattice_points(P, k):
+        val = Q(f(tuple(Q(mi, k) for mi in m)))
+        minval = val if minval is None else min(minval, val)
+        total += math.ceil(k * val)
+        d += 1
+    return Q(total, k * d), minval

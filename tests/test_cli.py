@@ -158,6 +158,15 @@ class TestFiltrationCommand:
         assert rows[1] == "16,17/33"
         assert rows[2] == "32,33/65"
 
+    def test_repeated_k_rejected(self, tmp_path, capsys):
+        # a repeated k made the 1/k extrapolation divide 0 by 0 (a traceback)
+        p = tmp_path / "tri.poly"
+        p.write_text("dim 2\nvertices\n0 0\n1 0\n0 1\n")
+        out = tmp_path / "o"
+        assert main(["filtration", str(p), "--pieces", "1,0,0", "--ks", "2,2",
+                     "--out", str(out)]) == 1
+        assert_one_error_line(capsys, out)
+
 
 def assert_one_error_line(capsys, out):
     err = capsys.readouterr().err.splitlines()
@@ -290,6 +299,18 @@ class TestFlows:
         assert main(["flow-sphere", "--points", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1+nanj"])
+    def test_flow_matrix_nonfinite_entry_rejected(self, tmp_path, capsys, entry):
+        # such an entry used to run the flow, print a verdict and then fail in eigvals
+        f = tmp_path / "mat.txt"
+        f.write_text(f"1 1\n0 {entry}\n")
+        out = tmp_path / "o"
+        assert main(["flow-matrix", "--matrix", str(f), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {f}: line 2: {entry!r} is not finite"]
+        assert not out.exists()
+
     def test_flow_sphere_bad_number_reports_line(self, tmp_path, capsys):
         f = tmp_path / "pts.txt"
         f.write_text("0 0 1\n# comment\n1 zz 0\n")
@@ -371,13 +392,16 @@ class TestOutputDirectory:
 
 
 class TestNumericParameters:
-    """A ray scale or flow step that is zero, negative or not finite ends in
-    one error line, exit 1 and no --out directory."""
+    """A ray scale or flow step that is zero, negative or not finite, or a
+    flow with fewer than one step, ends in one error line, exit 1 and no
+    --out directory."""
 
     @pytest.mark.parametrize("argv", [
         "ray esc.poly --smax 0", "ray esc.poly --smax nan", "ray esc.poly --smax -5",
         "flow-sphere --points pts.txt --step 0", "flow-sphere --points pts.txt --step -0.05",
-        "flow-sphere --points pts.txt --step nan", "flow-matrix --matrix mat.txt --step 0"])
+        "flow-sphere --points pts.txt --step nan", "flow-matrix --matrix mat.txt --step 0",
+        "flow-sphere --points pts.txt --max-steps 0", "flow-sphere --points pts.txt --max-steps -3",
+        "flow-matrix --matrix mat.txt --max-steps 0"])
     def test_rejected(self, in_inputs, capsys, argv):
         assert main(argv.split() + ["--out", "o"]) == 1
         assert_one_error_line(capsys, Path("o"))

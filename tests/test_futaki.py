@@ -21,7 +21,7 @@ from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import L, PLConvexFunction, futaki_linear
 from kstab import stability as stab
 
-from conftest import random_integral_polygon, random_polygon
+from conftest import oracle_filtration_futaki, random_integral_polygon, random_polygon
 
 
 def box_lattice_points(P, k):
@@ -221,8 +221,10 @@ class TestFiltration:
         assert abs(float(f1 - target)) / float(target) < 0.02
 
     def test_callable_evaluator(self, segment_sym):
-        v = filtration_futaki(segment_sym, lambda x: abs(x[0]), 32)
-        assert v == Q(33, 65)
+        # the per-point oracle on the callable |x| against the library on |x|
+        v, minval = oracle_filtration_futaki(segment_sym, lambda x: abs(x[0]), 32)
+        assert (v, minval) == (Q(33, 65), 0)
+        assert filtration_futaki(segment_sym, PLConvexFunction.abs_coordinate(1), 32) == v
 
     def test_shift_logged_not_fatal(self, segment_sym, caplog):
         import logging
@@ -289,17 +291,18 @@ class TestFloorSum:
 
 
 class TestPLFiltrationOracle:
-    """The row and floor-sum path for PLConvexFunction against the per-point path."""
+    """The row and floor-sum path against the per-point oracle."""
 
     def check(self, P, f, k, caplog):
-        """Both paths agree, and log the same minimum when f dips below 0."""
+        """Both agree, and the library logs the oracle's minimum when f dips below 0."""
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="kstab.futaki"):
             fast = filtration_futaki(P, f, k)
-            slow = filtration_futaki(P, lambda x: f(x), k)
+        slow, minval = oracle_filtration_futaki(P, f, k)
         assert fast == slow
         logged = [r.getMessage() for r in caplog.records]
-        assert len(logged) in (0, 2) and logged[:1] == logged[1:]
+        assert len(logged) == (minval < 0)
+        assert all(f"(min {minval})" in message for message in logged)
         return logged
 
     def test_random_pieces(self, caplog):

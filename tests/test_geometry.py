@@ -8,7 +8,8 @@ from kstab import geometry as geo
 from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.solver import quadratic_l_exact
 
-from conftest import numeric_scalar_curvature, oracle_divergence2, oracle_hessian_and_gradient
+from conftest import (numeric_scalar_curvature, oracle_divergence2, oracle_extend_interior_field,
+                      oracle_hessian_and_gradient)
 
 
 def unit(P):
@@ -285,6 +286,17 @@ class TestFieldExtension:
         inner = f[1:-1, 1:-1]
         ext = geo.extend_interior_field(g, inner)
         assert np.abs(ext - f).max() < 1e-10
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("vertices, m", [([(0,), (1,)], 17), ([(0,), (1,)], 256),
+                                             ([(0, 0), (2, 0), (2, 1), (0, 1)], 17),
+                                             ([(0, 0), (2, 0), (2, 1), (0, 1)], (65, 40))])
+    def test_bitwise_equal_to_nan_loop(self, vertices, m, layers):
+        P = Polytope.from_vertices(vertices)
+        g = geo.PotentialGrid.build(P, unit(P), m)
+        F = np.random.default_rng(layers).standard_normal(tuple(k - 2 * layers for k in g.shape))
+        got = geo.extend_interior_field(g, F, layers)
+        assert got.tobytes() == oracle_extend_interior_field(g, F, layers).tobytes()
 
     def test_grid_dump_shape(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=17)

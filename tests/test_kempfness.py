@@ -118,6 +118,16 @@ def test_flow_step_must_be_finite_and_positive(flow, start, step):
         flow(start, step=step)
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+@pytest.mark.parametrize("flow, start", [
+    (kn.sphere_flow, kn.SphereConfig(np.array([[0, 0, 1.0], [1.0, 0, 0]]))),
+    (kn.matrix_flow, [[1, 1], [0, 2]])])
+def test_flow_needs_a_step(flow, start, max_steps):
+    # max_steps < 1 used to report "unresolved after 0 steps"
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        flow(start, max_steps=max_steps)
+
+
 class TestHilbertMumford:
     def test_examples(self):
         lam = kn.OnePS((1, -1))

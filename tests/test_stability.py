@@ -20,7 +20,8 @@ from kstab.stability import (
     futaki_linear,
 )
 
-from conftest import random_integral_polygon, random_polygon, random_unimodular, random_weights
+from conftest import (oracle_L, random_integral_polygon, random_polygon, random_unimodular,
+                      random_weights)
 
 
 def unit(P):
@@ -390,6 +391,40 @@ class TestL:
                                         Q(rng.randint(-3, 3), 2))
             fT = f.compose_inverse(T, shift)
             assert L(P, sigma, f) == L(PT, sigmaT, fT)
+
+
+class TestLOracle:
+    """L in one pass over its cells against the edge-by-edge boundary route."""
+
+    def test_random_corpus(self):
+        rng = random.Random(41)
+
+        def rational():
+            return Q(rng.randint(-6, 6), rng.randint(1, 4))
+
+        for i in range(160):
+            if i % 4 == 0:
+                lo = rational()
+                P = Polytope.from_vertices([(lo,), (lo + Q(rng.randint(1, 12), rng.randint(1, 4)),)])
+            else:
+                P = random_polygon(rng, span=5)
+            sigma = random_weights(rng, P)
+            f = PLConvexFunction(tuple((tuple(rational() for _ in range(P.dim)), rational())
+                                       for _ in range(rng.randint(1, 5))))
+            assert L(P, sigma, f) == oracle_L(P, sigma, f)
+
+    def test_bounded_interior_cell(self, square, unstable_hexagon):
+        # max(0, x - 3/4, 1/4 - x, y - 3/4, 1/4 - y): the zero piece's cell is
+        # a square strictly inside P, with no facet on the boundary
+        f = PLConvexFunction((((Q(0), Q(0)), Q(0)), ((Q(1), Q(0)), Q(-3, 4)),
+                              ((Q(-1), Q(0)), Q(1, 4)), ((Q(0), Q(1)), Q(-3, 4)),
+                              ((Q(0), Q(-1)), Q(1, 4))))
+        inner = [cell for i, cell in decompose(square, f) if f.pieces[i][0] == (0, 0)]
+        assert len(inner) == 1 and not set(inner[0].facets) & set(square.facets)
+        hexagon, hex_sigma = unstable_hexagon
+        for P, sigma in ((square, BoundaryMeasure((Q(2), Q(1, 3), Q(5), Q(7, 2)))),
+                         (hexagon, hex_sigma)):
+            assert L(P, sigma, f) == oracle_L(P, sigma, f)
 
 
 class TestFutakiLinear:
