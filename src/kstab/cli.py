@@ -295,9 +295,13 @@ def cmd_flow_sphere(args) -> tuple[int, dict]:
         if not any(row[:3]):
             raise ValueError(f"{args.points}: line {line_no}: the zero vector is not "
                              "a point of the sphere")
+        if len(row) == 4 and row[3] <= 0:
+            raise ValueError(f"{args.points}: line {line_no}: the multiplicity must be positive")
         rows.append(row)
     pts = np.array([r[:3] for r in rows])
     mult = np.array([r[3] if len(r) > 3 else 1.0 for r in rows])
+    # scaling by a power of two is exact, and keeps the norm off over- and underflow
+    pts = np.ldexp(pts, -np.frexp(np.abs(pts).max(axis=1))[1][:, None])
     pts = pts / np.linalg.norm(pts, axis=1)[:, None]
     res = kn.sphere_flow(kn.SphereConfig(pts, mult), step=args.step,
                          max_steps=args.max_steps)

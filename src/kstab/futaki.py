@@ -107,17 +107,6 @@ def _rows(P: Polytope, k: int):
             yield prefix, lo, hi
 
 
-def lattice_points(P: Polytope, k: int = 1):
-    """Iterate over the lattice points of k*P in lexicographic order (exact).
-
-    The scan goes row by row (see _rows), so finding the points costs
-    O(k^(n-1) * #facets) on top of yielding them.
-    """
-    for prefix, lo, hi in _rows(P, k):
-        for y in range(lo, hi + 1):
-            yield prefix + (y,)
-
-
 def require_integral(P: Polytope):
     for v in P.vertices:
         if any(c.denominator != 1 for c in v):

@@ -413,26 +413,6 @@ def legendre(g: PotentialGrid, x):
 
 # -- quadrature ---------------------------------------------------------------
 
-def uniform_core_mask(g: PotentialGrid) -> np.ndarray:
-    """Depth-2 lattice nodes whose full stencil sits in uniformly spaced mesh.
-
-    On these nodes both differencing stages are genuinely second-order, so
-    mesh-convergence ratios are clean; at grading transitions the composed
-    stencil error is irregular.
-    """
-    masks = []
-    for ax in g.axes:
-        gaps = ax.gaps
-        ok = np.zeros(ax.m - 4, dtype=bool)
-        for i, j in enumerate(range(2, ax.m - 2)):
-            window = gaps[j - 2:j + 2]
-            ok[i] = np.allclose(window, window[0], rtol=1e-10)
-        masks.append(ok)
-    if g.n == 1:
-        return masks[0]
-    return masks[0][:, None] & masks[1][None, :]
-
-
 def node_weights(g: PotentialGrid) -> np.ndarray:
     """Tensor trapezoid weights for the full node grid."""
     w = g.axes[0].trapezoid

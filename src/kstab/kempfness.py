@@ -41,6 +41,8 @@ class SphereConfig:
         if self.multiplicities is None:
             self.multiplicities = np.ones(len(self.points))
         self.multiplicities = np.asarray(self.multiplicities, dtype=float)
+        if not (self.multiplicities > 0).all():
+            raise ValueError("multiplicities must be positive")
         if not np.isfinite(self.points).all():
             raise ValueError("points must be finite")
         norms = np.linalg.norm(self.points, axis=1)
@@ -148,8 +150,8 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     Each step is an exact conjugation, so the spectrum is preserved to
     rounding; the commutator norm decreases monotonically to the normal
     (polystable) limit, or the whole matrix flows to the zero-orbit closure
-    for non-semistable starts.  step must be finite and positive and
-    max_steps at least 1.
+    for non-semistable starts.  step must be finite and positive,
+    max_steps at least 1 and [A, A*] of the start finite (ValueError).
     """
     _check_flow(step, max_steps)
     A = np.array(A, dtype=complex)
@@ -159,8 +161,11 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     def comm(M):
         return M @ M.conj().T - M.conj().T @ M
 
-    N = comm(A)
-    f = float(np.linalg.norm(N) ** 2)
+    with np.errstate(all="ignore"):
+        N = comm(A)
+        f = float(np.linalg.norm(N) ** 2)
+    if not np.isfinite(f):
+        raise ValueError("[A, A*] of the start matrix overflows; rescale A")
     history = [np.sqrt(f)]
     dt = step
     n_steps = 0

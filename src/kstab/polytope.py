@@ -431,59 +431,6 @@ def integrate_affine(P: Polytope, a: Sequence, b) -> Q:
     return m.vol * (sum(ai * ci for ai, ci in zip(a, m.centroid)) + _frac(b))
 
 
-def unimodular_image(P: Polytope, T: Sequence[Sequence[int]], shift: Sequence = None) -> Polytope:
-    """Image of P under x -> Tx + shift for unimodular integer T.
-
-    Facet weights carry over by facet identity: the k-th facet of the result
-    list corresponds to the image of the k-th facet of P.
-    """
-    n = P.dim
-    shift = _point(shift) if shift is not None else (Q(0),) * n
-    T = [[int(e) for e in row] for row in T]
-    if n == 1:
-        det = T[0][0]
-    else:
-        det = T[0][0] * T[1][1] - T[0][1] * T[1][0]
-    if abs(det) != 1:
-        raise ValueError("transform must be unimodular")
-    new_vertices = []
-    for v in P.vertices:
-        img = tuple(sum(T[i][j] * v[j] for j in range(n)) + shift[i] for i in range(n))
-        new_vertices.append(img)
-    Q_ = Polytope.from_vertices(new_vertices)
-    return Q_
-
-
-def facet_index_map(P: Polytope, Q_: Polytope, T: Sequence[Sequence[int]]):
-    """For each facet k of P, the index of its image facet in Q_ = T(P)+shift.
-
-    Normals transform by the inverse transpose, which keeps them primitive
-    for unimodular T.
-    """
-    T = [[int(e) for e in row] for row in T]
-    idx = []
-    for f in P.facets:
-        img = _transform_normal(f.normal, T)
-        for j, g in enumerate(Q_.facets):
-            if g.normal == img:
-                idx.append(j)
-                break
-        else:
-            raise ValueError("image facet not found")
-    return idx
-
-
-def _transform_normal(nu: tuple[int, ...], T: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """T^{-T} nu for unimodular integer T (the image facet's inward normal)."""
-    if len(nu) == 1:
-        return (nu[0] * T[0][0],)
-    a, b = T[0]
-    c, d = T[1]
-    det = a * d - b * c
-    # T^{-1} = det * [[d, -b], [-c, a]] since det = +-1
-    return (det * (d * nu[0] - c * nu[1]), det * (-b * nu[0] + a * nu[1]))
-
-
 # -- text format --------------------------------------------------------------
 
 def _parse_rational(token: str) -> Q:
@@ -578,12 +525,3 @@ def parse_polytope_text(text: str) -> tuple[Polytope, BoundaryMeasure]:
         raise PolytopeParseError(body[0][0] if body else ln2, str(e)) from None
     return P, BoundaryMeasure(tuple(weights[f.normal] for f in P.facets))
 
-
-def format_polytope_text(P: Polytope, sigma: BoundaryMeasure | None = None) -> str:
-    """Inverse of parse_polytope_text (facets mode, exact)."""
-    if sigma is None:
-        sigma = BoundaryMeasure.unit(P)
-    out = [f"dim {P.dim}", "facets"]
-    for f, w in zip(P.facets, sigma.weights):
-        out.append(" ".join(str(n) for n in f.normal) + f" {f.offset} {w}")
-    return "\n".join(out) + "\n"

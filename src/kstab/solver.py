@@ -40,7 +40,6 @@ import math
 import mmap
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,10 +47,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from kstab import geometry as geo
-from kstab.polytope import BoundaryMeasure, Polytope, measures
+from kstab.polytope import BoundaryMeasure, Polytope
 from kstab.stability import futaki_linear
 
-Q = Fraction
 log = logging.getLogger(__name__)
 
 # a chord step (the kept factor, the current residual) is accepted only if it
@@ -564,7 +562,8 @@ def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
     F is sampled at the nine points s_max / 2^j, j = 8, ..., 0, and the
     slope is the secant through the last two.  For convex f the slope tends
     to L(f); linear f gives exactly L(f) at every s because the Hessian
-    term is unchanged.  s_max must be finite and positive (ValueError).
+    term is unchanged.  s_max must be finite and positive, and so must every
+    sample of F (ValueError; the Hessian overflows when s_max is too large).
     """
     if not 0 < s_max < math.inf:
         raise ValueError(f"s_max must be finite and positive, got {s_max!r}")
@@ -576,90 +575,11 @@ def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
         g0, np.zeros_like(fvals))
     ladder = [s_max / 2.0 ** j for j in range(8, -1, -1)]
     samples = []
-    for s in ladder:
-        gs = g0.with_phi(s * fvals)
-        samples.append((s, mabuchi(P, sigma, gs)))
+    with np.errstate(all="ignore"):     # an overflow shows as the F it spoils
+        for s in ladder:
+            samples.append((s, mabuchi(P, sigma, g0.with_phi(s * fvals))))
+            if not math.isfinite(samples[-1][1]):
+                raise ValueError(f"F(u0 + s f) is not finite at s = {s:g}; lower s_max")
     (s1, F1), (s2, F2) = samples[-2], samples[-1]
     return RaySlope((F2 - F1) / (s2 - s1), samples, lval)
 
-
-# -- integration-by-parts certificates ---------------------------------------
-
-def quadratic_l_exact(P: Polytope, sigma: BoundaryMeasure, qmat, lin, const) -> Q:
-    """Exact L of the quadratic x^T Q x + lin.x + const on a box polytope."""
-    if not P.is_box():
-        raise NotImplementedError("exact quadratic L implemented for boxes")
-    box = P.bounding_box()
-    n = P.dim
-    qmat = [[Q(qmat[a][b]) for b in range(n)] for a in range(n)]
-    lin = [Q(v) for v in lin]
-    const = Q(const)
-
-    def mono1(lo, hi, p):
-        # integral of t^p over [lo, hi]
-        return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-
-    def integral_over_box(expr):
-        # expr: dict {(p1,..,pn): coeff} of monomials
-        total = Q(0)
-        for powers, cf in expr.items():
-            val = cf
-            for (lo, hi), p in zip(box, powers):
-                val *= mono1(lo, hi, p)
-            total += val
-        return total
-
-    expr = {}
-    for a in range(n):
-        for b in range(n):
-            pw = [0] * n
-            pw[a] += 1
-            pw[b] += 1
-            expr[tuple(pw)] = expr.get(tuple(pw), Q(0)) + qmat[a][b]
-    for a in range(n):
-        pw = [0] * n
-        pw[a] = 1
-        expr[tuple(pw)] = expr.get(tuple(pw), Q(0)) + lin[a]
-    expr[(0,) * n] = expr.get((0,) * n, Q(0)) + const
-
-    interior = integral_over_box(expr)
-    # boundary: per facet, pin one coordinate and integrate the rest
-    boundary = Q(0)
-    for f, w in zip(P.facets, sigma.weights):
-        axis = next(a for a in range(n) if f.normal[a] != 0)
-        pinned = box[axis][0] if f.normal[axis] == 1 else box[axis][1]
-        total = Q(0)
-        for powers, cf in expr.items():
-            val = cf * pinned ** powers[axis]
-            for a in range(n):
-                if a != axis:
-                    val *= mono1(box[a][0], box[a][1], powers[a])
-            total += val
-        boundary += w * total
-    mm = measures(P, sigma)
-    return boundary - mm.A * interior
-
-
-def ibp_pairing(g: geo.PotentialGrid, qmat) -> float:
-    """Quadrature value of int sum u^{ab} f_ab dmu for f = x^T Q x (f_ab = 2Q)."""
-    U = geo.inverse_hessian_field(g)
-    n = g.n
-    integrand = np.zeros(tuple(ax.m - 2 for ax in g.axes))
-    for a in range(n):
-        for b in range(n):
-            integrand = integrand + U[_key(a, b)] * (2.0 * float(qmat[a][b]))
-    full = geo.extend_interior_field(g, integrand)
-    return geo.integrate_nodes(g, full)
-
-
-def divergence_pairing(g: geo.PotentialGrid, qmat) -> float:
-    """Quadrature value of int sum (u^{ab})_{,ab} f dmu for quadratic f."""
-    div = geo.divergence2_field(g)
-    grids = g.node_grids()
-    f = np.zeros(g.shape)
-    n = g.n
-    for a in range(n):
-        for b in range(n):
-            f += float(qmat[a][b]) * grids[a] * grids[b]
-    full = geo.extend_interior_field(g, div, layers=2)
-    return geo.integrate_nodes(g, full * f)

@@ -85,25 +85,6 @@ class PLConvexFunction:
                 pieces.append((tuple(ai + ci for ai, ci in zip(a, c)), b + d))
         return PLConvexFunction(tuple(pieces))
 
-    def compose_inverse(self, T: Sequence[Sequence[int]], shift: Sequence = None):
-        """f o T^{-1}(y - shift): the pushforward of f under x -> Tx + shift."""
-        n = self.dim
-        shift = _point(shift) if shift is not None else (Q(0),) * n
-        T = [[int(e) for e in row] for row in T]
-        if n == 1:
-            inv = [[Q(1, T[0][0])]]
-        else:
-            det = T[0][0] * T[1][1] - T[0][1] * T[1][0]
-            inv = [[Q(T[1][1], det), Q(-T[0][1], det)],
-                   [Q(-T[1][0], det), Q(T[0][0], det)]]
-        pieces = []
-        for a, b in self.pieces:
-            # <a, T^{-1}(y - s)> + b = <T^{-T} a, y> + (b - <T^{-T} a, s>)
-            na = tuple(sum(a[i] * inv[i][j] for i in range(n)) for j in range(n))
-            nb = b - sum(na[j] * shift[j] for j in range(n))
-            pieces.append((na, nb))
-        return PLConvexFunction(tuple(pieces))
-
 
 def decompose(P: Polytope, f: PLConvexFunction) -> list[tuple[int, Polytope]]:
     """Full-dimensional cells on which one piece of f is maximal.

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from kstab import geometry as geo
-from kstab.futaki import lattice_points, require_integral
-from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures
-from kstab.stability import decompose
+from kstab.futaki import _rows, require_integral
+from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures, parse_polytope_text
+from kstab.solver import _key
+from kstab.stability import PLConvexFunction, decompose
 
 
 @pytest.fixture
@@ -85,6 +86,50 @@ def random_unimodular(rng: random.Random):
             return T
 
 
+def format_polytope_text(P: Polytope, sigma: BoundaryMeasure | None = None) -> str:
+    """Inverse of parse_polytope_text (facets mode, exact)."""
+    if sigma is None:
+        sigma = BoundaryMeasure.unit(P)
+    out = [f"dim {P.dim}", "facets"]
+    for f, w in zip(P.facets, sigma.weights):
+        out.append(" ".join(str(n) for n in f.normal) + f" {f.offset} {w}")
+    return "\n".join(out) + "\n"
+
+
+def unimodular_image(P, sigma, T, shift, f=None):
+    """(T P + shift, its sigma, f o T^{-1}(y - shift)) for unimodular integer T.
+
+    Facet normals and the gradients of f's pieces map by T^{-T}, which keeps
+    normals primitive.  The image is read back from its facets text, which
+    gives each facet the weight written with its normal.  sigma None is the
+    unit measure; the third entry is None when f is.
+    """
+    n = P.dim
+    det = T[0][0] if n == 1 else T[0][0] * T[1][1] - T[0][1] * T[1][0]
+    inv_t = [[det]] if n == 1 else [[det * T[1][1], -det * T[1][0]],
+                                    [-det * T[0][1], det * T[0][0]]]
+
+    def push(v, b, sign):
+        w = tuple(sum(inv_t[i][j] * v[j] for j in range(n)) for i in range(n))
+        return w, b + sign * sum(wi * si for wi, si in zip(w, shift))
+
+    sigma = sigma or BoundaryMeasure.unit(P)
+    lines = [f"dim {n}", "facets"]
+    for fc, w in zip(P.facets, sigma.weights):
+        nu, c = push(fc.normal, fc.offset, 1)       # <nu, x> >= c
+        lines.append(" ".join(map(str, nu)) + f" {c} {w}")
+    PT, sigmaT = parse_polytope_text("\n".join(lines))
+    fT = None if f is None else PLConvexFunction(tuple(push(a, b, -1) for a, b in f.pieces))
+    return PT, sigmaT, fT
+
+
+def lattice_points(P: Polytope, k: int = 1):
+    """The lattice points of k*P in lexicographic order, row by row (exact)."""
+    for prefix, lo, hi in _rows(P, k):
+        for y in range(lo, hi + 1):
+            yield prefix + (y,)
+
+
 # -- the stencil route the axis matrices replaced, kept as the test oracle ----
 #
 # mode "analytic" is the library's route: u0 differentiated in closed form,
@@ -148,6 +193,71 @@ def numeric_scalar_curvature(g):
     """S = -(1/2) sum (u^{ab})_{,ab} on the depth-2 lattice, by the numeric route."""
     H, _ = oracle_hessian_and_gradient(g, "numeric")
     return -0.5 * oracle_divergence2(g, geo.inverse_hessian_field(g, H))
+
+
+def uniform_core_mask(g):
+    """Depth-2 lattice nodes whose full stencil sits in uniformly spaced mesh.
+
+    On these nodes both differencing stages are genuinely second-order, so
+    mesh-convergence ratios are clean; at grading transitions the composed
+    stencil error is irregular.
+    """
+    masks = []
+    for ax in g.axes:
+        gaps = ax.gaps
+        ok = np.zeros(ax.m - 4, dtype=bool)
+        for i, j in enumerate(range(2, ax.m - 2)):
+            window = gaps[j - 2:j + 2]
+            ok[i] = np.allclose(window, window[0], rtol=1e-10)
+        masks.append(ok)
+    if g.n == 1:
+        return masks[0]
+    return masks[0][:, None] & masks[1][None, :]
+
+
+# -- integration-by-parts certificates -----------------------------------------
+
+def box_quadratic_integrals(P, sigma, qmat):
+    """Exact (sigma-weighted boundary integral, interior integral) of x^T Q x on a box P."""
+    # moments[c][p]: the integral of x_c^p over the box's c-th side
+    moments = [[(hi ** (p + 1) - lo ** (p + 1)) / (p + 1) for p in range(3)]
+               for lo, hi in P.bounding_box()]
+
+    def integral(moments):
+        return sum((Q(qmat[a][b]) * math.prod(m[(c == a) + (c == b)] for c, m in enumerate(moments))
+                    for a in range(P.dim) for b in range(P.dim)), Q(0))
+
+    boundary = Q(0)
+    for fc, w in zip(P.facets, sigma.weights):
+        axis = next(c for c in range(P.dim) if fc.normal[c])
+        at = fc.offset * fc.normal[axis]                 # the facet is x_axis = at
+        boundary += w * integral(moments[:axis] + [[at ** p for p in range(3)]] + moments[axis + 1:])
+    return boundary, integral(moments)
+
+
+def ibp_pairing(g: geo.PotentialGrid, qmat) -> float:
+    """Quadrature value of int sum u^{ab} f_ab dmu for f = x^T Q x (f_ab = 2Q)."""
+    U = geo.inverse_hessian_field(g)
+    n = g.n
+    integrand = np.zeros(tuple(ax.m - 2 for ax in g.axes))
+    for a in range(n):
+        for b in range(n):
+            integrand = integrand + U[_key(a, b)] * (2.0 * float(qmat[a][b]))
+    full = geo.extend_interior_field(g, integrand)
+    return geo.integrate_nodes(g, full)
+
+
+def divergence_pairing(g: geo.PotentialGrid, qmat) -> float:
+    """Quadrature value of int sum (u^{ab})_{,ab} f dmu for quadratic f."""
+    div = geo.divergence2_field(g)
+    grids = g.node_grids()
+    f = np.zeros(g.shape)
+    n = g.n
+    for a in range(n):
+        for b in range(n):
+            f += float(qmat[a][b]) * grids[a] * grids[b]
+    full = geo.extend_interior_field(g, div, layers=2)
+    return geo.integrate_nodes(g, full * f)
 
 
 # -- routes the library replaced, kept as test oracles -------------------------

@@ -19,21 +19,19 @@ from kstab.futaki import (
     filtration_futaki,
     interpolate_polynomial,
 )
-from kstab.polytope import (
-    BoundaryMeasure,
-    Polytope,
-    facet_index_map,
-    measures,
-    unimodular_image,
-)
+from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import L, PLConvexFunction, crease_search, futaki_linear
 
 from conftest import (
+    box_quadratic_integrals,
+    ibp_pairing,
     numeric_scalar_curvature,
     random_integral_polygon,
     random_polygon,
     random_unimodular,
     random_weights,
+    uniform_core_mask,
+    unimodular_image,
 )
 
 
@@ -81,7 +79,7 @@ def test_criterion_2_scalar_curvature_constant():
         g2 = g1.refined()
         S1 = numeric_scalar_curvature(g1)
         S2 = numeric_scalar_curvature(g2)
-        mask = geo.uniform_core_mask(g1)
+        mask = uniform_core_mask(g1)
         if P.dim == 1:
             S2c = S2[2 * np.arange(len(S1)) + 2]
         else:
@@ -127,14 +125,10 @@ def test_criterion_4_functional_exactness():
         sigma = random_weights(rng, P)
         T = random_unimodular(rng)
         shift = (rng.randint(-4, 4), rng.randint(-4, 4))
-        PT = unimodular_image(P, T, shift)
-        wts = [Q(0)] * len(PT.facets)
-        for k, j in enumerate(facet_index_map(P, PT, T)):
-            wts[j] = sigma.weights[k]
-        sigmaT = BoundaryMeasure(tuple(wts))
         f = PLConvexFunction.crease((rng.randint(-2, 2), rng.randint(1, 2)),
                                     Q(rng.randint(-3, 3), 2))
-        ok = ok and L(P, sigma, f) == L(PT, sigmaT, f.compose_inverse(T, shift))
+        PT, sigmaT, fT = unimodular_image(P, sigma, T, shift, f)
+        ok = ok and L(P, sigma, f) == L(PT, sigmaT, fT)
     report(4, ok, "L(|x|) = 1 exact; 100 constant and 100 GL(2,Z) checks exact")
 
 
@@ -185,9 +179,10 @@ def test_criterion_6_integration_by_parts_contract():
         ok = ok and rep.converged
         base = geo.PotentialGrid.build(P, sigma, m)
         for qm in qmats:
-            got = sol.ibp_pairing(rep.grid, qm)
-            want = float(sol.quadratic_l_exact(P, sigma, qm, [0] * P.dim, 0))
-            baseline = max(abs(sol.ibp_pairing(base, qm) - want), 1e-7)
+            got = ibp_pairing(rep.grid, qm)
+            boundary, interior = box_quadratic_integrals(P, sigma, qm)
+            want = float(boundary - measures(P, sigma).A * interior)
+            baseline = max(abs(ibp_pairing(base, qm) - want), 1e-7)
             ok = ok and abs(got - want) <= 10 * baseline
             worst = max(worst, abs(got - want) / baseline)
     report(6, ok, f"worst pairing error = {worst:.2f}x quadrature baseline (<= 10x)")

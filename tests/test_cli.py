@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from kstab.cli import main
-from kstab.polytope import format_polytope_text
+
+from conftest import format_polytope_text
 
 
 SQUARE = "dim 2\nvertices\n0 0\n1 0\n1 1\n0 1\n"
@@ -15,8 +16,10 @@ ESCAPE = "dim 1\nfacets\n1 0 1\n-1 -1 10/9\n"
 # four unit vectors that balance in 24 steps at the default step
 POINTS = "1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"
 MATRIX = "1 1\n0 2\n"
+# the weighted unit box: x-facets weight 2, y-facets weight 3
+BOX = "dim 2\nfacets\n1 0 0 2\n-1 0 -1 2\n0 1 0 3\n0 -1 -1 3\n"
 INPUTS = {"sq.poly": SQUARE, "wseg.poly": WSEG, "seg.poly": SEG, "esc.poly": ESCAPE,
-          "pts.txt": POINTS, "mat.txt": MATRIX}
+          "box.poly": BOX, "pts.txt": POINTS, "mat.txt": MATRIX, "big.txt": "1e200 0\n0 0\n"}
 
 
 @pytest.fixture
@@ -293,6 +296,32 @@ class TestFlows:
         assert "line 3" in err and "zero vector" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line", [("1 0 0 0\n-1 0 0 0\n", 1),
+                                            ("1 0 0\n-2 0 0 -2\n", 2)], ids=["zero", "negative"])
+    def test_flow_sphere_nonpositive_multiplicity_rejected(self, tmp_path, capsys, text, line):
+        # these used to report "balanced" with multiplicities (0, 0), or (1, -2)
+        f = tmp_path / "pts.txt"
+        f.write_text(text)
+        out = tmp_path / "o"
+        assert main(["flow-sphere", "--points", str(f), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {f}: line {line}: the multiplicity must be positive"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, axis", [("1e308 1e308 0\n-1 -1 0\n", [0.5 ** 0.5] * 2 + [0]),
+                                            ("1e-320 0 0\n-1 0 0\n", [1, 0, 0])],
+                             ids=["huge", "subnormal"])
+    def test_flow_sphere_extreme_coordinates(self, tmp_path, text, axis):
+        # the norm of such a row overflowed or underflowed: a spurious error
+        f = tmp_path / "pts.txt"
+        f.write_text(text)
+        out = tmp_path / "o"
+        assert main(["flow-sphere", "--points", str(f), "--out", str(out)]) == 0
+        data = json.loads((out / "flow.json").read_text())
+        assert data["verdict"] == "balanced"
+        assert data["points"] == [axis, [-v for v in axis]]
+
     def test_flow_sphere_nonfinite_point_rejected(self, tmp_path, capsys):
         f = tmp_path / "pts.txt"
         f.write_text("0 0 1\nnan 0 1\n")
@@ -392,16 +421,18 @@ class TestOutputDirectory:
 
 
 class TestNumericParameters:
-    """A ray scale or flow step that is zero, negative or not finite, or a
-    flow with fewer than one step, ends in one error line, exit 1 and no
-    --out directory."""
+    """A ray scale or flow step that is zero, negative or not finite, a
+    flow with fewer than one step, a ray whose F overflows or a matrix whose
+    [A, A*] overflows ends in one error line, exit 1 and no --out directory."""
 
     @pytest.mark.parametrize("argv", [
         "ray esc.poly --smax 0", "ray esc.poly --smax nan", "ray esc.poly --smax -5",
         "flow-sphere --points pts.txt --step 0", "flow-sphere --points pts.txt --step -0.05",
         "flow-sphere --points pts.txt --step nan", "flow-matrix --matrix mat.txt --step 0",
         "flow-sphere --points pts.txt --max-steps 0", "flow-sphere --points pts.txt --max-steps -3",
-        "flow-matrix --matrix mat.txt --max-steps 0"])
+        "flow-matrix --matrix mat.txt --max-steps 0",
+        "ray box.poly --quadratic 1,0,1 --smax 1e300", "flow-matrix --matrix big.txt"])
+    @pytest.mark.filterwarnings("error")
     def test_rejected(self, in_inputs, capsys, argv):
         assert main(argv.split() + ["--out", "o"]) == 1
         assert_one_error_line(capsys, Path("o"))

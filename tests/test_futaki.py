@@ -14,14 +14,14 @@ from kstab.futaki import (
     filtration_futaki,
     floor_sum,
     interpolate_polynomial,
-    lattice_points,
 )
 from kstab import futaki
 from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import L, PLConvexFunction, futaki_linear
 from kstab import stability as stab
 
-from conftest import oracle_filtration_futaki, random_integral_polygon, random_polygon
+from conftest import (lattice_points, oracle_filtration_futaki, random_integral_polygon, random_polygon,
+                      unimodular_image)
 
 
 def box_lattice_points(P, k):
@@ -164,8 +164,7 @@ class TestExpansion:
         assert deep.residual < shallow.residual
 
     def test_translation_covariance(self, trapezoid):
-        from kstab.polytope import unimodular_image
-        shifted = unimodular_image(trapezoid, [[1, 0], [0, 1]], (3, -2))
+        shifted = unimodular_image(trapezoid, None, [[1, 0], [0, 1]], (3, -2))[0]
         F0, F1, _ = expansion_exact(trapezoid, (1, 0))
         G0, G1, _ = expansion_exact(shifted, (1, 0))
         assert G0 == F0 + 3

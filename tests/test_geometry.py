@@ -6,10 +6,10 @@ import pytest
 
 from kstab import geometry as geo
 from kstab.polytope import BoundaryMeasure, Polytope, measures
-from kstab.solver import quadratic_l_exact
 
-from conftest import (numeric_scalar_curvature, oracle_divergence2, oracle_extend_interior_field,
-                      oracle_hessian_and_gradient)
+from conftest import (box_quadratic_integrals, divergence_pairing, ibp_pairing, numeric_scalar_curvature,
+                      oracle_divergence2, oracle_extend_interior_field, oracle_hessian_and_gradient,
+                      uniform_core_mask)
 
 
 def unit(P):
@@ -139,12 +139,12 @@ class TestAbreuOperator:
         e = []
         for g in (g1, g2):
             S = numeric_scalar_curvature(g)
-            mask = geo.uniform_core_mask(g)
+            mask = uniform_core_mask(g)
             e.append(np.abs(S - 1)[mask].max())
         # compare at the common coarse nodes
         S2 = numeric_scalar_curvature(g2)
         S1 = numeric_scalar_curvature(g1)
-        m1 = geo.uniform_core_mask(g1)
+        m1 = uniform_core_mask(g1)
         common = S2[2 * np.arange(len(S1)) + 2]
         ratio = np.abs(S1 - 1)[m1].max() / np.abs(common - 1)[m1].max()
         assert 3.5 < ratio < 4.5
@@ -167,7 +167,7 @@ class TestAbreuOperator:
         S2 = numeric_scalar_curvature(g2)
         x1 = g1.axes[0].nodes[2:-2]
         exact1 = (1 - 3 * x1 ** 2) / (1 + x1 ** 2) ** 3
-        m1 = geo.uniform_core_mask(g1)
+        m1 = uniform_core_mask(g1)
         e1 = np.abs(S1 - exact1)[m1].max()
         e2 = np.abs(S2[2 * np.arange(len(S1)) + 2] - exact1)[m1].max()
         assert 3.4 < e1 / e2 < 4.6
@@ -236,7 +236,6 @@ class TestQuadrature:
         # int u^{ab} f_ab - int (u^{ab})_{,ab} f = boundary integral of f,
         # for any u = u0 + smooth phi: the two-integrations-by-parts contract
         # that encodes the (ell/w) log ell boundary behaviour.
-        from kstab.solver import ibp_pairing, divergence_pairing
         cases = []
         sig2 = BoundaryMeasure(tuple(
             Q(2) if f.normal[0] != 0 else Q(3) for f in square.facets))
@@ -249,33 +248,13 @@ class TestQuadrature:
             lhs = ibp_pairing(g, qmat)
             mid = divergence_pairing(g, qmat)
             # boundary integral of f = x^T Q x with the weighted measure
-            mm = measures(P, sigma)
-            bexact = float(quadratic_l_exact(P, sigma, qmat, [0] * P.dim, 0)
-                           + mm.A * _box_integral_quadratic(P, qmat))
+            bexact = float(box_quadratic_integrals(P, sigma, qmat)[0])
             # quadrature order estimate from a refined grid
             g2 = g.refined(phi)
             lhs2 = ibp_pairing(g2, qmat)
             mid2 = divergence_pairing(g2, qmat)
             err_est = abs((lhs - mid) - (lhs2 - mid2)) * 4 / 3 + 1e-8
             assert abs((lhs - mid) - bexact) < 12 * err_est + 5e-4
-
-
-def _box_integral_quadratic(P, qmat):
-    box = P.bounding_box()
-    n = P.dim
-    total = Q(0)
-    for a in range(n):
-        for b in range(n):
-            cf = Q(qmat[a][b])
-            if cf == 0:
-                continue
-            val = cf
-            for c in range(n):
-                lo, hi = box[c]
-                p = (1 if c == a else 0) + (1 if c == b else 0)
-                val *= (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-            total += val
-    return total
 
 
 class TestFieldExtension:

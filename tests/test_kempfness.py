@@ -29,6 +29,12 @@ class TestSphereMoment:
             kn.SphereConfig(np.array([[0, 0, 1.0], [bad, 0, 0]]))
 
 
+    @pytest.mark.parametrize("mult", [[1, 0], [0, 0], [1, -2]])
+    def test_nonpositive_multiplicities_rejected(self, mult):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            kn.SphereConfig(np.array([[0, 0, 1.0], [0, 0, -1.0]]), np.array(mult))
+
+
 class TestSphereFlow:
     def test_balanced_two_two(self):
         rng = np.random.default_rng(5)
@@ -96,6 +102,12 @@ class TestMatrixFlow:
         res = kn.matrix_flow(A)
         assert res.verdict == "normal"
         assert np.allclose(res.matrix, A)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_commutator_rejected(self):
+        # [A, A*] of diag(1e200, 0) is inf - inf: the flow wrote NaN norms
+        with pytest.raises(ValueError, match="overflows"):
+            kn.matrix_flow([[1e200, 0], [0, 0]])
 
     def test_eigenvalue_conservation_random(self):
         rng = np.random.default_rng(3)

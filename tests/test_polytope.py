@@ -14,14 +14,13 @@ from kstab.polytope import (
     Polytope,
     PolytopeParseError,
     clip,
-    format_polytope_text,
     is_delzant,
     measures,
     parse_polytope_text,
-    unimodular_image,
 )
 
-from conftest import random_polygon, random_unimodular, random_weights
+from conftest import (format_polytope_text, random_polygon, random_unimodular, random_weights,
+                      unimodular_image)
 
 
 class TestFromVertices:
@@ -75,7 +74,7 @@ class TestDelzant:
             for _ in range(25):
                 T = random_unimodular(rng)
                 shift = (rng.randint(-5, 5), rng.randint(-5, 5))
-                assert is_delzant(unimodular_image(P, T, shift)) == base
+                assert is_delzant(unimodular_image(P, None, T, shift)[0]) == base
 
 
 class TestMeasures:

@@ -16,6 +16,8 @@ from kstab import stability as stab
 from kstab.polytope import BoundaryMeasure, measures
 from kstab.stability import L, PLConvexFunction, crease_search
 
+from conftest import box_quadratic_integrals, ibp_pairing
+
 
 def unit(P):
     return BoundaryMeasure.unit(P)
@@ -409,7 +411,7 @@ class TestSolve:
             calls.append(args)
             return measures(*args)
 
-        for mod in (geo, sol, stab):
+        for mod in (geo, stab):
             monkeypatch.setattr(mod, "measures", counted)
         sigma = BoundaryMeasure(tuple(
             weight if f.normal == (-1, 0) else Q(1) for f in square.facets))
@@ -593,6 +595,12 @@ class TestRaySlope:
         rs = sol.ray_slope(segment01, unit(segment01), lambda x: 0.0 * x, s_max=10)
         assert rs.slope == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_an_error(self, square):
+        # the Hessian of u0 + s x^2 overflows at s ~ 1e300: the slope was NaN
+        with pytest.raises(ValueError, match="not finite"):
+            sol.ray_slope(square, unit(square), lambda x, y: x * x + y * y, s_max=1e300, m=25)
+
     def test_2d_linear(self, square):
         sigma = BoundaryMeasure(tuple(
             Q(1, 4) if f.normal == (-1, 0) else Q(1) for f in square.facets))
@@ -619,7 +627,8 @@ class TestSolutionCertificate:
             assert rep.converged
             base = geo.PotentialGrid.build(P, sigma, m)   # exact solution u0
             for qm in qmats:
-                got = sol.ibp_pairing(rep.grid, qm)
-                want = float(sol.quadratic_l_exact(P, sigma, qm, [0] * P.dim, 0))
-                baseline = abs(sol.ibp_pairing(base, qm) - want)
+                got = ibp_pairing(rep.grid, qm)
+                boundary, interior = box_quadratic_integrals(P, sigma, qm)
+                want = float(boundary - measures(P, sigma).A * interior)
+                baseline = abs(ibp_pairing(base, qm) - want)
                 assert abs(got - want) <= 10 * max(baseline, 1e-7)

@@ -6,8 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from kstab.polytope import (BoundaryMeasure, Polytope, facet_index_map, integrate_affine, measures,
-                            unimodular_image)
+from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures
 from kstab import stability as stab
 from kstab.stability import (
     L,
@@ -21,7 +20,7 @@ from kstab.stability import (
 )
 
 from conftest import (oracle_L, random_integral_polygon, random_polygon, random_unimodular,
-                      random_weights)
+                      random_weights, unimodular_image)
 
 
 def unit(P):
@@ -381,15 +380,9 @@ class TestL:
             sigma = random_weights(rng, P)
             T = random_unimodular(rng)
             shift = (rng.randint(-3, 3), rng.randint(-3, 3))
-            PT = unimodular_image(P, T, shift)
-            idx = facet_index_map(P, PT, T)
-            wts = [Q(0)] * len(PT.facets)
-            for k, j in enumerate(idx):
-                wts[j] = sigma.weights[k]
-            sigmaT = BoundaryMeasure(tuple(wts))
             f = PLConvexFunction.crease((rng.randint(-2, 2), rng.randint(1, 2)),
                                         Q(rng.randint(-3, 3), 2))
-            fT = f.compose_inverse(T, shift)
+            PT, sigmaT, fT = unimodular_image(P, sigma, T, shift, f)
             assert L(P, sigma, f) == L(PT, sigmaT, fT)
 
 
