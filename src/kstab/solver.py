@@ -10,11 +10,11 @@ the residual.  The residual lives on the nodes two layers in, so phi's two
 outer layers on each side are closed off as the cubic extrapolation E of
 the deep values (Guillemin's boundary condition makes phi smooth up to the
 boundary).  J*E is then square, singular only along the affine gauge,
-which Newton pins at n + 1 deep nodes.  The pinned system is factored by
-banded LU with partial pivoting (LAPACK dgbtrf): in the deep row-major
-ordering of a tensor grid its bandwidths l and u are about 3(m - 4) + 3.
-There is one band buffer per solve, refilled in place by each
-refactorization.
+which Newton pins at n + 1 deep nodes.  On a tensor grid J*E is a
+7^n-point stencil made of the axes' 3-point ones, whose planes are the
+diagonals of its band (bandwidths about 3(m - 4) + 3): it is summed
+straight into LAPACK band storage, one band per solve refilled in place,
+and factored there by banded LU with partial pivoting (dgbtrf).
 The last factor is kept: from a closed iterate a Newton step first tries
 it as a chord step (one dgbtrs, one evaluation), accepted only if it cuts
 the sup residual ten-fold, and refactors otherwise.  Affine gauge of phi:
@@ -35,6 +35,7 @@ acceptable trial, in either regime, ends the run as stalled.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import mmap
@@ -60,37 +61,45 @@ _CHORD_CUT = 0.1
 
 # -- discrete operators -------------------------------------------------------
 
-def _tensor_second_differences(d1x, d2x, d1y, d2y) -> dict:
-    """Second-difference matrices {(a, b): D_ab} on a 2D tensor grid.
+def _pair_taps(g: geo.PotentialGrid, inner: bool) -> dict:
+    """{(a, b): {taps: coefficient field}} of the tensor stencils D_ab, a <= b.
 
-    Kronecker products of the axis matrices; an axis that is not
-    differenced is restricted to its inner entries.
+    Axis e takes d1 or d2 (d1i, d2i if `inner`) for (a == e) + (b == e) =
+    1 or 2, else the middle tap 1; a tap is one position per axis.
     """
-    rx = sp.eye(*d2x.shape, k=1, format="csr")
-    ry = sp.eye(*d2y.shape, k=1, format="csr")
-    D = {(0, 0): sp.kron(d2x, ry, format="csr"),
-         (1, 1): sp.kron(rx, d2y, format="csr"),
-         (0, 1): sp.kron(d1x, d1y, format="csr")}
-    D[(1, 0)] = D[(0, 1)]
-    return D
+    orders = [[{1: 1.0}] + [{t: geo._on_axis(M.diagonal(t), g.n, e) for t in range(3)}
+                            for M in ((ax.d1i, ax.d2i) if inner else (ax.d1, ax.d2))]
+              for e, ax in enumerate(g.axes)]
+    out = {}
+    for a in range(g.n):
+        for b in range(a, g.n):
+            out[(a, b)] = {(): 1.0}
+            for e in range(g.n):
+                out[(a, b)] = {s + (t,): c * v for s, c in out[(a, b)].items()
+                               for t, v in orders[e][(a == e) + (b == e)].items()}
+    return out
 
 
 class GridOperators:
-    """Sparse difference operators and quadrature vectors for a grid.
+    """Difference operators and quadrature vectors for a grid.
 
-    The Hessian (nodes -> interior) and the second divergence (interior ->
-    two layers in) are assembled from the grid axes' own matrices.
+    The Hessian (nodes -> interior) is a sparse matrix per index pair, for
+    the descent preconditioner; the Newton matrix is summed from stencils.
     """
 
     def __init__(self, g: geo.PotentialGrid):
         self.g = g
+        x = g.axes[0]
         if g.n == 1:
-            self.hess = {(0, 0): g.axes[0].d2}
-            self.d2i = {(0, 0): g.axes[0].d2i}
+            self.hess = {(0, 0): x.d2}
         else:
-            x, y = g.axes
-            self.hess = _tensor_second_differences(x.d1, x.d2, y.d1, y.d2)
-            self.d2i = _tensor_second_differences(x.d1i, x.d2i, y.d1i, y.d2i)
+            # Kronecker products; an axis not differenced keeps its inner entries
+            y = g.axes[1]
+            rx, ry = (sp.eye(*ax.d2.shape, k=1, format="csr") for ax in g.axes)
+            self.hess = {(0, 0): sp.kron(x.d2, ry, format="csr"),
+                         (1, 1): sp.kron(rx, y.d2, format="csr"),
+                         (0, 1): sp.kron(x.d1, y.d1, format="csr")}
+            self.hess[(1, 0)] = self.hess[(0, 1)]
         self.t_full = geo.node_weights(g).ravel()
         self.t_int = geo.interior_weights(g).ravel()
         self.n_all = int(np.prod(g.shape))
@@ -143,37 +152,87 @@ class GridOperators:
         full[(slice(2, -2),) * self.g.n] = v_deep.reshape(self.deep_shape)
         return full.ravel()
 
-    def jacobian(self, U: dict) -> sp.csr_matrix:
-        """d(residual)/d(phi) = -sum_abcd D2I_ab diag(U^{ac} U^{db}) Hess_cd.
+    @functools.cached_property
+    def stencils(self) -> tuple[dict, dict, list, list]:
+        """The Newton-only set-up, made on the first jacobian call.
 
-        D2I and Hess are symmetric in their index pair, so the sum is taken
-        over pairs a <= b and c <= d: J = sum_ab D2I_ab K_ab with K_ab =
-        sum_cd diag(w_abcd) Hess_cd, each term a row scaling of Hess_cd's
-        CSR data.  That is n(n+1)/2 sparse products in place of n^4.
+        _pair_taps of the Hessian and of the second divergence; per axis,
+        the folds R[k] of the two rows k at each end, which hold at
+        [3 + o, 3 + d] the closure's weight of deep column k + d in node
+        k + 2 + o; and (offsets, band offset, first row, end row) of each
+        plane of J*E with an entry off the pinned rows and columns.
         """
-        pairs = [(a, b) for a in range(self.g.n) for b in range(a, self.g.n)]
-        Uv = {k: U[k].ravel() for k in U}
-        J = None
-        for a, b in pairs:
-            K = None
-            for c, d in pairs:
-                w = -sum(Uv[_key(i, k)] * Uv[_key(l, j)]
-                         for i, j in _orderings(a, b) for k, l in _orderings(c, d))
-                H = self.hess[(c, d)]
-                term = sp.csr_matrix((H.data * np.repeat(w, np.diff(H.indptr)),
-                                      H.indices, H.indptr), shape=H.shape)
-                K = term if K is None else K + term
-            term = self.d2i[(a, b)] @ K
-            J = term if J is None else J + term
-        return J.tocsr()
+        n, k = self.g.n, self.deep_shape
+        folds, reach = [], []
+        for m, ax in zip(k, self.g.axes):
+            E = np.pad(_closure_1d(ax.nodes).toarray(), ((0, 0), (3, 3)))
+            rows = np.arange(m)[:, None, None]
+            R = np.zeros((m, 7, 7))
+            R[:, 1:6] = E[rows + np.arange(5)[:, None], rows + np.arange(7)]
+            folds.append({row: R[row] for row in (0, 1, m - 2, m - 1)})
+            reach.append(R.any(axis=1).T)
+        planes = []
+        for d in np.ndindex((7,) * n):
+            off = sum((i - 3) * math.prod(k[e + 1:]) for e, i in enumerate(d))
+            live = np.array(functools.reduce(np.multiply.outer,
+                                             [r[i] for r, i in zip(reach, d)])).ravel()
+            cols = self.pinned - off    # the rows whose column is pinned
+            live[self.pinned] = live[cols[(cols >= 0) & (cols < live.size)]] = False
+            if live.any():
+                hit = np.flatnonzero(live)
+                planes.append((d, off, hit[0], hit[-1] + 1))
+        return _pair_taps(self.g, False), _pair_taps(self.g, True), folds, planes
 
+    def jacobian(self, U: dict, band: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
+        """The pinned Newton matrix J*E in LAPACK band storage, kl and ku.
 
-def _key(a, b):
-    return (min(a, b), max(a, b))
-
-
-def _orderings(a, b):
-    return [(a, b)] if a == b else [(a, b), (b, a)]
+        J = d(residual)/d(phi) = -sum_abcd D2I_ab diag(U^{ac} U^{db}) Hess_cd
+        = sum_ab D2I_ab K_ab over a <= b, K_ab = sum_cd diag(w_abcd) Hess_cd
+        over c <= d: a 3^n-point stencil on the interior lattice, and J a
+        5^n-point one on the deep lattice.  Folding the outer columns
+        (stencils) gives J*E.  Pinned rows and columns are zeroed, with
+        max|J*E| on their diagonal.  The band (2 kl + ku + 1 rows, Fortran
+        order, A[i, j] at [kl + ku + i - j, j]) is refilled in place if
+        given, else a new anonymous mmap: a heap band would raise glibc's
+        mmap threshold above it once freed, later bands would come from a
+        heap it does not trim, and a solve's peak RSS would grow by 20 %.
+        """
+        (hess_taps, div_taps, folds, planes), n, deep = self.stencils, self.g.n, self.deep_shape
+        J = np.zeros((7,) * n + deep)
+        # one buffer each: a fresh one per term costs more to fault in than the sums
+        K = np.empty((3,) * n + tuple(m - 2 for m in self.g.shape))
+        KD = np.empty((3,) * n + deep)
+        for ab, div in div_taps.items():
+            K.fill(0.0)
+            for cd, hess in hess_taps.items():
+                w = -sum(U[i, k] * U[l, j] for i, j in {ab, ab[::-1]}
+                         for k, l in {cd, cd[::-1]})
+                for s, t in hess.items():
+                    K[s] += w * t
+            for s, t in div.items():
+                np.multiply(K[(slice(None),) * n + tuple(slice(i, i + m) for i, m in zip(s, deep))],
+                            t, out=KD)
+                J[tuple(slice(i + 1, i + 4) for i in s)] += KD
+        for e, fold in enumerate(folds):
+            Je = np.moveaxis(J, (e, n + e), (0, 1))
+            for row, F in fold.items():
+                Je[:, row] = np.tensordot(F, Je[:, row], axes=(0, 0))
+        scale = max(J.max(), -J.min())
+        J[(slice(None),) * n + np.unravel_index(self.pinned, deep)] = 0.0
+        kl, ku, size = max(-p[1] for p in planes), max(p[1] for p in planes), self.unpinned.size
+        if band is None:
+            band = np.ndarray((2 * kl + ku + 1, size), dtype=np.float64, order="F",
+                              buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8))
+        else:
+            # as a fresh map is; dgbtrf leaves the corner of rows 0 .. kl-1
+            # outside the matrix as it finds it
+            band.fill(0.0)
+        for d, off, lo, hi in planes:
+            # planes that share a diagonal (a deep axis shorter than 7) add
+            band[kl + ku - off, lo + off:hi + off] += J[d].ravel()[lo:hi]
+        band[kl:, self.pinned] = 0.0
+        band[kl + ku, self.pinned] = scale
+        return band, kl, ku
 
 
 def _closure_1d(x: np.ndarray) -> sp.csr_matrix:
@@ -193,39 +252,15 @@ def _closure_1d(x: np.ndarray) -> sp.csr_matrix:
 
 
 class _BandedLU:
-    """LU with partial pivoting of a sparse band matrix (LAPACK dgbtrf).
+    """LU with partial pivoting of a band matrix, in place (LAPACK dgbtrf).
 
-    The lower and upper bandwidths l and u are read off the sparsity
-    pattern.  The band storage (2l+u+1 rows, Fortran order, factored in
-    place) is an anonymous mmap, not a numpy heap array: once glibc frees
-    the first heap block of this size (16.6 MB at m = 65) its dynamic mmap
-    threshold rises above it, every later band comes from the heap, which
-    is not trimmed, and the peak RSS of a solve grows by about 20 %.
-
-    A buffer of an earlier factor that is large enough is zeroed and
-    refilled in place, which costs about 1 ms at m = 65 where faulting in a
-    fresh 16.6 MB map costs about 11 ms; a smaller one is left alone and a
-    new map is made.  The earlier factor is overwritten either way.
+    ab is the band as jacobian writes it; the factor overwrites it and is
+    valid until ab is refilled.
     """
 
-    def __init__(self, A: sp.spmatrix, buffer: mmap.mmap | None = None):
-        A = A.tocsr()
-        A.sum_duplicates()
-        n = A.shape[0]
-        row = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-        off = row - A.indices   # row - column of each stored entry
-        self.kl = int(off.max(initial=0))
-        self.ku = int(-off.min(initial=0))
-        rows = 2 * self.kl + self.ku + 1
-        reuse = buffer is not None and len(buffer) >= rows * n * 8
-        self.buffer = buffer if reuse else mmap.mmap(-1, rows * n * 8)
-        ab = np.ndarray((rows, n), dtype=np.float64, buffer=self.buffer, order="F")
-        if reuse:
-            # as a fresh map is; dgbtrf leaves the corner of rows 0 .. l-1
-            # outside the matrix as it finds it
-            ab.fill(0.0)
-        ab[self.kl + self.ku + off, A.indices] = A.data
-        self.lu, self.piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        self.kl, self.ku = kl, ku
+        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise RuntimeError(f"banded LU: U[{info - 1}, {info - 1}] is exactly zero")
         if info < 0:
@@ -351,42 +386,20 @@ def _flow_step(ops: GridOperators, s: Iterate, dt: float) -> tuple[Iterate | Non
     return None, dt
 
 
-def _newton_system(ops: GridOperators, J: sp.csr_matrix,
-                   r: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The closed Newton system J*E x = -r with the affine gauge pinned.
-
-    J*E is square on the deep nodes, singular only along the n + 1 affine
-    directions.  The pinned nodes' rows and columns are zeroed, with
-    max|J*E| on their diagonal and 0 on the right-hand side, so x vanishes
-    there and the matrix keeps the band of the deep row-major ordering
-    (l and u about 3(m - 4) + 3).
-    """
-    A = (J @ ops.closure).tocsr()
-    scale = float(np.abs(A.data).max())
-    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    A.data *= ops.unpinned[row] * ops.unpinned[A.indices]
-    # the sum drops the zeroed entries: the same CSR matrix as the products
-    # diag(unpinned) @ A @ diag(unpinned), for less time
-    return A + sp.diags(scale * (1.0 - ops.unpinned), format="csr"), _newton_rhs(ops, r)
-
-
 def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
-    """-r with the pinned nodes' equations zeroed (see _newton_system)."""
+    """-r with the pinned nodes' equations zeroed (see GridOperators.jacobian)."""
     return -r.ravel() * ops.unpinned
 
 
 @dataclass
 class _Factor:
-    """The solver's last banded LU of the pinned J*E system, its band
-    buffer, and a count.
-
-    Newton steps from a closed iterate try the LU as a chord step before
-    they refactor.  The stale LU is dropped before a new Jacobian is
-    assembled, and every refactorization refills the one band buffer of
-    the solve in place (a new one is mapped only if the band grows).
+    """The solver's last banded LU of the pinned J*E system, its band, and a
+    count.  Newton steps from a closed iterate try the LU as a chord step
+    before they refactor; the stale LU is dropped before jacobian refills
+    the solve's one band in place.
     """
     lu: _BandedLU | None = None
-    buffer: mmap.mmap | None = None
+    band: np.ndarray | None = None
     count: int = 0
 
 
@@ -425,15 +438,14 @@ def _newton_step(ops: GridOperators, s: Iterate,
         if base is None:
             log.debug("newton step: the closed iterate leaves the convex cone")
             return None
-    A, rhs = _newton_system(ops, ops.jacobian(base.U), base.r)
+    factor.band, kl, ku = ops.jacobian(base.U, factor.band)
     factor.count += 1
     try:
-        factor.lu = _BandedLU(A, factor.buffer)
+        factor.lu = _BandedLU(factor.band, kl, ku)
     except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None
-    factor.buffer = factor.lu.buffer
-    delta = (phi_c - phi) + ops.closure @ factor.lu.solve(rhs)
+    delta = (phi_c - phi) + ops.closure @ factor.lu.solve(_newton_rhs(ops, base.r))
     delta = ops.gauge_project(delta, include_linear=True)
     step = 1.0
     for _ in range(4):

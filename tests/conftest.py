@@ -8,7 +8,6 @@ import pytest
 from kstab import geometry as geo
 from kstab.futaki import _rows, require_integral
 from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures, parse_polytope_text
-from kstab.solver import _key
 from kstab.stability import PLConvexFunction, decompose
 
 
@@ -242,7 +241,7 @@ def ibp_pairing(g: geo.PotentialGrid, qmat) -> float:
     integrand = np.zeros(tuple(ax.m - 2 for ax in g.axes))
     for a in range(n):
         for b in range(n):
-            integrand = integrand + U[_key(a, b)] * (2.0 * float(qmat[a][b]))
+            integrand = integrand + U[a, b] * (2.0 * float(qmat[a][b]))
     full = geo.extend_interior_field(g, integrand)
     return geo.integrate_nodes(g, full)
 
