@@ -479,7 +479,7 @@ def main(argv=None) -> int:
         code, files = args.func(args)
         _write_outputs(args, files)
         return code
-    except (ValueError, OSError, geo.ConvexityError) as e:
+    except (ValueError, OSError, MemoryError, geo.ConvexityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     finally:

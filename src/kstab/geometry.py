@@ -88,8 +88,8 @@ class Axis1D:
         # nodes -> interior (d1, d2) and interior -> two layers in (d1i, d2i)
         self.d1, self.d2 = _stencils(x)
         self.d1i, self.d2i = _stencils(x[1:-1])
-        # extend_interior_field's weights for a field one or two layers in
-        self.extension = {layers: outer_extrapolation(x, layers, 3) for layers in (1, 2)}
+        # extend_interior_field's weights by (layers, points)
+        self.extension = {lp: outer_extrapolation(x, *lp) for lp in ((1, 3), (2, 3), (2, 4))}
 
     # analytic reference potential (ell/w) log ell for the two end facets
     def u0(self) -> np.ndarray:
@@ -430,18 +430,19 @@ def integrate_nodes(g: PotentialGrid, values: np.ndarray) -> float:
     return float((node_weights(g) * values).sum())
 
 
-def extend_interior_field(g: PotentialGrid, F: np.ndarray, layers: int = 1) -> np.ndarray:
+def extend_interior_field(g: PotentialGrid, F: np.ndarray, layers: int = 1,
+                          points: int = 3) -> np.ndarray:
     """Extrapolate a field living `layers` in from the boundary to all nodes.
 
-    Quadratic Lagrange extrapolation (outer_extrapolation with 3 points,
-    made once per axis; layers is 1 or 2) along axis 0, then along axis 1,
-    which fills the corners from the completed rows.
+    Lagrange extrapolation through `points` nodes (outer_extrapolation,
+    made once per axis) along axis 0, then along axis 1, which fills the
+    corners from the completed rows; cubic at 2 layers is phi's closure.
     """
     full = np.zeros(g.shape)
     full[(slice(layers, -layers),) * g.n] = F
     for a, ax in enumerate(g.axes):
         lines = np.moveaxis(full, a, 0)
-        for j, src, coef in ax.extension[layers]:
+        for j, src, coef in ax.extension[(layers, points)]:
             terms = [c * lines[i] for c, i in zip(coef, src)]
             lines[j] = sum(terms[1:], terms[0])
     return full

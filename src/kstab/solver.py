@@ -6,30 +6,30 @@ u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A.
 The Futaki vector decides before the first iteration which question a run
 answers, and each answer has one step.  When it vanishes F is convex and
 the Abreu equation has a solution, so every iteration is a Newton step on
-the residual.  The residual lives on the nodes two layers in, so phi's two
-outer layers on each side are closed off as the cubic extrapolation E of
-the deep values (Guillemin's boundary condition makes phi smooth up to the
-boundary).  J*E is then square, singular only along the affine gauge,
-which Newton pins at n + 1 deep nodes.  On a tensor grid J*E is a
-7^n-point stencil made of the axes' 3-point ones, whose planes are the
-diagonals of its band (bandwidths about 3(m - 4) + 3): it is summed
-straight into LAPACK band storage, one band per solve refilled in place,
-and factored there by banded LU with partial pivoting (dgbtrf).
-The last factor is kept: from a closed iterate a Newton step first tries
-it as a chord step (one dgbtrs, one evaluation), accepted only if it cuts
-the sup residual ten-fold, and refactors otherwise.  Affine gauge of phi:
-constants are always projected out; linear components only when the
-Futaki vector vanishes (they are exactly F-neutral then, and genuine
-escape directions otherwise).
+the residual.  The residual lives on the nodes two layers in, so phi's
+two outer layers on each side are closed off as the cubic extrapolation E
+of the deep values, geometry's field extension through 4 points
+(Guillemin's boundary condition makes phi smooth up to the boundary).
+J*E is then square, singular only along the affine gauge, which Newton
+pins at n + 1 deep nodes.  On a tensor grid J*E is a 7^n-point stencil
+made of the axes' 3-point ones, whose planes are the diagonals of its band
+(bandwidths about 3(m - 4) + 3): it is summed straight into LAPACK band
+storage, one band per solve refilled in place, and factored there by
+banded LU with partial pivoting (dgbtrf).  The last factor is kept: from
+a closed iterate a Newton step first tries it as a chord step (one dgbtrs,
+one evaluation), accepted only if it cuts the sup residual ten-fold, and
+refactors otherwise.  Affine gauge of phi: constants are always projected
+out; linear components only when the Futaki vector vanishes (they are
+exactly F-neutral then, and genuine escape directions otherwise).
 
 When the Futaki vector does not vanish F falls without bound along a
 destabilizing ray, and every iteration is a step of the descent flow
 phi_dot = residual.  The flow is fourth-order stiff, so the descent
-direction is smoothed by an H2-seminorm preconditioner built on the graded
-mesh (one sparse LU per solve, made on first use).  A run that leaves the
-phi ceiling while F is still decreasing terminates with a divergence
-certificate carrying the normalized escape direction: that is the
-numerical footprint of a destabilizing ray.  A step that finds no
+direction is smoothed by an H2-seminorm preconditioner, the module's only
+sparse matrix, made with its one sparse LU on first use.  A run that
+leaves the phi ceiling while F is still decreasing terminates with a
+divergence certificate carrying the normalized escape direction: that is
+the numerical footprint of a destabilizing ray.  A step that finds no
 acceptable trial, in either regime, ends the run as stalled.
 """
 
@@ -43,8 +43,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from kstab import geometry as geo
@@ -81,40 +79,21 @@ def _pair_taps(g: geo.PotentialGrid, inner: bool) -> dict:
 
 
 class GridOperators:
-    """Difference operators and quadrature vectors for a grid.
+    """Quadrature vectors, the affine gauge and each step's operators for a grid.
 
-    The Hessian (nodes -> interior) is a sparse matrix per index pair, for
-    the descent preconditioner; the Newton matrix is summed from stencils.
+    Built once per solve with what both steps share; each step makes its
+    own operators on first use: the flow its factored preconditioner
+    (preconditioner), Newton its stencils and band layout (stencils).
     """
 
     def __init__(self, g: geo.PotentialGrid):
         self.g = g
-        x = g.axes[0]
-        if g.n == 1:
-            self.hess = {(0, 0): x.d2}
-        else:
-            # Kronecker products; an axis not differenced keeps its inner entries
-            y = g.axes[1]
-            rx, ry = (sp.eye(*ax.d2.shape, k=1, format="csr") for ax in g.axes)
-            self.hess = {(0, 0): sp.kron(x.d2, ry, format="csr"),
-                         (1, 1): sp.kron(rx, y.d2, format="csr"),
-                         (0, 1): sp.kron(x.d1, y.d1, format="csr")}
-            self.hess[(1, 0)] = self.hess[(0, 1)]
         self.t_full = geo.node_weights(g).ravel()
-        self.t_int = geo.interior_weights(g).ravel()
-        self.n_all = int(np.prod(g.shape))
         self.deep_shape = tuple(m - 4 for m in g.shape)
-        self.t_deep = self.t_full.reshape(g.shape)[(slice(2, -2),) * g.n].ravel()
         # affine basis on nodes (constants first)
-        grids = g.node_grids()
-        basis = [np.ones(self.n_all)]
-        for arr in grids:
-            basis.append(arr.ravel())
-        self.affine_basis = np.stack(basis, axis=1)
+        self.affine_basis = np.stack([np.ones(self.t_full.size)]
+                                     + [arr.ravel() for arr in g.node_grids()], axis=1)
         self._precond = None
-        # closure: deep values -> all nodes (Guillemin: phi is smooth up to dP)
-        E = [_closure_1d(ax.nodes) for ax in g.axes]
-        self.closure = E[0] if g.n == 1 else sp.kron(E[0], E[1], format="csr")
         # n + 1 deep nodes that fix the affine gauge of a Newton step
         k = self.deep_shape
         self.pinned = np.array([0, k[0] - 1] if g.n == 1
@@ -132,43 +111,56 @@ class GridOperators:
         return v - B @ coef
 
     def preconditioner(self):
-        """Factorized descent preconditioner, made on first use.
+        """The flow's factored SPD preconditioner, made on first use.
 
-        The SPD H2-seminorm operator sum_ab Hess_ab^T W Hess_ab, with a tiny
+        sum_ab Hess_ab^T W Hess_ab over (a, b) in row-major order, W the
+        interior weights and Hess_ab the Kronecker product of axis matrices
+        (an axis not differenced keeps its inner entries), with a tiny
         uniform ridge and then a mild one weighted by the node quadrature.
         """
         if self._precond is None:
-            W = sp.diags(self.t_int)
-            M = sum(self.hess[(a, b)].T @ W @ self.hess[(a, b)]
-                    for a in range(self.g.n) for b in range(self.g.n))
-            M = (M + sp.diags(np.full(self.n_all, 1e-12 * M.diagonal().mean()))).tocsc()
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+            g = self.g
+            if g.n == 1:
+                hess = {(0, 0): g.axes[0].d2}
+            else:
+                x, y = g.axes
+                rx, ry = (sp.eye(*ax.d2.shape, k=1, format="csr") for ax in g.axes)
+                hess = {(0, 0): sp.kron(x.d2, ry, format="csr"),
+                        (1, 1): sp.kron(rx, y.d2, format="csr"),
+                        (0, 1): sp.kron(x.d1, y.d1, format="csr")}
+                hess[(1, 0)] = hess[(0, 1)]
+            W = sp.diags(geo.interior_weights(g).ravel())
+            M = sum(hess[(a, b)].T @ W @ hess[(a, b)] for a in range(g.n) for b in range(g.n))
+            M = (M + sp.diags(np.full(self.t_full.size, 1e-12 * M.diagonal().mean()))).tocsc()
             M = M + sp.diags(1e-10 * M.diagonal().mean()
                              * np.maximum(self.t_full, self.t_full.max() * 1e-3))
             self._precond = spla.splu(M.tocsc())
         return self._precond
 
-    def embed_deep(self, v_deep: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.g.shape)
-        full[(slice(2, -2),) * self.g.n] = v_deep.reshape(self.deep_shape)
-        return full.ravel()
-
     @functools.cached_property
     def stencils(self) -> tuple[dict, dict, list, list]:
-        """The Newton-only set-up, made on the first jacobian call.
+        """Newton's set-up, made on the first jacobian call.
 
         _pair_taps of the Hessian and of the second divergence; per axis,
         the folds R[k] of the two rows k at each end, which hold at
         [3 + o, 3 + d] the closure's weight of deep column k + d in node
-        k + 2 + o; and (offsets, band offset, first row, end row) of each
-        plane of J*E with an entry off the pinned rows and columns.
+        k + 2 + o, read from the axis's extension weights; and (offsets,
+        band offset, first row, end row) of each plane of J*E with an entry
+        off the pinned rows and columns.
         """
         n, k = self.g.n, self.deep_shape
         folds, reach = [], []
         for m, ax in zip(k, self.g.axes):
-            E = np.pad(_closure_1d(ax.nodes).toarray(), ((0, 0), (3, 3)))
-            rows = np.arange(m)[:, None, None]
             R = np.zeros((m, 7, 7))
-            R[:, 1:6] = E[rows + np.arange(5)[:, None], rows + np.arange(7)]
+            R[:, range(1, 6), range(1, 6)] = 1.0
+            # outer node j sits at [j - row + 1] in the stencil of deep row
+            # `row`, and node i of its sources at column i - row + 1
+            for j, src, coef in ax.extension[(2, 4)]:
+                for row in range(max(j - 4, 0), min(j, m - 1) + 1):
+                    R[row, j - row + 1] = 0.0
+                    R[row, j - row + 1, [i - row + 1 for i in src]] = coef
             folds.append({row: R[row] for row in (0, 1, m - 2, m - 1)})
             reach.append(R.any(axis=1).T)
         planes = []
@@ -235,20 +227,15 @@ class GridOperators:
         return band, kl, ku
 
 
-def _closure_1d(x: np.ndarray) -> sp.csr_matrix:
-    """Sparse (m, m - 4) map from the deep values x[2:-2] to all m nodes.
+def _close(g: geo.PotentialGrid, deep: np.ndarray) -> np.ndarray:
+    """The closure E: deep node values (flat or deep-shaped) -> all nodes, flat.
 
-    The deep nodes map to themselves; each outer node (two per side) gets
-    the cubic Lagrange extrapolation through the 4 nearest deep nodes
-    (geometry.outer_extrapolation), so cubics, and affine functions in
-    particular, are reproduced.
+    The deep nodes keep their values; each outer node (two per side) gets
+    the cubic Lagrange extrapolation through the 4 nearest deep nodes, so
+    cubics, and affine functions in particular, are reproduced.
     """
-    m = len(x)
-    E = np.zeros((m, m - 4))
-    E[2:-2] = np.eye(m - 4)
-    for j, src, coef in geo.outer_extrapolation(x, 2, 4):
-        E[j, [i - 2 for i in src]] = coef
-    return sp.csr_matrix(E)
+    deep = deep.reshape(tuple(m - 4 for m in g.shape))
+    return geo.extend_interior_field(g, deep, layers=2, points=4).ravel()
 
 
 class _BandedLU:
@@ -288,8 +275,7 @@ def log_singular_field(g: geo.PotentialGrid) -> np.ndarray:
     return out
 
 
-def mabuchi(P: Polytope, sigma: BoundaryMeasure, g: geo.PotentialGrid,
-            H: dict | None = None) -> float:
+def mabuchi(g: geo.PotentialGrid, H: dict | None = None) -> float:
     """F(u) = -int log det(u_ab) dmu + L(u) on the grid's quadrature.
 
     The log-singular parts (reference potential and boundary-layer log
@@ -335,16 +321,15 @@ class SolveReport:
 
 @dataclass
 class Iterate:
-    """One evaluated potential: grid, Hessian, det, inverse, residual, F."""
+    """One evaluated potential: grid, det, inverse Hessian, residual, F."""
     g: geo.PotentialGrid
-    H: dict
     det: np.ndarray
     U: dict
     r: np.ndarray
     F: float
 
 
-def evaluate(P: Polytope, sigma: BoundaryMeasure, grid: geo.PotentialGrid) -> Iterate | None:
+def evaluate(grid: geo.PotentialGrid) -> Iterate | None:
     """The solver's view of a grid; None off the convex cone."""
     H = geo.hessian_field(grid)
     det = geo.det_field(grid, H)
@@ -352,13 +337,12 @@ def evaluate(P: Polytope, sigma: BoundaryMeasure, grid: geo.PotentialGrid) -> It
         return None
     U = geo.inverse_hessian_field(grid, H)
     r = geo.abreu_residual_field(grid, U)
-    return Iterate(grid, H, det, U, r, mabuchi(P, sigma, grid, H))
+    return Iterate(grid, det, U, r, mabuchi(grid, H))
 
 
 def _moved(s: Iterate, delta: np.ndarray) -> Iterate | None:
     """Evaluate the iterate's grid with phi moved by the node vector delta."""
-    g = s.g
-    return evaluate(g.P, g.sigma, g.with_phi(g.phi + delta.reshape(g.shape)))
+    return evaluate(s.g.with_phi(s.g.phi + delta.reshape(s.g.shape)))
 
 
 def _flow_step(ops: GridOperators, s: Iterate, dt: float) -> tuple[Iterate | None, float]:
@@ -368,7 +352,7 @@ def _flow_step(ops: GridOperators, s: Iterate, dt: float) -> tuple[Iterate | Non
     linear components are escape directions there.  Returns the accepted
     iterate (None if no step lowers F) and the next dt.
     """
-    grad = ops.embed_deep(s.r.ravel() * ops.t_deep)
+    grad = np.pad(s.r * ops.t_full.reshape(s.g.shape)[(slice(2, -2),) * s.g.n], 2).ravel()
     d = ops.preconditioner().solve(grad)
     d = ops.gauge_project(d, include_linear=False)
     dd = float(grad @ d)   # = <dF-direction, d>; positive for descent
@@ -403,8 +387,7 @@ class _Factor:
     count: int = 0
 
 
-def _newton_step(ops: GridOperators, s: Iterate,
-                 factor: _Factor | None = None) -> Iterate | None:
+def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | None:
     """Newton on the closed square system, the step of zero-Futaki runs.
 
     From a closed iterate with a kept factor, the chord step (that factor
@@ -418,14 +401,13 @@ def _newton_step(ops: GridOperators, s: Iterate,
     step.  Returns None when no trial does, when the factor is exactly
     singular, or when the closed iterate leaves the convex cone.
     """
-    factor = _Factor() if factor is None else factor
     phi = s.g.phi.ravel()
-    phi_c = ops.closure @ phi.reshape(s.g.shape)[(slice(2, -2),) * s.g.n].ravel()
+    phi_c = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n])
     closed = np.abs(phi_c - phi).max() <= 1e-12 * (1.0 + np.abs(phi).max())
     sup = float(np.abs(s.r).max())
     if closed and factor.lu is not None:
         x = factor.lu.solve(_newton_rhs(ops, s.r))
-        trial = _moved(s, ops.gauge_project((phi_c - phi) + ops.closure @ x,
+        trial = _moved(s, ops.gauge_project((phi_c - phi) + _close(s.g, x),
                                             include_linear=True))
         if trial is not None and np.abs(trial.r).max() <= _CHORD_CUT * sup:
             log.debug("newton step: reuse, sup residual %.3e -> %.3e, step 1",
@@ -445,7 +427,7 @@ def _newton_step(ops: GridOperators, s: Iterate,
     except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None
-    delta = (phi_c - phi) + ops.closure @ factor.lu.solve(_newton_rhs(ops, base.r))
+    delta = (phi_c - phi) + _close(s.g, factor.lu.solve(_newton_rhs(ops, base.r)))
     delta = ops.gauge_project(delta, include_linear=True)
     step = 1.0
     for _ in range(4):
@@ -496,7 +478,7 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     diam = math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in P.bounding_box()))
     ceiling = 1e3 * diam * g.A
     g.phi = ops.gauge_project(g.phi.ravel(), include_linear=futaki_zero).reshape(g.shape)
-    s = evaluate(P, sigma, g)
+    s = evaluate(g)
     if s is None:
         geo.check_convexity(g)
 
@@ -589,7 +571,7 @@ def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
     samples = []
     with np.errstate(all="ignore"):     # an overflow shows as the F it spoils
         for s in ladder:
-            samples.append((s, mabuchi(P, sigma, g0.with_phi(s * fvals))))
+            samples.append((s, mabuchi(g0.with_phi(s * fvals))))
             if not math.isfinite(samples[-1][1]):
                 raise ValueError(f"F(u0 + s f) is not finite at s = {s:g}; lower s_max")
     (s1, F1), (s2, F2) = samples[-2], samples[-1]

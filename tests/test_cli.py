@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from kstab import solver as sol
 from kstab.cli import main
 
 from conftest import format_polytope_text
@@ -422,8 +423,9 @@ class TestOutputDirectory:
 
 class TestNumericParameters:
     """A ray scale or flow step that is zero, negative or not finite, a
-    flow with fewer than one step, a ray whose F overflows or a matrix whose
-    [A, A*] overflows ends in one error line, exit 1 and no --out directory."""
+    flow with fewer than one step, a ray whose F overflows, a matrix whose
+    [A, A*] overflows or a run that cannot allocate its arrays ends in one
+    error line, exit 1 and no --out directory."""
 
     @pytest.mark.parametrize("argv", [
         "ray esc.poly --smax 0", "ray esc.poly --smax nan", "ray esc.poly --smax -5",
@@ -452,6 +454,17 @@ class TestNumericParameters:
         "pipeline sq.poly --resolution 2 --workers 0"])
     def test_rejected_solver_and_scan_options(self, in_inputs, capsys, argv):
         assert main(argv.split() + ["--out", "o"]) == 1
+        assert_one_error_line(capsys, Path("o"))
+
+    def test_out_of_memory_is_an_error(self, in_inputs, capsys, monkeypatch):
+        # numpy raises MemoryError for an array it cannot allocate, as at
+        # --mesh 3000000000, which ended in a traceback; nothing is allocated here
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 67.1 EiB for an array with shape "
+                              "(3000000000, 3000000000) and data type float64")
+
+        monkeypatch.setattr(sol, "solve", unallocatable)
+        assert main(["solve", "box.poly", "--mesh", "3000000000", "--out", "o"]) == 1
         assert_one_error_line(capsys, Path("o"))
 
     def test_sphere_out_of_steps_is_unresolved(self, in_inputs, capsys):

@@ -41,32 +41,32 @@ class TestMabuchi:
     def test_segment_reference_value(self, segment01):
         # closed form: -int log(1/(x(1-x))) = -2 and L(u0) = 0 - 2*(-1/2) = 1
         g = geo.guillemin(segment01, unit(segment01), m=128)
-        assert abs(sol.mabuchi(segment01, unit(segment01), g) - (-1.0)) < 1e-12
+        assert abs(sol.mabuchi(g) - (-1.0)) < 1e-12
 
     def test_square_reference_value(self, square):
         g = geo.guillemin(square, unit(square), m=33)
-        assert abs(sol.mabuchi(square, unit(square), g) - (-2.0)) < 1e-12
+        assert abs(sol.mabuchi(g) - (-2.0)) < 1e-12
 
     def test_affine_invariance_futaki_zero(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=64)
-        F0 = sol.mabuchi(segment01, unit(segment01), g)
+        F0 = sol.mabuchi(g)
         g2 = g.with_phi(lambda x: 0.7 * x - 0.3)
-        assert abs(sol.mabuchi(segment01, unit(segment01), g2) - F0) < 1e-12
+        assert abs(sol.mabuchi(g2) - F0) < 1e-12
 
     def test_linear_shift_changes_by_L(self, segment01):
         sigma = BoundaryMeasure((Q(1), Q(2)))
         g = geo.guillemin(segment01, sigma, m=64)
-        F0 = sol.mabuchi(segment01, sigma, g)
+        F0 = sol.mabuchi(g)
         s = 3.25
         g2 = g.with_phi(lambda x: s * x)
         lx = float(L(segment01, sigma, PLConvexFunction.affine((1,), 0)))
-        assert abs(sol.mabuchi(segment01, sigma, g2) - (F0 + s * lx)) < 1e-10
+        assert abs(sol.mabuchi(g2) - (F0 + s * lx)) < 1e-10
 
     def test_convexity_guard(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=64)
         g2 = g.with_phi(lambda x: -50.0 * (x - 0.5) ** 2)
         with pytest.raises(geo.ConvexityError):
-            sol.mabuchi(segment01, unit(segment01), g2)
+            sol.mabuchi(g2)
 
 
 def weighted_box(square):
@@ -75,6 +75,19 @@ def weighted_box(square):
 
 
 # -- the sparse assembly of the Newton matrix, the oracle of the band ----------
+
+def hessian_matrices(g):
+    """{(a, b): Hess_ab}, nodes -> interior lattice, as sparse matrices:
+    Kronecker products, an axis not differenced keeping its inner entries."""
+    if g.n == 1:
+        return {(0, 0): g.axes[0].d2}
+    x, y = g.axes
+    rx, ry = (sp.eye(*ax.d2.shape, k=1, format="csr") for ax in g.axes)
+    H = {(0, 0): sp.kron(x.d2, ry, format="csr"), (1, 1): sp.kron(rx, y.d2, format="csr"),
+         (0, 1): sp.kron(x.d1, y.d1, format="csr")}
+    H[(1, 0)] = H[(0, 1)]
+    return H
+
 
 def second_divergence(g):
     """{(a, b): D2I_ab}, interior lattice -> two layers in, as sparse matrices:
@@ -91,21 +104,40 @@ def second_divergence(g):
 def jacobian_by_16_products(ops, U):
     """d(residual)/d(phi) as the plain sum over a, b, c, d (n^4 products)."""
     n = ops.g.n
-    D2I = second_divergence(ops.g)
+    D2I, hess = second_divergence(ops.g), hessian_matrices(ops.g)
     J = None
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
                     w = -(U[a, c] * U[d, b]).ravel()
-                    term = D2I[(a, b)] @ sp.diags(w) @ ops.hess[(c, d)]
+                    term = D2I[(a, b)] @ sp.diags(w) @ hess[(c, d)]
                     J = term if J is None else J + term
     return J.tocsr()
 
 
+def closure_1d(x):
+    """Sparse (m, m - 4) map from the deep values x[2:-2] to all m nodes: the
+    identity on the deep nodes, and the cubic Lagrange extrapolation through
+    the 4 nearest deep nodes at each outer node (two per side)."""
+    m = len(x)
+    E = np.zeros((m, m - 4))
+    E[2:-2] = np.eye(m - 4)
+    for j, src, coef in geo.outer_extrapolation(x, 2, 4):
+        E[j, [i - 2 for i in src]] = coef
+    return sp.csr_matrix(E)
+
+
+def closure_by_kron(g):
+    """The closure E of a grid as a sparse matrix, the Kronecker product of
+    the axes' closure_1d: the oracle of solver._close."""
+    E = [closure_1d(ax.nodes) for ax in g.axes]
+    return E[0] if g.n == 1 else sp.kron(E[0], E[1], format="csr")
+
+
 def pinned_by_products(ops, J):
     """The pinned J*E matrix as diag(keep) @ J*E @ diag(keep) + diagonal."""
-    A = (J @ ops.closure).tocsr()
+    A = (J @ closure_by_kron(ops.g)).tocsr()
     scale = float(np.abs(A.data).max())
     keep = sp.diags(ops.unpinned)
     return (keep @ A @ keep + sp.diags(scale * (1.0 - ops.unpinned))).tocsr()
@@ -180,10 +212,10 @@ class TestJacobian:
         ops, _ = asymmetric_start(dim, 17, segment01, square)
         g = ops.g
         x = g.phi[(slice(2, -2),) * g.n].ravel()
-        g = g.with_phi((ops.closure @ x).reshape(g.shape))
+        g = g.with_phi(sol._close(g, x).reshape(g.shape))
 
         def r(v):
-            return geo.abreu_residual_field(g.with_phi((ops.closure @ v).reshape(g.shape))).ravel()
+            return geo.abreu_residual_field(g.with_phi(sol._close(g, v).reshape(g.shape))).ravel()
 
         A = from_band(*ops.jacobian(geo.inverse_hessian_field(g))).toarray()
         eps = 1e-6
@@ -242,23 +274,36 @@ class TestBandedLU:
 
 class TestClosure:
     @pytest.mark.parametrize("m", [9, 17, 65])
-    def test_reproduces_cubics_1d(self, m):
-        x = geo.graded_nodes(0.0, 1.0, m)
-        E = sol._closure_1d(x)
-        assert E.shape == (m, m - 4)
+    def test_reproduces_cubics_1d(self, m, segment01):
+        g = geo.PotentialGrid.build(segment01, unit(segment01), m)
+        x = g.axes[0].nodes
         for p in [lambda t: 1 + 0 * t, lambda t: t - 0.3, lambda t: (t - 0.4) ** 2,
                   lambda t: 2 * t ** 3 - t + 5]:
-            assert np.abs(E @ p(x[2:-2]) - p(x)).max() <= 1e-12
+            got = sol._close(g, p(x[2:-2]))
+            assert got.shape == (m,)
+            assert np.abs(got - p(x)).max() <= 1e-12
 
     def test_reproduces_bicubics_2d(self, square):
         g = geo.PotentialGrid.build(square, unit(square), (17, 21))
-        ops = sol.GridOperators(g)
         X, Y = g.node_grids()
         for i in range(4):
             for j in range(4):
                 f = (X - 0.3) ** i * (Y + 0.2) ** j
                 deep = f[2:-2, 2:-2].ravel()
-                assert np.abs(ops.closure @ deep - f.ravel()).max() <= 1e-12
+                assert np.abs(sol._close(g, deep) - f.ravel()).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim, m", [(1, 9), (1, 17), (1, 65), (2, 17), (2, (17, 21))],
+                             ids=["1-9", "1-17", "1-65", "2-17", "2-17x21"])
+    def test_matches_the_kronecker_closure(self, dim, m, segment01, square):
+        # the two differ by the order of the sums only, so by rounding on the
+        # scale of |E| |v|: the corner weights of a box sum to about 670 in
+        # absolute value, and max|v| alone is no scale there
+        P = segment01 if dim == 1 else square
+        g = geo.PotentialGrid.build(P, unit(P), m)
+        E = closure_by_kron(g)
+        for seed in range(5):
+            v = np.random.default_rng(seed).standard_normal(E.shape[1])
+            assert np.abs(sol._close(g, v) - E @ v).max() <= 1e-15 * (abs(E) @ np.abs(v)).max()
 
 
 class TestGroupedJacobian:
@@ -274,6 +319,29 @@ class TestGroupedJacobian:
         assert np.abs(band - to_band(oracle, kl, ku)).max() <= 1e-14 * np.abs(oracle.data).max()
 
 
+def h2_matrix(g):
+    """The flow's preconditioner matrix from hessian_matrices: sum_ab
+    Hess_ab^T W Hess_ab over (a, b) in row-major order, then the uniform and
+    the weighted ridge."""
+    hess = hessian_matrices(g)
+    W = sp.diags(geo.interior_weights(g).ravel())
+    M = sum(hess[(a, b)].T @ W @ hess[(a, b)] for a in range(g.n) for b in range(g.n))
+    t = geo.node_weights(g).ravel()
+    M = (M + sp.diags(np.full(t.size, 1e-12 * M.diagonal().mean()))).tocsc()
+    return (M + sp.diags(1e-10 * M.diagonal().mean() * np.maximum(t, t.max() * 1e-3))).tocsc()
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("dim, m", [(1, 96), (2, 33)], ids=["1-96", "2-33"])
+    def test_matches_the_kronecker_oracle_bitwise(self, dim, m, segment01, square):
+        # the escape's outputs are byte-identical only while the terms are
+        # summed in this order: (1, 1) before (0, 1) changes the rounding
+        ops, _ = asymmetric_start(dim, m, segment01, square)
+        b = np.random.default_rng(m).standard_normal(ops.t_full.size)
+        want = spla.splu(h2_matrix(ops.g)).solve(b)
+        assert ops.preconditioner().solve(b).tobytes() == want.tobytes()
+
+
 class SpsolveLU:
     """Stand-in for _BandedLU that solves with SuperLU through spsolve."""
 
@@ -286,7 +354,7 @@ class SpsolveLU:
 
 def box_start(square, m):
     g = geo.PotentialGrid.build(square, weighted_box(square), m, phi=bump2)
-    return sol.GridOperators(g), sol.evaluate(square, weighted_box(square), g)
+    return sol.GridOperators(g), sol.evaluate(g)
 
 
 def run_from_bump(dim, m, segment01, square):
@@ -302,7 +370,7 @@ class TestNewtonStep:
         # holds max|J*E| taken before they are zeroed; the right side is
         # zero there too
         ops, U = asymmetric_start(dim, m, segment01, square)
-        JE = jacobian_by_16_products(ops, U) @ ops.closure
+        JE = jacobian_by_16_products(ops, U) @ closure_by_kron(ops.g)
         A = from_band(*ops.jacobian(U)).tocsr()
         p = ops.pinned
         keep = np.flatnonzero(ops.unpinned)
@@ -323,16 +391,16 @@ class TestNewtonStep:
         # x vanishes at the pinned nodes and solves every other equation
         assert np.all(x[ops.pinned] == 0)
         keep = np.setdiff1d(np.arange(len(x)), ops.pinned)
-        lin = jacobian_by_16_products(ops, s.U) @ (ops.closure @ x) + s.r.ravel()
+        lin = jacobian_by_16_products(ops, s.U) @ sol._close(ops.g, x) + s.r.ravel()
         assert np.abs(lin[keep]).max() <= 1e-8 * np.abs(s.r).max()
 
     def test_step_lands_on_a_closed_iterate(self, square):
         ops, s = box_start(square, 17)
-        nxt = sol._newton_step(ops, s)
+        nxt = sol._newton_step(ops, s, sol._Factor())
         assert nxt is not None
         assert np.abs(nxt.r).max() < 0.5 * np.abs(s.r).max()
         phi = nxt.g.phi
-        closed = ops.closure @ phi[2:-2, 2:-2].ravel()
+        closed = sol._close(nxt.g, phi[2:-2, 2:-2])
         assert np.abs(closed - phi.ravel()).max() <= 1e-12 * (1 + np.abs(phi).max())
 
     def test_singular_factor_returns_none(self, square, monkeypatch):
@@ -343,7 +411,7 @@ class TestNewtonStep:
                 raise RuntimeError("exactly singular")
 
         monkeypatch.setattr(sol, "_BandedLU", Singular)
-        assert sol._newton_step(ops, s) is None
+        assert sol._newton_step(ops, s, sol._Factor()) is None
 
     @pytest.mark.parametrize("case", ["box-33", "box-65", "criterion-1"])
     def test_spsolve_gives_the_same_iteration_counts(self, case, segment01, square,
@@ -580,6 +648,17 @@ class TestSolve:
         assert len(rep.phase_history) == n - 1
         assert set(rep.phase_history) == {"newton"}
 
+    def test_newton_builds_no_sparse_matrix(self, square, monkeypatch):
+        # zero Futaki: the preconditioner's Kronecker Hessians and sparse LU
+        # are the flow's alone, so a Newton run never makes them
+        def refused(*args, **kwargs):
+            raise AssertionError("a Newton run built a flow operator")
+
+        monkeypatch.setattr(sp, "kron", refused)
+        monkeypatch.setattr(spla, "splu", refused)
+        rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2)
+        assert rep.converged and rep.factorizations >= 1
+
     def test_box_polish_ends_in_newton_steps(self, square):
         rep = sol.solve(square, weighted_box(square), m=65, tol=1e-6, phi0=bump2)
         assert rep.converged
@@ -641,6 +720,18 @@ class TestObstruction:
                         require_futaki_zero=False, max_iter=600)
         assert rep.termination == "divergence-certificate"
         assert rep.factorizations == 0
+
+    def test_escape_never_closes(self, square, monkeypatch):
+        # the closure is Newton's alone; the flow never extrapolates phi
+        def refused(g, deep):
+            raise AssertionError("an escape run closed phi")
+
+        monkeypatch.setattr(sol, "_close", refused)
+        sigma = BoundaryMeasure(tuple(
+            Q(1, 4) if f.normal == (-1, 0) else Q(1) for f in square.facets))
+        rep = sol.solve(square, sigma, m=65, tol=1e-6,
+                        require_futaki_zero=False, max_iter=600)
+        assert rep.termination == "divergence-certificate"
 
     @pytest.mark.parametrize("m, w", [(96, Q(2)), (96, Q(10, 9)), (128, Q(20, 19))],
                              ids=["m96-w2", "m96-w10_9", "m128-w20_19"])
