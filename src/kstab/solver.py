@@ -25,8 +25,13 @@ exactly F-neutral then, and genuine escape directions otherwise).
 When the Futaki vector does not vanish F falls without bound along a
 destabilizing ray, and every iteration is a step of the descent flow
 phi_dot = residual.  The flow is fourth-order stiff, so the descent
-direction is smoothed by an H2-seminorm preconditioner, the module's only
-sparse matrix, made with its one sparse LU on first use.  A run that
+direction is smoothed by an H2-seminorm preconditioner M, the module's only
+sparse matrix: a 5^n-point stencil on the nodes summed from Newton's Hessian
+taps, exactly symmetric and positive definite, factored on first use by its
+one sparse LU in SuperLU's symmetric mode.  At m = 65 (2 cores, medians of
+21) building M takes about 10 ms and the factor 38 ms, against 19 ms and
+85 ms when M was summed from Kronecker products and factored with
+SuperLU's unsymmetric defaults (COLAMD, partial pivoting).  A run that
 leaves the phi ceiling while F is still decreasing terminates with a
 divergence certificate carrying the normalized escape direction: that is
 the numerical footprint of a destabilizing ray.  A step that finds no
@@ -36,6 +41,7 @@ acceptable trial, in either regime, ends the run as stalled.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import mmap
@@ -113,30 +119,57 @@ class GridOperators:
     def preconditioner(self):
         """The flow's factored SPD preconditioner, made on first use.
 
-        sum_ab Hess_ab^T W Hess_ab over (a, b) in row-major order, W the
-        interior weights and Hess_ab the Kronecker product of axis matrices
-        (an axis not differenced keeps its inner entries), with a tiny
-        uniform ridge and then a mild one weighted by the node quadrature.
+        M = sum_ab Hess_ab^T W Hess_ab, W the interior weights, is a 5^n-point
+        stencil on the node grid summed from Newton's Hessian taps
+        (_pair_taps): taps s and t of Hess_ab at interior node i give
+        c_s W c_t at node i + s of the plane of offset t - s.  Each a <= b is
+        summed once, twice weighted off the diagonal; only the planes of
+        offset >= 0 are summed, the others are their mirror images, so M is
+        exactly symmetric.  A tiny uniform ridge and then a mild one weighted
+        by the node quadrature make it SPD, and SuperLU factors it in
+        symmetric mode: minimum degree on M + M^T, diagonal pivots.
         """
         if self._precond is None:
             import scipy.sparse as sp
             import scipy.sparse.linalg as spla
-            g = self.g
-            if g.n == 1:
-                hess = {(0, 0): g.axes[0].d2}
-            else:
-                x, y = g.axes
-                rx, ry = (sp.eye(*ax.d2.shape, k=1, format="csr") for ax in g.axes)
-                hess = {(0, 0): sp.kron(x.d2, ry, format="csr"),
-                        (1, 1): sp.kron(rx, y.d2, format="csr"),
-                        (0, 1): sp.kron(x.d1, y.d1, format="csr")}
-                hess[(1, 0)] = hess[(0, 1)]
-            W = sp.diags(geo.interior_weights(g).ravel())
-            M = sum(hess[(a, b)].T @ W @ hess[(a, b)] for a in range(g.n) for b in range(g.n))
-            M = (M + sp.diags(np.full(self.t_full.size, 1e-12 * M.diagonal().mean()))).tocsc()
-            M = M + sp.diags(1e-10 * M.diagonal().mean()
-                             * np.maximum(self.t_full, self.t_full.max() * 1e-3))
-            self._precond = spla.splu(M.tocsc())
+            g, n, shape, size = self.g, self.g.n, self.g.shape, self.t_full.size
+            offsets = list(itertools.product(range(-2, 3), repeat=n))   # lexicographic
+
+            def plane(d):
+                return tuple(k + 2 for k in d)
+
+            def on_grid(d):     # the nodes p with p + d a node
+                return tuple(slice(max(-k, 0), m - max(k, 0)) for k, m in zip(d, shape))
+
+            W = geo.interior_weights(g)
+            S = np.zeros((5,) * n + shape)     # S[plane(d)][p] = M[p, p + d]
+            for (a, b), taps in _pair_taps(g, False).items():
+                Wab = W if a == b else 2.0 * W
+                for s, cs in taps.items():
+                    for t, ct in taps.items():
+                        d = tuple(j - i for i, j in zip(s, t))
+                        if d >= (0,) * n:      # lexicographic, so offset >= 0
+                            S[plane(d)][tuple(slice(i, i + m - 2) for i, m in zip(s, shape))] \
+                                += cs * ct * Wab
+            live = np.zeros(S.shape, dtype=bool)
+            for d in offsets:
+                if d > (0,) * n:    # M[p, p - d] = M[p - d, p]
+                    neg = tuple(-k for k in d)
+                    S[plane(neg)][on_grid(neg)] = S[plane(d)][on_grid(d)]
+                live[plane(d)][on_grid(d)] = True
+            diag = S[plane((0,) * n)]
+            diag += 1e-12 * diag.mean()
+            t = self.t_full.reshape(shape)
+            diag += 1e-10 * diag.mean() * np.maximum(t, t.max() * 1e-3)
+            # row p lists p + d in the lexicographic order of d, so by column;
+            # M is symmetric, so its CSR arrays are its CSC arrays
+            S, live = S.reshape(-1, size).T, live.reshape(-1, size).T
+            strides = [math.prod(shape[e + 1:]) for e in range(n)]
+            cols = np.arange(size)[:, None] + np.array(offsets) @ strides
+            indptr = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+            M = sp.csc_matrix((S[live], cols[live], indptr), shape=(size, size))
+            self._precond = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
         return self._precond
 
     @functools.cached_property
@@ -216,9 +249,10 @@ class GridOperators:
             band = np.ndarray((2 * kl + ku + 1, size), dtype=np.float64, order="F",
                               buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8))
         else:
-            # as a fresh map is; dgbtrf leaves the corner of rows 0 .. kl-1
-            # outside the matrix as it finds it
-            band.fill(0.0)
+            # the matrix rows only: dgbtrf zeroes the fill rows 0 .. kl-1
+            # inside the matrix itself and never writes their corner outside
+            # it, which stays as the fresh map made it
+            band[kl:].fill(0.0)
         for d, off, lo, hi in planes:
             # planes that share a diagonal (a deep axis shorter than 7) add
             band[kl + ku - off, lo + off:hi + off] += J[d].ravel()[lo:hi]
