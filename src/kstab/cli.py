@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
+import functools
 import hashlib
+import itertools
 import json
 import logging
 import sys
@@ -44,8 +45,16 @@ def _load_polytope(path):
 
 
 def _write_csv(path: Path, rows):
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)   # csv writes a float as its repr
+    """Write rows as CSV lines ending in CRLF, each field as str (a float as its repr).
+
+    These are csv.writer's bytes for fields without a comma, quote or line
+    break, which holds for every kstab payload: numbers, Fractions and plain
+    names.
+    """
+    text = "".join([",".join(map(str, row)) + "\r\n" for row in rows])
+    assert (text.count(",") == sum(len(row) - 1 for row in rows) and '"' not in text
+            and text.count("\n") == text.count("\r") == len(rows)), "a CSV field needs quoting"
+    path.write_bytes(text.encode())
 
 
 def _write_outputs(args, files: dict):
@@ -209,7 +218,11 @@ def cmd_filtration(args) -> tuple[int, dict]:
 
 
 def _grid_rows(g: geo.PotentialGrid) -> list[list]:
-    return [["x1", "x2"][: g.n] + ["u", "det_hess", "S"]] + geo.grid_dump_rows(g)
+    # grid_dump_rows runs over the nodes in C order, as product does over the
+    # axes; each axis's coordinates are formatted once, not once per node
+    coords = itertools.product(*(list(map(repr, ax.nodes.tolist())) for ax in g.axes))
+    return [["x1", "x2"][: g.n] + ["u", "det_hess", "S"]] + [
+        [*x, *row[g.n:]] for x, row in zip(coords, geo.grid_dump_rows(g))]
 
 
 def cmd_solve(args) -> tuple[int, dict]:
@@ -391,7 +404,14 @@ def vars_of(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """kstab's argument parser, built once per process.
+
+    The parser keeps each subcommand's cmd_* function as a default, so a
+    cmd_* replaced after the first call is not seen; nothing in the tests or
+    the benchmark replaces one (they patch what a subcommand calls).
+    """
     ap = argparse.ArgumentParser(
         prog="kstab",
         description="Toric K-stability, Futaki invariants, the Abreu equation, "

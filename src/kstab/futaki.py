@@ -15,9 +15,19 @@ box of kP, and for each such prefix the facet inequalities, taken as exact
 integers, cut the last coordinate down to one interval lo..hi.  A row
 then contributes to d_k and w_k in closed form, so a count costs
 O(k^(n-1) * #facets) integer operations instead of the O(k^n * #facets)
-of testing every point of the box.  The filtration of a PL convex
+of testing every point of the box.  _row_arrays does them as numpy int64
+array operations on blocks of up to 2^14 prefixes, with coordinates
+relative to the box's lower corner, so the int64 values grow with k times
+P's extent but not with where P sits, and xi meets the block sums only in
+Python ints.  A count is then a fixed ~50 us of Python and numpy calls
+plus 10-15 ns per row and facet: on the benchmark triangle (3 facets) it
+takes 0.09 ms at k = 200 (401 rows) and 1.7 ms at k = 20000, against
+0.85 ms and 88 ms for one Python step per row, and 0.05 ms against 0.03
+ms at k = 1 (medians of 21, 2 cores).  A k whose rows could leave int64
+is refused before anything is allocated.  The filtration of a PL convex
 function is linear along a row on each run where one piece is the max,
-and the ceilings on a run are one floor_sum.
+and the ceilings on a run are one floor_sum; it still walks the rows one
+at a time (_rows).
 
 SIGN CONVENTION (numbering drifts across sources): the action on the
 section labelled by lattice point m has weight +<xi, m>, not its negative.
@@ -27,7 +37,6 @@ component <xi, centroid(P)>.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import operator
@@ -65,17 +74,76 @@ class ExpansionFit:
     k_range: tuple[int, int]
 
 
-def _scaled_facets(P: Polytope):
-    """Facet tests q*<nu, m> >= k*p as pure integers."""
-    out = []
-    for f in P.facets:
-        c = f.offset
-        out.append((f.normal, c.numerator, c.denominator))
-    return out
-
-
 def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
+
+
+# Most prefixes in one block of _row_arrays: it bounds a count's memory (a
+# few int64 arrays of this length per facet), not its result.
+_BLOCK = 1 << 14
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _row_arrays(P: Polytope, k: int):
+    """kP's rows as box-relative int64 arrays: (origin, blocks).
+
+    origin is the lower corner of kP's bounding box, in Python ints.  blocks
+    yields (Y, lo, hi) for consecutive runs of the box's prefixes, in
+    lexicographic order: Y is the (n-1, r) array of the nonempty rows'
+    prefixes minus origin[:-1], and the lattice points of row j are origin +
+    (*Y[:, j], y) for lo[j] <= y <= hi[j].  Every int64 value is bounded by
+    k times P's extent, not by where P sits, and a block has few enough
+    rows that its sums of n*y_i and n*(lo + hi), n = hi - lo + 1, stay in
+    int64 too.  A k at which a value could leave int64 even so (a facet
+    residual, the prefix count or one row's sums) is a ValueError, raised
+    before any array is made.
+    """
+    if k <= 0:
+        raise ValueError("k must be a positive integer")
+    # ceil and floor of k*x are monotone, so they commute with min and max
+    box = [(min(-(-x.numerator * k // x.denominator) for x in col),
+            max(x.numerator * k // x.denominator for x in col)) for col in zip(*P.vertices)]
+    origin = tuple(lo for lo, _ in box)
+    *ext, last = (hi - lo for lo, hi in box)
+    if any(e < 0 for e in (*ext, last)):
+        return origin, iter(())
+    # q*<nu, m> >= k*p with m = origin + y  <=>  c*y_n >= r0 - <q*nu', y'>,  c = q*nu_n
+    tests = []
+    for f in P.facets:
+        q = f.offset.denominator
+        tests.append((q * f.normal[-1], [q * v for v in f.normal[:-1]],
+                      k * f.offset.numerator - q * _dot(f.normal, origin)))
+    tests.sort(key=lambda t: (t[0] == 0, t[0] < 0))   # c > 0 (lo), c < 0 (hi), c = 0
+    prefixes = math.prod(e + 1 for e in ext)
+    # |r0 - <q*nu', y'>| over the box, the coefficients, and n*y_i, n*(lo + hi) on one row
+    reach = max(abs(r) + _dot(map(abs, a), ext) for _, a, r in tests)
+    coef = max(abs(v) for c, a, _ in tests for v in (c, *a))
+    per_row = (last + 1) * max((2 * last, *ext))
+    if max(reach, coef, prefixes, per_row) > _INT64_MAX:
+        raise ValueError(f"k = {k} is too large to count kP's lattice points "
+                         "in 64-bit integers")
+    step = min(_BLOCK, _INT64_MAX // max(per_row, 1))
+    c = np.array([t[0] for t in tests], dtype=np.int64)[:, None]
+    A = np.array([t[1] for t in tests], dtype=np.int64).reshape(len(tests), len(ext))
+    r0 = np.array([t[2] for t in tests], dtype=np.int64)[:, None]
+    n_lo, n_hi = int((c > 0).sum()), int((c != 0).sum())
+
+    def blocks():
+        for start in range(0, prefixes, step):
+            idx = np.arange(start, min(start + step, prefixes), dtype=np.int64)
+            Y = np.empty((len(ext), idx.size), dtype=np.int64)
+            for j in range(len(ext) - 1, 0, -1):
+                idx, Y[j] = np.divmod(idx, ext[j] + 1)
+            Y[:1] = idx
+            R = r0 - A @ Y
+            lo = (-(-R[:n_lo] // c[:n_lo])).max(axis=0, initial=0)
+            hi = (R[n_lo:n_hi] // c[n_lo:n_hi]).min(axis=0, initial=last)
+            keep = lo <= hi
+            if n_hi < len(c):
+                keep &= (R[n_hi:] <= 0).all(axis=0)   # facets parallel to the rows
+            yield Y[:, keep], lo[keep], hi[keep]
+
+    return origin, blocks()
 
 
 def _rows(P: Polytope, k: int):
@@ -83,28 +151,14 @@ def _rows(P: Polytope, k: int):
 
     A row fixes the first n-1 coordinates to `prefix` (a point of the
     bounding box of kP); its lattice points are prefix + (y,) for the
-    integers lo <= y <= hi.
+    integers lo <= y <= hi.  All three are Python ints, read off
+    _row_arrays.
     """
-    if k <= 0:
-        raise ValueError("k must be a positive integer")
-    ranges = [range(math.ceil(lo * k), math.floor(hi * k) + 1) for lo, hi in P.bounding_box()]
-    last = ranges.pop()
-    # q*<nu, m> >= k*p  <=>  c*y >= k*p - q*<nu', prefix>  with c = q*nu_n
-    tests = [(nu[:-1], q * nu[-1], k * p, q) for nu, p, q in _scaled_facets(P)]
-    for prefix in itertools.product(*ranges):
-        lo, hi = last.start, last.stop - 1
-        for nu, c, kp, q in tests:
-            r = kp - q * _dot(nu, prefix)
-            if c > 0:
-                lo = max(lo, -(-r // c))
-            elif c < 0:
-                hi = min(hi, r // c)
-            elif r > 0:
-                break               # a facet parallel to the row excludes all of it
-            if lo > hi:
-                break
-        else:
-            yield prefix, lo, hi
+    origin, blocks = _row_arrays(P, k)
+    *base, base_last = origin
+    for Y, lo, hi in blocks:
+        for y, a, b in zip(Y.T.tolist(), lo.tolist(), hi.tolist()):
+            yield tuple(map(operator.add, base, y)), base_last + a, base_last + b
 
 
 def require_integral(P: Polytope):
@@ -116,19 +170,26 @@ def require_integral(P: Polytope):
 
 
 def count_and_weigh(P: Polytope, xi, k: int) -> WeightData:
-    """d_k = #(kP cap Z^n) and w_k = sum of <xi, m> over those points."""
+    """d_k = #(kP cap Z^n) and w_k = sum of <xi, m> over those points.
+
+    The rows' box-relative coordinate sums S_i are reduced in int64, block
+    by block; w_k = sum of xi_i*(S_i + d_k*origin_i) is then formed in
+    Python ints, so xi and the position of P never enter int64.
+    """
     require_integral(P)
     xi = tuple(int(x) for x in xi)
     if len(xi) != P.dim:
         raise ValueError("xi has wrong dimension")
-    *xi_prefix, xi_last = xi
+    origin, blocks = _row_arrays(P, k)
     d = 0
-    w = 0
-    for prefix, lo, hi in _rows(P, k):
+    sums = [0] * P.dim
+    for Y, lo, hi in blocks:
         n = hi - lo + 1
-        d += n
-        # sum of <xi, m> over the row; (lo + hi) * n is even
-        w += n * _dot(xi_prefix, prefix) + xi_last * (lo + hi) * n // 2
+        d += int(n.sum())
+        # a row's last coordinates sum to (lo + hi)*n/2; (lo + hi)*n is even
+        block = [*(Y @ n).tolist(), int((lo + hi) @ n) // 2]
+        sums = [a + b for a, b in zip(sums, block)]
+    w = sum(x * (s + d * o) for x, s, o in zip(xi, sums, origin))
     return WeightData(k, d, w, Q(w, k * d))
 
 

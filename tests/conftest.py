@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -127,6 +128,63 @@ def lattice_points(P: Polytope, k: int = 1):
     for prefix, lo, hi in _rows(P, k):
         for y in range(lo, hi + 1):
             yield prefix + (y,)
+
+
+# -- the per-row scan the int64 row arrays replaced, kept as the row oracle ----
+
+def oracle_rows(P: Polytope, k: int):
+    """(prefix, lo, hi) for each nonempty row of kP, one Python step per row.
+
+    The first n-1 coordinates range over the bounding box of kP, and the
+    facet tests q*<nu, m> >= k*p, in Python ints, cut the last one to lo..hi.
+    """
+    ranges = [range(math.ceil(lo * k), math.floor(hi * k) + 1) for lo, hi in P.bounding_box()]
+    last = ranges.pop()
+    # q*<nu, m> >= k*p  <=>  c*y >= k*p - q*<nu', prefix>  with c = q*nu_n
+    tests = [(f.normal[:-1], f.offset.denominator * f.normal[-1], k * f.offset.numerator,
+              f.offset.denominator) for f in P.facets]
+    for prefix in itertools.product(*ranges):
+        lo, hi = last.start, last.stop - 1
+        for nu, c, kp, q in tests:
+            r = kp - q * sum(a * b for a, b in zip(nu, prefix))
+            if c > 0:
+                lo = max(lo, -(-r // c))
+            elif c < 0:
+                hi = min(hi, r // c)
+            elif r > 0:
+                break               # a facet parallel to the row excludes all of it
+            if lo > hi:
+                break
+        else:
+            yield prefix, lo, hi
+
+
+def oracle_row_weights(P: Polytope, xi, k: int) -> tuple[int, int]:
+    """(d_k, w_k) summed over oracle_rows, each row in closed form."""
+    *xi_prefix, xi_last = xi
+    d = w = 0
+    for prefix, lo, hi in oracle_rows(P, k):
+        n = hi - lo + 1
+        d += n
+        w += n * sum(a * b for a, b in zip(xi_prefix, prefix)) + xi_last * (lo + hi) * n // 2
+    return d, w
+
+
+def oracle_ceiling_sum(P: Polytope, f: PLConvexFunction, k: int) -> Q:
+    """sum of ceil(k f(m/k)) / (k d_k) over oracle_rows's points, one point at a time.
+
+    With D the common denominator of f's coefficients, D*k*f(m/k) is the
+    max of the integers D*(<a_j, m> + k*b_j), so every step is an integer one.
+    """
+    D = math.lcm(*(c.denominator for a, b in f.pieces for c in (*a, b)))
+    pieces = [([int(c * D) for c in a], int(b * D * k)) for a, b in f.pieces]
+    total = d = 0
+    for prefix, lo, hi in oracle_rows(P, k):
+        for y in range(lo, hi + 1):
+            m = prefix + (y,)
+            total += -(-max(sum(c * x for c, x in zip(a, m)) + b for a, b in pieces) // D)
+            d += 1
+    return Q(total, k * d)
 
 
 # -- the stencil route the axis matrices replaced, kept as the test oracle ----
@@ -345,7 +403,7 @@ def oracle_filtration_futaki(P, f, k):
     require_integral(P)
     total = d = 0
     minval = None
-    for m in lattice_points(P, k):
+    for m in (prefix + (y,) for prefix, lo, hi in oracle_rows(P, k) for y in range(lo, hi + 1)):
         val = Q(f(tuple(Q(mi, k) for mi in m)))
         minval = val if minval is None else min(minval, val)
         total += math.ceil(k * val)

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction as Q
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from kstab import solver as sol
-from kstab.cli import main
+from kstab.cli import _write_csv, main
 
 from conftest import format_polytope_text
 
@@ -19,8 +20,10 @@ POINTS = "1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"
 MATRIX = "1 1\n0 2\n"
 # the weighted unit box: x-facets weight 2, y-facets weight 3
 BOX = "dim 2\nfacets\n1 0 0 2\n-1 0 -1 2\n0 1 0 3\n0 -1 -1 3\n"
+TRI = "dim 2\nvertices\n0 0\n1 0\n0 1\n"
 INPUTS = {"sq.poly": SQUARE, "wseg.poly": WSEG, "seg.poly": SEG, "esc.poly": ESCAPE,
-          "box.poly": BOX, "pts.txt": POINTS, "mat.txt": MATRIX, "big.txt": "1e200 0\n0 0\n"}
+          "box.poly": BOX, "tri.poly": TRI, "pts.txt": POINTS, "mat.txt": MATRIX,
+          "big.txt": "1e200 0\n0 0\n"}
 
 
 @pytest.fixture
@@ -149,6 +152,18 @@ class TestFutakiCommand:
         assert rows[1].startswith("3,16,24,1/2")
         fit = json.loads((out / "fit.json").read_text())
         assert abs(fit["F1"]) < 1e-9
+
+    @pytest.mark.parametrize("xi", ["1" + "0" * 30 + ",-1", "-3," + "1" + "0" * 40])
+    def test_huge_xi_is_exact(self, in_inputs, xi):
+        # w_k is formed in Python ints; an int64 xi overflowed (a traceback)
+        assert main(["futaki", "tri.poly", f"--xi={xi}", "--kmin", "3", "--kmax", "6",
+                     "--out", "o"]) == 0
+        a, b = (int(t) for t in xi.split(","))
+        rows = Path("o/weights.csv").read_text().splitlines()[1:]
+        for k, row in zip(range(3, 7), rows):
+            # k times the unit triangle: d_k = C(k+2, 2); each coordinate sums to C(k+2, 3)
+            d, s = (k + 1) * (k + 2) // 2, k * (k + 1) * (k + 2) // 6
+            assert row.split(",")[:3] == [str(k), str(d), str((a + b) * s)]
 
 
 class TestFiltrationCommand:
@@ -424,8 +439,9 @@ class TestOutputDirectory:
 class TestNumericParameters:
     """A ray scale or flow step that is zero, negative or not finite, a
     flow with fewer than one step, a ray whose F overflows, a matrix whose
-    [A, A*] overflows or a run that cannot allocate its arrays ends in one
-    error line, exit 1 and no --out directory."""
+    [A, A*] overflows, a k too large to count in 64-bit integers or a run
+    that cannot allocate its arrays ends in one error line, exit 1 and no
+    --out directory."""
 
     @pytest.mark.parametrize("argv", [
         "ray esc.poly --smax 0", "ray esc.poly --smax nan", "ray esc.poly --smax -5",
@@ -433,7 +449,8 @@ class TestNumericParameters:
         "flow-sphere --points pts.txt --step nan", "flow-matrix --matrix mat.txt --step 0",
         "flow-sphere --points pts.txt --max-steps 0", "flow-sphere --points pts.txt --max-steps -3",
         "flow-matrix --matrix mat.txt --max-steps 0",
-        "ray box.poly --quadratic 1,0,1 --smax 1e300", "flow-matrix --matrix big.txt"])
+        "ray box.poly --quadratic 1,0,1 --smax 1e300", "flow-matrix --matrix big.txt",
+        "futaki tri.poly --kmin 2305843009213693952 --kmax 2305843009213693955"])
     @pytest.mark.filterwarnings("error")
     def test_rejected(self, in_inputs, capsys, argv):
         assert main(argv.split() + ["--out", "o"]) == 1
@@ -502,3 +519,19 @@ class TestPipeline:
         log = json.loads((out / "pipeline.json").read_text())
         assert log["futaki"] == ["0", "0"]
         assert Q(log["witness"]["L"]) < 0
+
+
+class TestCsvWriter:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        rows = [["k", "value", "ratio"], [1, float("nan"), Q(-7, 3)], [-2, -0.0, Q(5)],
+                [3, 1e-300, -2.5e+20], [10 ** 30, float("inf"), -float("inf")],
+                ["x1", 0.1 + 0.2, -1234567.125]]
+        _write_csv(tmp_path / "fast.csv", rows)
+        with (tmp_path / "csv.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+    def test_field_that_needs_quoting_is_refused(self, tmp_path):
+        for bad in ("a,b", 'say "x"', "two\nlines"):
+            with pytest.raises(AssertionError):
+                _write_csv(tmp_path / "bad.csv", [["k", "name"], [1, bad]])

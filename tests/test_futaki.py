@@ -20,7 +20,8 @@ from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import L, PLConvexFunction, futaki_linear
 from kstab import stability as stab
 
-from conftest import (lattice_points, oracle_filtration_futaki, random_integral_polygon, random_polygon,
+from conftest import (lattice_points, oracle_ceiling_sum, oracle_filtration_futaki,
+                      oracle_row_weights, oracle_rows, random_integral_polygon, random_polygon,
                       unimodular_image)
 
 
@@ -278,6 +279,87 @@ class TestRowScanOracle:
             area = measures(P).vol
             for k in list(range(1, 40)) + [127, 255, 256, 511, 512]:
                 assert count_and_weigh(P, (1, 0), k).d_k == area * k * k + Q(boundary, 2) * k + 1
+
+
+def row_corpus():
+    """(P, f or None) pairs, seeded: P integral when f is given, else rational.
+
+    Integral and rational polygons, segments, the square (whose x-facets are
+    parallel to the rows) and the 3D test configurations, whose facets lifted
+    from P are parallel to the rows and cut the box's corners.
+    """
+    rng = random.Random(19)
+    crease = PLConvexFunction((((Q(1), Q(-1, 2)), Q(-1, 3)), ((Q(-1, 3), Q(2)), Q(1, 4)),
+                               ((Q(0), Q(0)), Q(0))))
+    lifted = PLConvexFunction((((Q(1), Q(0), Q(-1, 2)), Q(0)), ((Q(0), Q(-1, 3), Q(1)), Q(-1, 5))))
+    abs_shift = PLConvexFunction((((Q(1),), Q(-1, 3)), ((Q(-2),), Q(1, 2))))
+    integral, rational = configuration_polytopes()
+    polygons = [Polytope.from_vertices([(0, 0), (2, 0), (1, 3)]),
+                Polytope.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])]
+    polygons += [random_integral_polygon(rng, span=2) for _ in range(2)]
+    segments = [Polytope.from_vertices(v) for v in ([(0,), (1,)], [(-1,), (1,)], [(-3,), (5,)])]
+    return ([(P, crease) for P in polygons] + [(P, abs_shift) for P in segments]
+            + [(P, lifted) for P in integral]
+            + [(random_polygon(rng, span=4), None) for _ in range(3)]
+            + [(Polytope.from_vertices([(Q(1, 3),), (Q(7, 2),)]), None)]
+            + [(P, None) for P in rational])
+
+
+class TestRowArraysCorpus:
+    """_rows, count_and_weigh and filtration_futaki against the per-row oracle.
+
+    The per-point filtration oracle skips the 3D configurations at k = 150
+    (millions of points); their rows and counts are compared there too.
+    """
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 7, 20, 150))
+    def test_against_the_row_oracle(self, k):
+        for P, f in row_corpus():
+            rows = list(futaki._rows(P, k))
+            assert rows == list(oracle_rows(P, k))
+            assert all(type(v) is int for prefix, lo, hi in rows for v in (*prefix, lo, hi))
+            if f is None:
+                continue
+            xi = (-2, 3, 1)[:P.dim]
+            wd = count_and_weigh(P, xi, k)
+            assert (wd.d_k, wd.w_k) == oracle_row_weights(P, xi, k)
+            if P.dim < 3 or k <= 20:
+                assert filtration_futaki(P, f, k) == oracle_ceiling_sum(P, f, k)
+
+
+class TestInt64Range:
+    """Box-relative int64 rows: a translation or a huge xi does not move the
+    range, and a k whose rows could leave int64 is refused up front."""
+
+    TRIANGLE = [(0, 0), (2, 0), (1, 3)]
+
+    @pytest.mark.parametrize("shift", [(0, 0), (10 ** 15, -10 ** 15), (-10 ** 15, 10 ** 15)])
+    @pytest.mark.parametrize("k", [3, 200])
+    def test_translated_triangle_and_huge_xi(self, shift, k):
+        P = Polytope.from_vertices([(x + shift[0], y + shift[1]) for x, y in self.TRIANGLE])
+        for xi in ((0, 1), (10 ** 30, -1), (10 ** 30, -10 ** 40)):
+            wd = count_and_weigh(P, xi, k)
+            assert (wd.d_k, wd.w_k) == oracle_row_weights(P, xi, k)
+            assert wd.F_k == Q(wd.w_k, k * wd.d_k)
+
+    def test_long_segment(self):
+        # one row of 2*10^9 + 1 points: n*(lo + hi) is about 8e18, inside int64
+        k = 2 * 10 ** 9
+        P = Polytope.from_vertices([(10 ** 12,), (10 ** 12 + 1,)])
+        wd = count_and_weigh(P, (3,), k)
+        assert wd.d_k == k + 1
+        assert wd.w_k == 3 * (k + 1) * (10 ** 12 * k + k // 2)
+
+    @pytest.mark.parametrize("vertices, k", [
+        ([(0, 0), (1, 0), (0, 1)], 2 ** 61),    # about 2^61 rows of up to 2^61 points
+        ([(0,), (1,)], 4 * 10 ** 9),            # one row whose n*(lo + hi) leaves int64
+    ])
+    def test_out_of_range_k_is_refused(self, vertices, k):
+        P = Polytope.from_vertices(vertices)
+        with pytest.raises(ValueError, match="too large"):
+            count_and_weigh(P, (1,) * P.dim, k)
+        with pytest.raises(ValueError, match="too large"):
+            next(futaki._rows(P, k))
 
 
 class TestFloorSum:
