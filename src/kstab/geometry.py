@@ -17,6 +17,7 @@ scalar curvature field lives two layers in, matching the stencil depth.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -177,8 +178,17 @@ def _on_axis(vec: np.ndarray, n: int, axis: int) -> np.ndarray:
     return vec.reshape([-1 if a == axis else 1 for a in range(n)])
 
 
+# the extents hi - lo (in floats) a mesh axis accepts: beyond them the cubes
+# of the mesh gaps in the extrapolation weights, or the closed-form integrals
+# of u0 (extent^3 log(extent) on a box), leave the float range
+EXTENT_RANGE = (1e-50, 1e50)
+
+
 def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, float, float]]:
-    """(lo, hi, w_lo, w_hi) per axis for a product-of-intervals polytope."""
+    """(lo, hi, w_lo, w_hi) per axis for a product-of-intervals polytope.
+
+    UnsupportedPolytopeError unless every extent lies in EXTENT_RANGE.
+    """
     if not P.is_box():
         raise UnsupportedPolytopeError(
             "mesh construction supports products of intervals (segments and "
@@ -186,13 +196,22 @@ def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, f
     box = P.bounding_box()
     out = []
     for a, (lo, hi) in enumerate(box):
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:
+            raise UnsupportedPolytopeError(
+                f"axis {a + 1}: an end of the box exceeds the float range") from None
+        if not EXTENT_RANGE[0] <= hi - lo <= EXTENT_RANGE[1]:
+            raise UnsupportedPolytopeError(
+                f"axis {a + 1}: the extent {hi - lo:.3g} (in floats) is outside the "
+                f"solver's range [{EXTENT_RANGE[0]:g}, {EXTENT_RANGE[1]:g}]")
         w_lo = w_hi = 1.0
         for f, w in zip(P.facets, sigma.weights):
             if f.normal[a] == 1:
                 w_lo = float(w)
             elif f.normal[a] == -1:
                 w_hi = float(w)
-        out.append((float(lo), float(hi), w_lo, w_hi))
+        out.append((lo, hi, w_lo, w_hi))
     return out
 
 
@@ -468,53 +487,45 @@ def outer_extrapolation(x: np.ndarray, layers: int, points: int):
     return out
 
 
-def _box_integral(g: PotentialGrid, axis_integral) -> float:
+def _box_integral(axes: list[Axis1D], axis_integral) -> float:
     """Integral over the box of a sum of one-axis terms, from each term's axis integral."""
-    lams = [ax.hi - ax.lo for ax in g.axes]
+    lams = [ax.hi - ax.lo for ax in axes]
     return sum(axis_integral(ax) * math.prod(lams[:a] + lams[a + 1:])
-               for a, ax in enumerate(g.axes))
+               for a, ax in enumerate(axes))
 
 
 def integral_u0_exact(g: PotentialGrid) -> float:
     """Closed-form integral of u0 over the box."""
-    return _box_integral(g, Axis1D.integral_u0)
+    return _box_integral(g.axes, Axis1D.integral_u0)
 
 
 def integral_log_terms_exact(g: PotentialGrid) -> float:
     """Closed-form integral of sum_k log(w_k ell_k) over the box."""
-    return _box_integral(g, Axis1D.integral_log_terms)
+    return _box_integral(g.axes, Axis1D.integral_log_terms)
 
 
 def boundary_integral_u0_exact(g: PotentialGrid) -> float:
-    """Closed-form sigma-weighted boundary integral of u0."""
-    if g.n == 1:
-        ax = g.axes[0]
-        v_lo, v_hi = ax.u0_end_values()
-        return ax.w_lo * v_lo + ax.w_hi * v_hi
-    ax0, ax1 = g.axes
+    """Closed-form sigma-weighted boundary integral of u0, facet by facet
+    (on the facets at the ends of axis a, axis a's term is constant)."""
     total = 0.0
-    # edges where axis 0 is pinned
-    for side, w_edge in ((0, ax0.w_lo), (1, ax0.w_hi)):
-        k_edge = ax0.u0_end_values()[side]
-        total += w_edge * (k_edge * (ax1.hi - ax1.lo) + ax1.integral_u0())
-    for side, w_edge in ((0, ax1.w_lo), (1, ax1.w_hi)):
-        k_edge = ax1.u0_end_values()[side]
-        total += w_edge * (k_edge * (ax0.hi - ax0.lo) + ax0.integral_u0())
+    for a, ax in enumerate(g.axes):
+        rest = g.axes[:a] + g.axes[a + 1:]
+        area = math.prod(b.hi - b.lo for b in rest)
+        others = _box_integral(rest, Axis1D.integral_u0)
+        for w, end_value in zip((ax.w_lo, ax.w_hi), ax.u0_end_values()):
+            total += w * (end_value * area + others)
     return total
 
 
 def boundary_integral_nodes(g: PotentialGrid, values: np.ndarray) -> float:
-    """Sigma-weighted boundary trapezoid of a node field (box edges)."""
-    if g.n == 1:
-        ax = g.axes[0]
-        return float(ax.w_lo * values[0] + ax.w_hi * values[-1])
-    ax0, ax1 = g.axes
-    t0, t1 = ax0.trapezoid, ax1.trapezoid
+    """Sigma-weighted boundary trapezoid of a node field, facet by facet."""
     total = 0.0
-    total += ax0.w_lo * float((t1 * values[0, :]).sum())
-    total += ax0.w_hi * float((t1 * values[-1, :]).sum())
-    total += ax1.w_lo * float((t0 * values[:, 0]).sum())
-    total += ax1.w_hi * float((t0 * values[:, -1]).sum())
+    for a, ax in enumerate(g.axes):
+        rest = g.axes[:a] + g.axes[a + 1:]
+        t = functools.reduce(np.multiply.outer, [b.trapezoid for b in rest], 1.0)
+        ends = np.moveaxis(values, a, 0)
+        for w, face in ((ax.w_lo, ends[0]), (ax.w_hi, ends[-1])):
+            total += w * float((t * face).sum())
     return total
 
 

@@ -96,7 +96,8 @@ def sphere_flow(c: SphereConfig, step: float = 0.05,
     flow stops at a balanced configuration or at a stationary point, which
     is necessarily an antipodal pair with multiplicities; a flow still
     moving after max_steps is unresolved.  step must be finite and
-    positive and max_steps at least 1.
+    positive and max_steps at least 1; the first step, like every later
+    one, is at most 1.
     """
     _check_flow(step, max_steps)
     pts = c.points.copy()
@@ -104,7 +105,7 @@ def sphere_flow(c: SphereConfig, step: float = 0.05,
     mu = (mult[:, None] * pts).sum(axis=0)
     mu2 = float(mu @ mu)
     history = [np.sqrt(mu2)]
-    dt = step
+    dt = min(step, 1.0)     # the cap of every later step
     n_steps = 0
     flat = 0
     ending = "diverges-to-fixed-point"
@@ -151,7 +152,8 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     rounding; the commutator norm decreases monotonically to the normal
     (polystable) limit, or the whole matrix flows to the zero-orbit closure
     for non-semistable starts.  step must be finite and positive,
-    max_steps at least 1 and [A, A*] of the start finite (ValueError).
+    max_steps at least 1 and [A, A*] of the start finite (ValueError); the
+    first step, like every later one, is at most 1e12.
     """
     _check_flow(step, max_steps)
     A = np.array(A, dtype=complex)
@@ -167,18 +169,17 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     if not np.isfinite(f):
         raise ValueError("[A, A*] of the start matrix overflows; rescale A")
     history = [np.sqrt(f)]
-    dt = step
+    dt = min(step, 1e12)    # the cap of every later step
     n_steps = 0
     for n_steps in range(1, max_steps + 1):
         if np.sqrt(f) < BALANCED_TOL:
             break
         moved = False
         for _ in range(60):
-            G = expm(-dt * N)
-            Ginv = expm(dt * N)
-            trial = G @ A @ Ginv
-            Nt = comm(trial)
-            ft = float(np.linalg.norm(Nt) ** 2)
+            with np.errstate(all="ignore"):     # an overflowed trial is rejected
+                trial = expm(-dt * N) @ A @ expm(dt * N)
+                Nt = comm(trial)
+                ft = float(np.linalg.norm(Nt) ** 2)
             if ft < f:
                 A, N, f = trial, Nt, ft
                 # conjugation is exact at any dt, so let it grow with the

@@ -298,14 +298,11 @@ class _BandedLU:
 
 def log_singular_field(g: geo.PotentialGrid) -> np.ndarray:
     """sum_k log(w_k ell_k) at the interior lattice (separable for boxes)."""
-    n = g.n
     out = np.zeros(tuple(ax.m - 2 for ax in g.axes))
     for a, ax in enumerate(g.axes):
         x = ax.nodes[1:-1]
         vec = np.log(ax.w_lo * (x - ax.lo)) + np.log(ax.w_hi * (ax.hi - x))
-        shape = [1] * n
-        shape[a] = len(x)
-        out = out + vec.reshape(shape)
+        out = out + geo._on_axis(vec, g.n, a)
     return out
 
 
@@ -424,44 +421,36 @@ class _Factor:
 def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | None:
     """Newton on the closed square system, the step of zero-Futaki runs.
 
-    From a closed iterate with a kept factor, the chord step (that factor
-    applied to the current residual) is taken first, and accepted at full
-    length if it cuts the sup residual by _CHORD_CUT.  Otherwise the
-    iterate is closed (its two outer layers replaced by the extrapolation
-    of its deep values; iterates that came from a full Newton step already
-    are), the pinned J*E system is factored afresh and kept in `factor`,
-    and the step is accepted, from the full step down in quarters, once it
-    lowers the sup residual.  The affine gauge is projected out of every
-    step.  Returns None when no trial does, when the factor is exactly
-    singular, or when the closed iterate leaves the convex cone.
+    The iterate is closed (solve() closes the start) and so is every trial.
+    With a kept factor the chord step (that factor applied to the current
+    residual) is taken first, and accepted at full length if it cuts the
+    sup residual by _CHORD_CUT.  Otherwise the pinned J*E system is factored
+    afresh and kept in `factor`, and the step is accepted, from the full
+    step down in quarters, once it lowers the sup residual.  Every step adds
+    phi_c - phi, which re-closes phi against rounding, and is projected off
+    the affine gauge.  Returns None when no trial lowers the sup residual or
+    the factor is exactly singular.
     """
     phi = s.g.phi.ravel()
     phi_c = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n])
-    closed = np.abs(phi_c - phi).max() <= 1e-12 * (1.0 + np.abs(phi).max())
     sup = float(np.abs(s.r).max())
-    if closed and factor.lu is not None:
-        x = factor.lu.solve(_newton_rhs(ops, s.r))
-        trial = _moved(s, ops.gauge_project((phi_c - phi) + _close(s.g, x),
+    rhs = _newton_rhs(ops, s.r)
+    if factor.lu is not None:
+        trial = _moved(s, ops.gauge_project((phi_c - phi) + _close(s.g, factor.lu.solve(rhs)),
                                             include_linear=True))
         if trial is not None and np.abs(trial.r).max() <= _CHORD_CUT * sup:
             log.debug("newton step: reuse, sup residual %.3e -> %.3e, step 1",
                       sup, np.abs(trial.r).max())
             return trial
     factor.lu = None   # the refactorization below overwrites its band
-    base = s
-    if not closed:
-        base = _moved(s, phi_c - phi)
-        if base is None:
-            log.debug("newton step: the closed iterate leaves the convex cone")
-            return None
-    factor.band, kl, ku = ops.jacobian(base.U, factor.band)
+    factor.band, kl, ku = ops.jacobian(s.U, factor.band)
     factor.count += 1
     try:
         factor.lu = _BandedLU(factor.band, kl, ku)
     except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None
-    delta = (phi_c - phi) + _close(s.g, factor.lu.solve(_newton_rhs(ops, base.r)))
+    delta = (phi_c - phi) + _close(s.g, factor.lu.solve(rhs))
     delta = ops.gauge_project(delta, include_linear=True)
     step = 1.0
     for _ in range(4):
@@ -483,8 +472,10 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
 
     The Futaki vector picks the step of every iteration.  On zero-Futaki
     data it is a Newton step, reusing the last banded LU factor as a chord
-    step while that cuts the residual ten-fold.  A nonzero Futaki vector is
-    refused (no constant-scalar-curvature solution exists) unless
+    step while that cuts the residual ten-fold, from a start closed first
+    (its two outer layers replaced by the extrapolation of its deep values;
+    ConvexityError if that leaves the convex cone).  A nonzero Futaki
+    vector is refused (no constant-scalar-curvature solution exists) unless
     require_futaki_zero=False, the mode that exhibits divergence
     certificates on destabilized data: there every step is a preconditioned
     flow step, and the run never factors the Newton system.  A step that
@@ -508,6 +499,8 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         report = SolveReport(g, "refused-futaki", float("inf"), 0, futaki=fut)
         report.wall_time = time.time() - t_start
         return report
+    if futaki_zero:     # Newton's iterates are closed, from the start on
+        g.phi = _close(g, g.phi[(slice(2, -2),) * g.n]).reshape(g.shape)
     ops = GridOperators(g)
     diam = math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in P.bounding_box()))
     ceiling = 1e3 * diam * g.A

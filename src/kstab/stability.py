@@ -442,7 +442,8 @@ def _numerator_ranges(smin: Q, smax: Q, R: int) -> list[tuple[int, int]]:
         lo = smin.numerator * den // smin.denominator + 1
         hi = -(-smax.numerator * den // smax.denominator) - 1
         if max(abs(lo), abs(hi)) >= 2 ** 62:
-            raise ValueError(f"crease offsets near {smax} exceed the int64 range")
+            end = smin if abs(lo) >= 2 ** 62 else smax
+            raise ValueError(f"crease offsets near {end} exceed the int64 range")
         out.append((lo, hi))
     return out
 

@@ -409,3 +409,38 @@ def oracle_filtration_futaki(P, f, k):
         total += math.ceil(k * val)
         d += 1
     return Q(total, k * d), minval
+
+
+# -- the separate 1-D and 2-D boundary integrals the loop over facets replaced --
+
+def oracle_boundary_integral_u0_exact(g: geo.PotentialGrid) -> float:
+    """Closed-form sigma-weighted boundary integral of u0, one body per dimension."""
+    if g.n == 1:
+        ax = g.axes[0]
+        v_lo, v_hi = ax.u0_end_values()
+        return ax.w_lo * v_lo + ax.w_hi * v_hi
+    ax0, ax1 = g.axes
+    total = 0.0
+    # edges where axis 0 is pinned
+    for side, w_edge in ((0, ax0.w_lo), (1, ax0.w_hi)):
+        k_edge = ax0.u0_end_values()[side]
+        total += w_edge * (k_edge * (ax1.hi - ax1.lo) + ax1.integral_u0())
+    for side, w_edge in ((0, ax1.w_lo), (1, ax1.w_hi)):
+        k_edge = ax1.u0_end_values()[side]
+        total += w_edge * (k_edge * (ax0.hi - ax0.lo) + ax0.integral_u0())
+    return total
+
+
+def oracle_boundary_integral_nodes(g: geo.PotentialGrid, values: np.ndarray) -> float:
+    """Sigma-weighted boundary trapezoid of a node field, one body per dimension."""
+    if g.n == 1:
+        ax = g.axes[0]
+        return float(ax.w_lo * values[0] + ax.w_hi * values[-1])
+    ax0, ax1 = g.axes
+    t0, t1 = ax0.trapezoid, ax1.trapezoid
+    total = 0.0
+    total += ax0.w_lo * float((t1 * values[0, :]).sum())
+    total += ax0.w_hi * float((t1 * values[-1, :]).sum())
+    total += ax1.w_lo * float((t0 * values[:, 0]).sum())
+    total += ax1.w_hi * float((t0 * values[:, -1]).sum())
+    return total

@@ -275,6 +275,60 @@ class TestSolveCommand:
         assert "np.float64" not in line
 
 
+# boxes whose extent leaves the mesh's float range: at the default mesh the
+# solve ended in an OverflowError traceback or in RuntimeWarnings and
+# "Singular matrix", and ray advised lowering --smax
+HUGE_SEG = "dim 1\nfacets\n1 0\n-1 -1e300\n"
+TINY_SEG = "dim 1\nfacets\n1 0\n-1 -1e-300\n"
+HUGE_BOX = "dim 2\nfacets\n1 0 0\n-1 0 -1e200\n0 1 0\n0 -1 -1\n"
+
+
+class TestExtentRange:
+    # pipeline reaches the solve on the tiny segment only: the crease
+    # offsets of the huge boxes leave int64 first
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, text", [
+        ("solve", HUGE_SEG), ("solve", TINY_SEG), ("solve", HUGE_BOX), ("ray", HUGE_SEG),
+        ("ray", TINY_SEG), ("ray", HUGE_BOX), ("pipeline", TINY_SEG)],
+        ids=["solve-1e300", "solve-1e-300", "solve-box", "ray-1e300", "ray-1e-300", "ray-box",
+             "pipeline-1e-300"])
+    def test_refused_naming_the_axis(self, tmp_path, capsys, command, text):
+        p = tmp_path / "p.poly"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: axis 1: the extent "), err
+        assert err[-1].endswith(" (in floats) is outside the solver's range [1e-50, 1e+50]")
+        assert len(err) == 1
+        assert not out.exists()
+
+    # the tiny segment stalls at the rounding floor of an absolute --tol
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extent, code", [("1e-50", 1), ("1e50", 0)])
+    def test_ends_of_the_range_are_accepted(self, tmp_path, extent, code):
+        p = tmp_path / "p.poly"
+        p.write_text(f"dim 1\nfacets\n1 0\n-1 -{extent}\n")
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == code
+        assert (tmp_path / "o" / "grid.csv").exists()
+
+    def test_an_end_beyond_the_floats_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "p.poly"
+        p.write_text("dim 1\nfacets\n1 0\n-1 -1e400\n")
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: axis 1: an end of the box exceeds the float range\n")
+
+    def test_crease_overflow_names_the_lower_end(self, tmp_path, capsys):
+        # every direction of this box has its lower bound near -1e200 or
+        # its upper bound near +1e200; the message named the upper one always
+        p = tmp_path / "p.poly"
+        p.write_text(HUGE_BOX)
+        assert main(["destabilize", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: crease offsets near -"), err
+
+
 class TestRayCommand:
     def test_linear_ray(self, wseg_file, tmp_path, capsys):
         code = main(["ray", str(wseg_file), "--linear", "1", "--smax", "100",
@@ -337,6 +391,23 @@ class TestFlows:
         data = json.loads((out / "flow.json").read_text())
         assert data["verdict"] == "balanced"
         assert data["points"] == [axis, [-v for v in axis]]
+
+    # the first trial took --step uncapped: the sphere flow stopped at a
+    # "fixed point" (1e150) or normalized overflowed points (1e160), and the
+    # matrix flow ended unresolved after four RuntimeWarnings (1e200)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, text, verdict", [
+        ("flow-sphere --points", "1 0 0\n0 1 0\n0 0 1\n", "balanced"),
+        ("flow-matrix --matrix", "1 1\n0 1\n", "normal")], ids=["sphere", "matrix"])
+    @pytest.mark.parametrize("step", [None, "1e150", "1e160", "1e200"])
+    def test_huge_step_gives_the_default_verdict(self, tmp_path, capsys, argv, text, verdict,
+                                                 step):
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        extra = [] if step is None else ["--step", step]
+        assert main(argv.split() + [str(f), "--out", str(tmp_path / "o")] + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"verdict: {verdict}, ") and captured.err == ""
 
     def test_flow_sphere_nonfinite_point_rejected(self, tmp_path, capsys):
         f = tmp_path / "pts.txt"

@@ -1,13 +1,15 @@
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
 from kstab import geometry as geo
-from kstab.polytope import BoundaryMeasure, Polytope, measures
+from kstab.polytope import BoundaryMeasure, Polytope, measures, parse_polytope_text
 
 from conftest import (box_quadratic_integrals, divergence_pairing, ibp_pairing, numeric_scalar_curvature,
+                      oracle_boundary_integral_nodes, oracle_boundary_integral_u0_exact,
                       oracle_divergence2, oracle_extend_interior_field, oracle_hessian_and_gradient,
                       uniform_core_mask)
 
@@ -222,6 +224,28 @@ class TestQuadrature:
         assert abs(trap - geo.integral_u0_exact(g)) < 5e-5
         btrap = geo.boundary_integral_nodes(gf, u0f)
         assert abs(btrap - geo.boundary_integral_u0_exact(g)) < 5e-5
+
+    def test_boundary_integrals_match_the_per_dimension_bodies(self):
+        # one loop over the facets sums in the order of the separate 1-D and
+        # 2-D bodies, so the results are bitwise equal
+        rng = random.Random(83)
+        for k in range(60):
+            dim = 1 + k % 2
+            lines = [f"dim {dim}", "facets"]
+            for a in range(dim):
+                lo = Q(rng.randint(-50, 50), rng.randint(1, 7))
+                hi = lo + Q(rng.randint(1, 90), rng.randint(1, 9))
+                for sign, c in ((1, lo), (-1, -hi)):
+                    nu = [0] * dim
+                    nu[a] = sign
+                    lines.append(" ".join(map(str, nu))
+                                 + f" {c} {Q(rng.randint(1, 9), rng.randint(1, 4))}")
+            P, sigma = parse_polytope_text("\n".join(lines) + "\n")
+            g = geo.PotentialGrid.build(P, sigma, [rng.randint(8, 40) for _ in range(dim)])
+            values = np.random.default_rng(k).standard_normal(g.shape)
+            got = geo.boundary_integral_u0_exact(g), geo.boundary_integral_nodes(g, values)
+            want = oracle_boundary_integral_u0_exact(g), oracle_boundary_integral_nodes(g, values)
+            assert got == want and all(type(v) is float for v in got)
 
     def test_l_quadrature_exact_for_linear_phi(self, square):
         from kstab.stability import L, PLConvexFunction

@@ -436,6 +436,39 @@ class TestNewtonStep:
         closed = sol._close(nxt.g, phi[2:-2, 2:-2])
         assert np.abs(closed - phi.ravel()).max() <= 1e-12 * (1 + np.abs(phi).max())
 
+    def test_every_iterate_is_closed(self, square, monkeypatch):
+        # solve() closes the start, and each step lands on a closed iterate
+        def is_closed(g):
+            phi = g.phi
+            return (np.abs(sol._close(g, phi[(slice(2, -2),) * g.n]) - phi.ravel()).max()
+                    <= 1e-12 * (1 + np.abs(phi).max()))
+
+        seen = []
+        newton_step = sol._newton_step
+
+        def checked(ops, s, factor):
+            seen.append(is_closed(s.g))
+            return newton_step(ops, s, factor)
+
+        monkeypatch.setattr(sol, "_newton_step", checked)
+        first = []
+        rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2,
+                        callback=lambda it, g: first.append(g) if it == 1 else None)
+        assert rep.converged and len(seen) == rep.iterations - 1 >= 2
+        assert is_closed(first[0]) and np.abs(first[0].phi).max() > 0.01
+        assert all(seen)
+
+    def test_start_whose_closure_is_not_convex_is_refused(self, segment01):
+        # phi0 is 0 on the first five nodes and a steep parabola after them:
+        # convex, but the cubic through nodes 2 to 5 dives at the outer two
+        def phi0(x):
+            return 1000 * np.maximum(x - 0.012, 0) ** 2
+
+        g = geo.PotentialGrid.build(segment01, unit(segment01), 64, phi=phi0)
+        assert sol.evaluate(g) is not None
+        with pytest.raises(geo.ConvexityError):
+            sol.solve(segment01, unit(segment01), m=64, phi0=phi0)
+
     def test_singular_factor_returns_none(self, square, monkeypatch):
         ops, s = box_start(square, 17)
 

@@ -680,6 +680,12 @@ class TestPrunedScan:
         with pytest.raises(ValueError, match="exceed the int64 range"):
             stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_divisors(1))
 
+    @pytest.mark.parametrize("smin, smax, end", [(-2 ** 62 - 2, 0, -2 ** 62 - 2),
+                                                 (0, 2 ** 62 + 2, 2 ** 62 + 2)])
+    def test_offset_overflow_names_its_end(self, smin, smax, end):
+        with pytest.raises(ValueError, match=f"^crease offsets near {end} exceed the int64 range$"):
+            stab._count_offsets(Q(smin), Q(smax), stab._moebius_divisors(1))
+
     def test_hexagon_matches_unpruned(self, monkeypatch, unstable_hexagon):
         assert_matches_oracle(monkeypatch, *unstable_hexagon, 8, oracle_scan=unpruned_scan)
 
