@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -187,7 +188,8 @@ EXTENT_RANGE = (1e-50, 1e50)
 def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, float, float]]:
     """(lo, hi, w_lo, w_hi) per axis for a product-of-intervals polytope.
 
-    UnsupportedPolytopeError unless every extent lies in EXTENT_RANGE.
+    UnsupportedPolytopeError unless every extent lies in EXTENT_RANGE and
+    every facet weight is a normal float (the solver divides by them).
     """
     if not P.is_box():
         raise UnsupportedPolytopeError(
@@ -207,6 +209,10 @@ def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, f
                 f"solver's range [{EXTENT_RANGE[0]:g}, {EXTENT_RANGE[1]:g}]")
         w_lo = w_hi = 1.0
         for f, w in zip(P.facets, sigma.weights):
+            if f.normal[a] in (1, -1) and not sys.float_info.min <= w <= sys.float_info.max:
+                raise UnsupportedPolytopeError(
+                    f"axis {a + 1}: a facet weight is outside the normal float range "
+                    f"[{sys.float_info.min:g}, {sys.float_info.max:g}]")
             if f.normal[a] == 1:
                 w_lo = float(w)
             elif f.normal[a] == -1:

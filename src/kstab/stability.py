@@ -4,13 +4,15 @@ L(f) = integral of f over the weighted boundary minus A times the integral
 over the interior, A = bvol/vol, so constants are annihilated.  Linear
 functions give the Futaki vector; creases max(0, <a,x> - c) are the search
 family for destabilizers on surfaces.  Every value returned is exact
-rational arithmetic; the crease search uses an exact lower bound per
-direction to decide which directions to screen, and float64 only to decide
-which creases to evaluate exactly.
+rational arithmetic, and so is every decision of the crease search: it
+orders directions and sub-intervals of offsets by exact lower bounds and
+evaluates only the creases whose bound can still reach the ten best.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import math
 import os
@@ -18,8 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from kstab.polytope import (
     EMPTY,
@@ -286,98 +286,66 @@ class _DirectionProfile:
     def eval(self, c: Q) -> tuple[Q, Q]:
         """(boundary integral, interior mass) of max(0, <a,x> - c)."""
         n, d = c.numerator, c.denominator
-        # the piece rule of ratio_bounds: breakpoint S/D <= c iff ceil(S*d/D) <= n
+        # c lies in piece j, j the number of inner breakpoints S/D <= c, iff ceil(S*d/D) <= n
         j = sum(1 for s in self._brk[1:-1] if -(-s * d // self._D) <= n)
         # both rows have four coefficients in S = D*n/d: numerators over den * d^3
         return (Q(_horner_int(self._bco[j], self._D * n, d), self._bden * d ** 3),
                 Q(_horner_int(self._ico[j], self._D * n, d), self._iden * d ** 3))
 
+    def pieces(self, A: Q) -> list[tuple[int, int, list[int], list[int]]]:
+        """(s0, h, lb, mb) for each piece S in [s0, s0 + h] of the profile.
+
+        With S = s0 + h*t for t in [0, 1], L/mass = l(t) / m(t) for integer
+        cubics l = bco*iden*Ad - An*ico*bden and m = ico*bden*Ad (A = An/Ad);
+        lb and mb are three times their Bernstein coefficients of degree 3,
+        which are integers.
+        """
+        bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
+        return [(s0, s1 - s0,
+                 _bernstein3([b * iden * Ad - An * i * bden for b, i in zip(bc, ic)], s0, s1 - s0),
+                 _bernstein3([i * bden * Ad for i in ic], s0, s1 - s0))
+                for s0, s1, bc, ic in zip(self._brk, self._brk[1:], self._bco, self._ico)]
+
     def ratio_floor(self, A: Q) -> Q | None:
         """A rational beta <= L/mass at every offset of the direction, or None.
 
-        On each piece, with S = s0 + h*t for t in [0, 1], L/mass is
-        l(t) / (m(t) * bden * Ad), l and m integer cubics (A = An/Ad).  Write
-        both in the Bernstein basis of degree 3 (three times the coefficients
-        are integers).  The basis is nonnegative on [0, 1], so l >= beta *
-        m * bden * Ad holds wherever it holds coefficient by coefficient:
-        beta is the least l_i / (m_i * bden * Ad) over m_i > 0, valid when
-        every l_i with m_i <= 0 passes the same test.  This is the Bernstein
-        range bound (Garloff 1986; Farouki and Rajan 1987).  None means some
-        piece's coefficients certify no bound.
+        The least of the pieces' _bernstein_floor, compared in integers; None
+        means some piece's coefficients certify no bound.
         """
-        bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
-        scale = bden * Ad
         best = None                     # (num, den), den > 0
-        for j, (bc, ic) in enumerate(zip(self._bco, self._ico)):
-            s0, h = self._brk[j], self._brk[j + 1] - self._brk[j]
-            lb = _bernstein3([b * iden * Ad - An * i * bden for b, i in zip(bc, ic)], s0, h)
-            mb = _bernstein3(ic, s0, h)
-            low = None
-            for li, mi in zip(lb, mb):
-                if mi > 0 and (low is None or li * low[1] < low[0] * mi * scale):
-                    low = (li, mi * scale)
-            if low is None or any(li * low[1] < low[0] * mi * scale
-                                  for li, mi in zip(lb, mb) if mi <= 0):
+        for _, _, lb, mb in self.pieces(A):
+            low = _bernstein_floor(lb, mb)
+            if low is None:
                 return None
             if best is None or low[0] * best[1] < best[0] * low[1]:
                 best = low
         return Q(*best)
 
-    def ratio_bounds(self, num: np.ndarray, den: np.ndarray,
-                     A: Q) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 bounds lo <= L/mass <= hi of the creases at offsets num/den.
 
-        The piece of each offset is decided exactly in integers.  Each
-        coefficient of L = B - A*M and of M is rounded once, by one int/int
-        division, to the float nearest its exact value; L and M are then
-        evaluated by Horner's rule.  Where the floats overflow or the mass is
-        not bounded away from 0 the bounds are (-inf, inf).
-        """
-        # s <= num/den  iff  ceil(s*den) <= num, and ceil(S*d/D) = -(-S*d // D)
-        ceils = np.array([[-(-s * d // self._D) for s in self._brk[1:-1]]
-                          for d in range(int(den.max()) + 1)], dtype=np.int64)
-        piece = (num[:, None] >= ceils[den]).sum(axis=1)
-        bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
-        Dk = [self._D ** k for k in range(4)]   # S^k = D^k c^k
-        lco = np.array([[_float((b * iden * Ad - An * i * bden) * dk, bden * iden * Ad)
-                         for b, i, dk in zip(bc, ic, Dk)]
-                        for bc, ic in zip(self._bco, self._ico)])[piece]
-        mco = np.array([[_float(i * dk, iden) for i, dk in zip(ic, Dk)] for ic in self._ico])[piece]
-        c = num / den
-        with np.errstate(all="ignore"):
-            lval, lsum = _horner(lco, c)
-            mval, msum = _horner(mco, c)
-            lerr = _HORNER * lsum + _TINY
-            merr = _HORNER * msum + _TINY
-            ratio = lval / mval
-            floor = mval - merr
-            # |L/M - lval/mval| <= (lerr + |lval/mval|*merr) / (mval - merr); the
-            # two margins cover the rounding of the division and of this bound
-            err = (lerr + abs(ratio) * merr) / floor * (1 + 32 * _U) + 4 * _U * abs(ratio)
-            bad = ~np.isfinite(err) | ~(floor > 0)
-            return np.where(bad, -np.inf, ratio - err), np.where(bad, np.inf, ratio + err)
+def _bernstein_floor(lb: list[int], mb: list[int]) -> tuple[int, int] | None:
+    """(num, den), den > 0, with num/den <= l/m wherever m > 0 on [0, 1], or None.
+
+    lb and mb are (multiples of) the Bernstein coefficients of l and m.  The
+    basis is nonnegative on [0, 1], so l >= beta * m holds wherever it holds
+    coefficient by coefficient: beta is the least l_i / m_i over m_i > 0,
+    valid when every l_i with m_i <= 0 passes the same test.  This is the
+    Bernstein range bound (Garloff 1986; Farouki and Rajan 1987).
+    """
+    low = None
+    for li, mi in zip(lb, mb):
+        if mi > 0 and (low is None or li * low[1] < low[0] * mi):
+            low = (li, mi)
+    if low is None or any(li * low[1] < low[0] * mi for li, mi in zip(lb, mb) if mi <= 0):
+        return None
+    return low
 
 
-# _U is the float64 unit roundoff.  Horner's rule for a cubic, with every
-# coefficient rounded once and the argument twice (numerator, then the
-# division), is within gamma_13 * sum |p_i| |c|^i of the exact value (Higham,
-# Accuracy and Stability of Numerical Algorithms, 5.1); the float sum itself
-# is within a factor 1 - gamma_13 of that, so 16u times it bounds the error.
-# _TINY absorbs underflow, where relative error bounds fail.
-_U = 2.0 ** -53
-_HORNER = 16 * _U
-_TINY = 2.0 ** -960
-
-
-def _horner(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum coef[:, i] x^i and sum |coef[:, i]| |x|^i, both by Horner's rule."""
-    val = coef[:, -1]
-    mag = abs(val)
-    ax = abs(x)
-    for k in range(coef.shape[1] - 2, -1, -1):
-        val = val * x + coef[:, k]
-        mag = mag * ax + abs(coef[:, k])
-    return val, mag
+def _halves(b: list[int]) -> tuple[list[int], list[int]]:
+    """8 * the Bernstein coefficients of a cubic on [0, 1/2] and on [1/2, 1] (de Casteljau)."""
+    b0, b1, b2, b3 = b
+    c0, c1, c2 = b0 + b1, b1 + b2, b2 + b3
+    d0, d1 = c0 + c1, c1 + c2
+    return [8 * b0, 4 * c0, 2 * d0, d0 + d1], [d0 + d1, 2 * d1, 4 * c2, 8 * b3]
 
 
 def _horner_int(coef: list[int], n: int, d: int) -> int:
@@ -399,14 +367,6 @@ def _bernstein3(p: list[int], s0: int, h: int) -> list[int]:
     return [3 * q0, 3 * q0 + q1, 3 * q0 + 2 * q1 + q2, 3 * (q0 + q1 + q2 + q3)]
 
 
-def _float(num: int, den: int) -> float:
-    """num/den (den > 0) rounded as float(Fraction(num, den)), or +-inf on overflow."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def primitive_directions(dim: int, R: int) -> list[tuple[int, ...]]:
     if dim == 1:
         return [(1,), (-1,)]
@@ -420,31 +380,17 @@ def primitive_directions(dim: int, R: int) -> list[tuple[int, ...]]:
     return out
 
 
-def admissible_offsets(smin: Q, smax: Q, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rationals with denominator <= R strictly inside (smin, smax).
+def admissible_offsets(lo: Q, hi: Q, R: int) -> list[Q]:
+    """Rationals with denominator <= R in [lo, hi), each once and in lowest terms.
 
-    Returned as int64 numerators and denominators, each rational once and in
-    lowest terms, grouped by denominator.
+    Grouped by denominator.  The half-open interval puts each offset in
+    exactly one of a row of adjacent intervals.
     """
-    nums, dens = [], []
-    for den, (lo, hi) in enumerate(_numerator_ranges(smin, smax, R), 1):
-        num = np.arange(lo, hi + 1, dtype=np.int64)
-        num = num[np.gcd(num, den) == 1]
-        nums.append(num)
-        dens.append(np.full(len(num), den, dtype=np.int64))
-    return np.concatenate(nums), np.concatenate(dens)
-
-
-def _numerator_ranges(smin: Q, smax: Q, R: int) -> list[tuple[int, int]]:
-    """For each denominator 1..R, the numerators lo..hi strictly inside (smin, smax)."""
     out = []
     for den in range(1, R + 1):
-        lo = smin.numerator * den // smin.denominator + 1
-        hi = -(-smax.numerator * den // smax.denominator) - 1
-        if max(abs(lo), abs(hi)) >= 2 ** 62:
-            end = smin if abs(lo) >= 2 ** 62 else smax
-            raise ValueError(f"crease offsets near {end} exceed the int64 range")
-        out.append((lo, hi))
+        first = -(-lo.numerator * den // lo.denominator)        # ceil(lo * den)
+        end = -(-hi.numerator * den // hi.denominator)          # ceil(hi * den)
+        out.extend(Q(num, den) for num in range(first, end) if math.gcd(num, den) == 1)
     return out
 
 
@@ -459,14 +405,22 @@ def _moebius_divisors(R: int) -> list[list[tuple[int, int]]]:
 
 
 def _count_offsets(smin: Q, smax: Q, divisors: list[list[tuple[int, int]]]) -> int:
-    """len(admissible_offsets(smin, smax, R)) for divisors = _moebius_divisors(R).
+    """The offsets with denominator <= R strictly inside (smin, smax), for
+    divisors = _moebius_divisors(R).
 
-    The numerators in lo..hi prime to den number sum mu(e) * (multiples of e
-    in lo..hi) over the squarefree divisors e of den.
+    For each den, the numerators lo..hi inside the interval and prime to den
+    number sum mu(e) * (multiples of e in lo..hi) over the squarefree
+    divisors e of den.  Numerators of 2^62 or more are refused.
     """
-    return sum(m * (hi // e - (lo - 1) // e)
-               for (lo, hi), divs in zip(_numerator_ranges(smin, smax, len(divisors)), divisors)
-               for e, m in divs)
+    total = 0
+    for den, divs in enumerate(divisors, 1):
+        lo = smin.numerator * den // smin.denominator + 1
+        hi = -(-smax.numerator * den // smax.denominator) - 1
+        if max(abs(lo), abs(hi)) >= 2 ** 62:
+            end = smin if abs(lo) >= 2 ** 62 else smax
+            raise ValueError(f"crease offsets near {end} exceed the int64 range")
+        total += sum(m * (hi // e - (lo - 1) // e) for e, m in divs)
+    return total
 
 
 _TOP = 10   # creases kept in a verdict
@@ -479,59 +433,63 @@ def _rank(r: CreaseResult):
 def _scan_chunk(args):
     """The exact ten best creases over some directions, plus four counts.
 
-    Each crease is screened by float64 bounds lo <= ratio <= hi.  Let t be
-    the 10th-smallest hi so far: ten creases have ratio <= t, so a crease
-    with lo > t is not among the ten best.  The survivors of the final t
-    include every one of the exact ten best and their ties, and only they
-    are evaluated in Fractions.
+    One heap orders every unevaluated crease by an exact lower bound on its
+    ratio, None (no bound) first.  Each direction enters with its
+    ratio_floor; a popped direction pushes its pieces as parts.  A part
+    (start, width, den, lb, mb) holds the offsets in [start/den, (start +
+    width)/den) and the Bernstein coefficients of l and m there (see
+    _DirectionProfile.pieces), and is pushed with their _bernstein_floor.
+    A popped part wider than 16/R^2 is split in two by de Casteljau's rule
+    at 1/2 (_halves).  Offsets with denominators <= R are at least 1/R^2
+    apart, so a narrower part holds at most 17 of them (admissible_offsets;
+    the first part of a direction drops smin), and each is evaluated
+    exactly.
 
-    Directions are screened best-first, in the order of their exact lower
-    bounds beta (_DirectionProfile.ratio_floor; None, no bound, first).  The
-    first direction with beta > t ends the scan: every crease from there on
-    has ratio > t, so none can reach the ten best or tie with them.  The
-    offsets of the directions never screened are only counted.  Returns
-    (best, creases, creases screened, creases evaluated exactly, directions
-    pruned).
+    Let t be the 10th-best exact ratio so far.  The first popped floor
+    strictly above t ends the scan: every crease left in the heap has ratio
+    > t, so none can reach the ten best or tie with them.  Returns (best,
+    creases, parts split, creases evaluated exactly, directions pruned); the
+    creases of all directions are only counted (_count_offsets).
     """
     P, sigma, A, dirs, R = args
-    top_hi = np.empty(0)
-    t = np.inf
-    survivors = []
     poly = _IntegerPolygon(P, sigma)
     profs = [_DirectionProfile(poly, a) for a in dirs]
     divisors = _moebius_divisors(R)
     n_creases = sum(_count_offsets(prof.smin, prof.smax, divisors) for prof in profs)
+    # (has a floor, floor, push number, profile, part); part None is the whole direction
     floors = [prof.ratio_floor(A) for prof in profs]
-    order = sorted(range(len(profs)),
-                   key=lambda k: (floors[k] is not None, floors[k] or 0, dirs[k]))
-    n_screened = n_pruned = 0
-    for rank, k in enumerate(order):
-        if floors[k] is not None and floors[k] > t:
-            n_pruned = len(order) - rank
-            break
-        prof = profs[k]
-        num, den = admissible_offsets(prof.smin, prof.smax, R)
-        n_screened += len(num)
-        if not len(num):
-            continue
-        lo, hi = prof.ratio_bounds(num, den, A)
-        pool = np.concatenate([top_hi, hi])
-        top_hi = np.partition(pool, _TOP - 1)[:_TOP] if len(pool) > _TOP else pool
-        if len(top_hi) == _TOP:
-            t = top_hi.max()
-        keep = lo <= t
-        if keep.any():
-            survivors.append((prof, num[keep], den[keep], lo[keep]))
+    heap = [(b is not None, b or 0, k, prof, None)
+            for k, (b, prof) in enumerate(zip(floors, profs))]
+    heapq.heapify(heap)
+    tick = itertools.count(len(heap))
     best = []
-    for prof, num, den, lo in survivors:
-        keep = lo <= t
-        for n, d in zip(num[keep].tolist(), den[keep].tolist()):
-            c = Q(n, d)
-            bval, mass = prof.eval(c)
-            lval = bval - A * mass
-            best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
-    best.sort(key=_rank)
-    return best[:_TOP], n_creases, n_screened, len(best), n_pruned
+    n_split = n_exact = n_taken = 0
+    while heap:
+        bounded, beta, _, prof, part = heapq.heappop(heap)
+        if bounded and len(best) == _TOP and beta > best[-1].ratio:
+            break
+        if part is None:
+            n_taken += 1
+            parts = [(s0, h, prof._D, lb, mb) for s0, h, lb, mb in prof.pieces(A)]
+        elif part[1] * R * R > 16 * part[2]:
+            n_split += 1
+            start, width, den, lb, mb = part
+            parts = [(2 * start + k * width, width, 2 * den, lh, mh)
+                     for k, (lh, mh) in enumerate(zip(_halves(lb), _halves(mb)))]
+        else:
+            start, width, den = part[:3]
+            for c in admissible_offsets(Q(start, den), Q(start + width, den), R):
+                if c != prof.smin:
+                    bval, mass = prof.eval(c)
+                    lval = bval - A * mass
+                    best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
+                    n_exact += 1
+            best = sorted(best, key=_rank)[:_TOP]
+            continue
+        for new in parts:
+            low = _bernstein_floor(new[3], new[4])
+            heapq.heappush(heap, (low is not None, Q(*low) if low else 0, next(tick), prof, new))
+    return best, n_creases, n_split, n_exact, len(profs) - n_taken
 
 
 def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
@@ -546,15 +504,15 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     reports can list the worst creases.
 
     Each direction's exact profile is built in integers (_DirectionProfile),
-    with an exact lower bound on its ratios.  Directions are screened in
-    the order of that bound and the scan stops at the first one whose bound
-    exceeds the 10th-best ratio so far; the offsets of the rest are only
-    counted.  Every crease screened gets float64 bounds from a proven
-    forward-error bound for Horner's rule; only creases whose lower bound
-    can still reach the ten best are recomputed in exact Fractions.  Every
-    value reported (L, mass, ratio) and the ranking by (ratio, direction,
-    offset) are exact.  The numbers of directions pruned and of creases
-    screened and recomputed are logged at DEBUG.  workers > 1 deals the
+    with an exact lower bound on its ratios.  One heap visits directions,
+    then their pieces and halves of pieces, in the order of exact Bernstein
+    lower bounds, and evaluates the creases of small enough parts in exact
+    Fractions; the scan stops at the first bound above the 10th-best ratio
+    so far, and the offsets of the directions never reached are only
+    counted (_scan_chunk).  Every value reported (L, mass, ratio), the
+    ranking by (ratio, direction, offset) and every decision on the way are
+    exact.  The numbers of directions pruned, parts split and creases
+    evaluated exactly are logged at DEBUG.  workers > 1 deals the
     directions out to that many processes, but to no more than there are
     CPUs or directions, each scanning its share best-first; the default
     scans serially, and workers < 1 is a ValueError.  The result does not
@@ -581,9 +539,9 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     else:
         chunks = [_scan_chunk((P, sigma, A, dirs, resolution))]
     best = sorted((r for chunk in chunks for r in chunk[0]), key=_rank)[:_TOP]
-    n_creases, n_screened, n_exact, n_pruned = (sum(c[i] for c in chunks) for i in range(1, 5))
-    log.debug("crease search: %d of %d directions pruned, %d creases screened in float64, "
-              "%d recomputed exactly", n_pruned, len(dirs), n_screened, n_exact)
+    n_creases, n_split, n_exact, n_pruned = (sum(c[i] for c in chunks) for i in range(1, 5))
+    log.debug("crease search: %d of %d directions pruned, %d parts split, "
+              "%d creases evaluated exactly", n_pruned, len(dirs), n_split, n_exact)
     meta = dict(resolution=resolution, n_directions=len(dirs), n_creases=n_creases,
                 best_creases=best, futaki=fut)
     if any(v != 0 for v in fut):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction as Q
 from pathlib import Path
@@ -21,6 +22,8 @@ MATRIX = "1 1\n0 2\n"
 # the weighted unit box: x-facets weight 2, y-facets weight 3
 BOX = "dim 2\nfacets\n1 0 0 2\n-1 0 -1 2\n0 1 0 3\n0 -1 -1 3\n"
 TRI = "dim 2\nvertices\n0 0\n1 0\n0 1\n"
+HEXAGON = ("dim 2\nfacets\n2 3 -2 7197/517\n1 4 -1 1\n-1 1 -4 1\n-2 -1 -8 3635/517\n"
+           "0 -1 -4 1\n2 -1 -10 1\n")   # the benchmark's zero-Futaki unstable hexagon
 INPUTS = {"sq.poly": SQUARE, "wseg.poly": WSEG, "seg.poly": SEG, "esc.poly": ESCAPE,
           "box.poly": BOX, "tri.poly": TRI, "pts.txt": POINTS, "mat.txt": MATRIX,
           "big.txt": "1e200 0\n0 0\n"}
@@ -100,6 +103,21 @@ class TestDestabilize:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    # SHA-256 of the benchmark hexagon's verdict.json, as the float-screened
+    # scan wrote it with one worker and with two
+    @pytest.mark.parametrize("resolution, workers, digest", [
+        (16, 1, "675a3b6966ba54e721f929dcc8937656f2447d400a4b620d436ec66b8b061f44"),
+        (16, 2, "675a3b6966ba54e721f929dcc8937656f2447d400a4b620d436ec66b8b061f44"),
+        (32, 1, "0df045f5863842fbe40331a90a7d9e4154a201f7bcec3ee90b77f2b7e716cfa8"),
+        (32, 2, "0df045f5863842fbe40331a90a7d9e4154a201f7bcec3ee90b77f2b7e716cfa8")])
+    def test_hexagon_verdict_bytes_pinned(self, tmp_path, resolution, workers, digest):
+        p = tmp_path / "hexagon.poly"
+        p.write_text(HEXAGON)
+        out = tmp_path / "o"
+        assert main(["destabilize", str(p), "--resolution", str(resolution),
+                     "--workers", str(workers), "--out", str(out)]) == 2
+        assert hashlib.sha256((out / "verdict.json").read_bytes()).hexdigest() == digest
+
     def test_machine_output_deterministic(self, square_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -124,7 +142,7 @@ class TestLogLevel:
         assert (code0, out0, files0) == (code1, out1, files1)
         assert err0 == ""
         assert "DEBUG kstab.stability: crease search:" in err1
-        assert "creases screened in float64" in err1
+        assert "directions pruned" in err1 and "creases evaluated exactly" in err1
 
     def test_default_hides_info(self, tmp_path, capsys):
         # the level function max(-1, -x - 1) is below 0 on the segment: an INFO record
@@ -327,6 +345,35 @@ class TestExtentRange:
         assert main(["destabilize", str(p), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: crease offsets near -"), err
+
+
+class TestWeightRange:
+    # a weight of 1e400 ended solve in an OverflowError traceback, and one of
+    # 1e-400 (0.0 in floats) in RuntimeWarnings and "error: math domain error"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, text, axis", [
+        ("solve", "dim 1\nfacets\n1 0 1e400\n-1 -1 1e400\n", 1),
+        ("solve", "dim 1\nfacets\n1 0 1e-400\n-1 -1 1e-400\n", 1),
+        ("solve", "dim 2\nfacets\n1 0 0 2\n-1 0 -1 2\n0 1 0 3\n0 -1 -1 1e-400\n", 2),
+        ("ray", "dim 1\nfacets\n1 0 1e400\n-1 -1 1e400\n", 1)],
+        ids=["solve-1e400", "solve-1e-400", "solve-box-1e-400", "ray-1e400"])
+    def test_refused_naming_the_axis(self, tmp_path, capsys, command, text, axis):
+        p = tmp_path / "p.poly"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: axis {axis}: a facet weight is outside the normal float range "
+            "[2.22507e-308, 1.79769e+308]\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weight", ["1e-300", "1e-50"])
+    def test_small_weights_still_converge(self, tmp_path, capsys, weight):
+        p = tmp_path / "p.poly"
+        p.write_text(f"dim 1\nfacets\n1 0 {weight}\n-1 -1 {weight}\n")
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert "termination: converged" in capsys.readouterr().out
 
 
 class TestRayCommand:

@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction as Q
 
-import numpy as np
 import pytest
 
 from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures
@@ -61,13 +60,6 @@ def chord_length(P, a, s):
     if not taus:
         return Q(0)
     return (max(taus) - min(taus)) / norm2
-
-
-def float_or_inf(q):
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
 
 
 class FractionProfile:
@@ -157,39 +149,17 @@ class FractionProfile:
         ival = p[0] + c * (p[1] + c * (p[2] + c * p[3]))
         return bval, ival
 
-    def ratio_bounds(self, num, den, A):
-        inner = self.bps[1:-1]
-        ceils = np.array([[math.ceil(s * d) for s in inner] for d in range(int(den.max()) + 1)],
-                         dtype=np.int64)
-        piece = (num[:, None] >= ceils[den]).sum(axis=1)
-        lco = np.array([[float_or_inf(b - A * i) for b, i in zip(bc + [Q(0)], ic)]
-                        for bc, ic in zip(self._bco, self._ico)])[piece]
-        mco = np.array([[float_or_inf(i) for i in ic] for ic in self._ico])[piece]
-        c = num / den
-        U, H, TINY = stab._U, stab._HORNER, stab._TINY
-        with np.errstate(all="ignore"):
-            lval, lsum = stab._horner(lco, c)
-            mval, msum = stab._horner(mco, c)
-            lerr = H * lsum + TINY
-            merr = H * msum + TINY
-            ratio = lval / mval
-            floor = mval - merr
-            err = (lerr + abs(ratio) * merr) / floor * (1 + 32 * U) + 4 * U * abs(ratio)
-            bad = ~np.isfinite(err) | ~(floor > 0)
-            return np.where(bad, -np.inf, ratio - err), np.where(bad, np.inf, ratio + err)
-
 
 def profile(P, sigma, a):
     return _DirectionProfile(stab._IntegerPolygon(P, sigma), a)
 
 
 def assert_profiles_match(P, sigma, R):
-    """Every direction's exact values and float bounds equal the Fraction oracle's.
+    """Every direction's exact values equal the Fraction oracle's.
 
     The values are compared at every breakpoint and at three rationals inside
     each piece.
     """
-    A = measures(P, sigma).A
     poly = stab._IntegerPolygon(P, sigma)
     for a in stab.primitive_directions(P.dim, R):
         fast, ref = _DirectionProfile(poly, a), FractionProfile(P, sigma, a)
@@ -197,10 +167,6 @@ def assert_profiles_match(P, sigma, R):
         inside = [s + (t - s) * Q(k, 7) for s, t in zip(ref.bps, ref.bps[1:]) for k in (1, 3, 6)]
         for c in ref.bps + inside:
             assert fast.eval(c) == ref.eval(c), (a, c)
-        num, den = stab.admissible_offsets(ref.smin, ref.smax, R)
-        if len(num):
-            for got, want in zip(fast.ratio_bounds(num, den, A), ref.ratio_bounds(num, den, A)):
-                assert np.array_equal(got, want), a
 
 
 def exact_scan(args):
@@ -214,47 +180,13 @@ def exact_scan(args):
             lval = bval - A * mass
             results.append(CreaseResult(a, c, lval, mass, lval / mass))
     results.sort(key=lambda r: (r.ratio, r.direction, r.offset))
-    return results[:10], len(results), len(results), len(results), 0
+    return results[:10], len(results), 0, len(results), 0
 
 
-def unpruned_scan(args):
-    """Reference for stability._scan_chunk: the float screen over every direction."""
-    P, sigma, A, dirs, R = args
-    top_hi = np.empty(0)
-    t = np.inf
-    survivors = []
-    n_creases = 0
-    poly = stab._IntegerPolygon(P, sigma)
-    for a in dirs:
-        prof = _DirectionProfile(poly, a)
-        num, den = stab.admissible_offsets(prof.smin, prof.smax, R)
-        n_creases += len(num)
-        if not len(num):
-            continue
-        lo, hi = prof.ratio_bounds(num, den, A)
-        pool = np.concatenate([top_hi, hi])
-        top_hi = np.partition(pool, 9)[:10] if len(pool) > 10 else pool
-        if len(top_hi) == 10:
-            t = top_hi.max()
-        keep = lo <= t
-        if keep.any():
-            survivors.append((prof, num[keep], den[keep], lo[keep]))
-    best = []
-    for prof, num, den, lo in survivors:
-        keep = lo <= t
-        for n, d in zip(num[keep].tolist(), den[keep].tolist()):
-            c = Q(n, d)
-            bval, mass = prof.eval(c)
-            lval = bval - A * mass
-            best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
-    best.sort(key=lambda r: (r.ratio, r.direction, r.offset))
-    return best[:10], n_creases, n_creases, len(best), 0
-
-
-def assert_matches_oracle(monkeypatch, P, sigma, R, oracle_scan=exact_scan):
+def assert_matches_oracle(monkeypatch, P, sigma, R):
     fast = crease_search(P, sigma, R, workers=1)
     with monkeypatch.context() as m:
-        m.setattr(stab, "_scan_chunk", oracle_scan)
+        m.setattr(stab, "_scan_chunk", exact_scan)
         oracle = crease_search(P, sigma, R, workers=1)
     assert fast == oracle
     return fast
@@ -529,19 +461,21 @@ class TestCreaseSearch:
             P = random_polygon(rng, span=1)
             assert_matches_oracle(monkeypatch, P, random_weights(rng, P), 5)
 
-    def test_float_overflow_falls_back_to_exact(self, monkeypatch, square, caplog):
+    def test_huge_weight_matches_oracle(self, monkeypatch, square, caplog):
+        # a weight of 10^400 is past the floats; the exact bounds still prune
         sigma = BoundaryMeasure((Q(10 ** 400),) + (Q(1),) * 3)
         with caplog.at_level("DEBUG", logger="kstab.stability"):
             v = assert_matches_oracle(monkeypatch, square, sigma, 4)
-        assert f"{v.n_creases} creases screened in float64, {v.n_creases} recomputed" \
+        assert v.n_creases == 1176
+        assert "37 of 48 directions pruned, 10 parts split, 57 creases evaluated exactly" \
             in caplog.text
 
     def test_screening_counts_logged(self, unstable_hexagon, caplog):
         with caplog.at_level("DEBUG", logger="kstab.stability"):
             v = crease_search(*unstable_hexagon, 6)
         assert v.n_creases == 35664
-        assert "93 of 96 directions pruned, 861 creases screened in float64, " \
-               "10 recomputed exactly" in caplog.text
+        assert "93 of 96 directions pruned, 13 parts split, 15 creases evaluated exactly" \
+            in caplog.text
 
     def test_verdict_invariants_checked(self):
         f = PLConvexFunction.crease((1, 0), Q(1, 2))
@@ -553,30 +487,21 @@ class TestCreaseSearch:
             StabilityVerdict("semistable-boundary", f, Q(1), futaki=(Q(0), Q(0)), resolution=4)
 
     def test_offsets_match_oracle(self):
+        # the half-open [lo, hi): the oracle's open interval plus lo itself
         rng = random.Random(59)
         for _ in range(200):
             lo = Q(rng.randint(-40, 40), rng.randint(1, 7))
             hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
             R = rng.randint(1, 9)
-            num, den = stab.admissible_offsets(lo, hi, R)
-            got = [Q(n, d) for n, d in zip(num.tolist(), den.tolist())]
-            assert sorted(got) == exact_offsets(lo, hi, R)
+            got = stab.admissible_offsets(lo, hi, R)
+            assert sorted(got) == sorted(exact_offsets(lo, hi, R) + [lo] * (lo.denominator <= R))
+            assert all(type(c) is Q for c in got)
+        # adjacent intervals share no offset and miss none
+        cuts = sorted({Q(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(12)})
+        parts = [c for lo, hi in zip(cuts, cuts[1:]) for c in stab.admissible_offsets(lo, hi, 7)]
+        assert sorted(parts) == sorted(stab.admissible_offsets(cuts[0], cuts[-1], 7))
         with pytest.raises(ValueError):
-            stab.admissible_offsets(Q(2 ** 62), Q(2 ** 62 + 2), 1)
-
-    def test_ratio_bounds_contain_exact_ratio(self):
-        rng = random.Random(61)
-        for k in range(20):
-            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
-            sigma = random_weights(rng, P)
-            A = measures(P, sigma).A
-            for a in rng.sample(stab.primitive_directions(2, 4), 3):
-                prof = profile(P, sigma, a)
-                num, den = stab.admissible_offsets(prof.smin, prof.smax, 4)
-                lo, hi = prof.ratio_bounds(num, den, A)
-                for n, d, l, h in zip(num.tolist(), den.tolist(), lo, hi):
-                    bval, mass = prof.eval(Q(n, d))
-                    assert Q(l) <= (bval - A * mass) / mass <= Q(h)
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_divisors(1))
 
     def test_parallel_matches_serial(self, square):
         v1 = crease_search(square, unit(square), 4, workers=1)
@@ -675,8 +600,8 @@ class TestPrunedScan:
             lo = Q(rng.randint(-40, 40), rng.randint(1, 7))
             hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
             R = rng.randint(1, 9)
-            num, _ = stab.admissible_offsets(lo, hi, R)
-            assert stab._count_offsets(lo, hi, stab._moebius_divisors(R)) == len(num)
+            inside = [c for c in stab.admissible_offsets(lo, hi, R) if c != lo]
+            assert stab._count_offsets(lo, hi, stab._moebius_divisors(R)) == len(inside)
         with pytest.raises(ValueError, match="exceed the int64 range"):
             stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_divisors(1))
 
@@ -687,27 +612,52 @@ class TestPrunedScan:
             stab._count_offsets(Q(smin), Q(smax), stab._moebius_divisors(1))
 
     def test_hexagon_matches_unpruned(self, monkeypatch, unstable_hexagon):
-        assert_matches_oracle(monkeypatch, *unstable_hexagon, 8, oracle_scan=unpruned_scan)
+        assert_matches_oracle(monkeypatch, *unstable_hexagon, 5)
 
     def test_random_corpus_matches_unpruned(self, monkeypatch):
         rng = random.Random(71)
         for k in range(6):
             P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
-            assert_matches_oracle(monkeypatch, P, random_weights(rng, P), 8,
-                                  oracle_scan=unpruned_scan)
+            assert_matches_oracle(monkeypatch, P, random_weights(rng, P), 4)
 
     def test_hexagon_prunes(self, unstable_hexagon):
         P, sigma = unstable_hexagon
         dirs = stab.primitive_directions(2, 8)
-        best, n_creases, n_screened, _, n_pruned = stab._scan_chunk(
+        best, n_creases, n_split, n_exact, n_pruned = stab._scan_chunk(
             (P, sigma, measures(P, sigma).A, dirs, 8))
         assert (len(dirs), n_creases) == (176, 164428)
-        assert n_pruned >= 165 and n_screened < n_creases // 10
+        assert (n_pruned, n_split, n_exact) == (171, 19, 18)
         assert best[0].direction == (0, -1)
+
+    def test_split_floors_below_ratios(self):
+        # random pieces of random directions, halved at random down to the
+        # leaf width: each half's floor is at most the exact ratio at every
+        # offset in it
+        rng = random.Random(73)
+        R, checked = 6, 0
+        for k in range(12):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            sigma = random_weights(rng, P)
+            A = measures(P, sigma).A
+            for a in rng.sample(stab.primitive_directions(2, R), 2):
+                prof = profile(P, sigma, a)
+                start, width, lb, mb = rng.choice(prof.pieces(A))
+                den = prof._D
+                while width * R * R > 16 * den:
+                    half = rng.randint(0, 1)
+                    lb, mb = stab._halves(lb)[half], stab._halves(mb)[half]
+                    start, den = 2 * start + half * width, 2 * den
+                    low = stab._bernstein_floor(lb, mb)
+                    for c in stab.admissible_offsets(Q(start, den), Q(start + width, den), R):
+                        if c != prof.smin and low is not None:
+                            bval, mass = prof.eval(c)
+                            assert Q(*low) <= (bval - A * mass) / mass, (a, c, start, den)
+                            checked += 1
+        assert checked > 1000
 
 
 class TestIntegerProfiles:
-    """Every profile and its float bounds against the Fraction builder, at R = 8."""
+    """Every profile against the Fraction builder, at R = 8."""
 
     @pytest.mark.parametrize("name", ["square", "trapezoid"])
     def test_polygon_fixtures(self, request, name):
@@ -740,12 +690,9 @@ class TestIntegerProfiles:
         assert_profiles_match(P, sigma, 8)
 
     def test_float_overflow(self, square):
+        # a weight of 10^400, past the floats, still gives exact profiles
         sigma = BoundaryMeasure((Q(10 ** 400),) + (Q(1),) * 3)
         assert_profiles_match(square, sigma, 8)
-        prof = profile(square, sigma, (0, 1))   # A*M overflows; along (1, 0) it cancels
-        num, den = stab.admissible_offsets(prof.smin, prof.smax, 8)
-        lo, hi = prof.ratio_bounds(num, den, measures(square, sigma).A)
-        assert np.isneginf(lo).all() and np.isposinf(hi).all()
 
 
 class TestTestConfiguration:
