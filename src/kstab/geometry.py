@@ -225,14 +225,21 @@ class PotentialGrid:
     """Discretized symplectic potential u = u0 + phi on a graded box mesh.
 
     A = bvol/vol is computed once and shared by the grids with_phi and
-    refined derive from this one.
+    refined derive from this one; UnsupportedPolytopeError if it exceeds
+    the floats.
     """
 
     def __init__(self, P: Polytope, sigma: BoundaryMeasure, axes: list[Axis1D],
                  phi: np.ndarray | None = None, A: float | None = None):
         self.P = P
         self.sigma = sigma
-        self.A = float(measures(P, sigma).A) if A is None else A
+        if A is None:
+            try:
+                A = float(measures(P, sigma).A)
+            except OverflowError:
+                raise UnsupportedPolytopeError(
+                    f"A = bvol/vol exceeds the float range (max {sys.float_info.max:g})") from None
+        self.A = A
         self.axes = axes
         self.n = len(axes)
         self.shape = tuple(ax.m for ax in axes)

@@ -15,7 +15,8 @@ pins at n + 1 deep nodes.  On a tensor grid J*E is a 7^n-point stencil
 made of the axes' 3-point ones, whose planes are the diagonals of its band
 (bandwidths about 3(m - 4) + 3): it is summed straight into LAPACK band
 storage, one band per solve refilled in place, and factored there by
-banded LU with partial pivoting (dgbtrf).  The last factor is kept: from
+banded LU with partial pivoting (dgbtrf) on one OpenBLAS thread, so phi
+does not depend on the core count.  The last factor is kept: from
 a closed iterate a Newton step first tries it as a chord step (one dgbtrs,
 one evaluation), accepted only if it cuts the sup residual ten-fold, and
 refactors otherwise.  Affine gauge of phi: constants are always projected
@@ -40,6 +41,8 @@ acceptable trial, in either regime, ends the run as stalled.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import logging
@@ -61,6 +64,11 @@ log = logging.getLogger(__name__)
 # cuts the sup residual at least this much; a weaker rule stops the box
 # polish short of the rounding floor
 _CHORD_CUT = 0.1
+
+# the Newton band is private anonymous memory, faulted in by the kernel in one
+# pass (MAP_POPULATE where the platform has it): the planes' strided writes
+# would otherwise fault it in one 4 KB page at a time
+_BAND_MAP = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
 
 
 # -- discrete operators -------------------------------------------------------
@@ -218,36 +226,41 @@ class GridOperators:
         (stencils) gives J*E.  Pinned rows and columns are zeroed, with
         max|J*E| on their diagonal.  The band (2 kl + ku + 1 rows, Fortran
         order, A[i, j] at [kl + ku + i - j, j]) is refilled in place if
-        given, else a new anonymous mmap: a heap band would raise glibc's
-        mmap threshold above it once freed, later bands would come from a
-        heap it does not trim, and a solve's peak RSS would grow by 20 %.
+        given, else a new private anonymous mmap (_BAND_MAP), pre-faulted
+        in one pass: a heap band would raise glibc's mmap threshold above it
+        once freed, later bands would come from a heap it does not trim, and
+        a solve's peak RSS would grow by 20 %.  RuntimeError if J*E is not
+        finite (the products of U overflow), before the band is touched.
         """
         (hess_taps, div_taps, folds, planes), n, deep = self.stencils, self.g.n, self.deep_shape
         J = np.zeros((7,) * n + deep)
         # one buffer each: a fresh one per term costs more to fault in than the sums
         K = np.empty((3,) * n + tuple(m - 2 for m in self.g.shape))
         KD = np.empty((3,) * n + deep)
-        for ab, div in div_taps.items():
-            K.fill(0.0)
-            for cd, hess in hess_taps.items():
-                w = -sum(U[i, k] * U[l, j] for i, j in {ab, ab[::-1]}
-                         for k, l in {cd, cd[::-1]})
-                for s, t in hess.items():
-                    K[s] += w * t
-            for s, t in div.items():
-                np.multiply(K[(slice(None),) * n + tuple(slice(i, i + m) for i, m in zip(s, deep))],
-                            t, out=KD)
-                J[tuple(slice(i + 1, i + 4) for i in s)] += KD
-        for e, fold in enumerate(folds):
-            Je = np.moveaxis(J, (e, n + e), (0, 1))
-            for row, F in fold.items():
-                Je[:, row] = np.tensordot(F, Je[:, row], axes=(0, 0))
-        scale = max(J.max(), -J.min())
+        with np.errstate(over="ignore", invalid="ignore"):     # an overflow shows in scale
+            for ab, div in div_taps.items():
+                K.fill(0.0)
+                for cd, hess in hess_taps.items():
+                    w = -sum(U[i, k] * U[l, j] for i, j in {ab, ab[::-1]}
+                             for k, l in {cd, cd[::-1]})
+                    for s, t in hess.items():
+                        K[s] += w * t
+                for s, t in div.items():
+                    np.multiply(K[(slice(None),) * n
+                                  + tuple(slice(i, i + m) for i, m in zip(s, deep))], t, out=KD)
+                    J[tuple(slice(i + 1, i + 4) for i in s)] += KD
+            for e, fold in enumerate(folds):
+                Je = np.moveaxis(J, (e, n + e), (0, 1))
+                for row, F in fold.items():
+                    Je[:, row] = np.tensordot(F, Je[:, row], axes=(0, 0))
+        scale = max(J.max(), -J.min())     # nan if J holds one
+        if not math.isfinite(scale):
+            raise RuntimeError("the Jacobian is not finite")
         J[(slice(None),) * n + np.unravel_index(self.pinned, deep)] = 0.0
         kl, ku, size = max(-p[1] for p in planes), max(p[1] for p in planes), self.unpinned.size
         if band is None:
             band = np.ndarray((2 * kl + ku + 1, size), dtype=np.float64, order="F",
-                              buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8))
+                              buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8, _BAND_MAP))
         else:
             # the matrix rows only: dgbtrf zeroes the fill rows 0 .. kl-1
             # inside the matrix itself and never writes their corner outside
@@ -272,23 +285,64 @@ def _close(g: geo.PotentialGrid, deep: np.ndarray) -> np.ndarray:
     return geo.extend_interior_field(g, deep, layers=2, points=4).ravel()
 
 
+@functools.cache
+def _openblas_threads():
+    """openblas_set_num_threads_local of the OpenBLAS scipy's LAPACK calls, or None.
+
+    dlsym on scipy's LAPACK module also searches the libraries it loaded,
+    so this finds the OpenBLAS that dgbtrf runs on, not numpy's own copy,
+    which exports the same name.  The function sets the thread count (for
+    the calling thread in an OpenMP build, for the process in a pthreads
+    one) and returns the count it replaces.
+    """
+    try:
+        from scipy.linalg import _flapack
+        fn = ctypes.CDLL(_flapack.__file__).openblas_set_num_threads_local
+    except (ImportError, AttributeError, OSError):    # not an OpenBLAS build
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return fn
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block's LAPACK calls on one OpenBLAS thread, then restore the count.
+
+    Does nothing where scipy's LAPACK is not OpenBLAS.
+    """
+    set_threads = _openblas_threads()
+    if set_threads is None:
+        yield
+        return
+    before = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 class _BandedLU:
     """LU with partial pivoting of a band matrix, in place (LAPACK dgbtrf).
 
     ab is the band as jacobian writes it; the factor overwrites it and is
-    valid until ab is refilled.
+    valid until ab is refilled.  dgbtrf and dgbtrs run on one OpenBLAS
+    thread (_one_blas_thread): a second thread made the m = 65 factor no
+    faster but spun beside it, and changed the rounding of larger ones, so
+    phi followed the core count.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
         self.kl, self.ku = kl, ku
-        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        with _one_blas_thread():
+            self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise RuntimeError(f"banded LU: U[{info - 1}, {info - 1}] is exactly zero")
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        with _one_blas_thread():
+            x, info = dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
         if info != 0:
             raise ValueError(f"dgbtrs rejected argument {-info}")
         return x
@@ -428,8 +482,8 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
     afresh and kept in `factor`, and the step is accepted, from the full
     step down in quarters, once it lowers the sup residual.  Every step adds
     phi_c - phi, which re-closes phi against rounding, and is projected off
-    the affine gauge.  Returns None when no trial lowers the sup residual or
-    the factor is exactly singular.
+    the affine gauge.  Returns None when no trial lowers the sup residual, or
+    the Jacobian is not finite or its factor exactly singular.
     """
     phi = s.g.phi.ravel()
     phi_c = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n])
@@ -443,7 +497,11 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
                       sup, np.abs(trial.r).max())
             return trial
     factor.lu = None   # the refactorization below overwrites its band
-    factor.band, kl, ku = ops.jacobian(s.U, factor.band)
+    try:
+        factor.band, kl, ku = ops.jacobian(s.U, factor.band)
+    except RuntimeError:
+        log.debug("newton step: refactor, Jacobian not finite")
+        return None
     factor.count += 1
     try:
         factor.lu = _BandedLU(factor.band, kl, ku)

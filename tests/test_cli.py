@@ -375,6 +375,30 @@ class TestWeightRange:
         assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 0
         assert "termination: converged" in capsys.readouterr().out
 
+    # normal weights whose A = bvol/vol leaves the floats ended solve in an
+    # OverflowError traceback
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["solve", "ray"])
+    def test_overflowing_A_is_refused(self, tmp_path, capsys, command):
+        p = tmp_path / "p.poly"
+        p.write_text("dim 1\nfacets\n1 0 1.7e308\n-1 -1 1.7e308\n")
+        out = tmp_path / "o"
+        assert main([command, str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: A = bvol/vol exceeds the float range (max 1.79769e+308)\n")
+        assert not out.exists()
+
+    # weights of 1e150 overflow the products of the inverse Hessian in the
+    # Jacobian, which printed numpy RuntimeWarnings before the run stalled
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_jacobian_stalls_quietly(self, tmp_path, capsys):
+        p = tmp_path / "p.poly"
+        p.write_text("dim 1\nfacets\n1 0 1e150\n-1 -1 1e150\n")
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "termination: stalled" in captured.out
+        assert captured.err == ""
+
 
 class TestRayCommand:
     def test_linear_ray(self, wseg_file, tmp_path, capsys):

@@ -1,5 +1,9 @@
 import logging
 import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import types
 import weakref
@@ -255,6 +259,40 @@ class TestBandedLU:
         assert isinstance(band.base, mmap.mmap)
         lu = sol._BandedLU(band, kl, ku)
         assert np.shares_memory(lu.lu, np.frombuffer(band.base, dtype=np.uint8))
+
+    def test_one_blas_thread_inside_and_the_count_restored(self, square, monkeypatch):
+        set_threads = sol._openblas_threads()
+        if set_threads is None:
+            pytest.skip("scipy's LAPACK is not OpenBLAS")
+
+        def count():
+            c = set_threads(1)
+            set_threads(c)
+            return c
+
+        seen = []
+
+        def counted(lapack):
+            def call(*args, **kwargs):
+                seen.append(count())
+                return lapack(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(sol, "dgbtrf", counted(sol.dgbtrf))
+        monkeypatch.setattr(sol, "dgbtrs", counted(sol.dgbtrs))
+        ops, s = box_start(square, 17)
+        before = set_threads(2)
+        try:
+            lu = sol._BandedLU(*ops.jacobian(s.U))
+            assert count() == 2
+            lu.solve(s.r.ravel())
+            assert count() == 2
+            with pytest.raises(RuntimeError):
+                sol._BandedLU(to_band(sp.csr_matrix(np.ones((2, 2))), 1, 1), 1, 1)
+            assert count() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1, 1]
 
     @pytest.mark.parametrize("case", ["same-band"])
     def test_refill_matches_a_fresh_factor(self, case, square):
@@ -749,6 +787,34 @@ class TestSolve:
         err = np.maximum.reduce([np.abs(H[(0, 0)] - r0) / r0, np.abs(H[(1, 1)] - r1) / r1,
                                  np.abs(H[(0, 1)]) / np.sqrt(r0 * r1)])
         assert err[np.ix_(*core)].max() <= 1e-10
+
+    def test_box_m97_phi_independent_of_blas_threads(self):
+        # with dgbtrf on all cores, phi here depended on the core count
+        # (sha256 24b2... with OPENBLAS_NUM_THREADS=1, a55c... with 2)
+        if sol._openblas_threads() is None:
+            pytest.skip("scipy's LAPACK is not OpenBLAS")
+        script = textwrap.dedent("""\
+            import hashlib
+            import numpy as np
+            from kstab.polytope import parse_polytope_text
+            from kstab.solver import solve
+            P, sigma = parse_polytope_text(
+                "dim 2\\nfacets\\n1 0 0 2\\n-1 0 -1 2\\n0 1 0 3\\n0 -1 -1 3\\n")
+            rep = solve(P, sigma, m=97, tol=1e-6,
+                        phi0=lambda x, y: 0.02 * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2)
+            assert rep.converged
+            print(hashlib.sha256(rep.grid.phi.tobytes()).hexdigest())
+            """)
+        src = os.path.dirname(os.path.dirname(sol.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestObstruction:
