@@ -16,7 +16,6 @@ import itertools
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -280,8 +279,28 @@ class _DirectionProfile:
         self._D, self._brk = D, brk
         self._bden = 2 * D * D * poly.W * E
         self._iden = 6 * D ** 3 * E * sum(ai * ai for ai in a)
-        self._bco, self._ico = bco, ico
+        self._bco, self._ico, self._itot = bco, ico, (I2, -I1)
+        self._btot = (E * sum(mu * (S[p] + S[q]) for p, q, mu in poly.edges),
+                      -2 * E * sum(mu for _, _, mu in poly.edges))
         self.smin, self.smax = Q(brk[0], D), Q(brk[-1], D)
+
+    def mirrored(self) -> "_DirectionProfile":
+        """The profile of -a, equal to a fresh build, without a sweep.
+
+        max(0, <-a,x> - c) = max(0, <a,x> + c) - (<a,x> + c): the pieces of
+        -a are those of a in reverse order, at S -> -S, less the totals t of
+        <a,x> - c over all of the boundary (_btot) and of P (_itot).
+        """
+        def flip(rows, t):
+            return [[c0 - t[0], t[1] - c1, c2, -c3] for c0, c1, c2, c3 in reversed(rows)]
+
+        m = object.__new__(type(self))
+        m.__dict__.update(vars(self))
+        m.a, m._brk = tuple(-x for x in self.a), [-s for s in reversed(self._brk)]
+        m._bco, m._ico = flip(self._bco, self._btot), flip(self._ico, self._itot)
+        m._btot, m._itot = (-self._btot[0], self._btot[1]), (-self._itot[0], self._itot[1])
+        m.smin, m.smax = -self.smax, -self.smin
+        return m
 
     def eval(self, c: Q) -> tuple[Q, Q]:
         """(boundary integral, interior mass) of max(0, <a,x> - c)."""
@@ -301,9 +320,10 @@ class _DirectionProfile:
         which are integers.
         """
         bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
+        kl, kb, km = iden * Ad, An * bden, bden * Ad    # l = bco*kl - ico*kb, m = ico*km
         return [(s0, s1 - s0,
-                 _bernstein3([b * iden * Ad - An * i * bden for b, i in zip(bc, ic)], s0, s1 - s0),
-                 _bernstein3([i * bden * Ad for i in ic], s0, s1 - s0))
+                 _bernstein3([b * kl - i * kb for b, i in zip(bc, ic)], s0, s1 - s0),
+                 _bernstein3([i * km for i in ic], s0, s1 - s0))
                 for s0, s1, bc, ic in zip(self._brk, self._brk[1:], self._bco, self._ico)]
 
     def ratio_floor(self, A: Q) -> Q | None:
@@ -449,13 +469,20 @@ def _scan_chunk(args):
     strictly above t ends the scan: every crease left in the heap has ratio
     > t, so none can reach the ten best or tie with them.  Returns (best,
     creases, parts split, creases evaluated exactly, directions pruned); the
-    creases of all directions are only counted (_count_offsets).
+    creases of all directions are only counted (_count_offsets).  Of a and
+    -a in dirs, only the first is built and counted: the second gets its
+    mirrored profile and the same count, as its offsets are the negated ones.
     """
     P, sigma, A, dirs, R = args
     poly = _IntegerPolygon(P, sigma)
-    profs = [_DirectionProfile(poly, a) for a in dirs]
     divisors = _moebius_divisors(R)
-    n_creases = sum(_count_offsets(prof.smin, prof.smax, divisors) for prof in profs)
+    built = {}                          # direction -> (profile, offset count), in dirs order
+    for a in dirs:
+        pair = built.get(tuple(-x for x in a))
+        prof = pair[0].mirrored() if pair else _DirectionProfile(poly, a)
+        built[a] = (prof, pair[1] if pair else _count_offsets(prof.smin, prof.smax, divisors))
+    profs = [prof for prof, _ in built.values()]
+    n_creases = sum(count for _, count in built.values())
     # (has a floor, floor, push number, profile, part); part None is the whole direction
     floors = [prof.ratio_floor(A) for prof in profs]
     heap = [(b is not None, b or 0, k, prof, None)
@@ -516,7 +543,9 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     directions out to that many processes, but to no more than there are
     CPUs or directions, each scanning its share best-first; the default
     scans serially, and workers < 1 is a ValueError.  The result does not
-    depend on it.
+    depend on it, but the deal of workers = 2 sends a (index k) and -a
+    (index N - 1 - k) to different shares, so only a serial scan shares
+    their profile and count.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -534,6 +563,7 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     workers = min(workers or 1, os.cpu_count() or 1, len(dirs))
     if workers > 1 and len(dirs) > 4:
         tasks = [(P, sigma, A, dirs[i::workers], resolution) for i in range(workers)]
+        from concurrent.futures import ProcessPoolExecutor     # loaded only for a pool
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_scan_chunk, tasks))
     else:

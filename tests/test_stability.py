@@ -1,6 +1,10 @@
 import bisect
+import concurrent.futures
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -532,7 +536,7 @@ class TestCreaseSearch:
                 assert len(tasks) == pools[-1]
                 return map(fn, tasks)
 
-        monkeypatch.setattr(stab, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(stab.os, "cpu_count", lambda: cpus)
         serial = crease_search(square, unit(square), 2)
         assert pools == []
@@ -545,6 +549,16 @@ class TestCreaseSearch:
     def test_workers_below_one_rejected(self, square, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             crease_search(square, unit(square), 2, workers=workers)
+
+    def test_cli_import_loads_no_pool(self):
+        # the process pool's modules load only when a scan deals out its directions
+        script = ("import sys, kstab.cli\n"
+                  "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(stab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 def assert_floor_below_ratios(P, sigma, R):
@@ -654,6 +668,64 @@ class TestPrunedScan:
                             assert Q(*low) <= (bval - A * mass) / mass, (a, c, start, den)
                             checked += 1
         assert checked > 1000
+
+
+def assert_mirrored_fresh(poly, a):
+    """The profile of -a mirrored from a's equals a fresh build, field by field."""
+    mirrored = _DirectionProfile(poly, a).mirrored()
+    assert vars(mirrored) == vars(_DirectionProfile(poly, tuple(-x for x in a))), a
+
+
+class TestMirroredProfiles:
+    """_DirectionProfile.mirrored against the profile built for -a."""
+
+    def test_hexagon(self, unstable_hexagon):
+        poly = stab._IntegerPolygon(*unstable_hexagon)
+        for a in stab.primitive_directions(2, 12):
+            assert_mirrored_fresh(poly, a)
+
+    def test_random_corpus(self):
+        rng = random.Random(79)
+        for _ in range(12):
+            P = random_polygon(rng)
+            poly = stab._IntegerPolygon(P, random_weights(rng, P))
+            for a in stab.primitive_directions(2, 5):
+                assert_mirrored_fresh(poly, a)
+
+    def test_segments(self, segment01):
+        P = Polytope.from_vertices([(Q(-7, 3),), (Q(5, 2),)])
+        for seg, sigma in [(segment01, BoundaryMeasure((Q(1), Q(2)))),
+                           (P, BoundaryMeasure((Q(3, 4), Q(2, 9))))]:
+            poly = stab._IntegerPolygon(seg, sigma)
+            assert_mirrored_fresh(poly, (1,))
+            assert_mirrored_fresh(poly, (-1,))
+
+    def test_scan_builds_one_profile_per_pair(self, monkeypatch, unstable_hexagon):
+        # a serial R = 8 scan builds the first direction of each of its 88
+        # antipodal pairs and mirrors it for the second; the mirrored profiles
+        # equal fresh builds and the scan keeps its pinned counts
+        P, sigma = unstable_hexagon
+        poly = stab._IntegerPolygon(P, sigma)
+        built, mirrors = [], []
+
+        class Counted(_DirectionProfile):
+            def __init__(self, poly, a):
+                built.append(a)
+                super().__init__(poly, a)
+
+            def mirrored(self):
+                mirrors.append(super().mirrored())
+                return mirrors[-1]
+
+        monkeypatch.setattr(stab, "_DirectionProfile", Counted)
+        dirs = stab.primitive_directions(2, 8)
+        best, *counts = stab._scan_chunk((P, sigma, measures(P, sigma).A, dirs, 8))
+        assert (len(dirs), len(built), len(mirrors)) == (176, 88, 88)
+        assert built == dirs[:88]
+        for prof in mirrors:
+            assert vars(prof) == vars(_DirectionProfile(poly, prof.a)), prof.a
+        assert counts == [164428, 19, 18, 171]
+        assert (best[0].direction, len(best)) == ((0, -1), 10)
 
 
 class TestIntegerProfiles:
