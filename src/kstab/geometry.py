@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from kstab.polytope import BoundaryMeasure, Polytope, is_delzant, measures
 
@@ -71,7 +70,7 @@ def graded_nodes(lo: float, hi: float, m: int) -> np.ndarray:
 
 @dataclass
 class Axis1D:
-    """One mesh axis: nodes, gaps, trapezoid weights, difference matrices."""
+    """One mesh axis: nodes, gaps, trapezoid weights, difference taps."""
 
     nodes: np.ndarray
     lo: float
@@ -136,42 +135,41 @@ class Axis1D:
 
 
 def _stencils(x: np.ndarray):
-    """Non-uniform centred 3-point first/second difference matrices.
+    """Non-uniform centred 3-point first/second difference taps.
 
-    Returns (d1, d2), each a sparse (len(x) - 2, len(x)) matrix taking
-    values at the points x to derivatives at x[1:-1]; exact on quadratics.
+    Returns (d1, d2), each (len(x) - 2, 3): row i weighs the values at x[i],
+    x[i + 1] and x[i + 2] into the derivative at x[i + 1]; exact on quadratics.
     """
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
     s = hm + hp
-    k = len(x) - 2
-    rows = np.repeat(np.arange(k), 3)
-    cols = (np.arange(k)[:, None] + np.arange(3)[None, :]).ravel()
-
-    def matrix(*coef):
-        return sp.csr_matrix((np.stack(coef, axis=1).ravel(), (rows, cols)), shape=(k, k + 2))
-
-    return (matrix(-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s)),
-            matrix(2 / (hm * s), -2 / (hm * hp), 2 / (hp * s)))
+    return (np.stack([-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s)], axis=1),
+            np.stack([2 / (hm * s), -2 / (hm * hp), 2 / (hp * s)], axis=1))
 
 
-def _along(M, arr: np.ndarray, axis: int) -> np.ndarray:
-    """An axis matrix M applied along `axis` of a 1D or 2D grid array.
+def _taps(T: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Taps T, (k, 3), along `axis` of arr, summed left to right as a CSR product
+    sums them: bitwise alike (but a sum of three -0 products is -0, not +0)."""
+    k = len(T)
+    c = T.reshape((k,) + (1,) * (arr.ndim - 1 - axis) + (3,))     # broadcast on later axes
+    x = [arr[(slice(None),) * axis + (slice(t, t + k),)] for t in range(3)]
+    return c[..., 0] * x[0] + c[..., 1] * x[1] + c[..., 2] * x[2]
+
+
+def _along(T: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Axis taps T applied along `axis` of a 1D or 2D grid array.
 
     The other axis loses its two end entries, so a node array maps to the
     interior lattice and an interior array to the one two layers in.
     Results are C-ordered, so sums over them run in the usual order.
     """
-    if arr.ndim == 1:
-        return M @ arr
-    if axis == 0:
-        return M @ arr[:, 1:-1]
-    return np.ascontiguousarray((M @ arr[1:-1].T).T)
+    return _taps(T, arr[tuple(slice(None) if a == axis else slice(1, -1)
+                              for a in range(arr.ndim))], axis)
 
 
-def _mixed(Mx, My, arr: np.ndarray) -> np.ndarray:
-    """Mx along axis 0, then My along axis 1 (the cross difference)."""
-    return np.ascontiguousarray((My @ (Mx @ arr).T).T)
+def _mixed(Tx: np.ndarray, Ty: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Tx along axis 0, then Ty along axis 1 (the cross difference)."""
+    return _taps(Ty, _taps(Tx, arr, 0), 1)
 
 
 def _on_axis(vec: np.ndarray, n: int, axis: int) -> np.ndarray:
@@ -331,7 +329,7 @@ def hessian_field(g: PotentialGrid):
     """Hessian components of u on the interior lattice.
 
     u0 is differentiated in closed form and phi by the axis difference
-    matrices.  Returns a dict {(a, b): array} with symmetric entries aliased.
+    taps.  Returns a dict {(a, b): array} with symmetric entries aliased.
     """
     H = {}
     for a, ax in enumerate(g.axes):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 BALANCED_TOL = 1e-8
 STATIONARY_TOL = 1e-12
@@ -155,6 +154,7 @@ def matrix_flow(A, step: float = 0.05, max_steps: int = 100_000) -> MatrixFlowRe
     max_steps at least 1 and [A, A*] of the start finite (ValueError); the
     first step, like every later one, is at most 1e12.
     """
+    from scipy.linalg import expm
     _check_flow(step, max_steps)
     A = np.array(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -52,7 +52,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from kstab import geometry as geo
 from kstab.polytope import BoundaryMeasure, Polytope
@@ -79,8 +78,8 @@ def _pair_taps(g: geo.PotentialGrid, inner: bool) -> dict:
     Axis e takes d1 or d2 (d1i, d2i if `inner`) for (a == e) + (b == e) =
     1 or 2, else the middle tap 1; a tap is one position per axis.
     """
-    orders = [[{1: 1.0}] + [{t: geo._on_axis(M.diagonal(t), g.n, e) for t in range(3)}
-                            for M in ((ax.d1i, ax.d2i) if inner else (ax.d1, ax.d2))]
+    orders = [[{1: 1.0}] + [{t: geo._on_axis(T[:, t], g.n, e) for t in range(3)}
+                            for T in ((ax.d1i, ax.d2i) if inner else (ax.d1, ax.d2))]
               for e, ax in enumerate(g.axes)]
     out = {}
     for a in range(g.n):
@@ -104,9 +103,12 @@ class GridOperators:
         self.g = g
         self.t_full = geo.node_weights(g).ravel()
         self.deep_shape = tuple(m - 4 for m in g.shape)
-        # affine basis on nodes (constants first)
+        # affine basis on nodes (constants first), each coordinate taken from
+        # its axis's lower end: far from the origin x itself would make the
+        # Gram matrix of the basis singular in floats
         self.affine_basis = np.stack([np.ones(self.t_full.size)]
-                                     + [arr.ravel() for arr in g.node_grids()], axis=1)
+                                     + [(arr - ax.lo).ravel()
+                                        for arr, ax in zip(g.node_grids(), g.axes)], axis=1)
         self._precond = None
         # n + 1 deep nodes that fix the affine gauge of a Newton step
         k = self.deep_shape
@@ -332,6 +334,7 @@ class _BandedLU:
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        from scipy.linalg.lapack import dgbtrf
         self.kl, self.ku = kl, ku
         with _one_blas_thread():
             self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
@@ -341,6 +344,7 @@ class _BandedLU:
             raise ValueError(f"dgbtrf rejected argument {-info}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.linalg.lapack import dgbtrs
         with _one_blas_thread():
             x, info = dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
         if info != 0:

@@ -543,9 +543,8 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     directions out to that many processes, but to no more than there are
     CPUs or directions, each scanning its share best-first; the default
     scans serially, and workers < 1 is a ValueError.  The result does not
-    depend on it, but the deal of workers = 2 sends a (index k) and -a
-    (index N - 1 - k) to different shares, so only a serial scan shares
-    their profile and count.
+    depend on it.  a (index k in dirs) and -a (index N - 1 - k) go to the
+    same share, which builds and counts only one of them.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -562,7 +561,9 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     dirs = primitive_directions(P.dim, resolution)
     workers = min(workers or 1, os.cpu_count() or 1, len(dirs))
     if workers > 1 and len(dirs) > 4:
-        tasks = [(P, sigma, A, dirs[i::workers], resolution) for i in range(workers)]
+        tasks = [(P, sigma, A, [a for k, a in enumerate(dirs)
+                                if min(k, len(dirs) - 1 - k) % workers == i], resolution)
+                 for i in range(workers)]
         from concurrent.futures import ProcessPoolExecutor     # loaded only for a pool
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_scan_chunk, tasks))

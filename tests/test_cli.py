@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -329,6 +333,15 @@ class TestExtentRange:
         p.write_text(f"dim 1\nfacets\n1 0\n-1 -{extent}\n")
         assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == code
         assert (tmp_path / "o" / "grid.csv").exists()
+
+    # the affine gauge's Gram matrix, built from x itself, was singular in
+    # floats this far from the origin: "error: Singular matrix" at m = 256
+    @pytest.mark.filterwarnings("error")
+    def test_segment_far_from_the_origin_converges(self, tmp_path, capsys):
+        p = tmp_path / "p.poly"
+        p.write_text("dim 1\nfacets\n1 10000000000\n-1 -10000000001\n")
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "termination: converged"
 
     def test_an_end_beyond_the_floats_is_refused(self, tmp_path, capsys):
         p = tmp_path / "p.poly"
@@ -677,3 +690,44 @@ class TestCsvWriter:
         for bad in ("a,b", 'say "x"', "two\nlines"):
             with pytest.raises(AssertionError):
                 _write_csv(tmp_path / "bad.csv", [["k", "name"], [1, bad]])
+
+
+def run_fresh(script, cwd):
+    """Run a Python script in a fresh interpreter importing kstab from this tree."""
+    src = os.path.dirname(os.path.dirname(sol.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+class TestScipyFree:
+    """scipy is imported only by the code that calls it: Newton's banded LU,
+    the flow's preconditioner and the matrix flow's expm."""
+
+    def test_imports_load_no_scipy(self, tmp_path):
+        out = run_fresh("""
+            import sys
+            import kstab
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+            import kstab.cli
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+            """, tmp_path)
+        assert out == "[]\n[]\n"
+
+    def test_exact_commands_run_without_scipy(self, in_inputs):
+        (in_inputs / "hex.poly").write_text(HEXAGON)
+        out = run_fresh("""
+            import sys
+            sys.modules["scipy"] = None     # every import of scipy now fails
+            from kstab.cli import main
+            print([main(argv) for argv in (
+                ["analyze", "sq.poly", "--out", "a"],
+                ["destabilize", "hex.poly", "--resolution", "4", "--out", "d"],
+                ["futaki", "sq.poly", "--xi", "1,0", "--kmin", "3", "--kmax", "9", "--out", "f"],
+                ["filtration", "tri.poly", "--pieces", "1,0,0", "--ks", "4,8", "--out", "l"],
+                ["flow-sphere", "--points", "pts.txt", "--out", "s"])])
+            """, in_inputs)
+        assert out.splitlines()[-1] == "[0, 2, 0, 0, 0]"

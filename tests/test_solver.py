@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from kstab import geometry as geo
 from kstab import solver as sol
@@ -20,7 +21,7 @@ from kstab import stability as stab
 from kstab.polytope import BoundaryMeasure, measures
 from kstab.stability import L, PLConvexFunction, crease_search
 
-from conftest import box_quadratic_integrals, ibp_pairing
+from conftest import box_quadratic_integrals, ibp_pairing, oracle_stencils
 
 
 def unit(P):
@@ -80,29 +81,39 @@ def weighted_box(square):
 
 # -- the sparse assembly of the Newton matrix, the oracle of the band ----------
 
-def hessian_matrices(g):
-    """{(a, b): Hess_ab}, nodes -> interior lattice, as sparse matrices:
-    Kronecker products, an axis not differenced keeping its inner entries."""
+def stencil_matrices(x):
+    """(d1, d2) of conftest.oracle_stencils as sparse (len(x) - 2, len(x))
+    matrices taking values at the points x to derivatives at x[1:-1]."""
+    k = len(x) - 2
+    rows = np.repeat(np.arange(k), 3)
+    cols = (np.arange(k)[:, None] + np.arange(3)).ravel()
+    return tuple(sp.csr_matrix((T.ravel(), (rows, cols)), shape=(k, k + 2))
+                 for T in oracle_stencils(x))
+
+
+def kronecker_operators(g, inner):
+    """{(a, b): D_ab} from the axes' stencil_matrices at the nodes (or, if
+    `inner`, at the interior nodes): D_aa the second difference along a and
+    D_01 the cross difference, as Kronecker products, an axis not
+    differenced keeping its inner entries."""
+    d1, d2 = zip(*(stencil_matrices(ax.nodes[1:-1] if inner else ax.nodes) for ax in g.axes))
     if g.n == 1:
-        return {(0, 0): g.axes[0].d2}
-    x, y = g.axes
-    rx, ry = (sp.eye(*ax.d2.shape, k=1, format="csr") for ax in g.axes)
-    H = {(0, 0): sp.kron(x.d2, ry, format="csr"), (1, 1): sp.kron(rx, y.d2, format="csr"),
-         (0, 1): sp.kron(x.d1, y.d1, format="csr")}
-    H[(1, 0)] = H[(0, 1)]
-    return H
+        return {(0, 0): d2[0]}
+    rx, ry = (sp.eye(*M.shape, k=1, format="csr") for M in d2)
+    D = {(0, 0): sp.kron(d2[0], ry, format="csr"), (1, 1): sp.kron(rx, d2[1], format="csr"),
+         (0, 1): sp.kron(d1[0], d1[1], format="csr")}
+    D[(1, 0)] = D[(0, 1)]
+    return D
+
+
+def hessian_matrices(g):
+    """{(a, b): Hess_ab}, nodes -> interior lattice, as sparse matrices."""
+    return kronecker_operators(g, False)
 
 
 def second_divergence(g):
-    """{(a, b): D2I_ab}, interior lattice -> two layers in, as sparse matrices:
-    Kronecker products, an axis not differenced keeping its inner entries."""
-    if g.n == 1:
-        return {(0, 0): g.axes[0].d2i}
-    x, y = g.axes
-    rx, ry = (sp.eye(*ax.d2i.shape, k=1) for ax in g.axes)
-    D = {(0, 0): sp.kron(x.d2i, ry), (1, 1): sp.kron(rx, y.d2i), (0, 1): sp.kron(x.d1i, y.d1i)}
-    D[(1, 0)] = D[(0, 1)]
-    return D
+    """{(a, b): D2I_ab}, interior lattice -> two layers in, as sparse matrices."""
+    return kronecker_operators(g, True)
 
 
 def jacobian_by_16_products(ops, U):
@@ -278,8 +289,8 @@ class TestBandedLU:
                 return lapack(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(sol, "dgbtrf", counted(sol.dgbtrf))
-        monkeypatch.setattr(sol, "dgbtrs", counted(sol.dgbtrs))
+        monkeypatch.setattr(lapack, "dgbtrf", counted(lapack.dgbtrf))
+        monkeypatch.setattr(lapack, "dgbtrs", counted(lapack.dgbtrs))
         ops, s = box_start(square, 17)
         before = set_threads(2)
         try:

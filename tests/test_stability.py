@@ -380,6 +380,35 @@ class TestFutakiLinear:
                 assert fut[a] == L(P, sigma, PLConvexFunction.affine(coeff, 0))
 
 
+def stand_in_pool(monkeypatch, cpus):
+    """Make crease_search see `cpus` CPUs and scan its shares in this process.
+
+    Returns a list to which each pool started appends its shares of
+    directions; a pool gets as many shares as it was given workers.
+    """
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            assert len(tasks) == self.workers
+            pools.append([task[3] for task in tasks])
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(stab.os, "cpu_count", lambda: cpus)
+    return pools
+
+
 class TestCreaseSearch:
     def test_resolution_positive(self, square):
         with pytest.raises(ValueError):
@@ -517,33 +546,26 @@ class TestCreaseSearch:
     @pytest.mark.parametrize("workers, cpus, started", [(1000, 3, 3), (1000, 10**6, 16),
                                                        (5, 8, 5), (3, 1, None)])
     def test_pool_is_capped(self, square, monkeypatch, workers, cpus, started):
-        # no more processes than workers, CPUs or directions (16 at R = 2);
-        # the stand-in pool scans the shares in this process
-        pools = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                assert len(tasks) == pools[-1]
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(stab.os, "cpu_count", lambda: cpus)
+        # no more processes than workers, CPUs or directions (16 at R = 2)
+        pools = stand_in_pool(monkeypatch, cpus)
         serial = crease_search(square, unit(square), 2)
         assert pools == []
         v = crease_search(square, unit(square), 2, workers=workers)
-        assert pools == ([] if started is None else [started])
+        assert [len(shares) for shares in pools] == ([] if started is None else [started])
         assert (v.status, v.n_creases, v.best_creases) == (
             serial.status, serial.n_creases, serial.best_creases)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_share_holds_both_of_a_pair(self, square, monkeypatch, workers):
+        # a and -a go to one worker, which builds and counts only one of them
+        pools = stand_in_pool(monkeypatch, workers)
+        crease_search(square, unit(square), 5, workers=workers)
+        (shares,) = pools
+        assert len(shares) == workers
+        for share in shares:
+            assert share and {tuple(-x for x in a) for a in share} == set(share)
+        assert sorted(a for share in shares for a in share) == sorted(
+            stab.primitive_directions(2, 5))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, square, workers):
