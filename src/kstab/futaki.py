@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from kstab.polytope import Polytope
-from kstab.stability import PLConvexFunction
+from kstab.stability import PLConvexFunction, floor_sum
 
 log = logging.getLogger(__name__)
 
@@ -207,24 +207,20 @@ def expansion(P: Polytope, xi, k_min: int, k_max: int) -> ExpansionFit:
 
 
 def interpolate_polynomial(ks, vals) -> list[Q]:
-    """Exact coefficients (ascending) of the polynomial through (ks, vals)."""
-    n = len(ks)
-    A = [[Q(k) ** j for j in range(n)] for k in ks]
-    b = [Q(v) for v in vals]
-    # Gaussian elimination over the rationals
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / A[col][col]
-        A[col] = [a * inv for a in A[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * c for a, c in zip(A[r], A[col])]
-                b[r] -= f * b[col]
-    return b
+    """Exact coefficients (ascending) of the polynomial through (ks, vals).
+
+    The Lagrange sum of vals[i] * prod_{j != i} (x - ks[j]) / (ks[i] - ks[j]),
+    each product expanded one factor at a time.
+    """
+    coef = [Q(0)] * len(ks)
+    for i, (ki, vi) in enumerate(zip(ks, vals)):
+        basis, scale = [1], Q(vi)
+        for j, kj in enumerate(ks):
+            if j != i:
+                basis = [c - kj * b for c, b in zip([0] + basis, basis + [0])]
+                scale /= ki - kj
+        coef = [c + scale * b for c, b in zip(coef, basis)]
+    return coef
 
 
 def expansion_exact(P: Polytope, xi) -> tuple[Q, Q, Q]:
@@ -246,35 +242,12 @@ def expansion_exact(P: Polytope, xi) -> tuple[Q, Q, Q]:
     if sum(c * kchk ** j for j, c in enumerate(dpoly)) != dks[n + 1].d_k or wpoly[n + 2] != 0:
         raise ArithmeticError(f"lattice counts at k = 1..{n + 2} do not fit Ehrhart "
                               f"polynomials of degrees {n} and {n + 1}")
-    dn = dpoly[n]
-    dn1 = dpoly[n - 1] if n >= 1 else Q(0)
-    dn2 = dpoly[n - 2] if n >= 2 else Q(0)
-    wn1 = wpoly[n + 1]
-    wn = wpoly[n]
-    wnm = wpoly[n - 1] if n >= 1 else Q(0)
-    F0 = wn1 / dn
-    F1 = (wn - F0 * dn1) / dn
-    F2 = (wnm - F0 * dn2 - F1 * dn1) / dn
-    return F0, F1, F2
-
-
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum of floor((a*i + b)/m) over i = 0..n-1, for n >= 0 and m >= 1.
-
-    O(log m) steps of the Euclid-like reduction of the AtCoder Library's
-    floor_sum (atcoder/math.hpp); a and b may be negative.
-    """
-    total = 0
-    while True:
-        q, a = divmod(a, m)
-        total += n * (n - 1) // 2 * q
-        q, b = divmod(b, m)
-        total += n * q
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
+    # F_k = sum_j w_{n+1-j} k^-j / sum_j d_{n-j} k^-j, divided as series in 1/k
+    F = []
+    for j in range(3):
+        known = sum(F[i] * dpoly[n - j + i] for i in range(j) if n - j + i >= 0)
+        F.append((wpoly[n + 1 - j] - known) / dpoly[n])
+    return tuple(F)
 
 
 def _envelope_runs(lines, lo: int, hi: int):

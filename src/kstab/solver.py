@@ -48,7 +48,6 @@ import itertools
 import logging
 import math
 import mmap
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -400,7 +399,6 @@ class SolveReport:
     phase_history: list[str] = field(default_factory=list)
     futaki: tuple = ()
     certificate: dict | None = None
-    wall_time: float = 0.0
     factorizations: int = 0       # banded LUs of the Newton system
 
     @property
@@ -551,16 +549,13 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    t_start = time.time()
     fut = futaki_linear(P, sigma)
     futaki_zero = all(v == 0 for v in fut)
     if m is None:
         m = 256 if P.dim == 1 else 49
     g = geo.PotentialGrid.build(P, sigma, m, phi=phi0)
     if not futaki_zero and require_futaki_zero:
-        report = SolveReport(g, "refused-futaki", float("inf"), 0, futaki=fut)
-        report.wall_time = time.time() - t_start
-        return report
+        return SolveReport(g, "refused-futaki", float("inf"), 0, futaki=fut)
     if futaki_zero:     # Newton's iterates are closed, from the start on
         g.phi = _close(g, g.phi[(slice(2, -2),) * g.n]).reshape(g.shape)
     ops = GridOperators(g)
@@ -622,11 +617,9 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     else:
         it = max_iter
 
-    report = SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
-                         hist_u, hist_phi, phases, fut, certificate,
-                         factorizations=factor.count)
-    report.wall_time = time.time() - t_start
-    return report
+    return SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
+                       hist_u, hist_phi, phases, fut, certificate,
+                       factorizations=factor.count)
 
 
 # -- instability ray ----------------------------------------------------------

@@ -414,33 +414,59 @@ def admissible_offsets(lo: Q, hi: Q, R: int) -> list[Q]:
     return out
 
 
-def _moebius_divisors(R: int) -> list[list[tuple[int, int]]]:
-    """For each den in 1..R, the pairs (e, mu(e)) over the squarefree divisors e of den."""
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum of floor((a*i + b)/m) over i = 0..n-1, for n >= 0 and m >= 1.
+
+    O(log m) steps of the Euclid-like reduction of the AtCoder Library's
+    floor_sum (atcoder/math.hpp); a and b may be negative.
+    """
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += n * (n - 1) // 2 * q
+        q, b = divmod(b, m)
+        total += n * q
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _moebius_blocks(R: int) -> list[tuple[int, int]]:
+    """(J, M) for each distinct J = R // e, e = 1..R, M the sum of mu(e) over those e.
+
+    Blocks with M = 0 are dropped; the first is (R, 1).
+    """
     mu = [0, 1] + [None] * (R - 1)
     for n in range(2, R + 1):
         p = next(p for p in range(2, n + 1) if n % p == 0)      # least prime factor
         mu[n] = 0 if (n // p) % p == 0 else -mu[n // p]
-    return [[(e, mu[e]) for e in range(1, den + 1) if den % e == 0 and mu[e]]
-            for den in range(1, R + 1)]
+    blocks = {}
+    for e in range(1, R + 1):
+        blocks[R // e] = blocks.get(R // e, 0) + mu[e]
+    return [(J, M) for J, M in blocks.items() if M]
 
 
-def _count_offsets(smin: Q, smax: Q, divisors: list[list[tuple[int, int]]]) -> int:
+def _count_offsets(smin: Q, smax: Q, blocks: list[tuple[int, int]]) -> int:
     """The offsets with denominator <= R strictly inside (smin, smax), for
-    divisors = _moebius_divisors(R).
+    blocks = _moebius_blocks(R).
 
-    For each den, the numerators lo..hi inside the interval and prime to den
-    number sum mu(e) * (multiples of e in lo..hi) over the squarefree
-    divisors e of den.  Numerators of 2^62 or more are refused.
+    G(J) = sum over den <= J of ceil(smax*den) - floor(smin*den) - 1, two
+    floor sums, counts the fractions num/den inside, in lowest terms or not.
+    Those with gcd(num, den) = e are the offsets of denominator <= J // e,
+    so G(J) = sum over e of C(J // e), C(J) the offsets of denominator
+    <= J, and Moebius inversion gives C(R) = sum mu(e) * G(R // e).
+    Numerators of 2^62 or more are refused; they are largest at den = R.
     """
-    total = 0
-    for den, divs in enumerate(divisors, 1):
-        lo = smin.numerator * den // smin.denominator + 1
-        hi = -(-smax.numerator * den // smax.denominator) - 1
-        if max(abs(lo), abs(hi)) >= 2 ** 62:
-            end = smin if abs(lo) >= 2 ** 62 else smax
-            raise ValueError(f"crease offsets near {end} exceed the int64 range")
-        total += sum(m * (hi // e - (lo - 1) // e) for e, m in divs)
-    return total
+    p, q, a, b = smin.numerator, smin.denominator, smax.numerator, smax.denominator
+    R = blocks[0][0]
+    lo, hi = p * R // q + 1, -(-a * R // b) - 1
+    if max(abs(lo), abs(hi)) >= 2 ** 62:
+        end = smin if abs(lo) >= 2 ** 62 else smax
+        raise ValueError(f"crease offsets near {end} exceed the int64 range")
+    return sum(M * (-floor_sum(J + 1, b, -a, 0) - floor_sum(J + 1, q, p, 0) - J)
+               for J, M in blocks)
 
 
 _TOP = 10   # creases kept in a verdict
@@ -469,20 +495,17 @@ def _scan_chunk(args):
     strictly above t ends the scan: every crease left in the heap has ratio
     > t, so none can reach the ten best or tie with them.  Returns (best,
     creases, parts split, creases evaluated exactly, directions pruned); the
-    creases of all directions are only counted (_count_offsets).  Of a and
-    -a in dirs, only the first is built and counted: the second gets its
-    mirrored profile and the same count, as its offsets are the negated ones.
+    creases of all directions are only counted (_count_offsets).  dirs
+    holds antipodal pairs, dirs[-1 - k] == -dirs[k]: only its first half is
+    built and counted, and the second half gets the mirrored profiles and
+    the same counts, as the offsets of -a are those of a negated.
     """
     P, sigma, A, dirs, R = args
     poly = _IntegerPolygon(P, sigma)
-    divisors = _moebius_divisors(R)
-    built = {}                          # direction -> (profile, offset count), in dirs order
-    for a in dirs:
-        pair = built.get(tuple(-x for x in a))
-        prof = pair[0].mirrored() if pair else _DirectionProfile(poly, a)
-        built[a] = (prof, pair[1] if pair else _count_offsets(prof.smin, prof.smax, divisors))
-    profs = [prof for prof, _ in built.values()]
-    n_creases = sum(count for _, count in built.values())
+    blocks = _moebius_blocks(R)
+    half = [_DirectionProfile(poly, a) for a in dirs[:len(dirs) // 2]]
+    profs = half + [prof.mirrored() for prof in reversed(half)]
+    n_creases = 2 * sum(_count_offsets(prof.smin, prof.smax, blocks) for prof in half)
     # (has a floor, floor, push number, profile, part); part None is the whole direction
     floors = [prof.ratio_floor(A) for prof in profs]
     heap = [(b is not None, b or 0, k, prof, None)
@@ -540,11 +563,12 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     ranking by (ratio, direction, offset) and every decision on the way are
     exact.  The numbers of directions pruned, parts split and creases
     evaluated exactly are logged at DEBUG.  workers > 1 deals the
-    directions out to that many processes, but to no more than there are
-    CPUs or directions, each scanning its share best-first; the default
-    scans serially, and workers < 1 is a ValueError.  The result does not
-    depend on it.  a (index k in dirs) and -a (index N - 1 - k) go to the
-    same share, which builds and counts only one of them.
+    antipodal pairs of directions out to that many processes, but to no
+    more than there are CPUs or pairs, each scanning its share best-first;
+    the default scans serially, and workers < 1 is a ValueError.  The
+    result does not depend on it.  a (index k in dirs) and -a (index
+    N - 1 - k) go to the same share, which builds and counts only one of
+    them.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -559,8 +583,8 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     fut = futaki_linear(P, sigma)
     A = measures(P, sigma).A
     dirs = primitive_directions(P.dim, resolution)
-    workers = min(workers or 1, os.cpu_count() or 1, len(dirs))
-    if workers > 1 and len(dirs) > 4:
+    workers = min(workers or 1, os.cpu_count() or 1, len(dirs) // 2)
+    if workers > 1:
         tasks = [(P, sigma, A, [a for k, a in enumerate(dirs)
                                 if min(k, len(dirs) - 1 - k) % workers == i], resolution)
                  for i in range(workers)]

@@ -370,6 +370,10 @@ class TestFloorSum:
             a, b = rng.randint(-100, 100), rng.randint(-1000, 1000)
             assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
+    def test_one_implementation(self):
+        # the crease scan's offset count and the filtration share one floor_sum
+        assert futaki.floor_sum is stab.floor_sum
+
 
 class TestPLFiltrationOracle:
     """The row and floor-sum path against the per-point oracle."""

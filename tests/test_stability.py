@@ -534,7 +534,7 @@ class TestCreaseSearch:
         parts = [c for lo, hi in zip(cuts, cuts[1:]) for c in stab.admissible_offsets(lo, hi, 7)]
         assert sorted(parts) == sorted(stab.admissible_offsets(cuts[0], cuts[-1], 7))
         with pytest.raises(ValueError):
-            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_divisors(1))
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_blocks(1))
 
     def test_parallel_matches_serial(self, square):
         v1 = crease_search(square, unit(square), 4, workers=1)
@@ -543,10 +543,10 @@ class TestCreaseSearch:
         assert [(c.direction, c.offset, c.ratio) for c in v1.best_creases] == \
                [(c.direction, c.offset, c.ratio) for c in v2.best_creases]
 
-    @pytest.mark.parametrize("workers, cpus, started", [(1000, 3, 3), (1000, 10**6, 16),
+    @pytest.mark.parametrize("workers, cpus, started", [(1000, 3, 3), (1000, 10**6, 8),
                                                        (5, 8, 5), (3, 1, None)])
     def test_pool_is_capped(self, square, monkeypatch, workers, cpus, started):
-        # no more processes than workers, CPUs or directions (16 at R = 2)
+        # no more processes than workers, CPUs or antipodal pairs (8 at R = 2)
         pools = stand_in_pool(monkeypatch, cpus)
         serial = crease_search(square, unit(square), 2)
         assert pools == []
@@ -637,15 +637,46 @@ class TestPrunedScan:
             hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
             R = rng.randint(1, 9)
             inside = [c for c in stab.admissible_offsets(lo, hi, R) if c != lo]
-            assert stab._count_offsets(lo, hi, stab._moebius_divisors(R)) == len(inside)
+            assert stab._count_offsets(lo, hi, stab._moebius_blocks(R)) == len(inside)
         with pytest.raises(ValueError, match="exceed the int64 range"):
-            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_divisors(1))
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_blocks(1))
 
     @pytest.mark.parametrize("smin, smax, end", [(-2 ** 62 - 2, 0, -2 ** 62 - 2),
                                                  (0, 2 ** 62 + 2, 2 ** 62 + 2)])
     def test_offset_overflow_names_its_end(self, smin, smax, end):
         with pytest.raises(ValueError, match=f"^crease offsets near {end} exceed the int64 range$"):
-            stab._count_offsets(Q(smin), Q(smax), stab._moebius_divisors(1))
+            stab._count_offsets(Q(smin), Q(smax), stab._moebius_blocks(1))
+
+    def test_offset_count_matches_enumeration(self):
+        # every R in 1..48, on intervals with negative, integral and
+        # admissible endpoints (denominator R or less) as well as others
+        rng = random.Random(83)
+        for R in range(1, 49):
+            blocks = stab._moebius_blocks(R)
+            for _ in range(8):
+                lo = Q(rng.randint(-90, 60), rng.choice([1, R, rng.randint(1, 60)]))
+                hi = lo + Q(rng.randint(1, 150), rng.choice([1, R, rng.randint(1, 60)]))
+                # num/den in lowest terms strictly inside (lo, hi), one by one
+                inside = sum(math.gcd(num, den) == 1 for den in range(1, R + 1)
+                             for num in range(math.floor(lo * den) + 1, math.ceil(hi * den)))
+                assert stab._count_offsets(lo, hi, blocks) == inside, (lo, hi, R)
+
+    def test_one_pair_matches_unpruned(self, monkeypatch, segment01, segment_sym):
+        # a segment's directions (1,) and (-1,) are one antipodal pair
+        for R in (1, 2, 7):
+            assert_matches_oracle(monkeypatch, segment01, BoundaryMeasure((Q(1), Q(2))), R)
+            assert_matches_oracle(monkeypatch, segment_sym, unit(segment_sym), R)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_resolution_one_matches_unpruned(self, monkeypatch, unstable_hexagon, workers):
+        # R = 1 has four antipodal pairs: one share, shares of two and two,
+        # and shares of two, one and one
+        pools = stand_in_pool(monkeypatch, workers)
+        P, sigma = unstable_hexagon
+        pooled = crease_search(P, sigma, 1, workers=workers)
+        assert [sorted(map(len, shares)) for shares in pools] == \
+            {1: [], 2: [[4, 4]], 3: [[2, 2, 4]]}[workers]
+        assert pooled == assert_matches_oracle(monkeypatch, P, sigma, 1)
 
     def test_hexagon_matches_unpruned(self, monkeypatch, unstable_hexagon):
         assert_matches_oracle(monkeypatch, *unstable_hexagon, 5)
