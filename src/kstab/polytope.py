@@ -82,7 +82,13 @@ class Facet:
     offset: Q
 
     def value(self, x: Sequence[Q]) -> Q:
-        return sum(n * xi for n, xi in zip(self.normal, x)) - self.offset
+        """<normal, x> - offset, summed in integers over one common denominator."""
+        num, d = self.offset.as_integer_ratio()
+        num = -num
+        for n, xi in zip(self.normal, x):
+            p, q = xi.as_integer_ratio()
+            num, d = num * q + n * p * d, d * q
+        return Q(num, d)
 
 
 @dataclass(frozen=True)

@@ -311,35 +311,40 @@ class _DirectionProfile:
         return (Q(_horner_int(self._bco[j], self._D * n, d), self._bden * d ** 3),
                 Q(_horner_int(self._ico[j], self._D * n, d), self._iden * d ** 3))
 
-    def pieces(self, A: Q) -> list[tuple[int, int, list[int], list[int]]]:
-        """(s0, h, lb, mb) for each piece S in [s0, s0 + h] of the profile.
+    def pieces(self) -> list[tuple[int, int, list[int], list[int]]]:
+        """(s0, h, bb, ib) for each piece S in [s0, s0 + h] of the profile.
 
-        With S = s0 + h*t for t in [0, 1], L/mass = l(t) / m(t) for integer
-        cubics l = bco*iden*Ad - An*ico*bden and m = ico*bden*Ad (A = An/Ad);
-        lb and mb are three times their Bernstein coefficients of degree 3,
-        which are integers.
+        With S = s0 + h*t for t in [0, 1], the boundary term and the mass
+        are b(t)/bden and i(t)/iden for the integer cubics b = bco and
+        i = ico, so L/mass = (iden/bden) * b/i - A.  bb and ib are three
+        times the Bernstein coefficients of degree 3 of b and i: integers
+        that do not depend on A.
         """
-        bden, iden, An, Ad = self._bden, self._iden, A.numerator, A.denominator
-        kl, kb, km = iden * Ad, An * bden, bden * Ad    # l = bco*kl - ico*kb, m = ico*km
-        return [(s0, s1 - s0,
-                 _bernstein3([b * kl - i * kb for b, i in zip(bc, ic)], s0, s1 - s0),
-                 _bernstein3([i * km for i in ic], s0, s1 - s0))
+        return [(s0, s1 - s0, _bernstein3(bc, s0, s1 - s0), _bernstein3(ic, s0, s1 - s0))
                 for s0, s1, bc, ic in zip(self._brk, self._brk[1:], self._bco, self._ico)]
+
+    def shifted_floor(self, low: tuple[int, int], A: Q) -> Q:
+        """The floor (iden/bden) * num/den - A on L/mass, from (num, den) =
+        _bernstein_floor(bb, ib) <= b/i."""
+        num, den = low
+        return Q(self._iden * num * A.denominator - A.numerator * self._bden * den,
+                 self._bden * den * A.denominator)
 
     def ratio_floor(self, A: Q) -> Q | None:
         """A rational beta <= L/mass at every offset of the direction, or None.
 
-        The least of the pieces' _bernstein_floor, compared in integers; None
+        The least of the pieces' _bernstein_floor bounds on boundary/mass,
+        compared in integers and then shifted by A (shifted_floor); None
         means some piece's coefficients certify no bound.
         """
         best = None                     # (num, den), den > 0
-        for _, _, lb, mb in self.pieces(A):
-            low = _bernstein_floor(lb, mb)
+        for _, _, bb, ib in self.pieces():
+            low = _bernstein_floor(bb, ib)
             if low is None:
                 return None
             if best is None or low[0] * best[1] < best[0] * low[1]:
                 best = low
-        return Q(*best)
+        return self.shifted_floor(best, A)
 
 
 def _bernstein_floor(lb: list[int], mb: list[int]) -> tuple[int, int] | None:
@@ -355,8 +360,12 @@ def _bernstein_floor(lb: list[int], mb: list[int]) -> tuple[int, int] | None:
     for li, mi in zip(lb, mb):
         if mi > 0 and (low is None or li * low[1] < low[0] * mi):
             low = (li, mi)
-    if low is None or any(li * low[1] < low[0] * mi for li, mi in zip(lb, mb) if mi <= 0):
+    if low is None:
         return None
+    num, den = low
+    for li, mi in zip(lb, mb):
+        if mi <= 0 and li * den < num * mi:
+            return None
     return low
 
 
@@ -482,14 +491,15 @@ def _scan_chunk(args):
     One heap orders every unevaluated crease by an exact lower bound on its
     ratio, None (no bound) first.  Each direction enters with its
     ratio_floor; a popped direction pushes its pieces as parts.  A part
-    (start, width, den, lb, mb) holds the offsets in [start/den, (start +
-    width)/den) and the Bernstein coefficients of l and m there (see
-    _DirectionProfile.pieces), and is pushed with their _bernstein_floor.
-    A popped part wider than 16/R^2 is split in two by de Casteljau's rule
-    at 1/2 (_halves).  Offsets with denominators <= R are at least 1/R^2
-    apart, so a narrower part holds at most 17 of them (admissible_offsets;
-    the first part of a direction drops smin), and each is evaluated
-    exactly.
+    (start, width, den, bb, ib) holds the offsets in [start/den, (start +
+    width)/den) and the Bernstein coefficients of the boundary and mass
+    cubics there (see _DirectionProfile.pieces), and is pushed with their
+    _bernstein_floor on boundary/mass shifted by A (shifted_floor).  A
+    popped part wider than 16/R^2 is split in two by de Casteljau's rule
+    at 1/2 (_halves, on both cubics).  Offsets with denominators <= R are
+    at least 1/R^2 apart, so a narrower part holds at most 17 of them
+    (admissible_offsets; the first part of a direction drops smin), and
+    each is evaluated exactly.
 
     Let t be the 10th-best exact ratio so far.  The first popped floor
     strictly above t ends the scan: every crease left in the heap has ratio
@@ -520,12 +530,12 @@ def _scan_chunk(args):
             break
         if part is None:
             n_taken += 1
-            parts = [(s0, h, prof._D, lb, mb) for s0, h, lb, mb in prof.pieces(A)]
+            parts = [(s0, h, prof._D, bb, ib) for s0, h, bb, ib in prof.pieces()]
         elif part[1] * R * R > 16 * part[2]:
             n_split += 1
-            start, width, den, lb, mb = part
-            parts = [(2 * start + k * width, width, 2 * den, lh, mh)
-                     for k, (lh, mh) in enumerate(zip(_halves(lb), _halves(mb)))]
+            start, width, den, bb, ib = part
+            parts = [(2 * start + k * width, width, 2 * den, bh, ih)
+                     for k, (bh, ih) in enumerate(zip(_halves(bb), _halves(ib)))]
         else:
             start, width, den = part[:3]
             for c in admissible_offsets(Q(start, den), Q(start + width, den), R):
@@ -538,7 +548,8 @@ def _scan_chunk(args):
             continue
         for new in parts:
             low = _bernstein_floor(new[3], new[4])
-            heapq.heappush(heap, (low is not None, Q(*low) if low else 0, next(tick), prof, new))
+            heapq.heappush(heap, (low is not None, prof.shifted_floor(low, A) if low else 0,
+                                  next(tick), prof, new))
     return best, n_creases, n_split, n_exact, len(profs) - n_taken
 
 

@@ -10,6 +10,7 @@ from kstab.polytope import (
     EMPTY,
     BoundaryMeasure,
     DegenerateInputError,
+    Facet,
     FacetError,
     Polytope,
     PolytopeParseError,
@@ -234,6 +235,48 @@ class TestTextFormat:
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 RATIONALS = st.builds(Q, st.integers(-24, 24), st.integers(1, 6))
 WEIGHTS = st.builds(Q, st.integers(1, 40), st.integers(1, 9))
+
+
+COORDS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   st.builds(Q, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def facets_and_points(draw):
+    """A facet and a point of dimension 1 to 3; on about half the draws the
+    point lies on the facet's hyperplane."""
+    dim = draw(st.integers(1, 3))
+    normal = tuple(draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)))
+    x = tuple(draw(st.lists(COORDS, min_size=dim, max_size=dim)))
+    on = sum((n * Q(xi) for n, xi in zip(normal, x)), Q(0))
+    offset = on if draw(st.booleans()) else Q(draw(COORDS))
+    return Facet(normal, offset), x
+
+
+class TestFacetValue:
+    @PROPERTY
+    @given(facets_and_points())
+    def test_matches_fraction_sum(self, drawn):
+        f, x = drawn
+        want = sum((n * Q(xi) for n, xi in zip(f.normal, x)), Q(0)) - f.offset
+        got = f.value(x)
+        assert type(got) is Q and got == want
+        assert (got > 0) - (got < 0) == (want > 0) - (want < 0)
+
+    def test_seeded_points(self):
+        # random rational points against the facets of random polygons
+        rng = random.Random(107)
+        for _ in range(40):
+            P = random_polygon(rng)
+            for _ in range(25):
+                x = tuple(Q(rng.randint(-400, 400), rng.randint(1, 60)) for _ in range(2))
+                for f in P.facets:
+                    want = f.normal[0] * x[0] + f.normal[1] * x[1] - f.offset
+                    assert f.value(x) == want
+                assert P.contains(x) == all(f.normal[0] * x[0] + f.normal[1] * x[1] >= f.offset
+                                            for f in P.facets)
+            for v in P.vertices:
+                assert sum(f.value(v) == 0 for f in P.facets) == 2
 
 
 @st.composite

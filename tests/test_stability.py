@@ -708,19 +708,83 @@ class TestPrunedScan:
             A = measures(P, sigma).A
             for a in rng.sample(stab.primitive_directions(2, R), 2):
                 prof = profile(P, sigma, a)
-                start, width, lb, mb = rng.choice(prof.pieces(A))
+                start, width, bb, ib = rng.choice(prof.pieces())
                 den = prof._D
                 while width * R * R > 16 * den:
                     half = rng.randint(0, 1)
-                    lb, mb = stab._halves(lb)[half], stab._halves(mb)[half]
+                    bb, ib = stab._halves(bb)[half], stab._halves(ib)[half]
                     start, den = 2 * start + half * width, 2 * den
-                    low = stab._bernstein_floor(lb, mb)
+                    low = stab._bernstein_floor(bb, ib)
                     for c in stab.admissible_offsets(Q(start, den), Q(start + width, den), R):
                         if c != prof.smin and low is not None:
                             bval, mass = prof.eval(c)
-                            assert Q(*low) <= (bval - A * mass) / mass, (a, c, start, den)
+                            assert prof.shifted_floor(low, A) <= (bval - A * mass) / mass, \
+                                (a, c, start, den)
                             checked += 1
         assert checked > 1000
+
+
+def scaled_floor(lb, mb):
+    low = stab._bernstein_floor(lb, mb)
+    return None if low is None else Q(*low)
+
+
+def assert_floors_match_scaled(prof, A, rng):
+    """The A-free floors of a profile equal those of the A-scaled cubics they replace.
+
+    The oracle bounds l = bco*iden*Ad - ico*An*bden over m = ico*bden*Ad
+    (A = An/Ad) directly: on each piece, on three random halvings of it and
+    as the least over the direction's pieces (ratio_floor).
+    """
+    kl, kb, km = prof._iden * A.denominator, A.numerator * prof._bden, prof._bden * A.denominator
+    floors = []
+    for (s0, h, bb, ib), bc, ic in zip(prof.pieces(), prof._bco, prof._ico):
+        lb = stab._bernstein3([b * kl - i * kb for b, i in zip(bc, ic)], s0, h)
+        mb = stab._bernstein3([i * km for i in ic], s0, h)
+        floors.append(scaled_floor(lb, mb))
+        for _ in range(4):
+            low = stab._bernstein_floor(bb, ib)
+            assert (None if low is None else prof.shifted_floor(low, A)) == \
+                scaled_floor(lb, mb), (prof.a, s0)
+            k = rng.randint(0, 1)
+            bb, ib, lb, mb = (stab._halves(x)[k] for x in (bb, ib, lb, mb))
+    assert prof.ratio_floor(A) == (None if None in floors else min(floors)), prof.a
+
+
+def assert_scan_floors_match_scaled(P, sigma, R, rng):
+    A = measures(P, sigma).A
+    poly = stab._IntegerPolygon(P, sigma)
+    for a in stab.primitive_directions(P.dim, R):
+        assert_floors_match_scaled(_DirectionProfile(poly, a), A, rng)
+
+
+class TestShiftedFloors:
+    """Bernstein floors on boundary/mass, shifted by A, against the A-scaled ones."""
+
+    def test_hexagon(self, unstable_hexagon):
+        # every direction of sup-height 12 or less
+        assert_scan_floors_match_scaled(*unstable_hexagon, 12, random.Random(89))
+
+    def test_random_corpus(self):
+        rng = random.Random(97)
+        for k in range(8):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            assert_scan_floors_match_scaled(P, random_weights(rng, P), 5, rng)
+
+    def test_weighted_segments(self, segment01):
+        rng = random.Random(101)
+        P = Polytope.from_vertices([(Q(-7, 3),), (Q(5, 2),)])
+        assert_scan_floors_match_scaled(segment01, BoundaryMeasure((Q(1), Q(2))), 1, rng)
+        assert_scan_floors_match_scaled(P, BoundaryMeasure((Q(3, 4), Q(2, 9))), 1, rng)
+
+    @pytest.mark.parametrize("bco", [[0, 0, 0, 0], [-1, 0, 0, 0]])
+    def test_negative_mass_coefficients(self, square, bco):
+        # the mass (1 - 2S)^2 of test_floor_needs_every_coefficient, with a
+        # floor of -A and then with none, and three random halvings of each
+        sigma = unit(square)
+        prof = profile(square, sigma, (1, 0))
+        prof._ico, prof._bco = [[1, -4, 4, 0]], [bco]
+        assert_floors_match_scaled(prof, measures(square, sigma).A, random.Random(103))
 
 
 def assert_mirrored_fresh(poly, a):
