@@ -8,6 +8,10 @@ that fails before its subcommand returns (exit 1) leaves no output
 directory; `solve --dump-every` is the one exception, writing its snapshots
 during the solve.  Machine-readable outputs are byte-deterministic for
 identical inputs and parameters.
+
+Each command imports its numeric modules (numpy, geometry, solver, futaki,
+kempfness) when it runs: analyze, destabilize and a pipeline that stops
+before the solve load no numpy.
 """
 
 from __future__ import annotations
@@ -23,13 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 import kstab
-from kstab import geometry as geo
-from kstab import kempfness as kn
-from kstab import solver as sol
-from kstab.futaki import count_and_weigh, expansion, filtration_futaki
 from kstab.polytope import _parse_rational, is_delzant, measures, parse_polytope_text
 from kstab.stability import PLConvexFunction, crease_search, futaki_linear
 
@@ -105,6 +103,17 @@ def _float(x: Fraction, what: str) -> float:
         return float(x)
     except OverflowError:
         raise ValueError(f"{what} exceeds the float range") from None
+
+
+def _int_list(spec: str, flag: str) -> list[int]:
+    """The comma-separated integers of a flag's value."""
+    ints = []
+    for tok in spec.split(","):
+        try:
+            ints.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{flag} entry {tok!r} is not an integer") from None
+    return ints
 
 
 def _parse_pieces(spec: str, dim: int) -> PLConvexFunction:
@@ -183,8 +192,9 @@ def cmd_destabilize(args) -> tuple[int, dict]:
 
 
 def cmd_futaki(args) -> tuple[int, dict]:
+    from kstab.futaki import count_and_weigh, expansion
     P, sigma = _load_polytope(args.polytope)
-    xi = tuple(int(t) for t in args.xi.split(","))
+    xi = tuple(_int_list(args.xi, "--xi"))
     rows = [count_and_weigh(P, xi, k) for k in range(args.kmin, args.kmax + 1)]
     fit = expansion(P, xi, args.kmin, args.kmax)
     print(f"{'k':>4} {'d_k':>10} {'w_k':>12} {'F_k':>14}")
@@ -201,9 +211,10 @@ def cmd_futaki(args) -> tuple[int, dict]:
 
 
 def cmd_filtration(args) -> tuple[int, dict]:
+    from kstab.futaki import filtration_futaki
     P, sigma = _load_polytope(args.polytope)
     f = _parse_pieces(args.pieces, P.dim)
-    ks = [int(t) for t in args.ks.split(",")]
+    ks = _int_list(args.ks, "--ks")
     if len(set(ks)) != len(ks):
         raise ValueError(f"--ks {args.ks}: the k values must be distinct")
     vals = [(k, filtration_futaki(P, f, k)) for k in ks]
@@ -217,15 +228,17 @@ def cmd_filtration(args) -> tuple[int, dict]:
     return EXIT_OK, {"filtration.csv": [["k", "statistic"]] + vals}
 
 
-def _grid_rows(g: geo.PotentialGrid) -> list[list]:
+def _grid_rows(g: kstab.geometry.PotentialGrid) -> list[list]:
+    from kstab.geometry import grid_dump_rows
     # grid_dump_rows runs over the nodes in C order, as product does over the
     # axes; each axis's coordinates are formatted once, not once per node
     coords = itertools.product(*(list(map(repr, ax.nodes.tolist())) for ax in g.axes))
     return [["x1", "x2"][: g.n] + ["u", "det_hess", "S"]] + [
-        [*x, *row[g.n:]] for x, row in zip(coords, geo.grid_dump_rows(g))]
+        [*x, *row[g.n:]] for x, row in zip(coords, grid_dump_rows(g))]
 
 
 def cmd_solve(args) -> tuple[int, dict]:
+    from kstab import solver as sol
     if args.dump_every < 0:
         raise ValueError(f"--dump-every must be 0 (no snapshots) or positive, "
                          f"got {args.dump_every}")
@@ -271,6 +284,7 @@ def cmd_solve(args) -> tuple[int, dict]:
 
 
 def cmd_ray(args) -> tuple[int, dict]:
+    from kstab import solver as sol
     P, sigma = _load_polytope(args.polytope)
     n = P.dim
     qvals = [_float(_parse_rational(t), "--quadratic entry")
@@ -301,6 +315,8 @@ def cmd_ray(args) -> tuple[int, dict]:
 
 
 def cmd_flow_sphere(args) -> tuple[int, dict]:
+    import numpy as np
+    from kstab import kempfness as kn
     rows = []
     for line_no, row in _number_rows(args.points, float):
         if len(row) not in (3, 4):
@@ -337,6 +353,8 @@ def cmd_flow_sphere(args) -> tuple[int, dict]:
 
 
 def cmd_flow_matrix(args) -> tuple[int, dict]:
+    import numpy as np
+    from kstab import kempfness as kn
     rows = _number_rows(args.matrix, complex)
     for line_no, row in rows:
         if len(row) != len(rows):
@@ -382,6 +400,7 @@ def _pipeline(args) -> tuple[dict, int]:
                           "L": str(c.L_value)}
         print(f"destabilizing crease a={c.direction}, c={c.offset} with L = {c.L_value} (exit 2)")
         return log, EXIT_UNSTABLE
+    from kstab import solver as sol
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter)
     log["solver"] = report.termination
     if report.termination == "converged":
@@ -499,7 +518,9 @@ def main(argv=None) -> int:
         code, files = args.func(args)
         _write_outputs(args, files)
         return code
-    except (ValueError, OSError, MemoryError, geo.ConvexityError) as e:
+    # a ConvexityError exists only once kstab.geometry has loaded, so it is looked up, not imported
+    except (ValueError, OSError, MemoryError,
+            getattr(sys.modules.get("kstab.geometry"), "ConvexityError", ValueError)) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -466,14 +466,19 @@ def _count_offsets(smin: Q, smax: Q, blocks: list[tuple[int, int]]) -> int:
     Those with gcd(num, den) = e are the offsets of denominator <= J // e,
     so G(J) = sum over e of C(J // e), C(J) the offsets of denominator
     <= J, and Moebius inversion gives C(R) = sum mu(e) * G(R // e).
-    Numerators of 2^62 or more are refused; they are largest at den = R.
+
+    Numerators of 2^62 or more (largest at den = R) are refused.  The count
+    is exact in Python ints at any size, but a scan over offsets that large
+    runs on huge integers: without the refusal, the stable verdict on a
+    square of side 1e200 took 1.2 s at R = 1 and 25 s at R = 8 (2 cores).
     """
     p, q, a, b = smin.numerator, smin.denominator, smax.numerator, smax.denominator
     R = blocks[0][0]
     lo, hi = p * R // q + 1, -(-a * R // b) - 1
     if max(abs(lo), abs(hi)) >= 2 ** 62:
         end = smin if abs(lo) >= 2 ** 62 else smax
-        raise ValueError(f"crease offsets near {end} exceed the int64 range")
+        raise ValueError(f"crease offsets near {end} exceed the scan's range "
+                         "(numerators below 2^62)")
     return sum(M * (-floor_sum(J + 1, b, -a, 0) - floor_sum(J + 1, q, p, 0) - J)
                for J, M in blocks)
 

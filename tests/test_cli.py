@@ -215,6 +215,20 @@ def assert_one_error_line(capsys, out):
     assert not out.exists()
 
 
+class TestIntegerArguments:
+    """A bad --xi or --ks entry is named with its flag; int() named neither
+    ("invalid literal for int() with base 10: '1.5'")."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("futaki tri.poly --xi 1.5,0", "--xi entry '1.5' is not an integer"),
+        ("filtration tri.poly --pieces 1,0,0 --ks 4,,8", "--ks entry '' is not an integer"),
+        ("filtration tri.poly --pieces 1,0,0 --ks 4,x", "--ks entry 'x' is not an integer")])
+    def test_entry_named(self, in_inputs, capsys, argv, message):
+        assert main(argv.split() + ["--out", "o"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("o").exists()
+
+
 class TestRationalArguments:
     """Rational CLI entries go through the polytope parser's bounded reader;
     a bad one ends in one error line, exit 1 and no --out directory."""
@@ -307,7 +321,7 @@ HUGE_BOX = "dim 2\nfacets\n1 0 0\n-1 0 -1e200\n0 1 0\n0 -1 -1\n"
 
 class TestExtentRange:
     # pipeline reaches the solve on the tiny segment only: the crease
-    # offsets of the huge boxes leave int64 first
+    # offsets of the huge boxes leave the crease scan's range first
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, text", [
         ("solve", HUGE_SEG), ("solve", TINY_SEG), ("solve", HUGE_BOX), ("ray", HUGE_SEG),
@@ -358,6 +372,7 @@ class TestExtentRange:
         assert main(["destabilize", str(p), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: crease offsets near -"), err
+        assert err[0].endswith(" exceed the scan's range (numerators below 2^62)"), err
 
 
 class TestWeightRange:
@@ -731,3 +746,51 @@ class TestScipyFree:
                 ["flow-sphere", "--points", "pts.txt", "--out", "s"])])
             """, in_inputs)
         assert out.splitlines()[-1] == "[0, 2, 0, 0, 0]"
+
+
+class TestNumpyFree:
+    """analyze, destabilize and a pipeline that stops before the solve load
+    no numpy: kstab resolves each export on first access, and each command
+    imports its numeric modules when it runs."""
+
+    def test_imports_load_no_numpy(self, tmp_path):
+        out = run_fresh("""
+            import sys
+            import kstab, kstab.cli, kstab.stability, kstab.polytope
+            print(sorted(m for m in sys.modules if m.startswith("numpy")))
+            """, tmp_path)
+        assert out == "[]\n"
+
+    def test_exact_commands_run_without_numpy(self, in_inputs):
+        (in_inputs / "hex.poly").write_text(HEXAGON)
+        out = run_fresh("""
+            import sys
+            sys.modules["numpy"] = None     # every import of numpy now fails
+            from kstab.cli import main
+            try:
+                main(["--help"])
+            except SystemExit as e:
+                print("help exit", e.code)
+            print([main(argv) for argv in (
+                ["analyze", "hex.poly", "--out", "a"],
+                ["destabilize", "hex.poly", "--resolution", "8", "--out", "d"],
+                ["pipeline", "hex.poly", "--out", "p"])])
+            """, in_inputs)
+        assert "help exit 0" in out.splitlines()
+        assert out.splitlines()[-1] == "[0, 2, 2]"
+        reference = Path(__file__).parents[1] / "bench" / "reference" / "hexagon-R8-verdict.json"
+        assert (in_inputs / "d" / "verdict.json").read_bytes() == reference.read_bytes()
+
+    def test_exports(self):
+        import kstab
+
+        star = {}
+        exec("from kstab import *", star)
+        assert set(kstab.__all__) <= set(star) and set(kstab.__all__) <= set(dir(kstab))
+        for name in kstab.__all__:
+            obj = getattr(kstab, name)
+            if name != "__version__":
+                assert obj.__module__.startswith("kstab.")
+                assert getattr(sys.modules[obj.__module__], name) is obj
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            kstab.nope
