@@ -24,6 +24,7 @@ from kstab.polytope import (
     EMPTY,
     BoundaryMeasure,
     Facet,
+    Measures,
     Polytope,
     clip,
     integrate_affine,
@@ -143,7 +144,10 @@ def L(P: Polytope, sigma: BoundaryMeasure, f: PLConvexFunction) -> Q:
 
 def futaki_linear(P: Polytope, sigma: BoundaryMeasure) -> tuple[Q, ...]:
     """(L(x_1), ..., L(x_n)): zero iff the two centroids coincide."""
-    m = measures(P, sigma)
+    return _futaki(measures(P, sigma))
+
+
+def _futaki(m: Measures) -> tuple[Q, ...]:
     return tuple(m.bvol * (bc - c) for bc, c in zip(m.boundary_centroid, m.centroid))
 
 
@@ -208,6 +212,107 @@ class _IntegerPolygon:
                           for k, (p, q, w) in enumerate(zip(self.verts, nxt, wts))]
 
 
+def _sweep(poly: _IntegerPolygon, a: tuple[int, ...]):
+    """(brk, bco, ico, bden, iden, btot, itot) of direction a, from one sweep
+    of the edges: the breakpoints, the coefficients of S^k of the boundary
+    term and the mass on each piece over bden and iden (_DirectionProfile),
+    and those of <a,x> - c over the whole boundary and P, affine in S."""
+    D = poly.D
+    if len(a) == 1:
+        S, T = [a[0] * x for x, in poly.verts], None
+    else:
+        a0, a1 = a
+        S = [a0 * x + a1 * y for x, y in poly.verts]
+        T = [a0 * y - a1 * x for x, y in poly.verts]
+    brk = sorted(set(S))
+    at = {s: j for j, s in enumerate(brk)}
+    nI = len(brk) - 1
+    E = math.lcm(*(abs(S[q] - S[p]) for p, q, _ in poly.edges if S[q] != S[p]))
+    # E*w at brk[-1] (unit density on a segment: E = |a|^2 = 1), and at each
+    # breakpoint the jumps, upwards, of the rows of 2*D^2*W*E * the boundary
+    # term and of the slope of E*w
+    w, jumps = (D if T is None else 0), [[0, 0, 0, 0] for _ in range(nI + 1)]
+    for p, q, mu in poly.edges:
+        lo, hi = (S[p], S[q]) if S[p] < S[q] else (S[q], S[p])
+        jump = jumps[at[lo]]
+        jump[0] -= E * mu * (lo + hi)   # below lo the whole edge lies above c
+        jump[1] += 2 * E * mu
+        if lo == hi:                    # an edge along a level line is extreme
+            if T is not None and lo == brk[-1]:
+                w = E * abs(T[q] - T[p])
+            continue
+        # between lo and hi the crease crosses the edge; counterclockwise,
+        # each edge moves the width by -dT/|dS|
+        g = E // (hi - lo)
+        f, k, drop = mu * g, (T[p] - T[q]) * g, jumps[at[hi]]
+        jump[0] += f * hi * hi
+        jump[1] -= 2 * f * hi
+        jump[2] += f
+        jump[3] += k
+        drop[0] -= f * hi * hi
+        drop[1] += 2 * f * hi
+        drop[2] -= f
+        drop[3] -= k
+    # from the top down, above which the crease and every row are 0: the
+    # boundary rows, E*w = al + be*S on each piece and 6 * the mass from the
+    # suffix integrals I1, I2 of E*w and S*E*w; below brk[0] the boundary
+    # row is the total of <a,x> - c
+    bco, ico = [None] * nI, [None] * nI
+    c0 = c1 = c2 = be = I1 = I2 = 0
+    for j in range(nI - 1, -1, -1):
+        s0, e = brk[j], brk[j + 1]
+        d0, d1, d2, dk = jumps[j + 1]
+        c0, c1, c2, be = c0 - d0, c1 - d1, c2 - d2, be - dk
+        bco[j] = [c0, c1, c2, 0]
+        al, e2, s2 = w - be * e, e * e, s0 * s0
+        ico[j] = [2 * be * e2 * e + 3 * al * e2 + I2, -(3 * be * e2 + 6 * al * e) - I1, 3 * al, be]
+        I1 += 6 * al * (e - s0) + 3 * be * (e2 - s2)
+        I2 += 3 * al * (e2 - s2) + 2 * be * (e2 * e - s2 * s0)
+        w -= be * (e - s0)
+    d0, d1 = jumps[0][:2]
+    return (brk, bco, ico, 2 * D * D * poly.W * E, 6 * D ** 3 * E * sum(ai * ai for ai in a),
+            (c0 - d0, c1 - d1), (I2, -I1))
+
+
+def _shifted_floor(low: tuple[int, int], iden: int, bden: int, A: Q) -> Q:
+    """The floor (iden/bden) * num/den - A on L/mass, from (num, den) =
+    _bernstein_floor(bb, ib) <= b/i (see _DirectionProfile.pieces)."""
+    num, den = low
+    return Q(iden * num * A.denominator - A.numerator * bden * den, bden * den * A.denominator)
+
+
+def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
+                 blocks: list[tuple[int, int]]) -> tuple[Q | None, Q | None, int]:
+    """Exact lower bounds on L/mass over the creases of a and of -a, and the
+    offsets of each (_count_offsets), from one sweep.
+
+    A direction's bound is the least of its pieces' _bernstein_floor bounds
+    on boundary/mass, shifted by A, or None if a piece certifies none.  As
+    max(0, <-a,x> - c) = max(0, <a,x> + c) - (<a,x> + c), the pieces of -a
+    are those of a in reverse order, at S -> -S, less the totals t of
+    <a,x> - c (btot, itot): on each piece, the Bernstein coefficients of a
+    reversed less those of t reversed.  -a has the offsets of a negated.
+    """
+    brk, bco, ico, bden, iden, (b0, b1), (i0, i1) = _sweep(poly, a)
+    lows = ([], [])                 # the pieces' floors of a and of -a
+    for s0, s1, bc, ic in zip(brk, brk[1:], bco, ico):
+        bb, ib = _bernstein3(bc, s0, s1 - s0), _bernstein3(ic, s0, s1 - s0)
+        lows[0].append(_bernstein_floor(bb, ib))
+        u, v, x, y = b0 + b1 * s0, b0 + b1 * s1, i0 + i1 * s0, i0 + i1 * s1
+        lows[1].append(_bernstein_floor(
+            [bb[3] - 3 * v, bb[2] - u - 2 * v, bb[1] - 2 * u - v, bb[0] - 3 * u],
+            [ib[3] - 3 * y, ib[2] - x - 2 * y, ib[1] - 2 * x - y, ib[0] - 3 * x]))
+    floors = [None, None]
+    for k, pieces in enumerate(lows):
+        if None not in pieces:
+            best = pieces[0]
+            for num, den in pieces[1:]:
+                if num * best[1] < best[0] * den:
+                    best = num, den
+            floors[k] = _shifted_floor(best, iden, bden, A)
+    return (*floors, _count_offsets(Q(brk[0], poly.D), Q(brk[-1], poly.D), blocks))
+
+
 class _DirectionProfile:
     """Exact piecewise polynomials c -> (boundary term, interior mass).
 
@@ -218,89 +323,17 @@ class _DirectionProfile:
     Both are built in integers on the scaled polygon, in S = <a, D*v> and
     C = D*c.  The chord of P at level S has width w(S)/(D*|a|^2) in lattice
     units; E*w is piecewise linear with integer slopes, E the lcm of the
-    edges' |dS|, so one sweep of the edges gives it at every breakpoint.
-    The boundary term is then an integer quadratic in C over 2*D^2*W*E and
-    the mass an integer cubic over 6*D^3*E*|a|^2.  Values stay integers
-    until eval returns them as Fractions.
+    edges' |dS|, so one sweep of the edges (_sweep) gives it at every
+    breakpoint.  The boundary term is then an integer quadratic in C over
+    2*D^2*W*E and the mass an integer cubic over 6*D^3*E*|a|^2.  Values
+    stay integers until eval returns them as Fractions.
     """
 
     def __init__(self, poly: _IntegerPolygon, a: tuple[int, ...]):
-        self.a = a
-        D = poly.D
-        S = [sum(ai * x for ai, x in zip(a, v)) for v in poly.verts]
-        brk = sorted(set(S))
-        at = {s: j for j, s in enumerate(brk)}
-        nI = len(brk) - 1
-        E = math.lcm(*(abs(S[q] - S[p]) for p, q, _ in poly.edges if S[q] != S[p]))
-        # E*w at brk[0], and the jumps of its slope at each breakpoint
-        dslope = [0] * (nI + 1)
-        if len(a) == 1:
-            w = D                       # unit density: E = |a|^2 = 1
-        else:
-            T = [a[0] * y - a[1] * x for x, y in poly.verts]
-            w = 0
-            for p, q, _ in poly.edges:
-                if S[q] == S[p]:        # an edge along a level line is extreme
-                    if S[p] == brk[0]:
-                        w = E * abs(T[q] - T[p])
-                    continue
-                # counterclockwise, each edge moves the width by -dT/|dS|
-                k = -(T[q] - T[p]) * (E // abs(S[q] - S[p]))
-                dslope[at[min(S[p], S[q])]] += k
-                dslope[at[max(S[p], S[q])]] -= k
-        lines = []                      # E*w(S) = al + be*S on piece j
-        be = 0
-        for j in range(nI):
-            be += dslope[j]
-            lines.append((w - be * brk[j], be))
-            w += be * (brk[j + 1] - brk[j])
-        # 6 * the mass, from suffix integrals of E*w and S*E*w
-        ico = [None] * nI
-        I1 = I2 = 0
-        for j in range(nI - 1, -1, -1):
-            (al, be), s0, e = lines[j], brk[j], brk[j + 1]
-            ico[j] = [2 * be * e ** 3 + 3 * al * e * e + I2,
-                      -(3 * be * e * e + 6 * al * e) - I1, 3 * al, be]
-            I1 += 6 * al * (e - s0) + 3 * be * (e * e - s0 * s0)
-            I2 += 3 * al * (e * e - s0 * s0) + 2 * be * (e ** 3 - s0 ** 3)
-        # 2 * D^2 * W * E * the boundary term
-        bco = [[0, 0, 0, 0] for _ in range(nI)]
-        for p, q, mu in poly.edges:
-            lo, hi = min(S[p], S[q]), max(S[p], S[q])
-            for j in range(at[lo]):           # the whole piece lies above c
-                bco[j][0] += E * mu * (lo + hi)
-                bco[j][1] -= 2 * E * mu
-            for j in range(at[lo], at[hi]):   # the crease crosses the piece
-                f = mu * (E // (hi - lo))
-                bco[j][0] += f * hi * hi
-                bco[j][1] -= 2 * f * hi
-                bco[j][2] += f
+        self.a, self._D = a, poly.D
         # numerators of the coefficients of S^k, over _bden and _iden
-        self._D, self._brk = D, brk
-        self._bden = 2 * D * D * poly.W * E
-        self._iden = 6 * D ** 3 * E * sum(ai * ai for ai in a)
-        self._bco, self._ico, self._itot = bco, ico, (I2, -I1)
-        self._btot = (E * sum(mu * (S[p] + S[q]) for p, q, mu in poly.edges),
-                      -2 * E * sum(mu for _, _, mu in poly.edges))
-        self.smin, self.smax = Q(brk[0], D), Q(brk[-1], D)
-
-    def mirrored(self) -> "_DirectionProfile":
-        """The profile of -a, equal to a fresh build, without a sweep.
-
-        max(0, <-a,x> - c) = max(0, <a,x> + c) - (<a,x> + c): the pieces of
-        -a are those of a in reverse order, at S -> -S, less the totals t of
-        <a,x> - c over all of the boundary (_btot) and of P (_itot).
-        """
-        def flip(rows, t):
-            return [[c0 - t[0], t[1] - c1, c2, -c3] for c0, c1, c2, c3 in reversed(rows)]
-
-        m = object.__new__(type(self))
-        m.__dict__.update(vars(self))
-        m.a, m._brk = tuple(-x for x in self.a), [-s for s in reversed(self._brk)]
-        m._bco, m._ico = flip(self._bco, self._btot), flip(self._ico, self._itot)
-        m._btot, m._itot = (-self._btot[0], self._btot[1]), (-self._itot[0], self._itot[1])
-        m.smin, m.smax = -self.smax, -self.smin
-        return m
+        self._brk, self._bco, self._ico, self._bden, self._iden, _, _ = _sweep(poly, a)
+        self.smin, self.smax = Q(self._brk[0], poly.D), Q(self._brk[-1], poly.D)
 
     def eval(self, c: Q) -> tuple[Q, Q]:
         """(boundary integral, interior mass) of max(0, <a,x> - c)."""
@@ -324,27 +357,8 @@ class _DirectionProfile:
                 for s0, s1, bc, ic in zip(self._brk, self._brk[1:], self._bco, self._ico)]
 
     def shifted_floor(self, low: tuple[int, int], A: Q) -> Q:
-        """The floor (iden/bden) * num/den - A on L/mass, from (num, den) =
-        _bernstein_floor(bb, ib) <= b/i."""
-        num, den = low
-        return Q(self._iden * num * A.denominator - A.numerator * self._bden * den,
-                 self._bden * den * A.denominator)
-
-    def ratio_floor(self, A: Q) -> Q | None:
-        """A rational beta <= L/mass at every offset of the direction, or None.
-
-        The least of the pieces' _bernstein_floor bounds on boundary/mass,
-        compared in integers and then shifted by A (shifted_floor); None
-        means some piece's coefficients certify no bound.
-        """
-        best = None                     # (num, den), den > 0
-        for _, _, bb, ib in self.pieces():
-            low = _bernstein_floor(bb, ib)
-            if low is None:
-                return None
-            if best is None or low[0] * best[1] < best[0] * low[1]:
-                best = low
-        return self.shifted_floor(best, A)
+        """_shifted_floor over this direction's denominators."""
+        return _shifted_floor(low, self._iden, self._bden, A)
 
 
 def _bernstein_floor(lb: list[int], mb: list[int]) -> tuple[int, int] | None:
@@ -494,8 +508,10 @@ def _scan_chunk(args):
     """The exact ten best creases over some directions, plus four counts.
 
     One heap orders every unevaluated crease by an exact lower bound on its
-    ratio, None (no bound) first.  Each direction enters with its
-    ratio_floor; a popped direction pushes its pieces as parts.  A part
+    ratio, None (no bound) first.  Each direction enters with its floor
+    from _pair_floors; a popped direction gets its _DirectionProfile and
+    pushes its pieces as parts, so only the directions the heap opens are
+    ever built.  A part
     (start, width, den, bb, ib) holds the offsets in [start/den, (start +
     width)/den) and the Bernstein coefficients of the boundary and mass
     cubics there (see _DirectionProfile.pieces), and is pushed with their
@@ -511,20 +527,20 @@ def _scan_chunk(args):
     > t, so none can reach the ten best or tie with them.  Returns (best,
     creases, parts split, creases evaluated exactly, directions pruned); the
     creases of all directions are only counted (_count_offsets).  dirs
-    holds antipodal pairs, dirs[-1 - k] == -dirs[k]: only its first half is
-    built and counted, and the second half gets the mirrored profiles and
-    the same counts, as the offsets of -a are those of a negated.
+    holds antipodal pairs, dirs[-1 - k] == -dirs[k]: one sweep of each pair's
+    first direction gives the floors of both and one count for each.
     """
     P, sigma, A, dirs, R = args
     poly = _IntegerPolygon(P, sigma)
     blocks = _moebius_blocks(R)
-    half = [_DirectionProfile(poly, a) for a in dirs[:len(dirs) // 2]]
-    profs = half + [prof.mirrored() for prof in reversed(half)]
-    n_creases = 2 * sum(_count_offsets(prof.smin, prof.smax, blocks) for prof in half)
-    # (has a floor, floor, push number, profile, part); part None is the whole direction
-    floors = [prof.ratio_floor(A) for prof in profs]
-    heap = [(b is not None, b or 0, k, prof, None)
-            for k, (b, prof) in enumerate(zip(floors, profs))]
+    n = len(dirs)
+    floors, n_creases = [None] * n, 0
+    for k in range(n // 2):
+        floors[k], floors[n - 1 - k], count = _pair_floors(poly, dirs[k], A, blocks)
+        n_creases += 2 * count
+    # (has a floor, floor, push number, profile, part); part None is a whole
+    # direction, held as its vector until popped
+    heap = [(b is not None, b or 0, k, a, None) for k, (b, a) in enumerate(zip(floors, dirs))]
     heapq.heapify(heap)
     tick = itertools.count(len(heap))
     best = []
@@ -535,6 +551,7 @@ def _scan_chunk(args):
             break
         if part is None:
             n_taken += 1
+            prof = _DirectionProfile(poly, prof)
             parts = [(s0, h, prof._D, bb, ib) for s0, h, bb, ib in prof.pieces()]
         elif part[1] * R * R > 16 * part[2]:
             n_split += 1
@@ -555,7 +572,7 @@ def _scan_chunk(args):
             low = _bernstein_floor(new[3], new[4])
             heapq.heappush(heap, (low is not None, prof.shifted_floor(low, A) if low else 0,
                                   next(tick), prof, new))
-    return best, n_creases, n_split, n_exact, len(profs) - n_taken
+    return best, n_creases, n_split, n_exact, n - n_taken
 
 
 def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
@@ -569,8 +586,10 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     verdict to unstable with a linear witness, but the scan still runs so
     reports can list the worst creases.
 
-    Each direction's exact profile is built in integers (_DirectionProfile),
-    with an exact lower bound on its ratios.  One heap visits directions,
+    Each antipodal pair (a, -a) gets exact lower bounds on the ratios of
+    both directions from one integer sweep of the edges (_pair_floors), and
+    a direction's exact profile (_DirectionProfile) is built only when the
+    search opens it.  One heap visits directions,
     then their pieces and halves of pieces, in the order of exact Bernstein
     lower bounds, and evaluates the creases of small enough parts in exact
     Fractions; the scan stops at the first bound above the 10th-best ratio
@@ -583,8 +602,7 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
     more than there are CPUs or pairs, each scanning its share best-first;
     the default scans serially, and workers < 1 is a ValueError.  The
     result does not depend on it.  a (index k in dirs) and -a (index
-    N - 1 - k) go to the same share, which builds and counts only one of
-    them.
+    N - 1 - k) go to the same share, which sweeps and counts only a.
 
     Verdicts are "at resolution": stability quantifies over all rational
     piecewise-linear convex functions, so a clean scan is evidence, not a
@@ -596,8 +614,8 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
         raise ValueError("resolution must be a positive integer")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    fut = futaki_linear(P, sigma)
-    A = measures(P, sigma).A
+    m = measures(P, sigma)
+    fut, A = _futaki(m), m.A
     dirs = primitive_directions(P.dim, resolution)
     workers = min(workers or 1, os.cpu_count() or 1, len(dirs) // 2)
     if workers > 1:

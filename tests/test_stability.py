@@ -503,6 +503,18 @@ class TestCreaseSearch:
         assert "37 of 48 directions pruned, 10 parts split, 57 creases evaluated exactly" \
             in caplog.text
 
+    def test_measures_once_per_scan(self, monkeypatch, unstable_hexagon):
+        # A and the Futaki vector come from one exact integration
+        calls = []
+
+        def counted(P, sigma=None):
+            calls.append(P)
+            return measures(P, sigma)
+
+        monkeypatch.setattr(stab, "measures", counted)
+        v = crease_search(*unstable_hexagon, 2)
+        assert (len(calls), v.futaki) == (1, futaki_linear(*unstable_hexagon))
+
     def test_screening_counts_logged(self, unstable_hexagon, caplog):
         with caplog.at_level("DEBUG", logger="kstab.stability"):
             v = crease_search(*unstable_hexagon, 6)
@@ -583,12 +595,30 @@ class TestCreaseSearch:
         assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
+def ratio_floor(prof, A):
+    """A rational beta <= L/mass at every offset of the direction, or None.
+
+    Reference for the floors of stability._pair_floors, from a built
+    profile: the least of the pieces' _bernstein_floor bounds on
+    boundary/mass, compared in integers and then shifted by A; None means
+    some piece's coefficients certify no bound.
+    """
+    best = None                     # (num, den), den > 0
+    for _, _, bb, ib in prof.pieces():
+        low = stab._bernstein_floor(bb, ib)
+        if low is None:
+            return None
+        if best is None or low[0] * best[1] < best[0] * low[1]:
+            best = low
+    return prof.shifted_floor(best, A)
+
+
 def assert_floor_below_ratios(P, sigma, R):
     """ratio_floor is at most the exact ratio at every admissible offset."""
     A = measures(P, sigma).A
     poly = stab._IntegerPolygon(P, sigma)
     for a in stab.primitive_directions(P.dim, R):
-        beta = _DirectionProfile(poly, a).ratio_floor(A)
+        beta = ratio_floor(_DirectionProfile(poly, a), A)
         if beta is None:
             continue
         ref = FractionProfile(P, sigma, a)
@@ -626,9 +656,9 @@ class TestPrunedScan:
         prof = profile(square, sigma, (1, 0))
         prof._ico = [[1, -4, 4, 0]]
         prof._bco = [[0, 0, 0, 0]]
-        assert prof.ratio_floor(A) == -A           # L/mass = -A exactly
+        assert ratio_floor(prof, A) == -A           # L/mass = -A exactly
         prof._bco = [[-1, 0, 0, 0]]
-        assert prof.ratio_floor(A) is None
+        assert ratio_floor(prof, A) is None
 
     def test_offset_count_matches_offsets(self):
         rng = random.Random(59)
@@ -749,7 +779,7 @@ def assert_floors_match_scaled(prof, A, rng):
                 scaled_floor(lb, mb), (prof.a, s0)
             k = rng.randint(0, 1)
             bb, ib, lb, mb = (stab._halves(x)[k] for x in (bb, ib, lb, mb))
-    assert prof.ratio_floor(A) == (None if None in floors else min(floors)), prof.a
+    assert ratio_floor(prof, A) == (None if None in floors else min(floors)), prof.a
 
 
 def assert_scan_floors_match_scaled(P, sigma, R, rng):
@@ -788,60 +818,90 @@ class TestShiftedFloors:
         assert_floors_match_scaled(prof, measures(square, sigma).A, random.Random(103))
 
 
-def assert_mirrored_fresh(poly, a):
-    """The profile of -a mirrored from a's equals a fresh build, field by field."""
-    mirrored = _DirectionProfile(poly, a).mirrored()
-    assert vars(mirrored) == vars(_DirectionProfile(poly, tuple(-x for x in a))), a
+def flipped(sweep):
+    """The sweep of -a from that of a, row by row.
+
+    max(0, <-a,x> - c) = max(0, <a,x> + c) - (<a,x> + c): the pieces of -a
+    are those of a in reverse order, at S -> -S, less the totals t of
+    <a,x> - c over all of the boundary and of P.
+    """
+    brk, bco, ico, bden, iden, btot, itot = sweep
+
+    def flip(rows, t):
+        return [[c0 - t[0], t[1] - c1, c2, -c3] for c0, c1, c2, c3 in reversed(rows)]
+
+    return ([-s for s in reversed(brk)], flip(bco, btot), flip(ico, itot), bden, iden,
+            (-btot[0], btot[1]), (-itot[0], itot[1]))
 
 
-class TestMirroredProfiles:
-    """_DirectionProfile.mirrored against the profile built for -a."""
+def assert_pair_floors(poly, a, A, R):
+    """The pair pass's floors of a and -a equal ratio_floor on fresh profiles,
+    its count is that of -a, and the sweep of -a is that of a flipped."""
+    neg = tuple(-x for x in a)
+    assert flipped(stab._sweep(poly, a)) == stab._sweep(poly, neg), a
+    fa, fneg = _DirectionProfile(poly, a), _DirectionProfile(poly, neg)
+    blocks = stab._moebius_blocks(R)
+    count = stab._count_offsets(fneg.smin, fneg.smax, blocks)
+    assert stab._pair_floors(poly, a, A, blocks) == (ratio_floor(fa, A), ratio_floor(fneg, A),
+                                                     count), a
+
+
+def assert_scan_pair_floors(P, sigma, R):
+    A = measures(P, sigma).A
+    poly = stab._IntegerPolygon(P, sigma)
+    dirs = stab.primitive_directions(P.dim, R)
+    for a in dirs[:len(dirs) // 2]:
+        assert_pair_floors(poly, a, A, R)
+
+
+class TestPairFloors:
+    """_pair_floors against ratio_floor on the profiles built for a and -a."""
 
     def test_hexagon(self, unstable_hexagon):
-        poly = stab._IntegerPolygon(*unstable_hexagon)
-        for a in stab.primitive_directions(2, 12):
-            assert_mirrored_fresh(poly, a)
+        # every direction of sup-height 12 or less
+        assert_scan_pair_floors(*unstable_hexagon, 12)
 
     def test_random_corpus(self):
         rng = random.Random(79)
-        for _ in range(12):
+        for _ in range(200):
             P = random_polygon(rng)
-            poly = stab._IntegerPolygon(P, random_weights(rng, P))
-            for a in stab.primitive_directions(2, 5):
-                assert_mirrored_fresh(poly, a)
+            assert_scan_pair_floors(P, random_weights(rng, P), 5)
 
     def test_segments(self, segment01):
         P = Polytope.from_vertices([(Q(-7, 3),), (Q(5, 2),)])
-        for seg, sigma in [(segment01, BoundaryMeasure((Q(1), Q(2)))),
-                           (P, BoundaryMeasure((Q(3, 4), Q(2, 9))))]:
-            poly = stab._IntegerPolygon(seg, sigma)
-            assert_mirrored_fresh(poly, (1,))
-            assert_mirrored_fresh(poly, (-1,))
+        assert_scan_pair_floors(segment01, BoundaryMeasure((Q(1), Q(2))), 7)
+        assert_scan_pair_floors(P, BoundaryMeasure((Q(3, 4), Q(2, 9))), 7)
 
-    def test_scan_builds_one_profile_per_pair(self, monkeypatch, unstable_hexagon):
-        # a serial R = 8 scan builds the first direction of each of its 88
-        # antipodal pairs and mirrors it for the second; the mirrored profiles
-        # equal fresh builds and the scan keeps its pinned counts
+    @pytest.mark.parametrize("bco, floor", [([0, 0, 0, 0], "-A"), ([-1, 0, 0, 0], None)])
+    def test_negative_mass_coefficients(self, monkeypatch, square, bco, floor):
+        # the mass (1 - 2S)^2 of test_floor_needs_every_coefficient on the
+        # square's one piece of (1, 0), and the same rows flipped for (-1, 0)
+        sigma = unit(square)
+        A = measures(square, sigma).A
+        poly = stab._IntegerPolygon(square, sigma)
+        brk, _, _, *rest = stab._sweep(poly, (1, 0))
+        rows = (brk, [bco], [[1, -4, 4, 0]], *rest)
+        monkeypatch.setattr(stab, "_sweep", lambda poly, a: rows if a == (1, 0) else flipped(rows))
+        assert ratio_floor(_DirectionProfile(poly, (1, 0)), A) == (-A if floor else None)
+        assert_pair_floors(poly, (1, 0), A, 4)
+
+    def test_scan_builds_only_opened_profiles(self, monkeypatch, unstable_hexagon):
+        # a serial R = 8 scan builds a profile for each of the 5 directions
+        # the heap opens and for no other; the pair pass gives every floor
         P, sigma = unstable_hexagon
-        poly = stab._IntegerPolygon(P, sigma)
-        built, mirrors = [], []
+        built = []
 
         class Counted(_DirectionProfile):
             def __init__(self, poly, a):
                 built.append(a)
                 super().__init__(poly, a)
 
-            def mirrored(self):
-                mirrors.append(super().mirrored())
-                return mirrors[-1]
-
         monkeypatch.setattr(stab, "_DirectionProfile", Counted)
         dirs = stab.primitive_directions(2, 8)
         best, *counts = stab._scan_chunk((P, sigma, measures(P, sigma).A, dirs, 8))
-        assert (len(dirs), len(built), len(mirrors)) == (176, 88, 88)
-        assert built == dirs[:88]
-        for prof in mirrors:
-            assert vars(prof) == vars(_DirectionProfile(poly, prof.a)), prof.a
+        assert not hasattr(_DirectionProfile, "mirrored")
+        assert len(dirs) == 176
+        assert built == [(0, -1), (1, -8), (1, -7), (1, -6), (1, -5)]
         assert counts == [164428, 19, 18, 171]
         assert (best[0].direction, len(best)) == ((0, -1), 10)
 
