@@ -16,12 +16,15 @@ made of the axes' 3-point ones, whose planes are the diagonals of its band
 (bandwidths about 3(m - 4) + 3): it is summed straight into LAPACK band
 storage, one band per solve refilled in place, and factored there by
 banded LU with partial pivoting (dgbtrf) on one OpenBLAS thread, so phi
-does not depend on the core count.  The last factor is kept: from
-a closed iterate a Newton step first tries it as a chord step (one dgbtrs,
-one evaluation), accepted only if it cuts the sup residual ten-fold, and
-refactors otherwise.  Affine gauge of phi: constants are always projected
-out; linear components only when the Futaki vector vanishes (they are
-exactly F-neutral then, and genuine escape directions otherwise).
+does not depend on the core count.  The last factor is kept as the
+preconditioner of the later steps (Newton-Krylov): each solves its system
+by right-preconditioned GMRES, the current J*E applied as the derivative
+of the residual's own code (GridOperators.jacobian_product), to a
+tolerance that shrinks with the residual, and refactors only when GMRES
+does not converge within _GMRES_CAP iterations.  Affine gauge of phi:
+constants are always projected out; linear components only when the
+Futaki vector vanishes (they are exactly F-neutral then, and genuine
+escape directions otherwise).
 
 When the Futaki vector does not vanish F falls without bound along a
 destabilizing ray, and every iteration is a step of the descent flow
@@ -58,10 +61,14 @@ from kstab.stability import futaki_linear
 
 log = logging.getLogger(__name__)
 
-# a chord step (the kept factor, the current residual) is accepted only if it
-# cuts the sup residual at least this much; a weaker rule stops the box
-# polish short of the rounding floor
-_CHORD_CUT = 0.1
+# a Newton step after the first solves its system by GMRES preconditioned
+# with the kept factor, and refactors if that takes more iterations than this
+_GMRES_CAP = 20
+# GMRES stops at a residual 2-norm of eta * sup residual, eta = min(this, sup
+# residual), so the linear error shrinks like Newton's own.  A fixed eta
+# left the m = 97 box off its core Hessian by 1.3e-10, and eta * |rhs|_2 the
+# m = 256 segment 1.7e-8 off that of exact Newton steps
+_GMRES_ETA = 1e-2
 
 # the Newton band is private anonymous memory, faulted in by the kernel in one
 # pass (MAP_POPULATE where the platform has it): the planes' strided writes
@@ -274,6 +281,29 @@ class GridOperators:
         band[kl + ku, self.pinned] = scale
         return band, kl, ku
 
+    def jacobian_product(self, U: dict, v: np.ndarray, scale: float) -> np.ndarray:
+        """The pinned J*E (jacobian's matrix) times the deep vector v, flat.
+
+        The derivative of the residual's own code along E v, its pinned
+        entries zeroed: dH from the Hessian taps (no u0 term), dU = -U dH U,
+        and the second divergence of dU.  The pinned rows give scale * v,
+        scale the value jacobian writes on their diagonal.  Elementwise
+        products and sums only, so no threaded BLAS.
+        """
+        g, n = self.g, self.g.n
+        dphi = _close(g, v * self.unpinned).reshape(g.shape)
+        dH = {(a, a): geo._along(ax.d2, dphi, a) for a, ax in enumerate(g.axes)}
+        if n == 2:
+            dH[(0, 1)] = dH[(1, 0)] = geo._mixed(g.axes[0].d1, g.axes[1].d1, dphi)
+        dU = {}
+        for a in range(n):
+            for b in range(a, n):
+                dU[(a, b)] = dU[(b, a)] = -sum(U[a, c] * dH[c, d] * U[d, b]
+                                               for c in range(n) for d in range(n))
+        out = geo.divergence2_field(g, dU).ravel() * self.unpinned
+        out[self.pinned] = scale * v[self.pinned]
+        return out
+
 
 def _close(g: geo.PotentialGrid, deep: np.ndarray) -> np.ndarray:
     """The closure E: deep node values (flat or deep-shaped) -> all nodes, flat.
@@ -349,6 +379,59 @@ class _BandedLU:
         if info != 0:
             raise ValueError(f"dgbtrs rejected argument {-info}")
         return x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> by an elementwise product and numpy's pairwise sum: np.dot
+    would go through numpy's own OpenBLAS, whose threads _one_blas_thread
+    does not pin, and phi would follow the core count."""
+    return float((a * b).sum())
+
+
+def _gmres(apply, precondition, b: np.ndarray, atol: float, cap: int):
+    """Right-preconditioned GMRES for A x = b from x = 0: (x, iterations).
+
+    apply is A and precondition M^-1; the Krylov space is that of A M^-1,
+    so the first iterate is the chord step M^-1 b scaled to least residual.
+    Arnoldi by modified Gram-Schmidt, the Hessenberg least squares by
+    Givens rotations; stops once |b - A x| <= atol in the 2-norm.  Returns
+    (None, iterations) if that takes more than cap iterations, or if the
+    Hessenberg matrix turns singular.
+    """
+    beta = math.sqrt(_dot(b, b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V, Z, R = [b / beta], [], []     # basis, its preconditioned images, columns of R
+    cs, sn, res = [], [], [beta]     # rotations; res[-1] is the residual norm
+    for j in range(cap):
+        Z.append(precondition(V[j]))
+        w = apply(Z[j])
+        h = []
+        for v in V:
+            h.append(_dot(w, v))
+            w = w - h[-1] * v
+        h.append(math.sqrt(_dot(w, w)))
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        r = math.hypot(h[j], h[j + 1])
+        if r == 0.0:    # A M^-1 maps the Krylov space into a smaller one
+            return None, j + 1
+        cs.append(h[j] / r)
+        sn.append(h[j + 1] / r)
+        h[j] = r
+        R.append(h[:j + 1])
+        res.append(-sn[j] * res[j])
+        res[j] *= cs[j]
+        if abs(res[-1]) <= atol:
+            y = [0.0] * (j + 1)
+            for i in range(j, -1, -1):
+                y[i] = (res[i] - sum(R[k][i] * y[k] for k in range(i + 1, j + 1))) / R[i][i]
+            x = y[0] * Z[0]
+            for yi, z in zip(y[1:], Z[1:]):
+                x += yi * z
+            return x, j + 1
+        V.append(w / h[j + 1])
+    return None, cap
 
 
 # -- Mabuchi functional -------------------------------------------------------
@@ -464,40 +547,65 @@ def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Factor:
-    """The solver's last banded LU of the pinned J*E system, its band, and a
-    count.  Newton steps from a closed iterate try the LU as a chord step
-    before they refactor; the stale LU is dropped before jacobian refills
-    the solve's one band in place.
+    """The solver's last banded LU of the pinned J*E system, its band, the
+    value on its pinned diagonal, and a count.  Newton steps after the first
+    precondition GMRES with the LU before they refactor; the stale LU is
+    dropped before jacobian refills the solve's one band in place.
     """
     lu: _BandedLU | None = None
     band: np.ndarray | None = None
+    scale: float = 0.0
     count: int = 0
 
 
 def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | None:
-    """Newton on the closed square system, the step of zero-Futaki runs.
+    """Newton-Krylov on the closed square system, the step of zero-Futaki runs.
 
     The iterate is closed (solve() closes the start) and so is every trial.
-    With a kept factor the chord step (that factor applied to the current
-    residual) is taken first, and accepted at full length if it cuts the
-    sup residual by _CHORD_CUT.  Otherwise the pinned J*E system is factored
-    afresh and kept in `factor`, and the step is accepted, from the full
-    step down in quarters, once it lowers the sup residual.  Every step adds
+    With a kept factor the pinned J*E system is solved by GMRES (_gmres),
+    preconditioned by that factor and applying the current J*E as
+    jacobian_product, until the 2-norm of its residual is at most eta times
+    the sup residual, eta = min(_GMRES_ETA, sup residual).  If GMRES needs
+    more than _GMRES_CAP iterations, or its step finds no acceptable trial,
+    or there is no factor yet, the system is factored afresh, kept in
+    `factor`, and solved by that LU.  A step is accepted, from the full step
+    down in quarters, once it lowers the sup residual.  Every step adds
     phi_c - phi, which re-closes phi against rounding, and is projected off
-    the affine gauge.  Returns None when no trial lowers the sup residual, or
-    the Jacobian is not finite or its factor exactly singular.
+    the affine gauge.  Returns None when no trial lowers the sup residual,
+    or the Jacobian is not finite or its factor exactly singular.  Logs one
+    DEBUG line: refactor or reuse, the GMRES iterations and eta, and the
+    sup residual before and after.
     """
     phi = s.g.phi.ravel()
     phi_c = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n])
     sup = float(np.abs(s.r).max())
     rhs = _newton_rhs(ops, s.r)
+    eta = min(_GMRES_ETA, sup)
+    its = 0
+
+    def descend(x):
+        delta = ops.gauge_project((phi_c - phi) + _close(s.g, x), include_linear=True)
+        step = 1.0
+        for _ in range(4):
+            trial = _moved(s, step * delta)
+            if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
+                                      or np.abs(trial.r).max() < 0.9 * sup):
+                return trial, step
+            step /= 4
+        return None, step
+
+    def logged(kind, trial, step):
+        after = "no decrease" if trial is None else f"{np.abs(trial.r).max():.3e}, step {step:g}"
+        log.debug("newton step: %s, %d gmres iterations to eta %.1e, sup residual %.3e -> %s",
+                  kind, its, eta, sup, after)
+        return trial
+
     if factor.lu is not None:
-        trial = _moved(s, ops.gauge_project((phi_c - phi) + _close(s.g, factor.lu.solve(rhs)),
-                                            include_linear=True))
-        if trial is not None and np.abs(trial.r).max() <= _CHORD_CUT * sup:
-            log.debug("newton step: reuse, sup residual %.3e -> %.3e, step 1",
-                      sup, np.abs(trial.r).max())
-            return trial
+        x, its = _gmres(lambda v: ops.jacobian_product(s.U, v, factor.scale),
+                        factor.lu.solve, rhs, eta * sup, _GMRES_CAP)
+        trial, step = descend(x) if x is not None else (None, 0.0)
+        if trial is not None:
+            return logged("reuse", trial, step)
     factor.lu = None   # the refactorization below overwrites its band
     try:
         factor.band, kl, ku = ops.jacobian(s.U, factor.band)
@@ -505,24 +613,13 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
         log.debug("newton step: refactor, Jacobian not finite")
         return None
     factor.count += 1
+    factor.scale = float(factor.band[kl + ku, ops.pinned[0]])
     try:
         factor.lu = _BandedLU(factor.band, kl, ku)
     except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None
-    delta = (phi_c - phi) + _close(s.g, factor.lu.solve(rhs))
-    delta = ops.gauge_project(delta, include_linear=True)
-    step = 1.0
-    for _ in range(4):
-        trial = _moved(s, step * delta)
-        if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
-                                  or np.abs(trial.r).max() < 0.9 * sup):
-            log.debug("newton step: refactor, sup residual %.3e -> %.3e, step %g",
-                      sup, np.abs(trial.r).max(), step)
-            return trial
-        step /= 4
-    log.debug("newton step: refactor, sup residual %.3e -> no decrease", sup)
-    return None
+    return logged("refactor", *descend(factor.lu.solve(rhs)))
 
 
 def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
@@ -531,10 +628,12 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     """Solve the Abreu equation by Newton, or descend the Mabuchi functional.
 
     The Futaki vector picks the step of every iteration.  On zero-Futaki
-    data it is a Newton step, reusing the last banded LU factor as a chord
-    step while that cuts the residual ten-fold, from a start closed first
-    (its two outer layers replaced by the extrapolation of its deep values;
-    ConvexityError if that leaves the convex cone).  A nonzero Futaki
+    data it is a Newton step, from a start closed first (its two outer
+    layers replaced by the extrapolation of its deep values; ConvexityError
+    if that leaves the convex cone): the first step factors the banded
+    Newton system, and the later ones solve it by GMRES preconditioned with
+    that factor, refactoring only when GMRES does not converge within
+    _GMRES_CAP iterations.  A nonzero Futaki
     vector is refused (no constant-scalar-curvature solution exists) unless
     require_futaki_zero=False, the mode that exhibits divergence
     certificates on destabilized data: there every step is a preconditioned
@@ -543,7 +642,10 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     coordinates or a node array; the default start is the reference
     potential itself (phi = 0).  callback(iteration, grid) is invoked once
     per iteration (grid snapshots, progress logging).  tol must be finite
-    and positive and max_iter at least 1 (ValueError).
+    and positive, max_iter at least 1, and phi0 an array of the mesh's
+    shape (if not a callable) and finite on the nodes the run reads: all
+    of them in a flow run, the deep ones (two or more layers in) in a
+    Newton run, which extrapolates the rest (ValueError).
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -554,10 +656,18 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     if m is None:
         m = 256 if P.dim == 1 else 49
     g = geo.PotentialGrid.build(P, sigma, m, phi=phi0)
+    if g.phi.shape != g.shape:
+        raise ValueError(f"phi0 must be a callable or an array of the mesh's shape "
+                         f"{g.shape}, got shape {g.phi.shape}")
     if not futaki_zero and require_futaki_zero:
         return SolveReport(g, "refused-futaki", float("inf"), 0, futaki=fut)
+    # a Newton run reads the start on the deep nodes only, and closes it
+    deep = g.phi[(slice(2, -2),) * g.n]
+    if not np.isfinite(deep if futaki_zero else g.phi).all():
+        raise ValueError("phi0 must be finite " + ("on the nodes two or more layers in"
+                                                   if futaki_zero else "at every node"))
     if futaki_zero:     # Newton's iterates are closed, from the start on
-        g.phi = _close(g, g.phi[(slice(2, -2),) * g.n]).reshape(g.shape)
+        g.phi = _close(g, deep).reshape(g.shape)
     ops = GridOperators(g)
     diam = math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in P.bounding_box()))
     ceiling = 1e3 * diam * g.A
