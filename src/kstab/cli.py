@@ -195,8 +195,8 @@ def cmd_futaki(args) -> tuple[int, dict]:
     from kstab.futaki import count_and_weigh, expansion
     P, sigma = _load_polytope(args.polytope)
     xi = tuple(_int_list(args.xi, "--xi"))
+    fit = expansion(P, xi, args.kmin, args.kmax)    # refuses a short k range before it counts
     rows = [count_and_weigh(P, xi, k) for k in range(args.kmin, args.kmax + 1)]
-    fit = expansion(P, xi, args.kmin, args.kmax)
     print(f"{'k':>4} {'d_k':>10} {'w_k':>12} {'F_k':>14}")
     for r in rows:
         print(f"{r.k:>4} {r.d_k:>10} {r.w_k:>12} {str(r.F_k):>14}")

@@ -14,7 +14,7 @@ J*E is then square, singular only along the affine gauge, which Newton
 pins at n + 1 deep nodes.  On a tensor grid J*E is a 7^n-point stencil
 made of the axes' 3-point ones, whose planes are the diagonals of its band
 (bandwidths about 3(m - 4) + 3): it is summed straight into LAPACK band
-storage, one band per solve refilled in place, and factored there by
+storage, a fresh band per factorization, and factored there by
 banded LU with partial pivoting (dgbtrf) on one OpenBLAS thread, so phi
 does not depend on the core count.  The last factor is kept as the
 preconditioner of the later steps (Newton-Krylov): each solves its system
@@ -224,7 +224,7 @@ class GridOperators:
                 planes.append((d, off, hit[0], hit[-1] + 1))
         return _pair_taps(self.g, False), _pair_taps(self.g, True), folds, planes
 
-    def jacobian(self, U: dict, band: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
+    def jacobian(self, U: dict) -> tuple[np.ndarray, int, int]:
         """The pinned Newton matrix J*E in LAPACK band storage, kl and ku.
 
         J = d(residual)/d(phi) = -sum_abcd D2I_ab diag(U^{ac} U^{db}) Hess_cd
@@ -233,12 +233,12 @@ class GridOperators:
         5^n-point one on the deep lattice.  Folding the outer columns
         (stencils) gives J*E.  Pinned rows and columns are zeroed, with
         max|J*E| on their diagonal.  The band (2 kl + ku + 1 rows, Fortran
-        order, A[i, j] at [kl + ku + i - j, j]) is refilled in place if
-        given, else a new private anonymous mmap (_BAND_MAP), pre-faulted
-        in one pass: a heap band would raise glibc's mmap threshold above it
-        once freed, later bands would come from a heap it does not trim, and
-        a solve's peak RSS would grow by 20 %.  RuntimeError if J*E is not
-        finite (the products of U overflow), before the band is touched.
+        order, A[i, j] at [kl + ku + i - j, j]) is a new private anonymous
+        mmap (_BAND_MAP), pre-faulted in one pass: a heap band would raise
+        glibc's mmap threshold above it once freed, later bands would come
+        from a heap it does not trim, and a solve's peak RSS would grow by
+        20 %.  RuntimeError if J*E is not finite (the products of U
+        overflow), before the band is mapped.
         """
         (hess_taps, div_taps, folds, planes), n, deep = self.stencils, self.g.n, self.deep_shape
         J = np.zeros((7,) * n + deep)
@@ -266,14 +266,8 @@ class GridOperators:
             raise RuntimeError("the Jacobian is not finite")
         J[(slice(None),) * n + np.unravel_index(self.pinned, deep)] = 0.0
         kl, ku, size = max(-p[1] for p in planes), max(p[1] for p in planes), self.unpinned.size
-        if band is None:
-            band = np.ndarray((2 * kl + ku + 1, size), dtype=np.float64, order="F",
-                              buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8, _BAND_MAP))
-        else:
-            # the matrix rows only: dgbtrf zeroes the fill rows 0 .. kl-1
-            # inside the matrix itself and never writes their corner outside
-            # it, which stays as the fresh map made it
-            band[kl:].fill(0.0)
+        band = np.ndarray((2 * kl + ku + 1, size), dtype=np.float64, order="F",
+                          buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8, _BAND_MAP))
         for d, off, lo, hi in planes:
             # planes that share a diagonal (a deep axis shorter than 7) add
             band[kl + ku - off, lo + off:hi + off] += J[d].ravel()[lo:hi]
@@ -355,11 +349,11 @@ def _one_blas_thread():
 class _BandedLU:
     """LU with partial pivoting of a band matrix, in place (LAPACK dgbtrf).
 
-    ab is the band as jacobian writes it; the factor overwrites it and is
-    valid until ab is refilled.  dgbtrf and dgbtrs run on one OpenBLAS
-    thread (_one_blas_thread): a second thread made the m = 65 factor no
-    faster but spun beside it, and changed the rounding of larger ones, so
-    phi followed the core count.
+    ab is the band as jacobian writes it; the factor overwrites it and
+    holds it for as long as the factor lives.  dgbtrf and dgbtrs run on one
+    OpenBLAS thread (_one_blas_thread): a second thread made the m = 65
+    factor no faster but spun beside it, and changed the rounding of larger
+    ones, so phi followed the core count.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
@@ -547,13 +541,12 @@ def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Factor:
-    """The solver's last banded LU of the pinned J*E system, its band, the
-    value on its pinned diagonal, and a count.  Newton steps after the first
-    precondition GMRES with the LU before they refactor; the stale LU is
-    dropped before jacobian refills the solve's one band in place.
+    """The solver's last banded LU of the pinned J*E system, the value on
+    its pinned diagonal, and a count.  Newton steps after the first
+    precondition GMRES with the LU before they refactor; the stale LU, and
+    with it its band, is dropped before jacobian maps the next band.
     """
     lu: _BandedLU | None = None
-    band: np.ndarray | None = None
     scale: float = 0.0
     count: int = 0
 
@@ -606,16 +599,16 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
         trial, step = descend(x) if x is not None else (None, 0.0)
         if trial is not None:
             return logged("reuse", trial, step)
-    factor.lu = None   # the refactorization below overwrites its band
+    factor.lu = None   # unmaps its band before the next one is mapped
     try:
-        factor.band, kl, ku = ops.jacobian(s.U, factor.band)
+        band, kl, ku = ops.jacobian(s.U)
     except RuntimeError:
         log.debug("newton step: refactor, Jacobian not finite")
         return None
     factor.count += 1
-    factor.scale = float(factor.band[kl + ku, ops.pinned[0]])
+    factor.scale = float(band[kl + ku, ops.pinned[0]])
     try:
-        factor.lu = _BandedLU(factor.band, kl, ku)
+        factor.lu = _BandedLU(band, kl, ku)
     except RuntimeError:
         log.debug("newton step: refactor, exactly singular")
         return None

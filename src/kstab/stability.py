@@ -214,9 +214,15 @@ class _IntegerPolygon:
 
 def _sweep(poly: _IntegerPolygon, a: tuple[int, ...]):
     """(brk, bco, ico, bden, iden, btot, itot) of direction a, from one sweep
-    of the edges: the breakpoints, the coefficients of S^k of the boundary
-    term and the mass on each piece over bden and iden (_DirectionProfile),
-    and those of <a,x> - c over the whole boundary and P, affine in S."""
+    of the edges of the scaled polygon, in S = <a, D*v> and C = D*c.
+
+    brk holds the vertex values of S.  The chord of P at level S has width
+    w(S)/(D*|a|^2) in lattice units and E*w is piecewise linear with integer
+    slopes, E the lcm of the edges' |dS|, so on each piece j the boundary
+    term of max(0, <a,x> - c) is sum bco[j][k] S^k over bden = 2*D^2*W*E
+    and its mass sum ico[j][k] S^k over iden = 6*D^3*E*|a|^2.  btot and
+    itot are those of <a,x> - c over the whole boundary and P, affine in S.
+    """
     D = poly.D
     if len(a) == 1:
         S, T = [a[0] * x for x, in poly.verts], None
@@ -274,9 +280,32 @@ def _sweep(poly: _IntegerPolygon, a: tuple[int, ...]):
             (c0 - d0, c1 - d1), (I2, -I1))
 
 
+def _pieces(brk, bco, ico) -> list[tuple[int, int, list[int], list[int]]]:
+    """(s0, h, bb, ib) for each piece S in [s0, s0 + h] of a _sweep, the
+    scan's one form of a piece.  With S = s0 + h*t, t in [0, 1], the
+    boundary term and the mass are b(t)/bden and i(t)/iden (b = bco,
+    i = ico), so L/mass = (iden/bden) * b/i - A; bb and ib are 3 * the
+    Bernstein coefficients of b and i, integers free of A."""
+    return [(s0, s1 - s0, _bernstein3(bc, s0, s1 - s0), _bernstein3(ic, s0, s1 - s0))
+            for s0, s1, bc, ic in zip(brk, brk[1:], bco, ico)]
+
+
+def _part_values(part, c: Q, D: int, bden: int, iden: int) -> tuple[Q, Q]:
+    """(boundary term, mass) at the offset c = n/d of a part (start, width,
+    den, bb, ib), which holds [start/den, (start + width)/den).  Each _halves
+    doubles den and scales bb and ib by 8, so they are 3*(den/D)^3 times the
+    Bernstein coefficients there; c is at t = p/q, p = n*den - start*d and
+    q = width*d, so b = sum C(3,k) bb_k p^k (q-p)^(3-k) / (3*(den/D)^3*q^3)."""
+    start, width, den, bb, ib = part
+    p, q = c.numerator * den - start * c.denominator, width * c.denominator
+    r, scale = q - p, 3 * (den // D) ** 3 * q ** 3
+    b, i = (((x0 * r + 3 * x1 * p) * r + 3 * x2 * p * p) * r + x3 * p ** 3
+            for x0, x1, x2, x3 in (bb, ib))
+    return Q(b, scale * bden), Q(i, scale * iden)
+
+
 def _shifted_floor(low: tuple[int, int], iden: int, bden: int, A: Q) -> Q:
-    """The floor (iden/bden) * num/den - A on L/mass, from (num, den) =
-    _bernstein_floor(bb, ib) <= b/i (see _DirectionProfile.pieces)."""
+    """The floor (iden/bden) * num/den - A on L/mass, from b/i >= num/den (_pieces)."""
     num, den = low
     return Q(iden * num * A.denominator - A.numerator * bden * den, bden * den * A.denominator)
 
@@ -295,10 +324,9 @@ def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
     """
     brk, bco, ico, bden, iden, (b0, b1), (i0, i1) = _sweep(poly, a)
     lows = ([], [])                 # the pieces' floors of a and of -a
-    for s0, s1, bc, ic in zip(brk, brk[1:], bco, ico):
-        bb, ib = _bernstein3(bc, s0, s1 - s0), _bernstein3(ic, s0, s1 - s0)
+    for s0, h, bb, ib in _pieces(brk, bco, ico):
         lows[0].append(_bernstein_floor(bb, ib))
-        u, v, x, y = b0 + b1 * s0, b0 + b1 * s1, i0 + i1 * s0, i0 + i1 * s1
+        u, v, x, y = b0 + b1 * s0, b0 + b1 * (s0 + h), i0 + i1 * s0, i0 + i1 * (s0 + h)
         lows[1].append(_bernstein_floor(
             [bb[3] - 3 * v, bb[2] - u - 2 * v, bb[1] - 2 * u - v, bb[0] - 3 * u],
             [ib[3] - 3 * y, ib[2] - x - 2 * y, ib[1] - 2 * x - y, ib[0] - 3 * x]))
@@ -311,54 +339,6 @@ def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
                     best = num, den
             floors[k] = _shifted_floor(best, iden, bden, A)
     return (*floors, _count_offsets(Q(brk[0], poly.D), Q(brk[-1], poly.D), blocks))
-
-
-class _DirectionProfile:
-    """Exact piecewise polynomials c -> (boundary term, interior mass).
-
-    For a fixed integer direction a, the boundary integral of
-    max(0, <a,x> - c) is piecewise quadratic in c and the interior integral
-    is piecewise cubic, with breakpoints at the vertex values of <a, x>.
-
-    Both are built in integers on the scaled polygon, in S = <a, D*v> and
-    C = D*c.  The chord of P at level S has width w(S)/(D*|a|^2) in lattice
-    units; E*w is piecewise linear with integer slopes, E the lcm of the
-    edges' |dS|, so one sweep of the edges (_sweep) gives it at every
-    breakpoint.  The boundary term is then an integer quadratic in C over
-    2*D^2*W*E and the mass an integer cubic over 6*D^3*E*|a|^2.  Values
-    stay integers until eval returns them as Fractions.
-    """
-
-    def __init__(self, poly: _IntegerPolygon, a: tuple[int, ...]):
-        self.a, self._D = a, poly.D
-        # numerators of the coefficients of S^k, over _bden and _iden
-        self._brk, self._bco, self._ico, self._bden, self._iden, _, _ = _sweep(poly, a)
-        self.smin, self.smax = Q(self._brk[0], poly.D), Q(self._brk[-1], poly.D)
-
-    def eval(self, c: Q) -> tuple[Q, Q]:
-        """(boundary integral, interior mass) of max(0, <a,x> - c)."""
-        n, d = c.numerator, c.denominator
-        # c lies in piece j, j the number of inner breakpoints S/D <= c, iff ceil(S*d/D) <= n
-        j = sum(1 for s in self._brk[1:-1] if -(-s * d // self._D) <= n)
-        # both rows have four coefficients in S = D*n/d: numerators over den * d^3
-        return (Q(_horner_int(self._bco[j], self._D * n, d), self._bden * d ** 3),
-                Q(_horner_int(self._ico[j], self._D * n, d), self._iden * d ** 3))
-
-    def pieces(self) -> list[tuple[int, int, list[int], list[int]]]:
-        """(s0, h, bb, ib) for each piece S in [s0, s0 + h] of the profile.
-
-        With S = s0 + h*t for t in [0, 1], the boundary term and the mass
-        are b(t)/bden and i(t)/iden for the integer cubics b = bco and
-        i = ico, so L/mass = (iden/bden) * b/i - A.  bb and ib are three
-        times the Bernstein coefficients of degree 3 of b and i: integers
-        that do not depend on A.
-        """
-        return [(s0, s1 - s0, _bernstein3(bc, s0, s1 - s0), _bernstein3(ic, s0, s1 - s0))
-                for s0, s1, bc, ic in zip(self._brk, self._brk[1:], self._bco, self._ico)]
-
-    def shifted_floor(self, low: tuple[int, int], A: Q) -> Q:
-        """_shifted_floor over this direction's denominators."""
-        return _shifted_floor(low, self._iden, self._bden, A)
 
 
 def _bernstein_floor(lb: list[int], mb: list[int]) -> tuple[int, int] | None:
@@ -389,15 +369,6 @@ def _halves(b: list[int]) -> tuple[list[int], list[int]]:
     c0, c1, c2 = b0 + b1, b1 + b2, b2 + b3
     d0, d1 = c0 + c1, c1 + c2
     return [8 * b0, 4 * c0, 2 * d0, d0 + d1], [d0 + d1, 2 * d1, 4 * c2, 8 * b3]
-
-
-def _horner_int(coef: list[int], n: int, d: int) -> int:
-    """d^k * sum coef[i] (n/d)^i, k = len(coef) - 1, by Horner's rule in integers."""
-    acc, dpow = 0, 1
-    for ci in reversed(coef):
-        acc = acc * n + ci * dpow
-        dpow *= d
-    return acc
 
 
 def _bernstein3(p: list[int], s0: int, h: int) -> list[int]:
@@ -509,18 +480,14 @@ def _scan_chunk(args):
 
     One heap orders every unevaluated crease by an exact lower bound on its
     ratio, None (no bound) first.  Each direction enters with its floor
-    from _pair_floors; a popped direction gets its _DirectionProfile and
-    pushes its pieces as parts, so only the directions the heap opens are
-    ever built.  A part
-    (start, width, den, bb, ib) holds the offsets in [start/den, (start +
-    width)/den) and the Bernstein coefficients of the boundary and mass
-    cubics there (see _DirectionProfile.pieces), and is pushed with their
-    _bernstein_floor on boundary/mass shifted by A (shifted_floor).  A
-    popped part wider than 16/R^2 is split in two by de Casteljau's rule
-    at 1/2 (_halves, on both cubics).  Offsets with denominators <= R are
-    at least 1/R^2 apart, so a narrower part holds at most 17 of them
-    (admissible_offsets; the first part of a direction drops smin), and
-    each is evaluated exactly.
+    from _pair_floors; a popped direction is swept again and pushes its
+    _pieces as parts (start, width, den, bb, ib) (see _part_values), each
+    with the _bernstein_floor of boundary/mass shifted by A.  A popped part
+    wider than 16/R^2 is halved by de Casteljau's rule (_halves, on both
+    cubics).  Offsets with denominators <= R are at least 1/R^2 apart, so a
+    narrower part holds at most 17 of them (admissible_offsets; the first
+    part of a direction drops smin), and each is evaluated exactly from
+    the part's own coefficients (_part_values).
 
     Let t be the 10th-best exact ratio so far.  The first popped floor
     strictly above t ends the scan: every crease left in the heap has ratio
@@ -538,40 +505,43 @@ def _scan_chunk(args):
     for k in range(n // 2):
         floors[k], floors[n - 1 - k], count = _pair_floors(poly, dirs[k], A, blocks)
         n_creases += 2 * count
-    # (has a floor, floor, push number, profile, part); part None is a whole
-    # direction, held as its vector until popped
+    # (has a floor, floor, push number, direction, part): a whole direction
+    # (part None) is its vector until popped; its parts carry (a, smin, bden, iden)
     heap = [(b is not None, b or 0, k, a, None) for k, (b, a) in enumerate(zip(floors, dirs))]
     heapq.heapify(heap)
     tick = itertools.count(len(heap))
     best = []
     n_split = n_exact = n_taken = 0
     while heap:
-        bounded, beta, _, prof, part = heapq.heappop(heap)
+        bounded, beta, _, dirn, part = heapq.heappop(heap)
         if bounded and len(best) == _TOP and beta > best[-1].ratio:
             break
         if part is None:
             n_taken += 1
-            prof = _DirectionProfile(poly, prof)
-            parts = [(s0, h, prof._D, bb, ib) for s0, h, bb, ib in prof.pieces()]
+            brk, bco, ico, bden, iden, _, _ = _sweep(poly, dirn)
+            dirn = (dirn, Q(brk[0], poly.D), bden, iden)
+            parts = [(s0, h, poly.D, bb, ib) for s0, h, bb, ib in _pieces(brk, bco, ico)]
         elif part[1] * R * R > 16 * part[2]:
             n_split += 1
             start, width, den, bb, ib = part
             parts = [(2 * start + k * width, width, 2 * den, bh, ih)
                      for k, (bh, ih) in enumerate(zip(_halves(bb), _halves(ib)))]
         else:
+            a, smin, bden, iden = dirn
             start, width, den = part[:3]
             for c in admissible_offsets(Q(start, den), Q(start + width, den), R):
-                if c != prof.smin:
-                    bval, mass = prof.eval(c)
+                if c != smin:
+                    bval, mass = _part_values(part, c, poly.D, bden, iden)
                     lval = bval - A * mass
-                    best.append(CreaseResult(prof.a, c, lval, mass, lval / mass))
+                    best.append(CreaseResult(a, c, lval, mass, lval / mass))
                     n_exact += 1
             best = sorted(best, key=_rank)[:_TOP]
             continue
         for new in parts:
             low = _bernstein_floor(new[3], new[4])
-            heapq.heappush(heap, (low is not None, prof.shifted_floor(low, A) if low else 0,
-                                  next(tick), prof, new))
+            heapq.heappush(heap, (low is not None,
+                                  _shifted_floor(low, dirn[3], dirn[2], A) if low else 0,
+                                  next(tick), dirn, new))
     return best, n_creases, n_split, n_exact, n - n_taken
 
 
@@ -588,13 +558,13 @@ def crease_search(P: Polytope, sigma: BoundaryMeasure, resolution: int,
 
     Each antipodal pair (a, -a) gets exact lower bounds on the ratios of
     both directions from one integer sweep of the edges (_pair_floors), and
-    a direction's exact profile (_DirectionProfile) is built only when the
-    search opens it.  One heap visits directions,
-    then their pieces and halves of pieces, in the order of exact Bernstein
-    lower bounds, and evaluates the creases of small enough parts in exact
-    Fractions; the scan stops at the first bound above the 10th-best ratio
-    so far, and the offsets of the directions never reached are only
-    counted (_scan_chunk).  Every value reported (L, mass, ratio), the
+    a direction's Bernstein pieces (_pieces) are pushed only when the
+    search opens it.  One heap visits directions, then their pieces and
+    halves of pieces, in the order of exact Bernstein lower bounds, and
+    evaluates the creases of small enough parts in exact Fractions from
+    each part's own coefficients; the scan stops at the first bound above
+    the 10th-best ratio so far, and the offsets of the directions never
+    reached are only counted (_scan_chunk).  Every value reported (L, mass, ratio), the
     ranking by (ratio, direction, offset) and every decision on the way are
     exact.  The numbers of directions pruned, parts split and creases
     evaluated exactly are logged at DEBUG.  workers > 1 deals the

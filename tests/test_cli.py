@@ -187,6 +187,20 @@ class TestFutakiCommand:
             d, s = (k + 1) * (k + 2) // 2, k * (k + 1) * (k + 2) // 6
             assert row.split(",")[:3] == [str(k), str(d), str((a + b) * s)]
 
+    def test_short_range_refused_before_counting(self, in_inputs, capsys, monkeypatch):
+        # the fit needs k_max - k_min >= 3; the table's rows were counted
+        # before the refusal
+        import kstab.futaki
+        calls, count = [], kstab.futaki.count_and_weigh
+        monkeypatch.setattr(kstab.futaki, "count_and_weigh",
+                            lambda *args: calls.append(args) or count(*args))
+        assert main(["futaki", "tri.poly", "--xi", "1,0", "--kmin", "4", "--kmax", "5",
+                     "--out", "o"]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == \
+            "error: need k_max - k_min >= 3 for a three-parameter fit\n"
+        assert not Path("o").exists()
+
 
 class TestFiltrationCommand:
     def test_abs_sequence(self, tmp_path):

@@ -307,21 +307,6 @@ class TestBandedLU:
             set_threads(before)
         assert seen == [1, 1, 1]
 
-    @pytest.mark.parametrize("case", ["same-band"])
-    def test_refill_matches_a_fresh_factor(self, case, square):
-        # the fast path zeroes and refills the band of an earlier factor;
-        # the fresh map of each factorization is its oracle, bit for bit
-        ops, s = box_start(square, 33)
-        earlier = sol._BandedLU(*ops.jacobian(s.U))
-        U = geo.inverse_hessian_field(s.g.with_phi(1.5 * s.g.phi))
-        refilled = sol._BandedLU(*ops.jacobian(U, earlier.lu))
-        fresh = sol._BandedLU(*ops.jacobian(U))
-        assert np.shares_memory(refilled.lu, earlier.lu)
-        assert refilled.lu.tobytes() == fresh.lu.tobytes()
-        assert np.array_equal(refilled.piv, fresh.piv)
-        b = s.r.ravel()
-        assert refilled.solve(b).tobytes() == fresh.solve(b).tobytes()
-
 
 class TestClosure:
     @pytest.mark.parametrize("m", [9, 17, 65])
@@ -710,39 +695,28 @@ class TestFactorReuse:
         capped = [m for m in steps if m.startswith("newton step: refactor, 2 gmres iterations")]
         assert len(capped) == rep.factorizations - 1
 
-    def test_one_band_map_per_solve(self, square, monkeypatch):
-        # every refactorization refills the solve's one band buffer (16.6 MB
-        # at m = 65) in place, and the stale factor is dropped before its
-        # band is overwritten
-        maps = []
+    def test_a_fresh_band_map_per_factorization(self, square, monkeypatch):
+        # with every step refactoring, each factorization maps its own band
+        # (1.8 MB at m = 33), and only once the stale factor, which holds
+        # the last band, is dropped
+        factors, alive_at_map = [], []
+
+        class Counted(sol._BandedLU):
+            def __init__(self, ab, kl, ku):
+                factors.append(weakref.ref(self))
+                super().__init__(ab, kl, ku)
 
         def counted_mmap(*args):
-            maps.append(args)
+            alive_at_map.append([f() is not None for f in factors])
             return mmap.mmap(*args)
 
+        monkeypatch.setattr(sol, "_BandedLU", Counted)
         monkeypatch.setattr(sol, "mmap", types.SimpleNamespace(mmap=counted_mmap))
-        made = counted_factors(monkeypatch)
         refactoring_every_step(monkeypatch)
         rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2)
-        assert rep.converged and rep.factorizations == len(made) >= 2
-        assert len(maps) == 1
-        assert not any(any(alive) for alive in made)
-
-    def test_refill_matches_a_fresh_map_every_time(self, square, monkeypatch):
-        # the oracle maps a new band buffer at every factorization
-        def run():
-            return sol.solve(square, weighted_box(square), m=65, tol=1e-6, phi0=bump2)
-
-        refactoring_every_step(monkeypatch)
-        refilled = run()
-        jacobian = sol.GridOperators.jacobian
-        monkeypatch.setattr(sol.GridOperators, "jacobian",
-                            lambda ops, U, band=None: jacobian(ops, U))
-        fresh = run()
-        assert refilled.converged and refilled.factorizations >= 2
-        assert (refilled.iterations, refilled.factorizations) == (fresh.iterations,
-                                                                  fresh.factorizations)
-        assert refilled.grid.phi.tobytes() == fresh.grid.phi.tobytes()
+        assert rep.converged and rep.factorizations >= 2
+        assert len(alive_at_map) == len(factors) == rep.factorizations
+        assert not any(any(alive) for alive in alive_at_map)
 
 
 class TestSolve:

@@ -16,7 +16,6 @@ from kstab.stability import (
     CreaseResult,
     PLConvexFunction,
     StabilityVerdict,
-    _DirectionProfile,
     crease_search,
     decompose,
     futaki_linear,
@@ -67,7 +66,7 @@ def chord_length(P, a, s):
 
 
 class FractionProfile:
-    """Reference for stability._DirectionProfile, built in Fractions.
+    """Reference for the rows of stability._sweep, built in Fractions.
 
     The chord length is clipped from P at every vertex value, and the
     boundary and interior polynomials are summed piece by piece.
@@ -154,23 +153,46 @@ class FractionProfile:
         return bval, ival
 
 
-def profile(P, sigma, a):
-    return _DirectionProfile(stab._IntegerPolygon(P, sigma), a)
+def horner_int(coef, n, d):
+    """d^k * sum coef[i] (n/d)^i, k = len(coef) - 1, by Horner's rule in integers."""
+    acc, dpow = 0, 1
+    for ci in reversed(coef):
+        acc = acc * n + ci * dpow
+        dpow *= d
+    return acc
+
+
+def sweep_eval(poly, sweep, c):
+    """(boundary term, mass) of max(0, <a,x> - c) from the _sweep rows of a,
+    in the power basis: Horner's rule in S = D*c on c's piece.  The oracle
+    of the scan's part values (stability._part_values)."""
+    brk, bco, ico, bden, iden = sweep[:5]
+    n, d = c.numerator, c.denominator
+    # c lies in piece j, j the number of inner breakpoints S/D <= c, iff ceil(S*d/D) <= n
+    j = sum(1 for s in brk[1:-1] if -(-s * d // poly.D) <= n)
+    # both rows have four coefficients in S = D*n/d: numerators over den * d^3
+    return (Q(horner_int(bco[j], poly.D * n, d), bden * d ** 3),
+            Q(horner_int(ico[j], poly.D * n, d), iden * d ** 3))
+
+
+def sweep_ends(poly, sweep):
+    """(smin, smax): the least and greatest <a, v> over the vertices."""
+    return Q(sweep[0][0], poly.D), Q(sweep[0][-1], poly.D)
 
 
 def assert_profiles_match(P, sigma, R):
-    """Every direction's exact values equal the Fraction oracle's.
+    """Every direction's _sweep rows give the Fraction oracle's values.
 
     The values are compared at every breakpoint and at three rationals inside
     each piece.
     """
     poly = stab._IntegerPolygon(P, sigma)
     for a in stab.primitive_directions(P.dim, R):
-        fast, ref = _DirectionProfile(poly, a), FractionProfile(P, sigma, a)
-        assert (fast.smin, fast.smax) == (ref.smin, ref.smax), a
+        sweep, ref = stab._sweep(poly, a), FractionProfile(P, sigma, a)
+        assert sweep_ends(poly, sweep) == (ref.smin, ref.smax), a
         inside = [s + (t - s) * Q(k, 7) for s, t in zip(ref.bps, ref.bps[1:]) for k in (1, 3, 6)]
         for c in ref.bps + inside:
-            assert fast.eval(c) == ref.eval(c), (a, c)
+            assert sweep_eval(poly, sweep, c) == ref.eval(c), (a, c)
 
 
 def exact_scan(args):
@@ -465,9 +487,11 @@ class TestCreaseSearch:
                 continue
             g = math.gcd(abs(a[0]), abs(a[1]))
             a = (a[0] // g, a[1] // g)
-            prof = profile(P, sigma, a)
-            c = prof.smin + (prof.smax - prof.smin) * Q(rng.randint(1, 19), 20)
-            bval, mass = prof.eval(c)
+            poly = stab._IntegerPolygon(P, sigma)
+            sweep = stab._sweep(poly, a)
+            smin, smax = sweep_ends(poly, sweep)
+            c = smin + (smax - smin) * Q(rng.randint(1, 19), 20)
+            bval, mass = sweep_eval(poly, sweep, c)
             f = PLConvexFunction.crease(a, c)
             assert bval - A * mass == L(P, sigma, f)
             gen_mass = sum(integrate_affine(cell, *f.pieces[i])
@@ -595,22 +619,22 @@ class TestCreaseSearch:
         assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
-def ratio_floor(prof, A):
+def ratio_floor(sweep, A):
     """A rational beta <= L/mass at every offset of the direction, or None.
 
-    Reference for the floors of stability._pair_floors, from a built
-    profile: the least of the pieces' _bernstein_floor bounds on
-    boundary/mass, compared in integers and then shifted by A; None means
-    some piece's coefficients certify no bound.
+    Reference for the floors of stability._pair_floors, from the _pieces of
+    one direction's _sweep: the least of the pieces' _bernstein_floor
+    bounds on boundary/mass, compared in integers and then shifted by A;
+    None means some piece's coefficients certify no bound.
     """
     best = None                     # (num, den), den > 0
-    for _, _, bb, ib in prof.pieces():
+    for _, _, bb, ib in stab._pieces(*sweep[:3]):
         low = stab._bernstein_floor(bb, ib)
         if low is None:
             return None
         if best is None or low[0] * best[1] < best[0] * low[1]:
             best = low
-    return prof.shifted_floor(best, A)
+    return stab._shifted_floor(best, sweep[4], sweep[3], A)
 
 
 def assert_floor_below_ratios(P, sigma, R):
@@ -618,7 +642,7 @@ def assert_floor_below_ratios(P, sigma, R):
     A = measures(P, sigma).A
     poly = stab._IntegerPolygon(P, sigma)
     for a in stab.primitive_directions(P.dim, R):
-        beta = ratio_floor(_DirectionProfile(poly, a), A)
+        beta = ratio_floor(stab._sweep(poly, a), A)
         if beta is None:
             continue
         ref = FractionProfile(P, sigma, a)
@@ -653,12 +677,9 @@ class TestPrunedScan:
         # coefficients 1, -1/3, -1/3, 1: a bound must also pass the two negative ones
         sigma = unit(square)
         A = measures(square, sigma).A
-        prof = profile(square, sigma, (1, 0))
-        prof._ico = [[1, -4, 4, 0]]
-        prof._bco = [[0, 0, 0, 0]]
-        assert ratio_floor(prof, A) == -A           # L/mass = -A exactly
-        prof._bco = [[-1, 0, 0, 0]]
-        assert ratio_floor(prof, A) is None
+        brk, _, _, *rest = stab._sweep(stab._IntegerPolygon(square, sigma), (1, 0))
+        assert ratio_floor((brk, [[0, 0, 0, 0]], [[1, -4, 4, 0]], *rest), A) == -A
+        assert ratio_floor((brk, [[-1, 0, 0, 0]], [[1, -4, 4, 0]], *rest), A) is None
 
     def test_offset_count_matches_offsets(self):
         rng = random.Random(59)
@@ -738,19 +759,21 @@ class TestPrunedScan:
             sigma = random_weights(rng, P)
             A = measures(P, sigma).A
             for a in rng.sample(stab.primitive_directions(2, R), 2):
-                prof = profile(P, sigma, a)
-                start, width, bb, ib = rng.choice(prof.pieces())
-                den = prof._D
+                poly = stab._IntegerPolygon(P, sigma)
+                sweep = stab._sweep(poly, a)
+                smin, bden, iden = sweep_ends(poly, sweep)[0], sweep[3], sweep[4]
+                start, width, bb, ib = rng.choice(stab._pieces(*sweep[:3]))
+                den = poly.D
                 while width * R * R > 16 * den:
                     half = rng.randint(0, 1)
                     bb, ib = stab._halves(bb)[half], stab._halves(ib)[half]
                     start, den = 2 * start + half * width, 2 * den
                     low = stab._bernstein_floor(bb, ib)
                     for c in stab.admissible_offsets(Q(start, den), Q(start + width, den), R):
-                        if c != prof.smin and low is not None:
-                            bval, mass = prof.eval(c)
-                            assert prof.shifted_floor(low, A) <= (bval - A * mass) / mass, \
-                                (a, c, start, den)
+                        if c != smin and low is not None:
+                            bval, mass = sweep_eval(poly, sweep, c)
+                            assert stab._shifted_floor(low, iden, bden, A) <= \
+                                (bval - A * mass) / mass, (a, c, start, den)
                             checked += 1
         assert checked > 1000
 
@@ -760,33 +783,34 @@ def scaled_floor(lb, mb):
     return None if low is None else Q(*low)
 
 
-def assert_floors_match_scaled(prof, A, rng):
-    """The A-free floors of a profile equal those of the A-scaled cubics they replace.
+def assert_floors_match_scaled(sweep, A, rng):
+    """The A-free floors of a direction equal those of the A-scaled cubics they replace.
 
     The oracle bounds l = bco*iden*Ad - ico*An*bden over m = ico*bden*Ad
     (A = An/Ad) directly: on each piece, on three random halvings of it and
     as the least over the direction's pieces (ratio_floor).
     """
-    kl, kb, km = prof._iden * A.denominator, A.numerator * prof._bden, prof._bden * A.denominator
+    _, bco, ico, bden, iden = sweep[:5]
+    kl, kb, km = iden * A.denominator, A.numerator * bden, bden * A.denominator
     floors = []
-    for (s0, h, bb, ib), bc, ic in zip(prof.pieces(), prof._bco, prof._ico):
+    for (s0, h, bb, ib), bc, ic in zip(stab._pieces(*sweep[:3]), bco, ico):
         lb = stab._bernstein3([b * kl - i * kb for b, i in zip(bc, ic)], s0, h)
         mb = stab._bernstein3([i * km for i in ic], s0, h)
         floors.append(scaled_floor(lb, mb))
         for _ in range(4):
             low = stab._bernstein_floor(bb, ib)
-            assert (None if low is None else prof.shifted_floor(low, A)) == \
-                scaled_floor(lb, mb), (prof.a, s0)
+            assert (None if low is None else stab._shifted_floor(low, iden, bden, A)) == \
+                scaled_floor(lb, mb), s0
             k = rng.randint(0, 1)
             bb, ib, lb, mb = (stab._halves(x)[k] for x in (bb, ib, lb, mb))
-    assert ratio_floor(prof, A) == (None if None in floors else min(floors)), prof.a
+    assert ratio_floor(sweep, A) == (None if None in floors else min(floors))
 
 
 def assert_scan_floors_match_scaled(P, sigma, R, rng):
     A = measures(P, sigma).A
     poly = stab._IntegerPolygon(P, sigma)
     for a in stab.primitive_directions(P.dim, R):
-        assert_floors_match_scaled(_DirectionProfile(poly, a), A, rng)
+        assert_floors_match_scaled(stab._sweep(poly, a), A, rng)
 
 
 class TestShiftedFloors:
@@ -813,9 +837,9 @@ class TestShiftedFloors:
         # the mass (1 - 2S)^2 of test_floor_needs_every_coefficient, with a
         # floor of -A and then with none, and three random halvings of each
         sigma = unit(square)
-        prof = profile(square, sigma, (1, 0))
-        prof._ico, prof._bco = [[1, -4, 4, 0]], [bco]
-        assert_floors_match_scaled(prof, measures(square, sigma).A, random.Random(103))
+        brk, _, _, *rest = stab._sweep(stab._IntegerPolygon(square, sigma), (1, 0))
+        assert_floors_match_scaled((brk, [bco], [[1, -4, 4, 0]], *rest),
+                                   measures(square, sigma).A, random.Random(103))
 
 
 def flipped(sweep):
@@ -835,14 +859,14 @@ def flipped(sweep):
 
 
 def assert_pair_floors(poly, a, A, R):
-    """The pair pass's floors of a and -a equal ratio_floor on fresh profiles,
-    its count is that of -a, and the sweep of -a is that of a flipped."""
+    """The pair pass's floors of a and -a equal ratio_floor on their own
+    sweeps, its count is that of -a, and the sweep of -a is that of a flipped."""
     neg = tuple(-x for x in a)
-    assert flipped(stab._sweep(poly, a)) == stab._sweep(poly, neg), a
-    fa, fneg = _DirectionProfile(poly, a), _DirectionProfile(poly, neg)
+    sa, sneg = stab._sweep(poly, a), stab._sweep(poly, neg)
+    assert flipped(sa) == sneg, a
     blocks = stab._moebius_blocks(R)
-    count = stab._count_offsets(fneg.smin, fneg.smax, blocks)
-    assert stab._pair_floors(poly, a, A, blocks) == (ratio_floor(fa, A), ratio_floor(fneg, A),
+    count = stab._count_offsets(*sweep_ends(poly, sneg), blocks)
+    assert stab._pair_floors(poly, a, A, blocks) == (ratio_floor(sa, A), ratio_floor(sneg, A),
                                                      count), a
 
 
@@ -855,7 +879,7 @@ def assert_scan_pair_floors(P, sigma, R):
 
 
 class TestPairFloors:
-    """_pair_floors against ratio_floor on the profiles built for a and -a."""
+    """_pair_floors against ratio_floor on the sweeps of a and of -a."""
 
     def test_hexagon(self, unstable_hexagon):
         # every direction of sup-height 12 or less
@@ -882,32 +906,32 @@ class TestPairFloors:
         brk, _, _, *rest = stab._sweep(poly, (1, 0))
         rows = (brk, [bco], [[1, -4, 4, 0]], *rest)
         monkeypatch.setattr(stab, "_sweep", lambda poly, a: rows if a == (1, 0) else flipped(rows))
-        assert ratio_floor(_DirectionProfile(poly, (1, 0)), A) == (-A if floor else None)
+        assert ratio_floor(stab._sweep(poly, (1, 0)), A) == (-A if floor else None)
         assert_pair_floors(poly, (1, 0), A, 4)
 
     def test_scan_builds_only_opened_profiles(self, monkeypatch, unstable_hexagon):
-        # a serial R = 8 scan builds a profile for each of the 5 directions
-        # the heap opens and for no other; the pair pass gives every floor
+        # a serial R = 8 scan sweeps each antipodal pair once, which gives
+        # every floor, and after that only the 5 directions the heap opens,
+        # for their pieces
         P, sigma = unstable_hexagon
-        built = []
+        swept, sweep = [], stab._sweep
 
-        class Counted(_DirectionProfile):
-            def __init__(self, poly, a):
-                built.append(a)
-                super().__init__(poly, a)
+        def counted(poly, a):
+            swept.append(a)
+            return sweep(poly, a)
 
-        monkeypatch.setattr(stab, "_DirectionProfile", Counted)
+        monkeypatch.setattr(stab, "_sweep", counted)
         dirs = stab.primitive_directions(2, 8)
         best, *counts = stab._scan_chunk((P, sigma, measures(P, sigma).A, dirs, 8))
-        assert not hasattr(_DirectionProfile, "mirrored")
         assert len(dirs) == 176
-        assert built == [(0, -1), (1, -8), (1, -7), (1, -6), (1, -5)]
+        assert swept[:88] == dirs[:88]
+        assert swept[88:] == [(0, -1), (1, -8), (1, -7), (1, -6), (1, -5)]
         assert counts == [164428, 19, 18, 171]
         assert (best[0].direction, len(best)) == ((0, -1), 10)
 
 
 class TestIntegerProfiles:
-    """Every profile against the Fraction builder, at R = 8."""
+    """Every direction's _sweep rows against the Fraction builder, at R = 8."""
 
     @pytest.mark.parametrize("name", ["square", "trapezoid"])
     def test_polygon_fixtures(self, request, name):
@@ -943,6 +967,58 @@ class TestIntegerProfiles:
         # a weight of 10^400, past the floats, still gives exact profiles
         sigma = BoundaryMeasure((Q(10 ** 400),) + (Q(1),) * 3)
         assert_profiles_match(square, sigma, 8)
+
+
+def assert_parts_match(P, sigma, R, rng, descents=1):
+    """Parts evaluate their offsets as the Fraction oracle does.
+
+    Each piece of every direction is halved at random (_halves) to a depth
+    of 5 to 7, descents times; at every admissible offset of each part at
+    depth 5 or more, _part_values equals FractionProfile.eval.  Returns the
+    number of offsets compared.
+    """
+    poly = stab._IntegerPolygon(P, sigma)
+    checked = 0
+    for a in stab.primitive_directions(P.dim, R):
+        brk, bco, ico, bden, iden, _, _ = stab._sweep(poly, a)
+        ref = FractionProfile(P, sigma, a)
+        for piece in stab._pieces(brk, bco, ico) * descents:
+            start, width, bb, ib = piece
+            den = poly.D
+            for depth in range(1, rng.randint(5, 7) + 1):
+                k = rng.randint(0, 1)
+                bb, ib = stab._halves(bb)[k], stab._halves(ib)[k]
+                start, den = 2 * start + k * width, 2 * den
+                if depth < 5:
+                    continue
+                part = (start, width, den, bb, ib)
+                for c in stab.admissible_offsets(Q(start, den), Q(start + width, den), R):
+                    assert stab._part_values(part, c, poly.D, bden, iden) == ref.eval(c), \
+                        (a, c, start, den)
+                    checked += 1
+    return checked
+
+
+class TestPartValues:
+    """The scan's exact values, from each part's own Bernstein coefficients."""
+
+    def test_hexagon(self, unstable_hexagon):
+        # every direction of sup-height 12 or less
+        assert assert_parts_match(*unstable_hexagon, 12, random.Random(107)) > 10000
+
+    def test_random_corpus(self):
+        rng, checked = random.Random(109), 0
+        for k in range(8):
+            P = random_polygon(rng) if k % 2 else random_integral_polygon(rng)
+            checked += assert_parts_match(P, random_weights(rng, P), 5, rng)
+        assert checked > 1000
+
+    def test_weighted_segments(self, segment01):
+        rng = random.Random(113)
+        P = Polytope.from_vertices([(Q(-7, 3),), (Q(5, 2),)])
+        checked = assert_parts_match(segment01, BoundaryMeasure((Q(1), Q(2))), 48, rng, 4)
+        checked += assert_parts_match(P, BoundaryMeasure((Q(3, 4), Q(2, 9))), 48, rng, 4)
+        assert checked > 1000
 
 
 class TestTestConfiguration:
