@@ -465,15 +465,14 @@ class SolveReport:
     grid: geo.PotentialGrid
     termination: str              # converged | refused-futaki | divergence-certificate | max-iter | stalled
     residual_sup: float
+    # iterations evaluated; each took one step (Newton if the Futaki vector
+    # is zero, else flow) but a last one that converged, certified or stalled
     iterations: int
     mabuchi_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     min_det_history: list[float] = field(default_factory=list)
     sup_u_history: list[float] = field(default_factory=list)
     sup_phi_history: list[float] = field(default_factory=list)
-    # the step each iteration took ("flow" or "newton"); the last iteration,
-    # which only tests for termination, takes none
-    phase_history: list[str] = field(default_factory=list)
     futaki: tuple = ()
     certificate: dict | None = None
     factorizations: int = 0       # banded LUs of the Newton system
@@ -670,7 +669,6 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         geo.check_convexity(g)
 
     hist_F, hist_r, hist_det, hist_u, hist_phi = [], [], [], [], []
-    phases = []
     dt = 1.0
     factor = _Factor()
     termination = "max-iter"
@@ -715,13 +713,12 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         if nxt is None:
             termination = "stalled"
             break
-        phases.append("newton" if futaki_zero else "flow")
         s = nxt
     else:
         it = max_iter
 
     return SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
-                       hist_u, hist_phi, phases, fut, certificate,
+                       hist_u, hist_phi, fut, certificate,
                        factorizations=factor.count)
 
 

@@ -28,9 +28,12 @@ BOX = "dim 2\nfacets\n1 0 0 2\n-1 0 -1 2\n0 1 0 3\n0 -1 -1 3\n"
 TRI = "dim 2\nvertices\n0 0\n1 0\n0 1\n"
 HEXAGON = ("dim 2\nfacets\n2 3 -2 7197/517\n1 4 -1 1\n-1 1 -4 1\n-2 -1 -8 3635/517\n"
            "0 -1 -4 1\n2 -1 -10 1\n")   # the benchmark's zero-Futaki unstable hexagon
+# the unit square with one facet of weight 1/4: nonzero Futaki, so its solve escapes
+LIGHT_SQUARE = "dim 2\nfacets\n1 0 0 1\n-1 0 -1 1/4\n0 1 0 1\n0 -1 -1 1\n"
 INPUTS = {"sq.poly": SQUARE, "wseg.poly": WSEG, "seg.poly": SEG, "esc.poly": ESCAPE,
-          "box.poly": BOX, "tri.poly": TRI, "pts.txt": POINTS, "mat.txt": MATRIX,
-          "big.txt": "1e200 0\n0 0\n"}
+          "box.poly": BOX, "tri.poly": TRI, "hex.poly": HEXAGON, "light.poly": LIGHT_SQUARE,
+          "pts.txt": POINTS, "mat.txt": MATRIX, "big.txt": "1e200 0\n0 0\n"}
+HEXAGON_R8 = Path(__file__).parents[1] / "bench" / "reference" / "hexagon-R8-verdict.json"
 
 
 @pytest.fixture
@@ -92,6 +95,18 @@ class TestAnalyze:
         assert "line 4" in err
 
 
+# the DEBUG line of a crease scan, and its counts on the benchmark hexagon
+# with one worker: the heap's visit order.  At R = 32 one wrong direction
+# floor moves them; at R = 48 parts are halved deepest, and each offset's
+# value is scaled by the most halvings
+SCAN_LINE = "DEBUG kstab.stability: crease search: "
+ONE_WORKER_SCAN = {
+    8: "171 of 176 directions pruned, 19 parts split, 18 creases evaluated exactly",
+    16: "628 of 640 directions pruned, 41 parts split, 12 creases evaluated exactly",
+    32: "2547 of 2592 directions pruned, 150 parts split, 15 creases evaluated exactly",
+    48: "5582 of 5696 directions pruned, 358 parts split, 12 creases evaluated exactly"}
+
+
 class TestDestabilize:
     def test_square_stable(self, square_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -108,19 +123,28 @@ class TestDestabilize:
         assert code == 3
 
     # SHA-256 of the benchmark hexagon's verdict.json, as the float-screened
-    # scan wrote it with one worker and with two
+    # scan wrote it with one worker and with more (three deal the antipodal
+    # pairs oddly); at R = 8 it is that of bench/reference/hexagon-R8-verdict.json
     @pytest.mark.parametrize("resolution, workers, digest", [
+        (4, 1, "8928209393ec6afdf07e871086528da3b58337f7dffa6f5ca480e6620623d2f1"),
+        (4, 2, "8928209393ec6afdf07e871086528da3b58337f7dffa6f5ca480e6620623d2f1"),
+        (8, 1, "453448af65c7bd404d4ab72a5670d3a8afc925fd428fb049d571214fc474f276"),
+        (8, 2, "453448af65c7bd404d4ab72a5670d3a8afc925fd428fb049d571214fc474f276"),
         (16, 1, "675a3b6966ba54e721f929dcc8937656f2447d400a4b620d436ec66b8b061f44"),
         (16, 2, "675a3b6966ba54e721f929dcc8937656f2447d400a4b620d436ec66b8b061f44"),
+        (16, 3, "675a3b6966ba54e721f929dcc8937656f2447d400a4b620d436ec66b8b061f44"),
         (32, 1, "0df045f5863842fbe40331a90a7d9e4154a201f7bcec3ee90b77f2b7e716cfa8"),
-        (32, 2, "0df045f5863842fbe40331a90a7d9e4154a201f7bcec3ee90b77f2b7e716cfa8")])
-    def test_hexagon_verdict_bytes_pinned(self, tmp_path, resolution, workers, digest):
-        p = tmp_path / "hexagon.poly"
-        p.write_text(HEXAGON)
-        out = tmp_path / "o"
-        assert main(["destabilize", str(p), "--resolution", str(resolution),
-                     "--workers", str(workers), "--out", str(out)]) == 2
-        assert hashlib.sha256((out / "verdict.json").read_bytes()).hexdigest() == digest
+        (32, 2, "0df045f5863842fbe40331a90a7d9e4154a201f7bcec3ee90b77f2b7e716cfa8"),
+        (48, 1, "fce51d5a4613098d4b3186bbfd33bdc13edb24b5c5ee03c9aea0bb1eeae6ea10"),
+        (48, 2, "fce51d5a4613098d4b3186bbfd33bdc13edb24b5c5ee03c9aea0bb1eeae6ea10")])
+    def test_hexagon_verdict_bytes_pinned(self, in_inputs, capsys, resolution, workers, digest):
+        assert main(["--log-level", "DEBUG", "destabilize", "hex.poly", "--resolution",
+                     str(resolution), "--workers", str(workers), "--out", "o"]) == 2
+        assert hashlib.sha256(Path("o/verdict.json").read_bytes()).hexdigest() == digest
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith(SCAN_LINE) and "directions pruned" in line for line in err)
+        if workers == 1 and resolution in ONE_WORKER_SCAN:
+            assert SCAN_LINE + ONE_WORKER_SCAN[resolution] in err
 
     def test_machine_output_deterministic(self, square_file, tmp_path):
         outs = []
@@ -145,7 +169,7 @@ class TestLogLevel:
         (code0, out0, err0, *files0), (code1, out1, err1, *files1) = runs
         assert (code0, out0, files0) == (code1, out1, files1)
         assert err0 == ""
-        assert "DEBUG kstab.stability: crease search:" in err1
+        assert SCAN_LINE in err1
         assert "directions pruned" in err1 and "creases evaluated exactly" in err1
 
     def test_default_hides_info(self, tmp_path, capsys):
@@ -280,6 +304,12 @@ class TestSolveCommand:
         assert grid[0] == "x1,u,det_hess,S"
         assert len(grid) == 65
 
+    def test_box_converges(self, in_inputs, capsys):
+        # the CLI starts at phi = 0, the canonical potential, which solves a box
+        assert main(["--log-level", "DEBUG", "solve", "box.poly", "--mesh", "33", "--tol", "1e-6",
+                     "--out", "o"]) == 0
+        assert "termination: converged" in capsys.readouterr().out.splitlines()
+
     def test_refusal_exit3(self, wseg_file, tmp_path):
         code = main(["solve", str(wseg_file), "--mesh", "32",
                      "--out", str(tmp_path / "o")])
@@ -308,21 +338,36 @@ class TestSolveCommand:
         assert "8 nodes" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_divergence_exit4(self, tmp_path):
-        p = tmp_path / "bad.poly"
-        p.write_text("dim 2\nfacets\n1 0 0 1\n-1 0 -1 1/4\n0 1 0 1\n0 -1 -1 1\n")
-        code = main(["solve", str(p), "--mesh", "25", "--allow-nonzero-futaki",
-                     "--max-iter", "600", "--out", str(tmp_path / "o")])
+    def test_divergence_exit4(self, in_inputs):
+        code = main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
+                     "--max-iter", "600", "--out", "o"])
         assert code == 4
 
-    def test_certificate_location_prints_plain_floats(self, tmp_path, capsys):
-        p = tmp_path / "bad.poly"
-        p.write_text("dim 2\nfacets\n1 0 0 1\n-1 0 -1 1/4\n0 1 0 1\n0 -1 -1 1\n")
-        code = main(["solve", str(p), "--mesh", "25", "--allow-nonzero-futaki",
-                     "--max-iter", "600", "--out", str(tmp_path / "o")])
+    def test_certificate_location_prints_plain_floats(self, in_inputs, capsys):
+        code = main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
+                     "--max-iter", "600", "--out", "o"])
         assert code == 4
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "near (" in ln)
         assert "np.float64" not in line
+
+    # nonzero Futaki: every step is a flow step, so each run ends in a
+    # divergence certificate (exit 4) without a Newton step, and a second
+    # run writes the same bytes
+    @pytest.mark.parametrize("argv, iterations", [
+        ("esc.poly --mesh 96 --max-iter 800", 39), ("light.poly --mesh 65", 24),
+        ("light.poly --mesh 33", 24)], ids=["segment-96", "square-65", "square-33"])
+    def test_escape_ends_in_a_certificate(self, in_inputs, capsys, argv, iterations):
+        files = []
+        for out in ("a", "b"):
+            assert main(["--log-level", "DEBUG", "solve", *argv.split(), "--allow-nonzero-futaki",
+                         "--out", out]) == 4
+            captured = capsys.readouterr()
+            assert "termination: divergence-certificate" in captured.out.splitlines()
+            assert f"after {iterations} iterations" in captured.out
+            assert "newton step" not in captured.err
+            files.append([Path(out, f).read_bytes() for f in ("solve.json", "histories.csv",
+                                                              "grid.csv")])
+        assert files[0] == files[1]
 
 
 # boxes whose extent leaves the mesh's float range: at the default mesh the
@@ -647,6 +692,7 @@ class TestNumericParameters:
     @pytest.mark.parametrize("argv", [
         "solve sq.poly --tol nan", "solve sq.poly --tol -1", "solve sq.poly --tol 0",
         "solve sq.poly --tol inf", "solve sq.poly --max-iter 0",
+        "solve box.poly --tol nan", "solve box.poly --max-iter 0",
         "solve sq.poly --max-iter -5", "solve sq.poly --dump-every -1",
         "pipeline sq.poly --resolution 2 --tol nan",
         "pipeline sq.poly --resolution 2 --max-iter 0",
@@ -747,7 +793,6 @@ class TestScipyFree:
         assert out == "[]\n[]\n"
 
     def test_exact_commands_run_without_scipy(self, in_inputs):
-        (in_inputs / "hex.poly").write_text(HEXAGON)
         out = run_fresh("""
             import sys
             sys.modules["scipy"] = None     # every import of scipy now fails
@@ -755,11 +800,13 @@ class TestScipyFree:
             print([main(argv) for argv in (
                 ["analyze", "sq.poly", "--out", "a"],
                 ["destabilize", "hex.poly", "--resolution", "4", "--out", "d"],
+                ["destabilize", "hex.poly", "--resolution", "8", "--out", "d8"],
                 ["futaki", "sq.poly", "--xi", "1,0", "--kmin", "3", "--kmax", "9", "--out", "f"],
                 ["filtration", "tri.poly", "--pieces", "1,0,0", "--ks", "4,8", "--out", "l"],
                 ["flow-sphere", "--points", "pts.txt", "--out", "s"])])
             """, in_inputs)
-        assert out.splitlines()[-1] == "[0, 2, 0, 0, 0]"
+        assert out.splitlines()[-1] == "[0, 2, 2, 0, 0, 0]"
+        assert (in_inputs / "d8" / "verdict.json").read_bytes() == HEXAGON_R8.read_bytes()
 
 
 class TestNumpyFree:
@@ -776,7 +823,6 @@ class TestNumpyFree:
         assert out == "[]\n"
 
     def test_exact_commands_run_without_numpy(self, in_inputs):
-        (in_inputs / "hex.poly").write_text(HEXAGON)
         out = run_fresh("""
             import sys
             sys.modules["numpy"] = None     # every import of numpy now fails
@@ -792,8 +838,7 @@ class TestNumpyFree:
             """, in_inputs)
         assert "help exit 0" in out.splitlines()
         assert out.splitlines()[-1] == "[0, 2, 2]"
-        reference = Path(__file__).parents[1] / "bench" / "reference" / "hexagon-R8-verdict.json"
-        assert (in_inputs / "d" / "verdict.json").read_bytes() == reference.read_bytes()
+        assert (in_inputs / "d" / "verdict.json").read_bytes() == HEXAGON_R8.read_bytes()
 
     def test_exports(self):
         import kstab

@@ -1,9 +1,14 @@
-"""The package keeps only what the library and the CLI run.
+"""The package keeps only what the library and the CLI run, and the tests
+hold every behaviour check.
 
 A module-level function or class of src/kstab that no code in src/kstab
 refers to and that kstab.__all__ does not export is used by the tests at
 most; it belongs in tests/ (conftest.py), not in the library.  A module's
 __getattr__ and __dir__ (PEP 562) count as used: the interpreter calls them.
+
+CI adds to the tests only the install, the console script, `pytest bench`
+and the full-size workloads, so a local run of the tests sees every pin
+that CI sees.
 """
 
 import ast
@@ -12,6 +17,7 @@ from pathlib import Path
 import kstab
 
 SRC = Path(kstab.__file__).resolve().parent
+CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
 
 
 def test_every_module_level_definition_is_used_or_exported():
@@ -31,3 +37,9 @@ def test_every_module_level_definition_is_used_or_exported():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used and name not in kstab.__all__)
     assert unused == []
+
+
+def test_ci_runs_no_inline_checks():
+    # an inline script or a grep pin is a check that only CI runs
+    text = CI.read_text()
+    assert "<<" not in text and "grep" not in text
