@@ -13,15 +13,13 @@ of the deep values, geometry's field extension through 4 points
 J*E is then square, singular only along the affine gauge, which Newton
 pins at n + 1 deep nodes.  On a tensor grid J*E is a 7^n-point stencil
 made of the axes' 3-point ones, whose planes are the diagonals of its band
-(bandwidths about 3(m - 4) + 3): it is summed straight into LAPACK band
-storage, a fresh band per factorization, and factored there by
-banded LU with partial pivoting (dgbtrf) on one OpenBLAS thread, so phi
-does not depend on the core count.  The last factor is kept as the
-preconditioner of the later steps (Newton-Krylov): each solves its system
-by right-preconditioned GMRES, the current J*E applied as the derivative
-of the residual's own code (GridOperators.jacobian_product), to a
-tolerance that shrinks with the residual, and refactors only when GMRES
-does not converge within _GMRES_CAP iterations.  Affine gauge of phi:
+(bandwidths about 3(m - 4) + 3): it is summed, scaled by a power of two,
+straight into a fresh float32 LAPACK band and factored there by banded LU
+with partial pivoting (sgbtrf) on one OpenBLAS thread, so phi does not
+depend on the core count.  Every step solves its system by float64 GMRES
+right-preconditioned by the kept factor (Newton-Krylov), applying J*E as
+the derivative of the residual's own code (GridOperators.jacobian_product),
+and refactors only when that fails (_newton_step).  Affine gauge of phi:
 constants are always projected out; linear components only when the
 Futaki vector vanishes (they are exactly F-neutral then, and genuine
 escape directions otherwise).
@@ -61,14 +59,13 @@ from kstab.stability import futaki_linear
 
 log = logging.getLogger(__name__)
 
-# a Newton step after the first solves its system by GMRES preconditioned
-# with the kept factor, and refactors if that takes more iterations than this
+# a Newton step refactors once GMRES with the kept factor takes more iterations
 _GMRES_CAP = 20
-# GMRES stops at a residual 2-norm of eta * sup residual, eta = min(this, sup
-# residual), so the linear error shrinks like Newton's own.  A fixed eta
-# left the m = 97 box off its core Hessian by 1.3e-10, and eta * |rhs|_2 the
-# m = 256 segment 1.7e-8 off that of exact Newton steps
-_GMRES_ETA = 1e-2
+# GMRES stops at a residual 2-norm of eta * sup residual, eta = min(this,
+# sup residual^2).  A float32 factor leaves GMRES just under that: 1e-2 here
+# let the m = 129 box wander for 32 iterations, and min(this, sup residual)
+# left the m = 256 segment up to 3.5e-9 off exact Newton steps (4e-12 now)
+_GMRES_ETA = 1e-3
 
 # the Newton band is private anonymous memory, faulted in by the kernel in one
 # pass (MAP_POPULATE where the platform has it): the planes' strided writes
@@ -224,21 +221,23 @@ class GridOperators:
                 planes.append((d, off, hit[0], hit[-1] + 1))
         return _pair_taps(self.g, False), _pair_taps(self.g, True), folds, planes
 
-    def jacobian(self, U: dict) -> tuple[np.ndarray, int, int]:
-        """The pinned Newton matrix J*E in LAPACK band storage, kl and ku.
+    def jacobian(self, U: dict, dtype=np.float32) -> tuple[np.ndarray, int, int, float]:
+        """(band, kl, ku, scale): the pinned Newton matrix J*E, scaled, in band storage.
 
         J = d(residual)/d(phi) = -sum_abcd D2I_ab diag(U^{ac} U^{db}) Hess_cd
         = sum_ab D2I_ab K_ab over a <= b, K_ab = sum_cd diag(w_abcd) Hess_cd
         over c <= d: a 3^n-point stencil on the interior lattice, and J a
         5^n-point one on the deep lattice.  Folding the outer columns
         (stencils) gives J*E.  Pinned rows and columns are zeroed, with
-        max|J*E| on their diagonal.  The band (2 kl + ku + 1 rows, Fortran
-        order, A[i, j] at [kl + ku + i - j, j]) is a new private anonymous
-        mmap (_BAND_MAP), pre-faulted in one pass: a heap band would raise
-        glibc's mmap threshold above it once freed, later bands would come
-        from a heap it does not trim, and a solve's peak RSS would grow by
-        20 %.  RuntimeError if J*E is not finite (the products of U
-        overflow), before the band is mapped.
+        scale = max|J*E| on their diagonal.  The band holds J*E times 2^-e,
+        scale in [2^(e-1), 2^e), rounded to dtype as it is summed, so
+        max|J*E| = 4.2e109 (a segment of length 1e-50) cannot overflow.  It
+        has 2 kl + ku + 1 rows, Fortran order, A[i, j] at [kl + ku + i - j,
+        j], in a new private anonymous mmap (_BAND_MAP), pre-faulted in one
+        pass: a heap band would raise glibc's mmap threshold above it once
+        freed, later bands would come from a heap it does not trim, and a
+        solve's peak RSS would grow by 20 %.  RuntimeError if J*E is not
+        finite (the products of U overflow), before the band is mapped.
         """
         (hess_taps, div_taps, folds, planes), n, deep = self.stencils, self.g.n, self.deep_shape
         J = np.zeros((7,) * n + deep)
@@ -265,15 +264,17 @@ class GridOperators:
         if not math.isfinite(scale):
             raise RuntimeError("the Jacobian is not finite")
         J[(slice(None),) * n + np.unravel_index(self.pinned, deep)] = 0.0
+        e = math.frexp(scale)[1]
+        np.ldexp(J, -e, out=J)      # a power of two: exact but in the subnormals
         kl, ku, size = max(-p[1] for p in planes), max(p[1] for p in planes), self.unpinned.size
-        band = np.ndarray((2 * kl + ku + 1, size), dtype=np.float64, order="F",
-                          buffer=mmap.mmap(-1, (2 * kl + ku + 1) * size * 8, _BAND_MAP))
+        band = np.ndarray((2 * kl + ku + 1, size), dtype=dtype, order="F", buffer=mmap.mmap(
+            -1, (2 * kl + ku + 1) * size * np.dtype(dtype).itemsize, _BAND_MAP))
         for d, off, lo, hi in planes:
             # planes that share a diagonal (a deep axis shorter than 7) add
             band[kl + ku - off, lo + off:hi + off] += J[d].ravel()[lo:hi]
         band[kl:, self.pinned] = 0.0
-        band[kl + ku, self.pinned] = scale
-        return band, kl, ku
+        band[kl + ku, self.pinned] = math.ldexp(scale, -e)
+        return band, kl, ku, scale
 
     def jacobian_product(self, U: dict, v: np.ndarray, scale: float) -> np.ndarray:
         """The pinned J*E (jacobian's matrix) times the deep vector v, flat.
@@ -281,7 +282,7 @@ class GridOperators:
         The derivative of the residual's own code along E v, its pinned
         entries zeroed: dH from the Hessian taps (no u0 term), dU = -U dH U,
         and the second divergence of dU.  The pinned rows give scale * v,
-        scale the value jacobian writes on their diagonal.  Elementwise
+        scale the max|J*E| that jacobian returns.  Elementwise
         products and sums only, so no threaded BLAS.
         """
         g, n = self.g, self.g.n
@@ -315,10 +316,10 @@ def _openblas_threads():
     """openblas_set_num_threads_local of the OpenBLAS scipy's LAPACK calls, or None.
 
     dlsym on scipy's LAPACK module also searches the libraries it loaded,
-    so this finds the OpenBLAS that dgbtrf runs on, not numpy's own copy,
-    which exports the same name.  The function sets the thread count (for
-    the calling thread in an OpenMP build, for the process in a pthreads
-    one) and returns the count it replaces.
+    so this finds the OpenBLAS that the banded LU runs on, not numpy's own
+    copy, which exports the same name.  The function sets the thread count
+    (for the calling thread in an OpenMP build, for the process in a
+    pthreads one) and returns the count it replaces.
     """
     try:
         from scipy.linalg import _flapack
@@ -347,32 +348,35 @@ def _one_blas_thread():
 
 
 class _BandedLU:
-    """LU with partial pivoting of a band matrix, in place (LAPACK dgbtrf).
+    """LU with partial pivoting of a band matrix, in place (LAPACK sgbtrf,
+    or dgbtrf for a float64 band).
 
     ab is the band as jacobian writes it; the factor overwrites it and
-    holds it for as long as the factor lives.  dgbtrf and dgbtrs run on one
+    holds it for as long as the factor lives.  solve rounds b to the band's
+    precision and returns float64.  The factor and its solves run on one
     OpenBLAS thread (_one_blas_thread): a second thread made the m = 65
     factor no faster but spun beside it, and changed the rounding of larger
     ones, so phi followed the core count.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
-        from scipy.linalg.lapack import dgbtrf
-        self.kl, self.ku = kl, ku
+        from scipy.linalg import lapack
+        p = "s" if ab.dtype == np.float32 else "d"
+        self.kl, self.ku, self.gbtrs = kl, ku, getattr(lapack, p + "gbtrs")
         with _one_blas_thread():
-            self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+            self.lu, self.piv, info = getattr(lapack, p + "gbtrf")(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise RuntimeError(f"banded LU: U[{info - 1}, {info - 1}] is exactly zero")
         if info < 0:
-            raise ValueError(f"dgbtrf rejected argument {-info}")
+            raise ValueError(f"{p}gbtrf rejected argument {-info}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        from scipy.linalg.lapack import dgbtrs
         with _one_blas_thread():
-            x, info = dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+            x, info = self.gbtrs(self.lu, self.kl, self.ku, b.astype(self.lu.dtype), self.piv,
+                                 overwrite_b=True)
         if info != 0:
-            raise ValueError(f"dgbtrs rejected argument {-info}")
-        return x
+            raise ValueError(f"gbtrs rejected argument {-info}")
+        return x.astype(np.float64)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -540,39 +544,37 @@ def _newton_rhs(ops: GridOperators, r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Factor:
-    """The solver's last banded LU of the pinned J*E system, the value on
-    its pinned diagonal, and a count.  Newton steps after the first
-    precondition GMRES with the LU before they refactor; the stale LU, and
-    with it its band, is dropped before jacobian maps the next band.
+    """The solver's last banded LU of the pinned J*E system, the max|J*E|
+    of its pinned rows, a count, and the dtype of the next band.  The stale
+    LU, and with it its band, is dropped before jacobian maps the next band.
     """
     lu: _BandedLU | None = None
     scale: float = 0.0
     count: int = 0
+    dtype: type = np.float32
 
 
 def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | None:
     """Newton-Krylov on the closed square system, the step of zero-Futaki runs.
 
     The iterate is closed (solve() closes the start) and so is every trial.
-    With a kept factor the pinned J*E system is solved by GMRES (_gmres),
-    preconditioned by that factor and applying the current J*E as
-    jacobian_product, until the 2-norm of its residual is at most eta times
-    the sup residual, eta = min(_GMRES_ETA, sup residual).  If GMRES needs
-    more than _GMRES_CAP iterations, or its step finds no acceptable trial,
-    or there is no factor yet, the system is factored afresh, kept in
-    `factor`, and solved by that LU.  A step is accepted, from the full step
-    down in quarters, once it lowers the sup residual.  Every step adds
-    phi_c - phi, which re-closes phi against rounding, and is projected off
-    the affine gauge.  Returns None when no trial lowers the sup residual,
-    or the Jacobian is not finite or its factor exactly singular.  Logs one
-    DEBUG line: refactor or reuse, the GMRES iterations and eta, and the
-    sup residual before and after.
+    Float64 GMRES (_gmres) solves the pinned J*E system, applying the
+    current J*E as jacobian_product, preconditioned by the kept factor, to
+    a residual 2-norm of eta times the sup residual, eta = min(_GMRES_ETA,
+    sup residual^2).  With no factor, or once GMRES with the kept one passes
+    _GMRES_CAP iterations or its step finds no acceptable trial, J*E is
+    factored afresh and GMRES runs again: in float32 until GMRES fails with
+    a fresh float32 factor (as LAPACK's dsgesv falls back to double), then in
+    float64.  A step is accepted, from the full step down in quarters, once
+    it lowers the sup residual; it adds phi_c - phi, which re-closes phi, and
+    is projected off the affine gauge.  None when a fresh factor's step has
+    no such trial, or J*E is not finite or its factor exactly singular.
     """
     phi = s.g.phi.ravel()
     phi_c = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n])
     sup = float(np.abs(s.r).max())
     rhs = _newton_rhs(ops, s.r)
-    eta = min(_GMRES_ETA, sup)
+    eta = min(_GMRES_ETA, sup * sup)
     its = 0
 
     def descend(x):
@@ -586,32 +588,32 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
             step /= 4
         return None, step
 
-    def logged(kind, trial, step):
-        after = "no decrease" if trial is None else f"{np.abs(trial.r).max():.3e}, step {step:g}"
-        log.debug("newton step: %s, %d gmres iterations to eta %.1e, sup residual %.3e -> %s",
-                  kind, its, eta, sup, after)
-        return trial
-
-    if factor.lu is not None:
-        x, its = _gmres(lambda v: ops.jacobian_product(s.U, v, factor.scale),
-                        factor.lu.solve, rhs, eta * sup, _GMRES_CAP)
-        trial, step = descend(x) if x is not None else (None, 0.0)
-        if trial is not None:
-            return logged("reuse", trial, step)
-    factor.lu = None   # unmaps its band before the next one is mapped
-    try:
-        band, kl, ku = ops.jacobian(s.U)
-    except RuntimeError:
-        log.debug("newton step: refactor, Jacobian not finite")
-        return None
-    factor.count += 1
-    factor.scale = float(band[kl + ku, ops.pinned[0]])
-    try:
-        factor.lu = _BandedLU(band, kl, ku)
-    except RuntimeError:
-        log.debug("newton step: refactor, exactly singular")
-        return None
-    return logged("refactor", *descend(factor.lu.solve(rhs)))
+    fresh = factor.lu is None
+    for _ in range(3):      # the kept factor, a fresh one, a fresh float64 one
+        if fresh:
+            factor.lu = None   # unmaps its band before the next one is mapped
+            try:    # J*E not finite, or its factor exactly singular
+                band, kl, ku, factor.scale = ops.jacobian(s.U, factor.dtype)
+                factor.count += 1
+                factor.lu = _BandedLU(band, kl, ku)
+            except RuntimeError as exc:
+                log.debug("newton step: refactor, %s", exc)
+                return None
+        x, n = _gmres(lambda v: ops.jacobian_product(s.U, v, factor.scale),
+                      factor.lu.solve, rhs, eta * sup, _GMRES_CAP)
+        its += n
+        trial, step = descend(x) if x is not None else (None, None)
+        if trial is not None or fresh and (x is not None or factor.dtype == np.float64):
+            break
+        if fresh:
+            factor.dtype = np.float64
+        fresh = True
+    kind = ("refactor" if fresh else "reuse") + ("" if factor.dtype == np.float32 else " float64")
+    after = (f"{np.abs(trial.r).max():.3e}, step {step:g}" if trial is not None
+             else "no decrease" if step else "gmres did not converge")
+    log.debug("newton step: %s, %d gmres iterations to eta %.1e, sup residual %.3e -> %s",
+              kind, its, eta, sup, after)
+    return trial
 
 
 def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
@@ -622,11 +624,9 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     The Futaki vector picks the step of every iteration.  On zero-Futaki
     data it is a Newton step, from a start closed first (its two outer
     layers replaced by the extrapolation of its deep values; ConvexityError
-    if that leaves the convex cone): the first step factors the banded
-    Newton system, and the later ones solve it by GMRES preconditioned with
-    that factor, refactoring only when GMRES does not converge within
-    _GMRES_CAP iterations.  A nonzero Futaki
-    vector is refused (no constant-scalar-curvature solution exists) unless
+    if that leaves the convex cone), solved by GMRES preconditioned with a
+    banded factor (_newton_step).  A nonzero Futaki vector is
+    refused (no constant-scalar-curvature solution exists) unless
     require_futaki_zero=False, the mode that exhibits divergence
     certificates on destabilized data: there every step is a preconditioned
     flow step, and the run never factors the Newton system.  A step that

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -338,16 +340,23 @@ class TestSolveCommand:
         assert "8 nodes" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_divergence_exit4(self, in_inputs):
-        code = main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
-                     "--max-iter", "600", "--out", "o"])
-        assert code == 4
+    @pytest.fixture(scope="class")
+    def light_escape(self, tmp_path_factory):
+        """Exit code and stdout of one m = 25 light-square escape, shared by the class."""
+        where = tmp_path_factory.mktemp("light")
+        (where / "light.poly").write_text(LIGHT_SQUARE)
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.chdir(where)
+            code = main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
+                         "--max-iter", "600", "--out", "o"])
+        return code, out.getvalue()
 
-    def test_certificate_location_prints_plain_floats(self, in_inputs, capsys):
-        code = main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
-                     "--max-iter", "600", "--out", "o"])
-        assert code == 4
-        line = next(ln for ln in capsys.readouterr().out.splitlines() if "near (" in ln)
+    def test_divergence_exit4(self, light_escape):
+        assert light_escape[0] == 4
+
+    def test_certificate_location_prints_plain_floats(self, light_escape):
+        line = next(ln for ln in light_escape[1].splitlines() if "near (" in ln)
         assert "np.float64" not in line
 
     # nonzero Futaki: every step is a flow step, so each run ends in a

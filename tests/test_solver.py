@@ -1,4 +1,5 @@
 import logging
+import math
 import mmap
 import os
 import re
@@ -20,7 +21,7 @@ from scipy.linalg import lapack
 from kstab import geometry as geo
 from kstab import solver as sol
 from kstab import stability as stab
-from kstab.polytope import BoundaryMeasure, measures
+from kstab.polytope import BoundaryMeasure, measures, parse_polytope_text
 from kstab.stability import L, PLConvexFunction, crease_search
 
 from conftest import box_quadratic_integrals, ibp_pairing, oracle_stencils
@@ -185,12 +186,35 @@ def from_band(ab, kl, ku):
                     offsets, format="csr")
 
 
-def oracle_jacobian(ops, U, band=None):
+def within_one_ulp(got, want, bound):
+    """got against want rounded once to float32, entry by entry: at most
+    bound plus one float32 ulp of the rounded want apart."""
+    want = np.asarray(want, dtype=np.float32)
+    return np.all(np.abs(np.asarray(got, dtype=float) - want)
+                  <= bound + np.spacing(np.abs(want)))
+
+
+def oracle_jacobian(ops, U, dtype=np.float32):
     """GridOperators.jacobian by sparse products, in a new band every call,
-    with the bandwidths read off the sparse matrix."""
+    with the bandwidths read off the sparse matrix: the pinned J*E times
+    2^-e, max|J*E| in [2^(e-1), 2^e), rounded once to dtype."""
     A = pinned_by_products(ops, jacobian_by_16_products(ops, U))
     kl, ku = bandwidths(A)
-    return to_band(A, kl, ku), kl, ku
+    scale = float(np.abs(A.data).max())
+    band = np.ldexp(to_band(A, kl, ku), -math.frexp(scale)[1]).astype(dtype)
+    return band, kl, ku, scale
+
+
+def backward_error(A, x, b):
+    """max|A x - b| / (||A|| max|x| + max|b|), ||A|| the sup norm."""
+    return np.abs(A @ x - b).max() / (abs(A).sum(axis=1).max() * np.abs(x).max()
+                                      + np.abs(b).max())
+
+
+# backward error of a float32 banded LU solve: 1.2e-8 to 2.1e-8 measured on
+# the random bands of TestBandedLU, 7.7e-8 and 1.2e-7 on the m = 17 and 33
+# Newton bands; a float64 factor reads about 1e-16, a wrong one about 1
+F32_BACKWARD = 8 * np.finfo(np.float32).eps
 
 
 def band_matrix(rng, n, kl, ku):
@@ -234,42 +258,56 @@ class TestJacobian:
         def r(v):
             return geo.abreu_residual_field(g.with_phi(sol._close(g, v).reshape(g.shape))).ravel()
 
-        A = from_band(*ops.jacobian(geo.inverse_hessian_field(g))).toarray()
+        band, kl, ku, scale = ops.jacobian(geo.inverse_hessian_field(g))
+        A = from_band(band, kl, ku).toarray()
         eps = 1e-6
-        fd = np.empty_like(A)
+        fd = np.empty(A.shape)
         for j in range(x.size):
             e = np.zeros(x.size)
             e[j] = eps
             fd[:, j] = (r(x + e) - r(x - e)) / (2 * eps)
+        # the band holds J*E times 2^-e, scale = max|J*E| in [2^(e-1), 2^e),
+        # each entry rounded once to float32
+        big = np.abs(fd).max()
+        assert abs(scale - big) < 1e-6 * big
+        fd = np.ldexp(fd, -math.frexp(scale)[1])
         keep = ops.unpinned.astype(bool)
-        assert np.abs(fd - A)[np.ix_(keep, keep)].max() < 1e-6 * np.abs(fd).max()
+        assert within_one_ulp(A[np.ix_(keep, keep)], fd[np.ix_(keep, keep)],
+                              1e-6 * np.abs(fd).max())
         # pinned: zero rows and columns but for max|J*E| on the diagonal
         p = ops.pinned
         assert not A[p][:, keep].any() and not A[keep][:, p].any()
-        assert np.abs(A[p, p] - np.abs(fd).max()).max() < 1e-6 * np.abs(fd).max()
+        assert within_one_ulp(A[p, p], np.full(len(p), np.abs(fd).max()),
+                              1e-6 * np.abs(fd).max())
+        assert np.all((0.5 <= A[p, p]) & (A[p, p] <= 1))
 
 
 class TestBandedLU:
     @pytest.mark.parametrize("n, kl, ku", [(40, 3, 7), (60, 9, 2), (256, 3, 4)])
     def test_matches_dense_solve(self, n, kl, ku):
+        # the solve the solver makes: float64 GMRES preconditioned by the
+        # float32 factor
         rng = np.random.default_rng(n + 100 * kl + ku)
         A = band_matrix(rng, n, kl, ku)
         b = rng.standard_normal(n)
-        lu = sol._BandedLU(to_band(A, kl, ku), kl, ku)
+        lu = sol._BandedLU(to_band(A, kl, ku).astype(np.float32), kl, ku)
         want = np.linalg.solve(A.toarray(), b)
-        assert np.abs(lu.solve(b) - want).max() <= 1e-9 * np.abs(want).max()
+        x, _ = sol._gmres(lambda v: A @ v, lu.solve, b, 1e-13 * np.linalg.norm(b), 20)
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+        # the factor's own solve is backward stable in float32
+        assert backward_error(A, lu.solve(b), b) <= F32_BACKWARD
 
     def test_exactly_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(RuntimeError):
-            sol._BandedLU(to_band(A, 1, 1), 1, 1)
+            sol._BandedLU(to_band(A, 1, 1).astype(np.float32), 1, 1)
 
     def test_factor_stays_in_its_mmap(self, square):
         # a copy made by the LAPACK wrapper would put the band back on the
         # heap, where glibc does not return it to the system
         ops, s = box_start(square, 17)
-        band, kl, ku = ops.jacobian(s.U)
-        assert isinstance(band.base, mmap.mmap)
+        band, kl, ku, _ = ops.jacobian(s.U)
+        assert isinstance(band.base, mmap.mmap) and band.dtype == np.float32
         lu = sol._BandedLU(band, kl, ku)
         assert np.shares_memory(lu.lu, np.frombuffer(band.base, dtype=np.uint8))
 
@@ -291,17 +329,18 @@ class TestBandedLU:
                 return lapack(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(lapack, "dgbtrf", counted(lapack.dgbtrf))
-        monkeypatch.setattr(lapack, "dgbtrs", counted(lapack.dgbtrs))
+        monkeypatch.setattr(lapack, "sgbtrf", counted(lapack.sgbtrf))
+        monkeypatch.setattr(lapack, "sgbtrs", counted(lapack.sgbtrs))
         ops, s = box_start(square, 17)
         before = set_threads(2)
         try:
-            lu = sol._BandedLU(*ops.jacobian(s.U))
+            lu = sol._BandedLU(*ops.jacobian(s.U)[:3])
             assert count() == 2
             lu.solve(s.r.ravel())
             assert count() == 2
             with pytest.raises(RuntimeError):
-                sol._BandedLU(to_band(sp.csr_matrix(np.ones((2, 2))), 1, 1), 1, 1)
+                sol._BandedLU(to_band(sp.csr_matrix(np.ones((2, 2))), 1, 1).astype(np.float32),
+                              1, 1)
             assert count() == 2
         finally:
             set_threads(before)
@@ -347,12 +386,15 @@ class TestGroupedJacobian:
     def test_matches_16_products(self, dim, m, segment01, square):
         ops, U = asymmetric_start(dim, m, segment01, square)
         oracle = pinned_by_products(ops, jacobian_by_16_products(ops, U))
-        band, kl, ku = ops.jacobian(U)
+        band, kl, ku, scale = ops.jacobian(U)
         assert (kl, ku) == bandwidths(oracle)
         # deep row-major ordering: the closure reaches 3 deep rows across
         assert max(kl, ku) <= (3 * ops.deep_shape[-1] + 3 if dim == 2 else 3)
-        assert band.shape == (2 * kl + ku + 1, oracle.shape[0])
-        assert np.abs(band - to_band(oracle, kl, ku)).max() <= 1e-14 * np.abs(oracle.data).max()
+        assert band.shape == (2 * kl + ku + 1, oracle.shape[0]) and band.dtype == np.float32
+        big = np.abs(oracle.data).max()
+        assert abs(scale - big) <= 1e-14 * big
+        want = np.ldexp(to_band(oracle, kl, ku), -math.frexp(scale)[1])
+        assert within_one_ulp(band, want, 1e-14 * np.abs(want).max())
 
 
 class TestJacobianProduct:
@@ -362,8 +404,7 @@ class TestJacobianProduct:
         # by sparse products is its oracle, pinned rows and columns included
         ops, U = asymmetric_start(dim, m, segment01, square)
         oracle = pinned_by_products(ops, jacobian_by_16_products(ops, U))
-        band, kl, ku = ops.jacobian(U)
-        scale = band[kl + ku, ops.pinned[0]]
+        scale = ops.jacobian(U)[3]
         rng = np.random.default_rng(oracle.shape[0])
         for _ in range(3):
             v = rng.standard_normal(oracle.shape[0])
@@ -495,28 +536,59 @@ class TestNewtonStep:
         # zero there too
         ops, U = asymmetric_start(dim, m, segment01, square)
         JE = jacobian_by_16_products(ops, U) @ closure_by_kron(ops.g)
-        A = from_band(*ops.jacobian(U)).tocsr()
+        band, kl, ku, scale = ops.jacobian(U)
+        A = from_band(band, kl, ku).tocsr()
         p = ops.pinned
         keep = np.flatnonzero(ops.unpinned)
         assert not A[p][:, keep].toarray().any() and not A[keep][:, p].toarray().any()
-        diag = A[p][:, p].toarray()
-        scale = np.abs(JE.data).max()
-        assert np.abs(diag - scale * np.eye(len(p))).max() <= 1e-14 * scale
+        big = np.abs(JE.data).max()
+        assert abs(scale - big) <= 1e-14 * big
+        # the band holds J*E times 2^-e, so max|J*E| * 2^-e on the diagonal
+        want = np.ldexp(big * np.eye(len(p)), -math.frexp(scale)[1])
+        assert within_one_ulp(A[p][:, p].toarray(), want, 1e-14 * want.max())
         assert np.all(sol._newton_rhs(ops, np.ones(A.shape[0]))[p] == 0)
 
     @pytest.mark.parametrize("m", [17, 33])
     def test_banded_lu_matches_spsolve(self, square, m):
         ops, s = box_start(square, m)
         rhs = sol._newton_rhs(ops, s.r)
-        oracle = spla.spsolve(pinned_by_products(ops, jacobian_by_16_products(ops, s.U)).tocsc(),
-                              rhs)
-        x = sol._BandedLU(*ops.jacobian(s.U)).solve(rhs)
+        A = pinned_by_products(ops, jacobian_by_16_products(ops, s.U))
+        oracle = spla.spsolve(A.tocsc(), rhs)
+        # the solve the solver makes: float64 GMRES on the exact product,
+        # preconditioned by the float32 factor
+        band, kl, ku, scale = ops.jacobian(s.U)
+        lu = sol._BandedLU(band, kl, ku)
+        x, _ = sol._gmres(lambda v: ops.jacobian_product(s.U, v, scale), lu.solve, rhs,
+                          1e-13 * np.linalg.norm(rhs), 20)
         assert np.abs(x - oracle).max() <= 1e-9 * np.abs(oracle).max()
+        # the factor's own solve is backward stable in float32, for the
+        # band's matrix J*E * 2^-e
+        y = lu.solve(rhs)
+        assert backward_error(A, y, rhs * 2.0 ** math.frexp(scale)[1]) <= F32_BACKWARD
         # x vanishes at the pinned nodes and solves every other equation
         assert np.all(x[ops.pinned] == 0)
         keep = np.setdiff1d(np.arange(len(x)), ops.pinned)
         lin = jacobian_by_16_products(ops, s.U) @ sol._close(ops.g, x) + s.r.ravel()
         assert np.abs(lin[keep]).max() <= 1e-8 * np.abs(s.r).max()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extent, scale", [("1e-50", 4.175e109), ("1e50", 4.175e-91)])
+    def test_band_at_the_ends_of_the_range_fits_float32(self, extent, scale):
+        # max|J*E| lies far outside float32 at both ends of the extent range;
+        # the band is J*E times a power of two that puts its max in [1/2, 1)
+        P, sigma = parse_polytope_text(f"dim 1\nfacets\n1 0\n-1 -{extent}\n")
+        ops = sol.GridOperators(geo.PotentialGrid.build(P, sigma, 256))
+        band, kl, ku, got = ops.jacobian(sol.evaluate(ops.g).U)
+        assert abs(got - scale) <= 1e-3 * scale
+        assert np.isfinite(band).all() and np.abs(band).max() <= 1
+        diag = band[kl + ku, ops.pinned]
+        assert np.all((0.5 <= diag) & (diag <= 1))
+        sol._BandedLU(band, kl, ku)     # not exactly singular
+        if extent == "1e-50":
+            # its one Newton step finds no decrease, as with a float64 band
+            rep = sol.solve(P, sigma)
+            assert (rep.termination, rep.iterations, rep.factorizations) == ("stalled", 1, 1)
+            assert rep.residual_sup == 1.0697793063576476e+39
 
     def test_step_lands_on_a_closed_iterate(self, square):
         ops, s = box_start(square, 17)
@@ -592,8 +664,8 @@ class TestNewtonStep:
     def test_sparse_assembly_takes_the_same_path(self, dim, m, segment01, square,
                                                  monkeypatch):
         # the stencil assembly and the sparse products differ by rounding
-        # only, and the band is only the preconditioner of the later steps,
-        # so the solve takes the same steps either way.  A converged phi is
+        # only, and the band is only the preconditioner of every step, so
+        # the solve takes the same steps either way.  A converged phi is
         # itself near rounding level (the box's u0 is the exact solution),
         # so phi is compared on the largest sup|phi| of the run.  The m = 9
         # box stalls where J*E is nearly singular, and there each GMRES
@@ -615,7 +687,7 @@ class TestNewtonStep:
         if (dim, m) == (2, 9):
             assert (band.termination, band.iterations, band.factorizations) == ("stalled", 5, 2)
         if (dim, m) == (2, 65):
-            assert (band.termination, band.iterations, band.factorizations) == ("converged", 6, 1)
+            assert (band.termination, band.iterations, band.factorizations) == ("converged", 5, 1)
 
 
 def core_hessian(g):
@@ -641,17 +713,25 @@ def counted_factors(monkeypatch):
     return alive_at_start
 
 
-def refactoring_every_step(monkeypatch):
-    """With a GMRES cap of 0 no later step reuses the kept factor: every
-    Newton step assembles and factors J*E afresh and solves by that LU."""
-    monkeypatch.setattr(sol, "_GMRES_CAP", 0)
+def exact_newton_step(ops, s, factor):
+    """The oracle of _newton_step: a full Newton step in float64, the
+    pinned J*E by sparse products factored afresh and solved by spsolve,
+    the closed phi moved by E x and projected off the affine gauge.  None
+    unless it lowers the sup residual."""
+    g = s.g
+    A = pinned_by_products(ops, jacobian_by_16_products(ops, s.U)).tocsc()
+    x = spla.spsolve(A, sol._newton_rhs(ops, s.r))
+    phi_c = sol._close(g, g.phi[(slice(2, -2),) * g.n])
+    trial = sol._moved(s, ops.gauge_project(phi_c - g.phi.ravel() + sol._close(g, x),
+                                            include_linear=True))
+    return trial if trial is not None and np.abs(trial.r).max() < np.abs(s.r).max() else None
 
 
 class TestFactorReuse:
     @pytest.mark.parametrize("case", ["box-33", "box-65", "criterion-1"])
     def test_matches_refactoring_every_step(self, case, segment01, square, monkeypatch):
-        # the GMRES steps are a fast path; with the cap at 0 every step
-        # refactors, and that run is the oracle
+        # GMRES preconditioned by one float32 factor is a fast path; exact
+        # Newton steps, each refactoring J*E in float64, are the oracle
         if case == "criterion-1":
             def run():
                 return sol.solve(segment01, unit(segment01), m=256, tol=1e-5, phi0=bump1)
@@ -660,12 +740,39 @@ class TestFactorReuse:
                 return sol.solve(square, weighted_box(square), m=int(case[4:]),
                                  tol=1e-6, phi0=bump2)
         fast = run()
-        refactoring_every_step(monkeypatch)
+        monkeypatch.setattr(sol, "_newton_step", exact_newton_step)
         slow = run()
         assert fast.converged and slow.converged
-        assert fast.factorizations < slow.factorizations == slow.iterations - 1
+        assert fast.factorizations == 1 and slow.factorizations == 0
         a, b = core_hessian(fast.grid), core_hessian(slow.grid)
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+    def test_a_factor_perturbed_at_float32_rounding_keeps_the_gate(self, segment01,
+                                                                  monkeypatch):
+        # the factor only preconditions, and GMRES sets each step's
+        # accuracy: another float32 rounding of the band (another BLAS, say)
+        # must not move the segment off exact Newton steps.  These seeds
+        # read at most 3.7e-12; with eta = min(_GMRES_ETA, sup residual)
+        # they read up to 1.3e-9 (seed 5)
+        def run():
+            return sol.solve(segment01, unit(segment01), m=256, tol=1e-5, phi0=bump1)
+
+        jacobian = sol.GridOperators.jacobian
+        monkeypatch.setattr(sol, "_newton_step", exact_newton_step)
+        exact = core_hessian(run().grid)
+        monkeypatch.undo()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+
+            def perturbed(ops, U, dtype=np.float32):
+                band, kl, ku, scale = jacobian(ops, U, dtype)
+                band *= (1 + 2e-7 * rng.standard_normal(band.shape)).astype(dtype)
+                return band, kl, ku, scale
+
+            monkeypatch.setattr(sol.GridOperators, "jacobian", perturbed)
+            rep = run()
+            assert rep.converged
+            assert np.abs(core_hessian(rep.grid) - exact).max() <= 1e-9 * np.abs(exact).max()
 
     @pytest.mark.parametrize("mesh", [33, 65])
     def test_box_factors_once(self, square, monkeypatch, caplog, mesh):
@@ -680,25 +787,53 @@ class TestFactorReuse:
         assert len(steps) == rep.iterations - 1
         assert sum("refactor" in m for m in steps) == rep.factorizations
         assert sum("reuse" in m for m in steps) == len(steps) - rep.factorizations
-        assert steps[0].startswith("newton step: refactor, 0 gmres iterations to eta 1.0e-02,")
+        # the first step factors, and reports its GMRES iterations too
+        assert re.match(rf"newton step: refactor, [1-9]\d* gmres iterations to eta "
+                        rf"{sol._GMRES_ETA:.1e}, ", steps[0])
         assert all(re.match(r"newton step: reuse, [1-9]\d* gmres iterations to eta ", m)
                    for m in steps[1:])
 
     def test_gmres_cap_hit_refactors_and_converges(self, square, monkeypatch, caplog):
-        # the m = 65 box's GMRES solves take 4 iterations or more: with a cap
-        # of 2 the later steps refactor, and then solve by the fresh LU
-        monkeypatch.setattr(sol, "_GMRES_CAP", 2)
+        # the m = 65 box's GMRES solves with the first factor take 3, 7, 7
+        # and 7 iterations: with a cap of 3 the second and third steps
+        # refactor, and GMRES then converges with the fresh factor
+        monkeypatch.setattr(sol, "_GMRES_CAP", 3)
         with caplog.at_level(logging.DEBUG, logger="kstab.solver"):
             rep = sol.solve(square, weighted_box(square), m=65, tol=1e-6, phi0=bump2)
-        assert rep.converged and rep.factorizations >= 2
+        assert rep.converged and rep.factorizations == 3
         steps = [r.getMessage() for r in caplog.records if r.name == "kstab.solver"]
-        capped = [m for m in steps if m.startswith("newton step: refactor, 2 gmres iterations")]
-        assert len(capped) == rep.factorizations - 1
+        refactored = [m for m in steps if m.startswith("newton step: refactor, ")]
+        assert len(refactored) == rep.factorizations
+        # a step that refactored counts the capped iterations too
+        assert all(int(m.split()[3]) > 3 for m in refactored[1:])
+
+    def test_float64_factors_once_gmres_fails_with_a_fresh_float32_one(self, square, monkeypatch,
+                                                                        caplog):
+        # with a cap of 1, GMRES with the first, float32, factor does not
+        # converge; the run goes on with float64 factors, with which one
+        # GMRES iteration is enough, and refactors whenever the last one is
+        # stale
+        dtypes = []
+
+        class Counted(sol._BandedLU):
+            def __init__(self, ab, kl, ku):
+                dtypes.append(ab.dtype)
+                super().__init__(ab, kl, ku)
+
+        monkeypatch.setattr(sol, "_BandedLU", Counted)
+        monkeypatch.setattr(sol, "_GMRES_CAP", 1)
+        with caplog.at_level(logging.DEBUG, logger="kstab.solver"):
+            rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2)
+        assert rep.converged and rep.factorizations == len(dtypes) == rep.iterations
+        assert dtypes == [np.float32] + [np.float64] * (len(dtypes) - 1)
+        steps = [r.getMessage() for r in caplog.records if r.name == "kstab.solver"]
+        assert all(m.startswith("newton step: refactor float64, 2 gmres iterations ")
+                   for m in steps)
 
     def test_a_fresh_band_map_per_factorization(self, square, monkeypatch):
-        # with every step refactoring, each factorization maps its own band
-        # (1.8 MB at m = 33), and only once the stale factor, which holds
-        # the last band, is dropped
+        # with a GMRES cap of 3 the m = 33 box refactors twice after the
+        # first step: each factorization maps its own band (0.9 MB), and
+        # only once the stale factor, which holds the last band, is dropped
         factors, alive_at_map = [], []
 
         class Counted(sol._BandedLU):
@@ -712,9 +847,9 @@ class TestFactorReuse:
 
         monkeypatch.setattr(sol, "_BandedLU", Counted)
         monkeypatch.setattr(sol, "mmap", types.SimpleNamespace(mmap=counted_mmap))
-        refactoring_every_step(monkeypatch)
+        monkeypatch.setattr(sol, "_GMRES_CAP", 3)
         rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2)
-        assert rep.converged and rep.factorizations >= 2
+        assert rep.converged and rep.factorizations == 3
         assert len(alive_at_map) == len(factors) == rep.factorizations
         assert not any(any(alive) for alive in alive_at_map)
 
