@@ -400,6 +400,9 @@ def _pipeline(args) -> tuple[dict, int]:
                           "L": str(c.L_value)}
         print(f"destabilizing crease a={c.direction}, c={c.offset} with L = {c.L_value} (exit 2)")
         return log, EXIT_UNSTABLE
+    if not P.is_box():          # the solver meshes products of intervals only
+        print("solver: general polygons are out of its scope (exit 1)")
+        return {**log, "solver": "out-of-scope"}, EXIT_ERROR
     from kstab import solver as sol
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter)
     log["solver"] = report.termination

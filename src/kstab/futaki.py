@@ -27,7 +27,8 @@ ms at k = 1 (medians of 21, 2 cores).  A k whose rows could leave int64
 is refused before anything is allocated.  The filtration of a PL convex
 function is linear along a row on each run where one piece is the max,
 and the ceilings on a run are one floor_sum; it still walks the rows one
-at a time (_rows).
+at a time (_rows).  floor_sum, the Ehrhart interpolation and the series
+division of expansion_exact are kstab._intpoly's exact tools.
 
 SIGN CONVENTION (numbering drifts across sources): the action on the
 section labelled by lattice point m has weight +<xi, m>, not its negative.
@@ -45,8 +46,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from kstab._intpoly import divide_series, floor_sum, interpolate_polynomial
 from kstab.polytope import Polytope
-from kstab.stability import PLConvexFunction, floor_sum
+from kstab.stability import PLConvexFunction
 
 log = logging.getLogger(__name__)
 
@@ -206,23 +208,6 @@ def expansion(P: Polytope, xi, k_min: int, k_max: int) -> ExpansionFit:
                         (k_min, k_max))
 
 
-def interpolate_polynomial(ks, vals) -> list[Q]:
-    """Exact coefficients (ascending) of the polynomial through (ks, vals).
-
-    The Lagrange sum of vals[i] * prod_{j != i} (x - ks[j]) / (ks[i] - ks[j]),
-    each product expanded one factor at a time.
-    """
-    coef = [Q(0)] * len(ks)
-    for i, (ki, vi) in enumerate(zip(ks, vals)):
-        basis, scale = [1], Q(vi)
-        for j, kj in enumerate(ks):
-            if j != i:
-                basis = [c - kj * b for c, b in zip([0] + basis, basis + [0])]
-                scale /= ki - kj
-        coef = [c + scale * b for c, b in zip(coef, basis)]
-    return coef
-
-
 def expansion_exact(P: Polytope, xi) -> tuple[Q, Q, Q]:
     """(F0, F1, F2) by exact Hilbert-polynomial interpolation.
 
@@ -243,11 +228,7 @@ def expansion_exact(P: Polytope, xi) -> tuple[Q, Q, Q]:
         raise ArithmeticError(f"lattice counts at k = 1..{n + 2} do not fit Ehrhart "
                               f"polynomials of degrees {n} and {n + 1}")
     # F_k = sum_j w_{n+1-j} k^-j / sum_j d_{n-j} k^-j, divided as series in 1/k
-    F = []
-    for j in range(3):
-        known = sum(F[i] * dpoly[n - j + i] for i in range(j) if n - j + i >= 0)
-        F.append((wpoly[n + 1 - j] - known) / dpoly[n])
-    return tuple(F)
+    return tuple(divide_series(wpoly[n + 1::-1], dpoly[::-1], 3))
 
 
 def _envelope_runs(lines, lo: int, hi: int):

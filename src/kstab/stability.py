@@ -6,7 +6,8 @@ functions give the Futaki vector; creases max(0, <a,x> - c) are the search
 family for destabilizers on surfaces.  Every value returned is exact
 rational arithmetic, and so is every decision of the crease search: it
 orders directions and sub-intervals of offsets by exact lower bounds and
-evaluates only the creases whose bound can still reach the ten best.
+evaluates only the creases whose bound can still reach the ten best.  The
+floor sums and Bernstein tools it runs on are kstab._intpoly's.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from kstab._intpoly import bernstein3, bernstein_floor, floor_sum, halves, moebius_blocks
 from kstab.polytope import (
     EMPTY,
     BoundaryMeasure,
@@ -286,13 +288,13 @@ def _pieces(brk, bco, ico) -> list[tuple[int, int, list[int], list[int]]]:
     boundary term and the mass are b(t)/bden and i(t)/iden (b = bco,
     i = ico), so L/mass = (iden/bden) * b/i - A; bb and ib are 3 * the
     Bernstein coefficients of b and i, integers free of A."""
-    return [(s0, s1 - s0, _bernstein3(bc, s0, s1 - s0), _bernstein3(ic, s0, s1 - s0))
+    return [(s0, s1 - s0, bernstein3(bc, s0, s1 - s0), bernstein3(ic, s0, s1 - s0))
             for s0, s1, bc, ic in zip(brk, brk[1:], bco, ico)]
 
 
 def _part_values(part, c: Q, D: int, bden: int, iden: int) -> tuple[Q, Q]:
     """(boundary term, mass) at the offset c = n/d of a part (start, width,
-    den, bb, ib), which holds [start/den, (start + width)/den).  Each _halves
+    den, bb, ib), which holds [start/den, (start + width)/den).  Each halving
     doubles den and scales bb and ib by 8, so they are 3*(den/D)^3 times the
     Bernstein coefficients there; c is at t = p/q, p = n*den - start*d and
     q = width*d, so b = sum C(3,k) bb_k p^k (q-p)^(3-k) / (3*(den/D)^3*q^3)."""
@@ -315,7 +317,7 @@ def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
     """Exact lower bounds on L/mass over the creases of a and of -a, and the
     offsets of each (_count_offsets), from one sweep.
 
-    A direction's bound is the least of its pieces' _bernstein_floor bounds
+    A direction's bound is the least of its pieces' bernstein_floor bounds
     on boundary/mass, shifted by A, or None if a piece certifies none.  As
     max(0, <-a,x> - c) = max(0, <a,x> + c) - (<a,x> + c), the pieces of -a
     are those of a in reverse order, at S -> -S, less the totals t of
@@ -325,9 +327,9 @@ def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
     brk, bco, ico, bden, iden, (b0, b1), (i0, i1) = _sweep(poly, a)
     lows = ([], [])                 # the pieces' floors of a and of -a
     for s0, h, bb, ib in _pieces(brk, bco, ico):
-        lows[0].append(_bernstein_floor(bb, ib))
+        lows[0].append(bernstein_floor(bb, ib))
         u, v, x, y = b0 + b1 * s0, b0 + b1 * (s0 + h), i0 + i1 * s0, i0 + i1 * (s0 + h)
-        lows[1].append(_bernstein_floor(
+        lows[1].append(bernstein_floor(
             [bb[3] - 3 * v, bb[2] - u - 2 * v, bb[1] - 2 * u - v, bb[0] - 3 * u],
             [ib[3] - 3 * y, ib[2] - x - 2 * y, ib[1] - 2 * x - y, ib[0] - 3 * x]))
     floors = [None, None]
@@ -339,46 +341,6 @@ def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
                     best = num, den
             floors[k] = _shifted_floor(best, iden, bden, A)
     return (*floors, _count_offsets(Q(brk[0], poly.D), Q(brk[-1], poly.D), blocks))
-
-
-def _bernstein_floor(lb: list[int], mb: list[int]) -> tuple[int, int] | None:
-    """(num, den), den > 0, with num/den <= l/m wherever m > 0 on [0, 1], or None.
-
-    lb and mb are (multiples of) the Bernstein coefficients of l and m.  The
-    basis is nonnegative on [0, 1], so l >= beta * m holds wherever it holds
-    coefficient by coefficient: beta is the least l_i / m_i over m_i > 0,
-    valid when every l_i with m_i <= 0 passes the same test.  This is the
-    Bernstein range bound (Garloff 1986; Farouki and Rajan 1987).
-    """
-    low = None
-    for li, mi in zip(lb, mb):
-        if mi > 0 and (low is None or li * low[1] < low[0] * mi):
-            low = (li, mi)
-    if low is None:
-        return None
-    num, den = low
-    for li, mi in zip(lb, mb):
-        if mi <= 0 and li * den < num * mi:
-            return None
-    return low
-
-
-def _halves(b: list[int]) -> tuple[list[int], list[int]]:
-    """8 * the Bernstein coefficients of a cubic on [0, 1/2] and on [1/2, 1] (de Casteljau)."""
-    b0, b1, b2, b3 = b
-    c0, c1, c2 = b0 + b1, b1 + b2, b2 + b3
-    d0, d1 = c0 + c1, c1 + c2
-    return [8 * b0, 4 * c0, 2 * d0, d0 + d1], [d0 + d1, 2 * d1, 4 * c2, 8 * b3]
-
-
-def _bernstein3(p: list[int], s0: int, h: int) -> list[int]:
-    """3 * the Bernstein coefficients on [0, 1] of t -> sum p[k] (s0 + h*t)^k."""
-    p0, p1, p2, p3 = p
-    q0 = ((p3 * s0 + p2) * s0 + p1) * s0 + p0
-    q1 = ((3 * p3 * s0 + 2 * p2) * s0 + p1) * h
-    q2 = (3 * p3 * s0 + p2) * h * h
-    q3 = p3 * h ** 3
-    return [3 * q0, 3 * q0 + q1, 3 * q0 + 2 * q1 + q2, 3 * (q0 + q1 + q2 + q3)]
 
 
 def primitive_directions(dim: int, R: int) -> list[tuple[int, ...]]:
@@ -408,43 +370,9 @@ def admissible_offsets(lo: Q, hi: Q, R: int) -> list[Q]:
     return out
 
 
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum of floor((a*i + b)/m) over i = 0..n-1, for n >= 0 and m >= 1.
-
-    O(log m) steps of the Euclid-like reduction of the AtCoder Library's
-    floor_sum (atcoder/math.hpp); a and b may be negative.
-    """
-    total = 0
-    while True:
-        q, a = divmod(a, m)
-        total += n * (n - 1) // 2 * q
-        q, b = divmod(b, m)
-        total += n * q
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
-
-
-def _moebius_blocks(R: int) -> list[tuple[int, int]]:
-    """(J, M) for each distinct J = R // e, e = 1..R, M the sum of mu(e) over those e.
-
-    Blocks with M = 0 are dropped; the first is (R, 1).
-    """
-    mu = [0, 1] + [None] * (R - 1)
-    for n in range(2, R + 1):
-        p = next(p for p in range(2, n + 1) if n % p == 0)      # least prime factor
-        mu[n] = 0 if (n // p) % p == 0 else -mu[n // p]
-    blocks = {}
-    for e in range(1, R + 1):
-        blocks[R // e] = blocks.get(R // e, 0) + mu[e]
-    return [(J, M) for J, M in blocks.items() if M]
-
-
 def _count_offsets(smin: Q, smax: Q, blocks: list[tuple[int, int]]) -> int:
     """The offsets with denominator <= R strictly inside (smin, smax), for
-    blocks = _moebius_blocks(R).
+    blocks = moebius_blocks(R).
 
     G(J) = sum over den <= J of ceil(smax*den) - floor(smin*den) - 1, two
     floor sums, counts the fractions num/den inside, in lowest terms or not.
@@ -482,8 +410,8 @@ def _scan_chunk(args):
     ratio, None (no bound) first.  Each direction enters with its floor
     from _pair_floors; a popped direction is swept again and pushes its
     _pieces as parts (start, width, den, bb, ib) (see _part_values), each
-    with the _bernstein_floor of boundary/mass shifted by A.  A popped part
-    wider than 16/R^2 is halved by de Casteljau's rule (_halves, on both
+    with the bernstein_floor of boundary/mass shifted by A.  A popped part
+    wider than 16/R^2 is halved by de Casteljau's rule (halves, on both
     cubics).  Offsets with denominators <= R are at least 1/R^2 apart, so a
     narrower part holds at most 17 of them (admissible_offsets; the first
     part of a direction drops smin), and each is evaluated exactly from
@@ -499,7 +427,7 @@ def _scan_chunk(args):
     """
     P, sigma, A, dirs, R = args
     poly = _IntegerPolygon(P, sigma)
-    blocks = _moebius_blocks(R)
+    blocks = moebius_blocks(R)
     n = len(dirs)
     floors, n_creases = [None] * n, 0
     for k in range(n // 2):
@@ -525,7 +453,7 @@ def _scan_chunk(args):
             n_split += 1
             start, width, den, bb, ib = part
             parts = [(2 * start + k * width, width, 2 * den, bh, ih)
-                     for k, (bh, ih) in enumerate(zip(_halves(bb), _halves(ib)))]
+                     for k, (bh, ih) in enumerate(zip(halves(bb), halves(ib)))]
         else:
             a, smin, bden, iden = dirn
             start, width, den = part[:3]
@@ -538,7 +466,7 @@ def _scan_chunk(args):
             best = sorted(best, key=_rank)[:_TOP]
             continue
         for new in parts:
-            low = _bernstein_floor(new[3], new[4])
+            low = bernstein_floor(new[3], new[4])
             heapq.heappush(heap, (low is not None,
                                   _shifted_floor(low, dirn[3], dirn[2], A) if low else 0,
                                   next(tick), dirn, new))

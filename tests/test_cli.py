@@ -14,6 +14,7 @@ import pytest
 
 from kstab import solver as sol
 from kstab.cli import _write_csv, main
+from kstab.polytope import Polytope
 
 from conftest import format_polytope_text
 
@@ -759,6 +760,21 @@ class TestPipeline:
         assert log["futaki"] == ["0", "0"]
         assert Q(log["witness"]["L"]) < 0
 
+    def test_polygon_out_of_the_solvers_scope_is_recorded(self, tmp_path, capsys):
+        # the regular lattice hexagon: zero Futaki vector, stable at resolution,
+        # but no box, so the solver stage is skipped and pipeline.json says why
+        P = Polytope.from_vertices([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+        p = tmp_path / "hex.poly"
+        p.write_text(format_polytope_text(P))
+        out = tmp_path / "o"
+        assert main(["pipeline", str(p), "--resolution", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "stability verdict: stable-at-resolution\n"
+            "solver: general polygons are out of its scope (exit 1)\n", "")
+        assert json.loads((out / "pipeline.json").read_text()) == {
+            "stability": "stable-at-resolution", "futaki": ["0", "0"],
+            "solver": "out-of-scope", "exit": 1}
+
 
 class TestCsvWriter:
     def test_bytes_equal_csv_writer(self, tmp_path):
@@ -826,7 +842,7 @@ class TestNumpyFree:
     def test_imports_load_no_numpy(self, tmp_path):
         out = run_fresh("""
             import sys
-            import kstab, kstab.cli, kstab.stability, kstab.polytope
+            import kstab, kstab.cli, kstab.stability, kstab.polytope, kstab._intpoly
             print(sorted(m for m in sys.modules if m.startswith("numpy")))
             """, tmp_path)
         assert out == "[]\n"

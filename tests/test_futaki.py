@@ -12,7 +12,6 @@ from kstab.futaki import (
     expansion,
     expansion_exact,
     filtration_futaki,
-    floor_sum,
     interpolate_polynomial,
 )
 from kstab import futaki
@@ -120,10 +119,6 @@ class TestEhrhart:
             monkeypatch.setattr(futaki, "count_and_weigh", off_by_one(attr))
             with pytest.raises(ArithmeticError, match="do not fit"):
                 expansion_exact(trapezoid, (1, 0))
-
-    def test_interpolator_exact(self):
-        poly = interpolate_polynomial([1, 2, 3], [Q(2), Q(5), Q(10)])
-        assert poly == [Q(1), Q(0), Q(1)]   # 1 + k^2
 
 
 class TestExpansion:
@@ -360,19 +355,6 @@ class TestInt64Range:
             count_and_weigh(P, (1,) * P.dim, k)
         with pytest.raises(ValueError, match="too large"):
             next(futaki._rows(P, k))
-
-
-class TestFloorSum:
-    def test_against_direct_sum(self):
-        rng = random.Random(14)
-        for _ in range(500):
-            n, m = rng.randint(0, 40), rng.randint(1, 30)
-            a, b = rng.randint(-100, 100), rng.randint(-1000, 1000)
-            assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
-
-    def test_one_implementation(self):
-        # the crease scan's offset count and the filtration share one floor_sum
-        assert futaki.floor_sum is stab.floor_sum
 
 
 class TestPLFiltrationOracle:

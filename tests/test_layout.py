@@ -12,6 +12,7 @@ that CI sees.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import kstab
@@ -37,6 +38,20 @@ def test_every_module_level_definition_is_used_or_exported():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used and name not in kstab.__all__)
     assert unused == []
+
+
+def test_intpoly_is_a_leaf():
+    # the exact layers share _intpoly and load no numpy through it: it may
+    # import the standard library only, and nothing of kstab
+    tree = ast.parse((SRC / "_intpoly.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert sorted(name for name in imported
+                  if name.split(".")[0] not in sys.stdlib_module_names) == []
 
 
 def test_ci_runs_no_inline_checks():

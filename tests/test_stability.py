@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from kstab import _intpoly as ip
 from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures
 from kstab import stability as stab
 from kstab.stability import (
@@ -570,7 +571,7 @@ class TestCreaseSearch:
         parts = [c for lo, hi in zip(cuts, cuts[1:]) for c in stab.admissible_offsets(lo, hi, 7)]
         assert sorted(parts) == sorted(stab.admissible_offsets(cuts[0], cuts[-1], 7))
         with pytest.raises(ValueError):
-            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_blocks(1))
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), ip.moebius_blocks(1))
 
     def test_parallel_matches_serial(self, square):
         v1 = crease_search(square, unit(square), 4, workers=1)
@@ -623,13 +624,13 @@ def ratio_floor(sweep, A):
     """A rational beta <= L/mass at every offset of the direction, or None.
 
     Reference for the floors of stability._pair_floors, from the _pieces of
-    one direction's _sweep: the least of the pieces' _bernstein_floor
+    one direction's _sweep: the least of the pieces' bernstein_floor
     bounds on boundary/mass, compared in integers and then shifted by A;
     None means some piece's coefficients certify no bound.
     """
     best = None                     # (num, den), den > 0
     for _, _, bb, ib in stab._pieces(*sweep[:3]):
-        low = stab._bernstein_floor(bb, ib)
+        low = ip.bernstein_floor(bb, ib)
         if low is None:
             return None
         if best is None or low[0] * best[1] < best[0] * low[1]:
@@ -688,23 +689,23 @@ class TestPrunedScan:
             hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
             R = rng.randint(1, 9)
             inside = [c for c in stab.admissible_offsets(lo, hi, R) if c != lo]
-            assert stab._count_offsets(lo, hi, stab._moebius_blocks(R)) == len(inside)
+            assert stab._count_offsets(lo, hi, ip.moebius_blocks(R)) == len(inside)
         with pytest.raises(ValueError, match=r"exceed the scan's range \(numerators below 2\^62\)"):
-            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), stab._moebius_blocks(1))
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), ip.moebius_blocks(1))
 
     @pytest.mark.parametrize("smin, smax, end", [(-2 ** 62 - 2, 0, -2 ** 62 - 2),
                                                  (0, 2 ** 62 + 2, 2 ** 62 + 2)])
     def test_offset_overflow_names_its_end(self, smin, smax, end):
         with pytest.raises(ValueError, match=f"^crease offsets near {end} exceed the scan's "
                                              r"range \(numerators below 2\^62\)$"):
-            stab._count_offsets(Q(smin), Q(smax), stab._moebius_blocks(1))
+            stab._count_offsets(Q(smin), Q(smax), ip.moebius_blocks(1))
 
     def test_offset_count_matches_enumeration(self):
         # every R in 1..48, on intervals with negative, integral and
         # admissible endpoints (denominator R or less) as well as others
         rng = random.Random(83)
         for R in range(1, 49):
-            blocks = stab._moebius_blocks(R)
+            blocks = ip.moebius_blocks(R)
             for _ in range(8):
                 lo = Q(rng.randint(-90, 60), rng.choice([1, R, rng.randint(1, 60)]))
                 hi = lo + Q(rng.randint(1, 150), rng.choice([1, R, rng.randint(1, 60)]))
@@ -766,9 +767,9 @@ class TestPrunedScan:
                 den = poly.D
                 while width * R * R > 16 * den:
                     half = rng.randint(0, 1)
-                    bb, ib = stab._halves(bb)[half], stab._halves(ib)[half]
+                    bb, ib = ip.halves(bb)[half], ip.halves(ib)[half]
                     start, den = 2 * start + half * width, 2 * den
-                    low = stab._bernstein_floor(bb, ib)
+                    low = ip.bernstein_floor(bb, ib)
                     for c in stab.admissible_offsets(Q(start, den), Q(start + width, den), R):
                         if c != smin and low is not None:
                             bval, mass = sweep_eval(poly, sweep, c)
@@ -779,7 +780,7 @@ class TestPrunedScan:
 
 
 def scaled_floor(lb, mb):
-    low = stab._bernstein_floor(lb, mb)
+    low = ip.bernstein_floor(lb, mb)
     return None if low is None else Q(*low)
 
 
@@ -794,15 +795,15 @@ def assert_floors_match_scaled(sweep, A, rng):
     kl, kb, km = iden * A.denominator, A.numerator * bden, bden * A.denominator
     floors = []
     for (s0, h, bb, ib), bc, ic in zip(stab._pieces(*sweep[:3]), bco, ico):
-        lb = stab._bernstein3([b * kl - i * kb for b, i in zip(bc, ic)], s0, h)
-        mb = stab._bernstein3([i * km for i in ic], s0, h)
+        lb = ip.bernstein3([b * kl - i * kb for b, i in zip(bc, ic)], s0, h)
+        mb = ip.bernstein3([i * km for i in ic], s0, h)
         floors.append(scaled_floor(lb, mb))
         for _ in range(4):
-            low = stab._bernstein_floor(bb, ib)
+            low = ip.bernstein_floor(bb, ib)
             assert (None if low is None else stab._shifted_floor(low, iden, bden, A)) == \
                 scaled_floor(lb, mb), s0
             k = rng.randint(0, 1)
-            bb, ib, lb, mb = (stab._halves(x)[k] for x in (bb, ib, lb, mb))
+            bb, ib, lb, mb = (ip.halves(x)[k] for x in (bb, ib, lb, mb))
     assert ratio_floor(sweep, A) == (None if None in floors else min(floors))
 
 
@@ -864,7 +865,7 @@ def assert_pair_floors(poly, a, A, R):
     neg = tuple(-x for x in a)
     sa, sneg = stab._sweep(poly, a), stab._sweep(poly, neg)
     assert flipped(sa) == sneg, a
-    blocks = stab._moebius_blocks(R)
+    blocks = ip.moebius_blocks(R)
     count = stab._count_offsets(*sweep_ends(poly, sneg), blocks)
     assert stab._pair_floors(poly, a, A, blocks) == (ratio_floor(sa, A), ratio_floor(sneg, A),
                                                      count), a
@@ -972,7 +973,7 @@ class TestIntegerProfiles:
 def assert_parts_match(P, sigma, R, rng, descents=1):
     """Parts evaluate their offsets as the Fraction oracle does.
 
-    Each piece of every direction is halved at random (_halves) to a depth
+    Each piece of every direction is halved at random (halves) to a depth
     of 5 to 7, descents times; at every admissible offset of each part at
     depth 5 or more, _part_values equals FractionProfile.eval.  Returns the
     number of offsets compared.
@@ -987,7 +988,7 @@ def assert_parts_match(P, sigma, R, rng, descents=1):
             den = poly.D
             for depth in range(1, rng.randint(5, 7) + 1):
                 k = rng.randint(0, 1)
-                bb, ib = stab._halves(bb)[k], stab._halves(ib)[k]
+                bb, ib = ip.halves(bb)[k], ip.halves(ib)[k]
                 start, den = 2 * start + k * width, 2 * den
                 if depth < 5:
                     continue
