@@ -1,7 +1,9 @@
 """Exact integer-polynomial tools in Python ints and Fractions: floor sums,
-Moebius blocks, Bernstein bounds of cubics on [0, 1], Lagrange interpolation
-and series division.  Standard library only, so it loads no numpy."""
+Moebius blocks, Bernstein bounds of cubics on [0, 1], interpolation at
+consecutive integers and series division.  Standard library only, so it
+loads no numpy."""
 
+import math
 from fractions import Fraction as Q
 
 
@@ -79,21 +81,23 @@ def bernstein3(p: list[int], s0: int, h: int) -> list[int]:
     return [3 * q0, 3 * q0 + q1, 3 * q0 + 2 * q1 + q2, 3 * (q0 + q1 + q2 + q3)]
 
 
-def interpolate_polynomial(ks, vals) -> list[Q]:
-    """Exact coefficients (ascending) of the polynomial through (ks, vals).
+def interpolate_consecutive(k0: int, vals: list[int]) -> tuple[list[int], int]:
+    """(c, D), D = deg!, with sum c_j k^j / D the polynomial of degree
+    deg = len(vals) - 1 through (k0 + i, vals[i]), c in ascending powers.
 
-    The Lagrange sum of vals[i] * prod_{j != i} (x - ks[j]) / (ks[i] - ks[j]),
-    each product expanded one factor at a time.
-    """
-    coef = [Q(0)] * len(ks)
-    for i, (ki, vi) in enumerate(zip(ks, vals)):
-        basis, scale = [1], Q(vi)
-        for j, kj in enumerate(ks):
-            if j != i:
-                basis = [c - kj * b for c, b in zip([0] + basis, basis + [0])]
-                scale /= ki - kj
-        coef = [c + scale * b for c, b in zip(coef, basis)]
-    return coef
+    Newton's forward form sum_j Delta^j f(k0) C(k - k0, j), times D, has the
+    integer weights D/j!; Horner's rule in the factors k - (k0 + j) expands
+    it into powers of k, all in Python ints."""
+    diffs, row = [], vals
+    while row:                      # Delta^j f(k0), j = 0..deg
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    D = math.factorial(len(vals) - 1)
+    c = []
+    for j in range(len(vals) - 1, -1, -1):
+        c = [x - (k0 + j) * y for x, y in zip([0] + c, c + [0])]
+        c[0] += diffs[j] * (D // math.factorial(j))
+    return c, D
 
 
 def divide_series(num, den, terms: int) -> list[Q]:

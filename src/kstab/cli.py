@@ -196,17 +196,17 @@ def cmd_futaki(args) -> tuple[int, dict]:
     P, sigma = _load_polytope(args.polytope)
     xi = tuple(_int_list(args.xi, "--xi"))
     fit = expansion(P, xi, args.kmin, args.kmax)    # refuses a short k range before it counts
+    coefs = {name: _float(getattr(fit, name), name) for name in ("F0", "F1", "F2")}
     rows = [count_and_weigh(P, xi, k) for k in range(args.kmin, args.kmax + 1)]
     print(f"{'k':>4} {'d_k':>10} {'w_k':>12} {'F_k':>14}")
     for r in rows:
         print(f"{r.k:>4} {r.d_k:>10} {r.w_k:>12} {str(r.F_k):>14}")
-    print(f"fit over k={fit.k_range}: F(k) ~ {fit.F0:.8g} + {fit.F1:.8g}/k "
-          f"+ {fit.F2:.8g}/k^2   (residual {fit.residual:.2e})")
-    print(f"Futaki invariant estimate (1/k coefficient): {fit.F1:.8g}")
+    print(f"expansion from k = {args.kmin}..{args.kmax}: "
+          f"F0 = {fit.F0}, F1 = {fit.F1}, F2 = {fit.F2}")
+    print(f"Futaki invariant (1/k coefficient): {fit.F1}")
     return EXIT_OK, {
         "weights.csv": [["k", "d_k", "w_k", "F_k"]] + [[r.k, r.d_k, r.w_k, r.F_k] for r in rows],
-        "fit.json": {"F0": fit.F0, "F1": fit.F1, "F2": fit.F2,
-                     "residual": fit.residual, "k_range": list(fit.k_range)},
+        "fit.json": {**coefs, "k_range": list(fit.k_range)},
     }
 
 
@@ -403,8 +403,12 @@ def _pipeline(args) -> tuple[dict, int]:
     if not P.is_box():          # the solver meshes products of intervals only
         print("solver: general polygons are out of its scope (exit 1)")
         return {**log, "solver": "out-of-scope"}, EXIT_ERROR
-    from kstab import solver as sol
-    report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter)
+    from kstab import geometry as geo, solver as sol
+    try:
+        report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter)
+    except geo.UnsupportedPolytopeError as e:    # a box whose extent or weights it refuses
+        print(f"solver: {e} (exit 1)")
+        return {**log, "solver": "out-of-scope"}, EXIT_ERROR
     log["solver"] = report.termination
     if report.termination == "converged":
         print(f"solved: sup residual {report.residual_sup:.3e} (exit 0)")
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="parallel worker processes (default: serial)")
 
-    p = add("futaki", cmd_futaki, help="lattice-point weight table and expansion fit")
+    p = add("futaki", cmd_futaki, help="lattice-point weight table and exact Futaki expansion")
     p.add_argument("polytope")
     p.add_argument("--xi", default="1,0")
     p.add_argument("--kmin", type=int, default=4)
@@ -521,9 +525,7 @@ def main(argv=None) -> int:
         code, files = args.func(args)
         _write_outputs(args, files)
         return code
-    # a ConvexityError exists only once kstab.geometry has loaded, so it is looked up, not imported
-    except (ValueError, OSError, MemoryError,
-            getattr(sys.modules.get("kstab.geometry"), "ConvexityError", ValueError)) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     finally:

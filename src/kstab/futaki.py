@@ -6,9 +6,11 @@ torus generator xi on the determinant line is w_k = sum of <xi, m> over
 kP's lattice points.  F(k) = w_k/(k d_k) expands as F0 + F1/k + F2/k^2 +
 ... and F1 is the Futaki invariant; its ratio to the boundary functional L
 on the linear function <xi, x> is 1/(2 Vol P), a constant this module's
-tests freeze.  The filtration route assigns each lattice point the level at
-which it enters the sublevel filtration of a convex f and converges to the
-same invariant.
+tests freeze.  d_k and w_k are polynomials in k of degrees n and n + 1
+(Ehrhart 1962), so F0, F1 and F2 are exact rationals, interpolated in
+integers from the counts at consecutive k.  The filtration route assigns
+each lattice point the level at which it enters the sublevel filtration
+of a convex f and converges to the same invariant.
 
 Counting runs by rows: the first n-1 coordinates range over the bounding
 box of kP, and for each such prefix the facet inequalities, taken as exact
@@ -27,8 +29,8 @@ ms at k = 1 (medians of 21, 2 cores).  A k whose rows could leave int64
 is refused before anything is allocated.  The filtration of a PL convex
 function is linear along a row on each run where one piece is the max,
 and the ceilings on a run are one floor_sum; it still walks the rows one
-at a time (_rows).  floor_sum, the Ehrhart interpolation and the series
-division of expansion_exact are kstab._intpoly's exact tools.
+at a time (_rows).  floor_sum, the interpolation at consecutive k and
+the series division are kstab._intpoly's exact tools.
 
 SIGN CONVENTION (numbering drifts across sources): the action on the
 section labelled by lattice point m has weight +<xi, m>, not its negative.
@@ -42,17 +44,15 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from fractions import Fraction as Q
 
 import numpy as np
 
-from kstab._intpoly import divide_series, floor_sum, interpolate_polynomial
+from kstab._intpoly import divide_series, floor_sum, interpolate_consecutive
 from kstab.polytope import Polytope
 from kstab.stability import PLConvexFunction
 
 log = logging.getLogger(__name__)
-
-Q = Fraction
 
 
 class NonIntegralPolytopeError(ValueError):
@@ -69,10 +69,9 @@ class WeightData:
 
 @dataclass(frozen=True)
 class ExpansionFit:
-    F0: float
-    F1: float
-    F2: float
-    residual: float
+    F0: Q
+    F1: Q
+    F2: Q
     k_range: tuple[int, int]
 
 
@@ -195,40 +194,36 @@ def count_and_weigh(P: Polytope, xi, k: int) -> WeightData:
     return WeightData(k, d, w, Q(w, k * d))
 
 
+def _series(n: int, rows: list[WeightData]) -> tuple[Q, Q, Q]:
+    """(F0, F1, F2) of F(k) = w_k/(k d_k) from rows counted at consecutive k:
+    d_k interpolated from the first n + 1 rows and w_k from the first n + 2,
+    both checked at every row and at k = 0 (d_0 = 1, w_0 = 0)."""
+    k0 = rows[0].k
+    dc, dD = interpolate_consecutive(k0, [r.d_k for r in rows[:n + 1]])
+    wc, wD = interpolate_consecutive(k0, [r.w_k for r in rows[:n + 2]])
+
+    def at(c, k):
+        return sum(cj * k ** j for j, cj in enumerate(c))
+
+    if dc[0] != dD or wc[0] != 0 or any(
+            at(dc, r.k) != dD * r.d_k or at(wc, r.k) != wD * r.w_k for r in rows):
+        raise ArithmeticError(f"lattice counts at k = {k0}..{rows[-1].k} do not fit Ehrhart "
+                              f"polynomials of degrees {n} and {n + 1}")
+    # F_k = (w_{n+1} + w_n/k + ...)/(d_n + d_{n-1}/k + ...), w = wc/(n+1)!, d = dc/n!
+    return tuple(divide_series(wc[::-1], [(n + 1) * c for c in dc[::-1]], 3))
+
+
 def expansion(P: Polytope, xi, k_min: int, k_max: int) -> ExpansionFit:
-    """Least-squares fit of F_k against (1, 1/k, 1/k^2) on k_min..k_max."""
-    if k_max - k_min < 3:
-        raise ValueError("need k_max - k_min >= 3 for a three-parameter fit")
-    ks = np.arange(k_min, k_max + 1, dtype=float)
-    fs = np.array([float(count_and_weigh(P, xi, int(k)).F_k) for k in ks])
-    M = np.stack([np.ones_like(ks), 1.0 / ks, 1.0 / ks**2], axis=1)
-    coef, res, _, _ = np.linalg.lstsq(M, fs, rcond=None)
-    resid = float(np.sqrt(res[0])) if res.size else float(np.linalg.norm(M @ coef - fs))
-    return ExpansionFit(float(coef[0]), float(coef[1]), float(coef[2]), resid,
-                        (k_min, k_max))
+    """The exact (F0, F1, F2) of the lattice counts at k_min..k_max."""
+    if k_max - k_min < max(3, P.dim + 1):
+        raise ValueError(f"need k_max - k_min >= {max(3, P.dim + 1)} for a three-parameter fit")
+    rows = [count_and_weigh(P, xi, k) for k in range(k_min, k_max + 1)]
+    return ExpansionFit(*_series(P.dim, rows), (k_min, k_max))
 
 
 def expansion_exact(P: Polytope, xi) -> tuple[Q, Q, Q]:
-    """(F0, F1, F2) by exact Hilbert-polynomial interpolation.
-
-    d_k is a degree-n polynomial and w_k a degree-(n+1) polynomial with zero
-    constant term; interpolating them from small k and dividing the series
-    gives the expansion coefficients exactly.  This is the independent
-    oracle for the least-squares route.
-    """
-    require_integral(P)
-    n = P.dim
-    dks = [count_and_weigh(P, xi, k) for k in range(1, n + 3)]
-    dpoly = interpolate_polynomial(list(range(1, n + 2)), [d.d_k for d in dks[:n + 1]])
-    wpoly = interpolate_polynomial(list(range(0, n + 3)),
-                                   [0] + [d.w_k for d in dks])
-    # sanity: d_k must reproduce the extra data point and w_k has degree n + 1
-    kchk = n + 2
-    if sum(c * kchk ** j for j, c in enumerate(dpoly)) != dks[n + 1].d_k or wpoly[n + 2] != 0:
-        raise ArithmeticError(f"lattice counts at k = 1..{n + 2} do not fit Ehrhart "
-                              f"polynomials of degrees {n} and {n + 1}")
-    # F_k = sum_j w_{n+1-j} k^-j / sum_j d_{n-j} k^-j, divided as series in 1/k
-    return tuple(divide_series(wpoly[n + 1::-1], dpoly[::-1], 3))
+    """(F0, F1, F2) from the lattice counts at k = 1..n + 2."""
+    return _series(P.dim, [count_and_weigh(P, xi, k) for k in range(1, P.dim + 3)])
 
 
 def _envelope_runs(lines, lo: int, hi: int):

@@ -28,7 +28,7 @@ import numpy as np
 from kstab.polytope import BoundaryMeasure, Polytope, is_delzant, measures
 
 
-class ConvexityError(RuntimeError):
+class ConvexityError(ValueError):
     """Hessian not positive definite at some node; carries the location."""
 
     def __init__(self, point, detail=""):

@@ -13,12 +13,8 @@ import numpy as np
 from kstab import geometry as geo
 from kstab import kempfness as kn
 from kstab import solver as sol
-from kstab.futaki import (
-    count_and_weigh,
-    expansion,
-    filtration_futaki,
-    interpolate_polynomial,
-)
+from kstab._intpoly import interpolate_consecutive
+from kstab.futaki import count_and_weigh, expansion, filtration_futaki
 from kstab.polytope import BoundaryMeasure, Polytope, measures
 from kstab.stability import L, PLConvexFunction, crease_search, futaki_linear
 
@@ -133,9 +129,9 @@ def test_criterion_4_functional_exactness():
 
 
 def test_criterion_5_three_way_futaki_agreement():
-    """Expansion F1 vs L on linear functions: sign match and the volume-
-    normalized ratio 2*vol*F1/L within 1% (k <= 40) on the square and two
-    asymmetric polygons; filtration route within 3% at k = 256."""
+    """Expansion F1 vs L on linear functions: 2*vol*F1 == L(<xi, x>) exactly
+    (counts at k = 10..40) on the square and two asymmetric polygons;
+    filtration route within 3% at k = 256."""
     trap = Polytope.from_vertices([(0, 0), (2, 0), (1, 1), (0, 1)])
     poly2 = Polytope.from_vertices([(0, 0), (3, 0), (1, 1), (0, 1)])
     details = []
@@ -143,14 +139,8 @@ def test_criterion_5_three_way_futaki_agreement():
     for P in (SQUARE, trap, poly2):
         fit = expansion(P, (1, 0), 10, 40)
         lx = futaki_linear(P, unit(P))[0]
-        if lx == 0:
-            ok = ok and abs(fit.F1) < 1e-9
-            details.append("square: F1 ~ 0")
-        else:
-            ok = ok and np.sign(fit.F1) == np.sign(float(lx))
-            ratio = 2 * float(measures(P).vol) * fit.F1 / float(lx)
-            ok = ok and abs(ratio - 1) < 0.01
-            details.append(f"ratio {ratio:.4f}")
+        ok = ok and 2 * measures(P).vol * fit.F1 == lx
+        details.append(f"F1 {fit.F1}, L {lx}")
     f_abs = PLConvexFunction.abs_coordinate(1)
     v1 = filtration_futaki(SEG_SYM, f_abs, 128)
     v2 = filtration_futaki(SEG_SYM, f_abs, 256)
@@ -265,9 +255,9 @@ def test_criterion_9_ehrhart_sanity():
     for _ in range(5):
         P = random_integral_polygon(rng)
         counts = [count_and_weigh(P, (1, 0), k).d_k for k in range(1, 13)]
-        poly = interpolate_polynomial([1, 2, 3], counts[:3])
+        poly, D = interpolate_consecutive(1, counts[:3])
         ok = ok and all(
-            sum(c * k ** j for j, c in enumerate(poly)) == counts[k - 1]
+            sum(c * k ** j for j, c in enumerate(poly)) == D * counts[k - 1]
             for k in range(1, 13))
     report(9, ok, "square counts exact to k=40; 5 random polygons interpolate")
 

@@ -199,8 +199,32 @@ class TestFutakiCommand:
         rows = (out / "weights.csv").read_text().strip().splitlines()
         assert rows[0] == "k,d_k,w_k,F_k"
         assert rows[1].startswith("3,16,24,1/2")
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "expansion from k = 3..9: F0 = 1/2, F1 = 0, F2 = 0",
+            "Futaki invariant (1/k coefficient): 0"]
         fit = json.loads((out / "fit.json").read_text())
-        assert abs(fit["F1"]) < 1e-9
+        assert fit == {"F0": 0.5, "F1": 0.0, "F2": 0.0, "k_range": [3, 9]}
+
+    def test_benchmark_triangle_prints_the_exact_expansion(self, tmp_path, capsys):
+        p = tmp_path / "tri.poly"
+        p.write_text("dim 2\nvertices\n0 0\n2 0\n1 3\n")
+        out = tmp_path / "o"
+        assert main(["futaki", str(p), "--xi", "0,1", "--kmin", "197", "--kmax", "200",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "expansion from k = 197..200: F0 = 1, F1 = -1/6, F2 = 5/18",
+            "Futaki invariant (1/k coefficient): -1/6"]
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit == {"F0": 1.0, "F1": float(Q(-1, 6)), "F2": float(Q(5, 18)),
+                       "k_range": [197, 200]}
+
+    def test_expansion_beyond_the_floats_is_one_error(self, in_inputs, capsys):
+        # F0 = 10^400/3 is exact, but fit.json's float of it ended in an
+        # OverflowError traceback
+        assert main(["futaki", "tri.poly", "--xi", "1" + "0" * 400 + ",0", "--kmin", "3",
+                     "--kmax", "6", "--out", "o"]) == 1
+        assert capsys.readouterr() == ("", "error: F0 exceeds the float range\n")
+        assert not Path("o").exists()
 
     @pytest.mark.parametrize("xi", ["1" + "0" * 30 + ",-1", "-3," + "1" + "0" * 40])
     def test_huge_xi_is_exact(self, in_inputs, xi):
@@ -389,14 +413,11 @@ HUGE_BOX = "dim 2\nfacets\n1 0 0\n-1 0 -1e200\n0 1 0\n0 -1 -1\n"
 
 
 class TestExtentRange:
-    # pipeline reaches the solve on the tiny segment only: the crease
-    # offsets of the huge boxes leave the crease scan's range first
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, text", [
         ("solve", HUGE_SEG), ("solve", TINY_SEG), ("solve", HUGE_BOX), ("ray", HUGE_SEG),
-        ("ray", TINY_SEG), ("ray", HUGE_BOX), ("pipeline", TINY_SEG)],
-        ids=["solve-1e300", "solve-1e-300", "solve-box", "ray-1e300", "ray-1e-300", "ray-box",
-             "pipeline-1e-300"])
+        ("ray", TINY_SEG), ("ray", HUGE_BOX)],
+        ids=["solve-1e300", "solve-1e-300", "solve-box", "ray-1e300", "ray-1e-300", "ray-box"])
     def test_refused_naming_the_axis(self, tmp_path, capsys, command, text):
         p = tmp_path / "p.poly"
         p.write_text(text)
@@ -773,6 +794,22 @@ class TestPipeline:
             "solver: general polygons are out of its scope (exit 1)\n", "")
         assert json.loads((out / "pipeline.json").read_text()) == {
             "stability": "stable-at-resolution", "futaki": ["0", "0"],
+            "solver": "out-of-scope", "exit": 1}
+
+    @pytest.mark.filterwarnings("error")
+    def test_box_the_solver_refuses_is_recorded(self, tmp_path, capsys):
+        # the unit segment of extent 1e-300 passes the scan, but its extent is
+        # outside the solver's range: the verdict was lost with the refusal
+        p = tmp_path / "p.poly"
+        p.write_text(TINY_SEG)
+        out = tmp_path / "o"
+        assert main(["pipeline", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "stability verdict: stable-at-resolution\n"
+            "solver: axis 1: the extent 1e-300 (in floats) is outside the solver's range "
+            "[1e-50, 1e+50] (exit 1)\n", "")
+        assert json.loads((out / "pipeline.json").read_text()) == {
+            "stability": "stable-at-resolution", "futaki": ["0"],
             "solver": "out-of-scope", "exit": 1}
 
 

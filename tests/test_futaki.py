@@ -6,13 +6,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from kstab._intpoly import interpolate_consecutive
 from kstab.futaki import (
+    ExpansionFit,
     NonIntegralPolytopeError,
     count_and_weigh,
     expansion,
     expansion_exact,
     filtration_futaki,
-    interpolate_polynomial,
 )
 from kstab import futaki
 from kstab.polytope import BoundaryMeasure, Polytope, measures
@@ -99,43 +100,51 @@ class TestEhrhart:
         for _ in range(5):
             P = random_integral_polygon(rng)
             counts = [count_and_weigh(P, (1, 0), k).d_k for k in range(1, 13)]
-            poly = interpolate_polynomial([1, 2, 3], counts[:3])
+            poly, D = interpolate_consecutive(1, counts[:3])
+            assert poly[0] == D     # Ehrhart's constant term d_0 = 1
             for k in range(1, 13):
-                assert sum(c * k ** j for j, c in enumerate(poly)) == counts[k - 1]
+                assert sum(c * k ** j for j, c in enumerate(poly)) == D * counts[k - 1]
 
     def test_inconsistent_counts_raise(self, trapezoid, monkeypatch):
+        # d_k or w_k off by one at k = 4, or at every k: the latter still
+        # fits polynomials of degrees n and n + 1, but not d_0 = 1 or w_0 = 0
         real = futaki.count_and_weigh
 
-        def off_by_one(attr):
+        def off_by_one(attr, ks):
             def fake(P, xi, k):
                 wd = real(P, xi, k)
-                if k != 4:
+                if k not in ks:
                     return wd
                 d, w = wd.d_k + (attr == "d"), wd.w_k + (attr == "w")
                 return futaki.WeightData(k, d, w, Q(w, k * d))
             return fake
 
-        for attr in ("d", "w"):
-            monkeypatch.setattr(futaki, "count_and_weigh", off_by_one(attr))
+        for attr, ks in itertools.product("dw", ({4}, range(1, 10))):
+            monkeypatch.setattr(futaki, "count_and_weigh", off_by_one(attr, ks))
             with pytest.raises(ArithmeticError, match="do not fit"):
                 expansion_exact(trapezoid, (1, 0))
+            with pytest.raises(ArithmeticError, match=r"at k = 2\.\.5 do not fit"):
+                expansion(trapezoid, (1, 0), 2, 5)
 
 
 class TestExpansion:
     def test_segment_exact_constant(self, segment01):
         fit = expansion(segment01, (1,), 2, 8)
-        assert abs(fit.F0 - 0.5) < 1e-12
-        assert abs(fit.F1) < 1e-12
-        assert abs(fit.F2) < 1e-12
-        assert fit.residual < 1e-12
+        assert fit == ExpansionFit(Q(1, 2), Q(0), Q(0), (2, 8))
 
     def test_range_check(self, segment01):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 3 for"):
             expansion(segment01, (1,), 5, 7)
+        # a 3-dimensional w_k needs five rows
+        P = configuration_polytopes()[0][0]
+        with pytest.raises(ValueError, match=">= 4 for"):
+            expansion(P, (1, 0, 0), 1, 4)
+        exact = expansion_exact(P, (1, 0, 0))
+        assert expansion(P, (1, 0, 0), 1, 5) == ExpansionFit(*exact, (1, 5))
 
     def test_square_futaki_vanishes(self, square):
         fit = expansion(square, (1, 0), 4, 20)
-        assert abs(fit.F1) < 1e-10
+        assert (fit.F0, fit.F1, fit.F2) == (Q(1, 2), 0, 0)
 
     def test_exact_series_ratio_is_half_inverse_volume(self, trapezoid):
         # the frozen proportionality: 2 * vol * F1 == L(<xi, x>) exactly
@@ -147,17 +156,11 @@ class TestExpansion:
             assert 2 * measures(P).vol * F1 == Lx
             assert F0 == measures(P).centroid[0]
 
-    def test_lsq_matches_exact_series(self, trapezoid):
-        F0, F1, F2 = expansion_exact(trapezoid, (1, 0))
-        fit = expansion(trapezoid, (1, 0), 10, 40)
-        assert abs(fit.F1 - float(F1)) / abs(float(F1)) < 0.005
-
-    def test_residual_improves_deeper_in_asymptotic_regime(self, trapezoid):
-        # F(k) is a rational function of k; the 1/k^3 tail shrinks as the
-        # window moves out, so the per-point fit residual must drop
-        shallow = expansion(trapezoid, (1, 0), 4, 24)
-        deep = expansion(trapezoid, (1, 0), 20, 40)
-        assert deep.residual < shallow.residual
+    def test_far_ranges_match_exact_series(self, trapezoid):
+        exact = expansion_exact(trapezoid, (1, 0))
+        for k_min, k_max in ((10, 40), (197, 200)):
+            assert expansion(trapezoid, (1, 0), k_min, k_max) == \
+                ExpansionFit(*exact, (k_min, k_max))
 
     def test_translation_covariance(self, trapezoid):
         shifted = unimodular_image(trapezoid, None, [[1, 0], [0, 1]], (3, -2))[0]
@@ -178,6 +181,25 @@ class TestExpansion:
         assert F1y < 0
         assert 2 * measures(trapezoid).vol * F1y == \
             futaki_linear(trapezoid, BoundaryMeasure.unit(trapezoid))[1]
+
+
+class TestExpansionCorpus:
+    def test_consecutive_ranges_equal_expansion_exact(self):
+        # random integral segments and polygons, xi and consecutive k ranges:
+        # four rows from k = 1, and ranges far out such as 197..200
+        rng = random.Random(34)
+        for case in range(150):
+            if case % 3 == 0:
+                a = rng.randint(-9, 9)
+                P = Polytope.from_vertices([(a,), (a + rng.randint(1, 9),)])
+            else:
+                P = random_integral_polygon(rng)
+            xi = tuple(rng.randint(-5, 5) for _ in range(P.dim))
+            k_min = 1 if case % 4 == 0 else rng.choice([2, 5, 37, 197])
+            k_max = k_min + rng.choice([3, 4, 6])
+            fit = expansion(P, xi, k_min, k_max)
+            assert fit == ExpansionFit(*expansion_exact(P, xi), (k_min, k_max)), (P, xi)
+            assert all(type(v) is Q for v in (fit.F0, fit.F1, fit.F2))
 
 
 class TestFiltration:

@@ -115,18 +115,38 @@ class TestBernsteinFloor:
         assert ip.bernstein_floor([1, 2, 3, 4], [0, -1, 0, 0]) is None
 
 
+def lagrange(ks, vals):
+    """Ascending coefficients of the polynomial through (ks, vals): the
+    Lagrange sum, each basis polynomial expanded in Fractions."""
+    coef = [Q(0)] * len(ks)
+    for i, (ki, vi) in enumerate(zip(ks, vals)):
+        basis, scale = [Q(1)], Q(vi)
+        for j, kj in enumerate(ks):
+            if j != i:
+                basis = [c - kj * b for c, b in zip([0] + basis, basis + [0])]
+                scale /= ki - kj
+        coef = [c + scale * b for c, b in zip(coef, basis)]
+    return coef
+
+
 class TestInterpolatePolynomial:
     def test_interpolator_exact(self):
-        poly = ip.interpolate_polynomial([1, 2, 3], [Q(2), Q(5), Q(10)])
-        assert poly == [Q(1), Q(0), Q(1)]   # 1 + k^2
+        c, D = ip.interpolate_consecutive(1, [2, 5, 10])
+        assert (c, D) == ([2, 0, 2], 2)     # 1 + k^2, over 2!
 
     def test_recovers_random_polynomials(self):
         rng = random.Random(17)
-        for _ in range(100):
-            coef = [Q(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))]
-            ks = rng.sample(range(-15, 16), len(coef))
-            vals = [sum(c * k ** j for j, c in enumerate(coef)) for k in ks]
-            assert ip.interpolate_polynomial(ks, vals) == coef
+        for _ in range(300):
+            deg = rng.randint(0, 7)
+            # integer values at integers: integer combinations of binomials C(k, j)
+            weights = [rng.randint(-20, 20) for _ in range(deg + 1)]
+            k0 = rng.choice([rng.randint(-40, 40), rng.randint(150, 300)])
+            ks = list(range(k0, k0 + deg + 1))
+            vals = [sum(w * math.comb(k - k0 + 3, j) for j, w in enumerate(weights))
+                    for k in ks]
+            c, D = ip.interpolate_consecutive(k0, vals)
+            assert D == math.factorial(deg) and all(type(x) is int for x in c)
+            assert [Q(x, D) for x in c] == lagrange(ks, vals), (k0, vals)
 
 
 class TestDivideSeries:
