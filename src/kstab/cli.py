@@ -20,7 +20,6 @@ import argparse
 import cmath
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import sys
@@ -228,17 +227,8 @@ def cmd_filtration(args) -> tuple[int, dict]:
     return EXIT_OK, {"filtration.csv": [["k", "statistic"]] + vals}
 
 
-def _grid_rows(g: kstab.geometry.PotentialGrid) -> list[list]:
-    from kstab.geometry import grid_dump_rows
-    # grid_dump_rows runs over the nodes in C order, as product does over the
-    # axes; each axis's coordinates are formatted once, not once per node
-    coords = itertools.product(*(list(map(repr, ax.nodes.tolist())) for ax in g.axes))
-    return [["x1", "x2"][: g.n] + ["u", "det_hess", "S"]] + [
-        [*x, *row[g.n:]] for x, row in zip(coords, grid_dump_rows(g))]
-
-
 def cmd_solve(args) -> tuple[int, dict]:
-    from kstab import solver as sol
+    from kstab import geometry as geo, solver as sol
     if args.dump_every < 0:
         raise ValueError(f"--dump-every must be 0 (no snapshots) or positive, "
                          f"got {args.dump_every}")
@@ -247,10 +237,10 @@ def cmd_solve(args) -> tuple[int, dict]:
     if args.dump_every:
         out = Path(args.out)
         # solve() has checked the polytope and the mesh before its first iteration
-        def callback(it, grid):
+        def callback(it, s):
             if it % args.dump_every == 0:
                 out.mkdir(parents=True, exist_ok=True)
-                _write_csv(out / f"grid_{it:05d}.csv", _grid_rows(grid))
+                _write_csv(out / f"grid_{it:05d}.csv", geo.grid_dump_rows(s.g, s.det, s.div))
     report = sol.solve(P, sigma, m=args.mesh, tol=args.tol, max_iter=args.max_iter,
                        require_futaki_zero=not args.allow_nonzero_futaki,
                        callback=callback)
@@ -278,7 +268,7 @@ def cmd_solve(args) -> tuple[int, dict]:
         print(f"Futaki vector {tuple(map(str, report.futaki))} is nonzero; "
               "no constant-scalar-curvature solution exists")
         return EXIT_FUTAKI, files
-    files["grid.csv"] = _grid_rows(report.grid)
+    files["grid.csv"] = geo.grid_dump_rows(report.grid, report.final.det, report.final.div)
     exits = {"converged": EXIT_OK, "divergence-certificate": EXIT_DIVERGENCE}
     return exits.get(report.termination, EXIT_ERROR), files
 

@@ -216,7 +216,7 @@ def _series(n: int, rows: list[WeightData]) -> tuple[Q, Q, Q]:
 def expansion(P: Polytope, xi, k_min: int, k_max: int) -> ExpansionFit:
     """The exact (F0, F1, F2) of the lattice counts at k_min..k_max."""
     if k_max - k_min < max(3, P.dim + 1):
-        raise ValueError(f"need k_max - k_min >= {max(3, P.dim + 1)} for a three-parameter fit")
+        raise ValueError(f"need k_max - k_min >= {max(3, P.dim + 1)} to interpolate d_k and w_k")
     rows = [count_and_weigh(P, xi, k) for k in range(k_min, k_max + 1)]
     return ExpansionFit(*_series(P.dim, rows), (k_min, k_max))
 

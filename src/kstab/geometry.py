@@ -13,11 +13,14 @@ boxes.
 Grid layout: node arrays have shape (m1,) or (m1, m2) including boundary
 nodes.  Hessian data lives on the interior lattice (one layer in); the
 scalar curvature field lives two layers in, matching the stencil depth.
+Field functions take the fields they read; potential_fields runs each once
+per potential, and grid_dump_rows writes grid.csv from its det and div.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -325,31 +328,34 @@ def guillemin(P: Polytope, sigma: BoundaryMeasure, m=65) -> PotentialGrid:
 
 # -- Hessian / inverse / scalar curvature fields -----------------------------
 
-def hessian_field(g: PotentialGrid):
-    """Hessian components of u on the interior lattice.
-
-    u0 is differentiated in closed form and phi by the axis difference
-    taps.  Returns a dict {(a, b): array} with symmetric entries aliased.
-    """
-    H = {}
-    for a, ax in enumerate(g.axes):
-        H[(a, a)] = _along(ax.d2, g.phi, a) + _on_axis(ax.u0_d2(), g.n, a)
+def difference_hessian(g: PotentialGrid, f: np.ndarray):
+    """Hessian components of the node array f on the interior lattice, by the
+    axis difference taps: {(a, b): array}, symmetric entries aliased."""
+    H = {(a, a): _along(ax.d2, f, a) for a, ax in enumerate(g.axes)}
     if g.n == 2:
-        H[(0, 1)] = H[(1, 0)] = _mixed(g.axes[0].d1, g.axes[1].d1, g.phi)
+        H[(0, 1)] = H[(1, 0)] = _mixed(g.axes[0].d1, g.axes[1].d1, f)
     return H
 
 
-def det_field(g: PotentialGrid, H=None) -> np.ndarray:
-    H = hessian_field(g) if H is None else H
-    if g.n == 1:
+def hessian_field(g: PotentialGrid):
+    """Hessian components of u on the interior lattice: u0's in closed form
+    plus the difference Hessian of phi."""
+    H = difference_hessian(g, g.phi)
+    for a, ax in enumerate(g.axes):
+        H[(a, a)] += _on_axis(ax.u0_d2(), g.n, a)
+    return H
+
+
+def det_field(H) -> np.ndarray:
+    """det(u_ab) on the interior lattice from the Hessian components."""
+    if (1, 1) not in H:
         return H[(0, 0)]
     return H[(0, 0)] * H[(1, 1)] - H[(0, 1)] ** 2
 
 
-def check_convexity(g: PotentialGrid, H=None):
-    """Raise ConvexityError at the first interior node with a bad Hessian."""
-    H = hessian_field(g) if H is None else H
-    det = det_field(g, H)
+def check_convexity(g: PotentialGrid, H, det: np.ndarray):
+    """Raise ConvexityError at the first interior node where the Hessian H
+    (determinant det) is not positive definite."""
     bad = (H[(0, 0)] <= 0) | (det <= 0)
     if bad.any():
         idx = np.unravel_index(np.argmax(bad), bad.shape)
@@ -357,30 +363,17 @@ def check_convexity(g: PotentialGrid, H=None):
         raise ConvexityError(loc, f"(det = {det[idx]:.3e})")
 
 
-def inverse_hessian_field(g: PotentialGrid, H=None):
-    """Pointwise inverse of the Hessian on the interior lattice."""
-    H = hessian_field(g) if H is None else H
-    det = det_field(g, H)
-    if (det <= 0).any() or (H[(0, 0)] <= 0).any():
-        check_convexity(g, H)
-    if g.n == 1:
+def inverse_hessian_field(H, det: np.ndarray):
+    """Pointwise inverse of a positive definite Hessian H with determinant det."""
+    if (1, 1) not in H:
         return {(0, 0): 1.0 / H[(0, 0)]}
     return {(0, 0): H[(1, 1)] / det, (1, 1): H[(0, 0)] / det,
             (0, 1): -H[(0, 1)] / det, (1, 0): -H[(0, 1)] / det}
 
 
-def abreu_residual_field(g: PotentialGrid, U=None) -> np.ndarray:
-    """sum_ab d^2 U^{ab} / dx_a dx_b + A on the two-layers-in lattice.
-
-    Zero exactly at a discrete solution of the constant scalar curvature
-    equation; equals A - 2S.
-    """
-    return divergence2_field(g, U) + g.A
-
-
-def divergence2_field(g: PotentialGrid, U=None) -> np.ndarray:
-    """sum_ab (U^{ab})_{,ab} by centred differences of the inverse Hessian."""
-    U = inverse_hessian_field(g) if U is None else U
+def divergence2_field(g: PotentialGrid, U) -> np.ndarray:
+    """sum_ab (U^{ab})_{,ab} by centred differences of the inverse Hessian U,
+    on the two-layers-in lattice."""
     out = _along(g.axes[0].d2i, U[(0, 0)], 0)
     if g.n == 2:
         x, y = g.axes
@@ -388,9 +381,20 @@ def divergence2_field(g: PotentialGrid, U=None) -> np.ndarray:
     return out
 
 
-def scalar_curvature_field(g: PotentialGrid) -> np.ndarray:
-    """S = -(1/2) sum (U^{ab})_{,ab} on the depth-2 lattice."""
-    return -0.5 * divergence2_field(g)
+def potential_fields(g: PotentialGrid):
+    """(H, det, U, div) of the grid's potential, each computed once:
+    ConvexityError off the convex cone, before U."""
+    H = hessian_field(g)
+    det = det_field(H)
+    check_convexity(g, H, det)
+    U = inverse_hessian_field(H, det)
+    return H, det, U, divergence2_field(g, U)
+
+
+def abreu_residual_field(g: PotentialGrid, div: np.ndarray) -> np.ndarray:
+    """div + A for div = divergence2_field: zero exactly at a discrete
+    solution of the constant scalar curvature equation; equals A - 2S."""
+    return div + g.A
 
 
 @dataclass
@@ -406,15 +410,13 @@ def abreu_S(g: PotentialGrid, x) -> MetricSample:
     idx = g.find_node(x)
     if g.depth(idx) < 2:
         raise ValueError(f"node {x} is fewer than 2 mesh layers from the boundary")
-    H = hessian_field(g)
-    U = inverse_hessian_field(g, H)
-    S = scalar_curvature_field(g)
+    H, _, U, div = potential_fields(g)
     iin = tuple(j - 1 for j in idx)
     idd = tuple(j - 2 for j in idx)
     n = g.n
     Hm = np.array([[H[(min(a, b), max(a, b))][iin] for b in range(n)] for a in range(n)])
     Um = np.array([[U[(min(a, b), max(a, b))][iin] for b in range(n)] for a in range(n)])
-    return MetricSample(g.node_point(idx), Hm, Um, float(S[idd]))
+    return MetricSample(g.node_point(idx), Hm, Um, float(-0.5 * div[idd]))
 
 
 def gradient_field(g: PotentialGrid):
@@ -432,7 +434,8 @@ def legendre(g: PotentialGrid, x):
     idx = g.find_node(x)
     if g.depth(idx) < 1:
         raise ValueError(f"node {x} is on the boundary")
-    check_convexity(g)
+    H = hessian_field(g)
+    check_convexity(g, H, det_field(H))
     grads = gradient_field(g)
     iin = tuple(j - 1 for j in idx)
     gvec = tuple(float(gr[iin]) for gr in grads)
@@ -548,12 +551,15 @@ def l_functional_quadrature(g: PotentialGrid, values_phi: np.ndarray | None = No
     return boundary - g.A * interior
 
 
-def grid_dump_rows(g: PotentialGrid) -> list[list[float]]:
-    """Rows [x1[, x2], u, det_hess, S] for CSV export, nodes in C order; NaN
-    where undefined."""
+def grid_dump_rows(g: PotentialGrid, det: np.ndarray, div: np.ndarray) -> list[list]:
+    """grid.csv from an evaluated potential's det(u_ab) and second divergence:
+    the header, then [x1[, x2], u, det_hess, S = -div/2] per node in C order,
+    NaN where undefined, coordinates as reprs formatted once per axis."""
     det_full = np.full(g.shape, np.nan)
-    det_full[(slice(1, -1),) * g.n] = det_field(g)
+    det_full[(slice(1, -1),) * g.n] = det
     S_full = np.full(g.shape, np.nan)
-    S_full[(slice(2, -2),) * g.n] = scalar_curvature_field(g)
-    cols = g.node_grids() + [g.u_values(), det_full, S_full]
-    return np.stack(cols, axis=-1).reshape(-1, len(cols)).tolist()
+    S_full[(slice(2, -2),) * g.n] = -0.5 * div
+    values = np.stack([g.u_values(), det_full, S_full], axis=-1).reshape(-1, 3).tolist()
+    coords = itertools.product(*(list(map(repr, ax.nodes.tolist())) for ax in g.axes))
+    return [["x1", "x2"][:g.n] + ["u", "det_hess", "S"]] + [
+        [*x, *v] for x, v in zip(coords, values)]

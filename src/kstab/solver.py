@@ -1,7 +1,11 @@
 """Minimization of the toric Mabuchi functional and the Abreu equation.
 
 The functional is F(u) = -int log det(u_ab) dmu + L(u); its L2 gradient at
-u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A.
+u = u0 + phi is -(residual) where residual = sum (u^{ab})_{,ab} + A.  Both
+come from one evaluation of the potential (evaluate), which computes the
+Hessian, its determinant, its inverse and the second divergence once each
+and keeps them in the Iterate that the steps, the callback and the report
+read.
 
 The Futaki vector decides before the first iteration which question a run
 answers, and each answer has one step.  When it vanishes F is convex and
@@ -280,16 +284,13 @@ class GridOperators:
         """The pinned J*E (jacobian's matrix) times the deep vector v, flat.
 
         The derivative of the residual's own code along E v, its pinned
-        entries zeroed: dH from the Hessian taps (no u0 term), dU = -U dH U,
+        entries zeroed: dH the difference Hessian of E v, dU = -U dH U,
         and the second divergence of dU.  The pinned rows give scale * v,
         scale the max|J*E| that jacobian returns.  Elementwise
         products and sums only, so no threaded BLAS.
         """
         g, n = self.g, self.g.n
-        dphi = _close(g, v * self.unpinned).reshape(g.shape)
-        dH = {(a, a): geo._along(ax.d2, dphi, a) for a, ax in enumerate(g.axes)}
-        if n == 2:
-            dH[(0, 1)] = dH[(1, 0)] = geo._mixed(g.axes[0].d1, g.axes[1].d1, dphi)
+        dH = geo.difference_hessian(g, _close(g, v * self.unpinned).reshape(g.shape))
         dU = {}
         for a in range(n):
             for b in range(a, n):
@@ -444,17 +445,14 @@ def log_singular_field(g: geo.PotentialGrid) -> np.ndarray:
     return out
 
 
-def mabuchi(g: geo.PotentialGrid, H: dict | None = None) -> float:
-    """F(u) = -int log det(u_ab) dmu + L(u) on the grid's quadrature.
+def mabuchi(g: geo.PotentialGrid, det: np.ndarray) -> float:
+    """F(u) = -int log det(u_ab) dmu + L(u) on the grid's quadrature, from
+    det = det(u_ab) > 0 on the interior lattice (evaluate's field).
 
     The log-singular parts (reference potential and boundary-layer log
     terms) are integrated in closed form; the smooth remainders by
-    trapezoid.  Raises ConvexityError off the convex cone.
+    trapezoid.
     """
-    H = geo.hessian_field(g) if H is None else H
-    det = geo.det_field(g, H)
-    if (det <= 0).any() or (H[(0, 0)] <= 0).any():
-        geo.check_convexity(g, H)
     # log det ~ -sum log(w ell) near the boundary, so this sum is smooth
     r = np.log(det) + log_singular_field(g)
     r_full = geo.extend_interior_field(g, r)
@@ -465,7 +463,23 @@ def mabuchi(g: geo.PotentialGrid, H: dict | None = None) -> float:
 # -- solve --------------------------------------------------------------------
 
 @dataclass
+class Iterate:
+    """One evaluated potential: its grid, and the fields evaluate computed
+    once each: the Hessian H, det = det(u_ab) and the inverse U on the
+    interior lattice, the second divergence div of U and the residual
+    r = div + A two layers in, and the Mabuchi functional F."""
+    g: geo.PotentialGrid
+    H: dict
+    det: np.ndarray
+    U: dict
+    div: np.ndarray
+    r: np.ndarray
+    F: float
+
+
+@dataclass
 class SolveReport:
+    """A run's outcome; final is its last Iterate (on grid), None if refused."""
     grid: geo.PotentialGrid
     termination: str              # converged | refused-futaki | divergence-certificate | max-iter | stalled
     residual_sup: float
@@ -480,36 +494,26 @@ class SolveReport:
     futaki: tuple = ()
     certificate: dict | None = None
     factorizations: int = 0       # banded LUs of the Newton system
+    final: Iterate | None = None
 
     @property
     def converged(self) -> bool:
         return self.termination == "converged"
 
 
-@dataclass
-class Iterate:
-    """One evaluated potential: grid, det, inverse Hessian, residual, F."""
-    g: geo.PotentialGrid
-    det: np.ndarray
-    U: dict
-    r: np.ndarray
-    F: float
-
-
-def evaluate(grid: geo.PotentialGrid) -> Iterate | None:
-    """The solver's view of a grid; None off the convex cone."""
-    H = geo.hessian_field(grid)
-    det = geo.det_field(grid, H)
-    if (det <= 0).any() or (H[(0, 0)] <= 0).any():
-        return None
-    U = geo.inverse_hessian_field(grid, H)
-    r = geo.abreu_residual_field(grid, U)
-    return Iterate(grid, det, U, r, mabuchi(grid, H))
+def evaluate(grid: geo.PotentialGrid) -> Iterate:
+    """The solver's view of a grid: geo.potential_fields (ConvexityError off
+    the convex cone), the residual from div and F from det."""
+    H, det, U, div = geo.potential_fields(grid)
+    return Iterate(grid, H, det, U, div, geo.abreu_residual_field(grid, div), mabuchi(grid, det))
 
 
 def _moved(s: Iterate, delta: np.ndarray) -> Iterate | None:
-    """Evaluate the iterate's grid with phi moved by the node vector delta."""
-    return evaluate(s.g.with_phi(s.g.phi + delta.reshape(s.g.shape)))
+    """The iterate's grid evaluated with phi moved by delta; None off the cone."""
+    try:
+        return evaluate(s.g.with_phi(s.g.phi + delta.reshape(s.g.shape)))
+    except geo.ConvexityError:
+        return None
 
 
 def _flow_step(ops: GridOperators, s: Iterate, dt: float) -> tuple[Iterate | None, float]:
@@ -554,6 +558,22 @@ class _Factor:
     dtype: type = np.float32
 
 
+def _newton_line_search(ops: GridOperators, s: Iterate, offset: np.ndarray, x: np.ndarray,
+                        sup: float) -> tuple[Iterate | None, float]:
+    """(trial, step) for the first step 1, 1/4, 1/16 or 1/64 along the gauge-
+    projected offset + E x (x GMRES's deep step, offset = phi_c - phi) whose
+    trial lowers the sup residual sup; (None, 1/256) if none does."""
+    delta = ops.gauge_project(offset + _close(s.g, x), include_linear=True)
+    step = 1.0
+    for _ in range(4):
+        trial = _moved(s, step * delta)
+        if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
+                                  or np.abs(trial.r).max() < 0.9 * sup):
+            return trial, step
+        step /= 4
+    return None, step
+
+
 def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | None:
     """Newton-Krylov on the closed square system, the step of zero-Futaki runs.
 
@@ -570,24 +590,11 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
     is projected off the affine gauge.  None when a fresh factor's step has
     no such trial, or J*E is not finite or its factor exactly singular.
     """
-    phi = s.g.phi.ravel()
-    phi_c = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n])
+    offset = _close(s.g, s.g.phi[(slice(2, -2),) * s.g.n]) - s.g.phi.ravel()
     sup = float(np.abs(s.r).max())
     rhs = _newton_rhs(ops, s.r)
     eta = min(_GMRES_ETA, sup * sup)
     its = 0
-
-    def descend(x):
-        delta = ops.gauge_project((phi_c - phi) + _close(s.g, x), include_linear=True)
-        step = 1.0
-        for _ in range(4):
-            trial = _moved(s, step * delta)
-            if trial is not None and (np.abs(trial.r).max() < sup * (1 - 1e-3 * step)
-                                      or np.abs(trial.r).max() < 0.9 * sup):
-                return trial, step
-            step /= 4
-        return None, step
-
     fresh = factor.lu is None
     for _ in range(3):      # the kept factor, a fresh one, a fresh float64 one
         if fresh:
@@ -602,7 +609,8 @@ def _newton_step(ops: GridOperators, s: Iterate, factor: _Factor) -> Iterate | N
         x, n = _gmres(lambda v: ops.jacobian_product(s.U, v, factor.scale),
                       factor.lu.solve, rhs, eta * sup, _GMRES_CAP)
         its += n
-        trial, step = descend(x) if x is not None else (None, None)
+        trial, step = (_newton_line_search(ops, s, offset, x, sup) if x is not None
+                       else (None, None))
         if trial is not None or fresh and (x is not None or factor.dtype == np.float64):
             break
         if fresh:
@@ -632,8 +640,9 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     flow step, and the run never factors the Newton system.  A step that
     returns no iterate ends the run as stalled.  phi0 may be a callable on
     coordinates or a node array; the default start is the reference
-    potential itself (phi = 0).  callback(iteration, grid) is invoked once
-    per iteration (grid snapshots, progress logging).  tol must be finite
+    potential itself (phi = 0).  callback(iteration, iterate) is invoked
+    once per iteration with the evaluated Iterate (grid snapshots, progress
+    logging).  tol must be finite
     and positive, max_iter at least 1, and phi0 an array of the mesh's
     shape (if not a callable) and finite on the nodes the run reads: all
     of them in a flow run, the deep ones (two or more layers in) in a
@@ -665,18 +674,14 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
     ceiling = 1e3 * diam * g.A
     g.phi = ops.gauge_project(g.phi.ravel(), include_linear=futaki_zero).reshape(g.shape)
     s = evaluate(g)
-    if s is None:
-        geo.check_convexity(g)
 
     hist_F, hist_r, hist_det, hist_u, hist_phi = [], [], [], [], []
     dt = 1.0
     factor = _Factor()
     termination = "max-iter"
     certificate = None
-    it = 0
-    sup = float("inf")
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 1):      # max_iter >= 1, so it and sup are bound
         sup = float(np.abs(s.r).max())
         hist_F.append(s.F)
         hist_r.append(sup)
@@ -684,7 +689,7 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         hist_u.append(float(np.abs(s.g.u_values()).max()))
         hist_phi.append(float(np.abs(s.g.phi).max()))
         if callback is not None:
-            callback(it, s.g)
+            callback(it, s)
         if sup < tol:
             termination = "converged"
             break
@@ -714,12 +719,9 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
             termination = "stalled"
             break
         s = nxt
-    else:
-        it = max_iter
 
     return SolveReport(s.g, termination, sup, it, hist_F, hist_r, hist_det,
-                       hist_u, hist_phi, fut, certificate,
-                       factorizations=factor.count)
+                       hist_u, hist_phi, fut, certificate, factor.count, s)
 
 
 # -- instability ray ----------------------------------------------------------
@@ -753,7 +755,7 @@ def ray_slope(P: Polytope, sigma: BoundaryMeasure, f_tilde, s_max: float = 1e3,
     samples = []
     with np.errstate(all="ignore"):     # an overflow shows as the F it spoils
         for s in ladder:
-            samples.append((s, mabuchi(g0.with_phi(s * fvals))))
+            samples.append((s, evaluate(g0.with_phi(s * fvals)).F))
             if not math.isfinite(samples[-1][1]):
                 raise ValueError(f"F(u0 + s f) is not finite at s = {s:g}; lower s_max")
     (s1, F1), (s2, F2) = samples[-2], samples[-1]

@@ -249,7 +249,23 @@ def oracle_divergence2(g, U):
 def numeric_scalar_curvature(g):
     """S = -(1/2) sum (u^{ab})_{,ab} on the depth-2 lattice, by the numeric route."""
     H, _ = oracle_hessian_and_gradient(g, "numeric")
-    return -0.5 * oracle_divergence2(g, geo.inverse_hessian_field(g, H))
+    return -0.5 * oracle_divergence2(g, geo.inverse_hessian_field(H, geo.det_field(H)))
+
+
+def scalar_curvature_field(g):
+    """S = -(1/2) sum (U^{ab})_{,ab} on the depth-2 lattice."""
+    return -0.5 * geo.potential_fields(g)[3]
+
+
+def count_calls(monkeypatch, module, names):
+    """Patch module.name for each name with a wrapper counting its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def uniform_core_mask(g):
@@ -294,7 +310,7 @@ def box_quadratic_integrals(P, sigma, qmat):
 
 def ibp_pairing(g: geo.PotentialGrid, qmat) -> float:
     """Quadrature value of int sum u^{ab} f_ab dmu for f = x^T Q x (f_ab = 2Q)."""
-    U = geo.inverse_hessian_field(g)
+    U = geo.potential_fields(g)[2]
     n = g.n
     integrand = np.zeros(tuple(ax.m - 2 for ax in g.axes))
     for a in range(n):
@@ -306,7 +322,7 @@ def ibp_pairing(g: geo.PotentialGrid, qmat) -> float:
 
 def divergence_pairing(g: geo.PotentialGrid, qmat) -> float:
     """Quadrature value of int sum (u^{ab})_{,ab} f dmu for quadratic f."""
-    div = geo.divergence2_field(g)
+    div = geo.potential_fields(g)[3]
     grids = g.node_grids()
     f = np.zeros(g.shape)
     n = g.n

@@ -22,6 +22,7 @@ from conftest import (
     box_quadratic_integrals,
     ibp_pairing,
     numeric_scalar_curvature,
+    scalar_curvature_field,
     random_integral_polygon,
     random_polygon,
     random_unimodular,
@@ -70,7 +71,7 @@ def test_criterion_2_scalar_curvature_constant():
     ok = True
     for P, m, a_half in ((SEG, 65, 1.0), (SQUARE, 33, 2.0)):
         g1 = geo.guillemin(P, unit(P), m=m)
-        exact_err = float(np.abs(geo.scalar_curvature_field(g1) - a_half).max())
+        exact_err = float(np.abs(scalar_curvature_field(g1) - a_half).max())
         ok = ok and exact_err < 1e-9
         g2 = g1.refined()
         S1 = numeric_scalar_curvature(g1)

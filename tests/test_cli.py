@@ -14,9 +14,9 @@ import pytest
 
 from kstab import solver as sol
 from kstab.cli import _write_csv, main
-from kstab.polytope import Polytope
+from kstab.polytope import Polytope, parse_polytope_text
 
-from conftest import format_polytope_text
+from conftest import count_calls, format_polytope_text
 
 
 SQUARE = "dim 2\nvertices\n0 0\n1 0\n1 1\n0 1\n"
@@ -239,8 +239,8 @@ class TestFutakiCommand:
             assert row.split(",")[:3] == [str(k), str(d), str((a + b) * s)]
 
     def test_short_range_refused_before_counting(self, in_inputs, capsys, monkeypatch):
-        # the fit needs k_max - k_min >= 3; the table's rows were counted
-        # before the refusal
+        # interpolating d_k and w_k needs k_max - k_min >= 3; the refusal
+        # comes before any row is counted
         import kstab.futaki
         calls, count = [], kstab.futaki.count_and_weigh
         monkeypatch.setattr(kstab.futaki, "count_and_weigh",
@@ -249,7 +249,7 @@ class TestFutakiCommand:
                      "--out", "o"]) == 1
         assert calls == []
         assert capsys.readouterr().err == \
-            "error: need k_max - k_min >= 3 for a three-parameter fit\n"
+            "error: need k_max - k_min >= 3 to interpolate d_k and w_k\n"
         assert not Path("o").exists()
 
 
@@ -383,6 +383,49 @@ class TestSolveCommand:
     def test_certificate_location_prints_plain_floats(self, light_escape):
         line = next(ln for ln in light_escape[1].splitlines() if "near (" in ln)
         assert "np.float64" not in line
+
+    def test_dumps_evaluate_no_field(self, in_inputs, monkeypatch):
+        # grid.csv and the snapshots are written from the evaluated fields,
+        # so every Hessian of the run belongs to an evaluation
+        from kstab import geometry as geo
+        hessians = count_calls(monkeypatch, geo, ["hessian_field"])
+        evaluations = count_calls(monkeypatch, sol, ["evaluate"])
+        assert main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
+                     "--dump-every", "4", "--out", "o"]) == 4
+        assert len(list(Path("o").glob("grid_*.csv"))) == 6
+        assert hessians["hessian_field"] == evaluations["evaluate"] >= 24
+
+    @pytest.mark.parametrize("argv, every, last", [
+        ("light.poly --mesh 25 --allow-nonzero-futaki", 4, 24),
+        ("box.poly --mesh 33", 1, 1)], ids=["light-escape-25", "weighted-box-33"])
+    def test_dumps_match_a_fresh_evaluation(self, in_inputs, monkeypatch, argv, every, last):
+        # each grid_NNNNN.csv, and grid.csv, holds the rows the per-node
+        # oracle builds from a fresh evaluation of that iterate's phi
+        from kstab import geometry as geo
+        from test_geometry import oracle_grid_dump_rows
+        phis, solve = {}, sol.solve
+
+        def recording(*args, callback, **kwargs):
+            def record(it, s):
+                phis[f"grid_{it:05d}.csv"] = s.g.phi.copy()
+                callback(it, s)
+            report = solve(*args, callback=record, **kwargs)
+            phis["grid.csv"] = report.grid.phi.copy()
+            return report
+
+        monkeypatch.setattr(sol, "solve", recording)
+        argv = argv.split()
+        assert main(["solve", *argv, "--dump-every", str(every), "--out", "o"]) in (0, 4)
+        names = sorted(p.name for p in Path("o").glob("grid*.csv"))
+        assert names == ["grid.csv"] + [f"grid_{it:05d}.csv" for it in range(every, last + 1, every)]
+        grid = geo.PotentialGrid.build(*parse_polytope_text(Path(argv[0]).read_text()),
+                                       int(argv[2]))
+        for name in names:
+            rows = oracle_grid_dump_rows(grid.with_phi(phis[name]))
+            want = "x1,x2,u,det_hess,S\r\n" + "".join(",".join(map(repr, r)) + "\r\n"
+                                                    for r in rows)
+            assert Path("o", name).read_bytes() == want.encode(), name
+        assert Path("o", f"grid_{last:05d}.csv").read_bytes() == Path("o", "grid.csv").read_bytes()
 
     # nonzero Futaki: every step is a flow step, so each run ends in a
     # divergence certificate (exit 4) without a Newton step, and a second

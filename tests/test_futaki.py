@@ -133,11 +133,11 @@ class TestExpansion:
         assert fit == ExpansionFit(Q(1, 2), Q(0), Q(0), (2, 8))
 
     def test_range_check(self, segment01):
-        with pytest.raises(ValueError, match=">= 3 for"):
+        with pytest.raises(ValueError, match=">= 3 to interpolate d_k and w_k"):
             expansion(segment01, (1,), 5, 7)
         # a 3-dimensional w_k needs five rows
         P = configuration_polytopes()[0][0]
-        with pytest.raises(ValueError, match=">= 4 for"):
+        with pytest.raises(ValueError, match=">= 4 to interpolate d_k and w_k"):
             expansion(P, (1, 0, 0), 1, 4)
         exact = expansion_exact(P, (1, 0, 0))
         assert expansion(P, (1, 0, 0), 1, 5) == ExpansionFit(*exact, (1, 5))

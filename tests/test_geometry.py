@@ -8,10 +8,11 @@ import pytest
 from kstab import geometry as geo
 from kstab.polytope import BoundaryMeasure, Polytope, measures, parse_polytope_text
 
-from conftest import (box_quadratic_integrals, divergence_pairing, ibp_pairing, numeric_scalar_curvature,
-                      oracle_boundary_integral_nodes, oracle_boundary_integral_u0_exact,
-                      oracle_divergence2, oracle_extend_interior_field, oracle_hessian_and_gradient,
-                      uniform_core_mask)
+from conftest import (box_quadratic_integrals, divergence_pairing, ibp_pairing,
+                      numeric_scalar_curvature, oracle_boundary_integral_nodes,
+                      oracle_boundary_integral_u0_exact, oracle_divergence2,
+                      oracle_extend_interior_field, oracle_hessian_and_gradient,
+                      scalar_curvature_field, uniform_core_mask)
 
 
 def unit(P):
@@ -83,12 +84,12 @@ class TestGuillemin:
 class TestAbreuOperator:
     def test_segment_constant(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=65)
-        S = geo.scalar_curvature_field(g)
+        S = scalar_curvature_field(g)
         assert np.abs(S - 1).max() < 1e-10   # A/2 with A = 2
 
     def test_square_constant(self, square):
         g = geo.guillemin(square, unit(square), m=33)
-        S = geo.scalar_curvature_field(g)
+        S = scalar_curvature_field(g)
         assert np.abs(S - 2).max() < 1e-10   # A/2 with A = 4
 
     def test_weighted_box_constant(self, square):
@@ -96,7 +97,7 @@ class TestAbreuOperator:
             Q(2) if f.normal[0] != 0 else Q(3) for f in square.facets))
         g = geo.guillemin(square, sigma, m=33)
         A = float(measures(square, sigma).A)
-        S = geo.scalar_curvature_field(g)
+        S = scalar_curvature_field(g)
         assert np.abs(S - A / 2).max() < 1e-9
 
     def test_sample_and_inverse_consistency(self, segment01):
@@ -111,8 +112,8 @@ class TestAbreuOperator:
     def test_affine_shift_leaves_S(self, square):
         g = geo.guillemin(square, unit(square), m=17)
         g2 = g.with_phi(lambda x, y: 0.3 * x - 0.2 * y + 0.7)
-        S1 = geo.scalar_curvature_field(g)
-        S2 = geo.scalar_curvature_field(g2)
+        S1 = scalar_curvature_field(g)
+        S2 = scalar_curvature_field(g2)
         assert np.abs(S1 - S2).max() < 1e-9
 
     def test_depth_requirement(self, segment01):
@@ -130,8 +131,9 @@ class TestAbreuOperator:
     def test_convexity_error_reports_plain_floats(self, square):
         g = geo.guillemin(square, unit(square), m=17).with_phi(
             lambda x, y: -40.0 * (x - 0.5) ** 2)
+        H = geo.hessian_field(g)
         with pytest.raises(geo.ConvexityError) as ei:
-            geo.check_convexity(g)
+            geo.check_convexity(g, H, geo.det_field(H))
         assert all(type(v) is float for v in ei.value.point)
         assert "np.float64" not in str(ei.value)
 
@@ -303,28 +305,34 @@ class TestFieldExtension:
 
     def test_grid_dump_shape(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=17)
-        rows = geo.grid_dump_rows(g)
-        assert len(rows) == 17
-        assert len(rows[0]) == 4   # x, u, det, S
-        assert math.isnan(rows[0][2])
+        _, det, _, div = geo.potential_fields(g)
+        rows = geo.grid_dump_rows(g, det, div)
+        assert rows[0] == ["x1", "u", "det_hess", "S"]
+        assert len(rows) == 18
+        assert len(rows[1]) == 4   # x, u, det, S
+        assert math.isnan(rows[1][2])
 
     def test_grid_dump_matches_per_node_loop(self):
         for g in perturbed_grids()[1:]:   # a weighted segment and a weighted box
-            got = geo.grid_dump_rows(g)
-            # repr keeps NaN cells comparable, pins every bit of the rest and
-            # tells a numpy scalar from a float
-            assert [list(map(repr, r)) for r in got] == \
+            _, det, _, div = geo.potential_fields(g)
+            got = geo.grid_dump_rows(g, det, div)
+            assert got[0] == ["x1", "x2"][:g.n] + ["u", "det_hess", "S"]
+            # the coordinates are written as their reprs; repr keeps NaN cells
+            # comparable, pins every bit of the rest and tells a numpy scalar
+            # from a float
+            assert [r[:g.n] + list(map(repr, r[g.n:])) for r in got[1:]] == \
                    [list(map(repr, r)) for r in oracle_grid_dump_rows(g)]
-            assert any(math.isnan(v) for r in got for v in r)
+            assert any(math.isnan(v) for r in got[1:] for v in r[g.n:])
 
 
 def oracle_grid_dump_rows(g):
-    """The per-node loop grid_dump_rows replaced."""
+    """The per-node loop grid_dump_rows replaced, from a fresh evaluation of
+    g's potential: (x1[, x2], u, det_hess, S) per node, as floats."""
     u = g.u_values()
     det_full = np.full(g.shape, np.nan)
-    det_full[(slice(1, -1),) * g.n] = geo.det_field(g)
+    det_full[(slice(1, -1),) * g.n] = geo.det_field(geo.hessian_field(g))
     S_full = np.full(g.shape, np.nan)
-    S_full[(slice(2, -2),) * g.n] = geo.scalar_curvature_field(g)
+    S_full[(slice(2, -2),) * g.n] = scalar_curvature_field(g)
     grids = g.node_grids()
     rows = []
     for idx in np.ndindex(*g.shape):
@@ -366,5 +374,5 @@ class TestStencilOracle:
             assert np.array_equal(H[key], H_want[key]), key
         for got, want in zip(geo.gradient_field(g), grad_want, strict=True):
             assert np.array_equal(got, want)
-        U = geo.inverse_hessian_field(g, H)
+        U = geo.inverse_hessian_field(H, geo.det_field(H))
         assert np.array_equal(geo.divergence2_field(g, U), oracle_divergence2(g, U))

@@ -24,7 +24,7 @@ from kstab import stability as stab
 from kstab.polytope import BoundaryMeasure, measures, parse_polytope_text
 from kstab.stability import L, PLConvexFunction, crease_search
 
-from conftest import box_quadratic_integrals, ibp_pairing, oracle_stencils
+from conftest import box_quadratic_integrals, count_calls, ibp_pairing, oracle_stencils
 
 
 def unit(P):
@@ -49,32 +49,56 @@ class TestMabuchi:
     def test_segment_reference_value(self, segment01):
         # closed form: -int log(1/(x(1-x))) = -2 and L(u0) = 0 - 2*(-1/2) = 1
         g = geo.guillemin(segment01, unit(segment01), m=128)
-        assert abs(sol.mabuchi(g) - (-1.0)) < 1e-12
+        assert abs(sol.evaluate(g).F - (-1.0)) < 1e-12
 
     def test_square_reference_value(self, square):
         g = geo.guillemin(square, unit(square), m=33)
-        assert abs(sol.mabuchi(g) - (-2.0)) < 1e-12
+        assert abs(sol.evaluate(g).F - (-2.0)) < 1e-12
 
     def test_affine_invariance_futaki_zero(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=64)
-        F0 = sol.mabuchi(g)
+        F0 = sol.evaluate(g).F
         g2 = g.with_phi(lambda x: 0.7 * x - 0.3)
-        assert abs(sol.mabuchi(g2) - F0) < 1e-12
+        assert abs(sol.evaluate(g2).F - F0) < 1e-12
 
     def test_linear_shift_changes_by_L(self, segment01):
         sigma = BoundaryMeasure((Q(1), Q(2)))
         g = geo.guillemin(segment01, sigma, m=64)
-        F0 = sol.mabuchi(g)
+        F0 = sol.evaluate(g).F
         s = 3.25
         g2 = g.with_phi(lambda x: s * x)
         lx = float(L(segment01, sigma, PLConvexFunction.affine((1,), 0)))
-        assert abs(sol.mabuchi(g2) - (F0 + s * lx)) < 1e-10
+        assert abs(sol.evaluate(g2).F - (F0 + s * lx)) < 1e-10
 
     def test_convexity_guard(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=64)
         g2 = g.with_phi(lambda x: -50.0 * (x - 0.5) ** 2)
         with pytest.raises(geo.ConvexityError):
-            sol.mabuchi(g2)
+            sol.evaluate(g2).F
+
+
+class TestEvaluate:
+    FIELDS = ("hessian_field", "det_field", "inverse_hessian_field", "divergence2_field")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_field_is_computed_once(self, dim, segment01, square, monkeypatch):
+        # residual, F and the convexity check read the fields evaluate keeps
+        calls = count_calls(monkeypatch, geo, self.FIELDS)
+        g = (geo.guillemin(segment01, unit(segment01), m=33) if dim == 1
+             else geo.PotentialGrid.build(square, weighted_box(square), 17, phi=bump2))
+        s = sol.evaluate(g)
+        assert calls == dict.fromkeys(self.FIELDS, 1)
+        assert np.array_equal(s.r, s.div + g.A)
+        assert np.array_equal(s.det, geo.det_field(s.H))
+
+    def test_off_the_cone_raises_with_the_location(self, segment01, monkeypatch):
+        g = geo.guillemin(segment01, unit(segment01), m=33).with_phi(
+            lambda x: -40.0 * (x - 0.5) ** 2)
+        calls = count_calls(monkeypatch, geo, self.FIELDS)
+        with pytest.raises(geo.ConvexityError, match=r"near \(0\.\d+,\) \(det = -"):
+            sol.evaluate(g)
+        assert calls == {"hessian_field": 1, "det_field": 1, "inverse_hessian_field": 0,
+                         "divergence2_field": 0}
 
 
 def weighted_box(square):
@@ -241,7 +265,7 @@ def asymmetric_start(dim, m, segment01, square):
         P, sigma = square, weighted_box(square)
         phi = lambda x, y: bump2(x, y) + 0.01 * x * y ** 2   # noqa: E731
     g = geo.PotentialGrid.build(P, sigma, m, phi=phi)
-    return sol.GridOperators(g), geo.inverse_hessian_field(g)
+    return sol.GridOperators(g), sol.evaluate(g).U
 
 
 class TestJacobian:
@@ -256,9 +280,9 @@ class TestJacobian:
         g = g.with_phi(sol._close(g, x).reshape(g.shape))
 
         def r(v):
-            return geo.abreu_residual_field(g.with_phi(sol._close(g, v).reshape(g.shape))).ravel()
+            return sol.evaluate(g.with_phi(sol._close(g, v).reshape(g.shape))).r.ravel()
 
-        band, kl, ku, scale = ops.jacobian(geo.inverse_hessian_field(g))
+        band, kl, ku, scale = ops.jacobian(sol.evaluate(g).U)
         A = from_band(band, kl, ku).toarray()
         eps = 1e-6
         fd = np.empty(A.shape)
@@ -616,7 +640,7 @@ class TestNewtonStep:
         monkeypatch.setattr(sol, "_newton_step", checked)
         first = []
         rep = sol.solve(square, weighted_box(square), m=33, tol=1e-6, phi0=bump2,
-                        callback=lambda it, g: first.append(g) if it == 1 else None)
+                        callback=lambda it, s: first.append(s.g) if it == 1 else None)
         assert rep.converged and len(seen) == rep.iterations - 1 >= 2
         assert is_closed(first[0]) and np.abs(first[0].phi).max() > 0.01
         assert all(seen)
