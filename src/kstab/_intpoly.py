@@ -26,6 +26,35 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
+def floor_sums(n: int, m: int, a: int, b: int) -> tuple[int, int, int]:
+    """(sum f, sum i*f, sum f^2) over i = 0..n-1 for f(i) = floor((a*i + b)/m),
+    n >= 0 and m >= 1; a and b may be negative.
+
+    Each level writes a = qa*m + a', b = qb*m + b' with 0 <= a', b' < m, so
+    f = qa*i + qb + f'.  With M = f'(n-1) and t_j the least i with f'(i) >= j,
+    f'(i) counts the j <= i's t_j, f'^2 = sum over j <= f' of 2j - 1, and
+    t_(j+1) = floor((m*j + m - b' + a' - 1)/a') for j = 0..M-1: the same sums
+    with (n, m, a, b) -> (M, a', m, m - b' + a' - 1).  m and a' swap as in
+    Euclid's algorithm, so there are O(log m) levels.
+    """
+    levels = []
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        top = (a * (n - 1) + b) // m
+        levels.append((n, qa, qb, top))
+        n, m, a, b = top, a, m, m - b + a - 1
+    f = fi = ff = 0                     # the sums over t_1..t_M of the level below
+    for n, qa, qb, top in reversed(levels):
+        f, fi, ff = (n * top - f, top * n * (n - 1) // 2 - (ff - f) // 2,
+                     n * top * top - 2 * fi - f)
+        s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+        ff += qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * fi + 2 * qb * f
+        fi += qa * s2 + qb * s1
+        f += qa * s1 + qb * n
+    return f, fi, ff
+
+
 def moebius_blocks(R: int) -> list[tuple[int, int]]:
     """(J, M) for each distinct J = R // e, e = 1..R, M the sum of mu(e) over those e.
 

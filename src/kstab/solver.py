@@ -484,7 +484,7 @@ class SolveReport:
     termination: str              # converged | refused-futaki | divergence-certificate | max-iter | stalled
     residual_sup: float
     # iterations evaluated; each took one step (Newton if the Futaki vector
-    # is zero, else flow) but a last one that converged, certified or stalled
+    # is zero, else flow) but the last one
     iterations: int
     mabuchi_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
@@ -709,6 +709,8 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
                 }
             else:
                 termination = "stalled"
+            break
+        if it == max_iter:      # the run ends on the iterate it has recorded
             break
 
         if futaki_zero:

@@ -312,8 +312,8 @@ def _shifted_floor(low: tuple[int, int], iden: int, bden: int, A: Q) -> Q:
     return Q(iden * num * A.denominator - A.numerator * bden * den, bden * den * A.denominator)
 
 
-def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
-                 blocks: list[tuple[int, int]]) -> tuple[Q | None, Q | None, int]:
+def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q, blocks: list[tuple[int, int]],
+                 farey: int) -> tuple[Q | None, Q | None, int]:
     """Exact lower bounds on L/mass over the creases of a and of -a, and the
     offsets of each (_count_offsets), from one sweep.
 
@@ -340,7 +340,7 @@ def _pair_floors(poly: _IntegerPolygon, a: tuple[int, ...], A: Q,
                 if num * best[1] < best[0] * den:
                     best = num, den
             floors[k] = _shifted_floor(best, iden, bden, A)
-    return (*floors, _count_offsets(Q(brk[0], poly.D), Q(brk[-1], poly.D), blocks))
+    return (*floors, _count_offsets(Q(brk[0], poly.D), Q(brk[-1], poly.D), blocks, farey))
 
 
 def primitive_directions(dim: int, R: int) -> list[tuple[int, ...]]:
@@ -370,15 +370,25 @@ def admissible_offsets(lo: Q, hi: Q, R: int) -> list[Q]:
     return out
 
 
-def _count_offsets(smin: Q, smax: Q, blocks: list[tuple[int, int]]) -> int:
+def _farey(blocks: list[tuple[int, int]]) -> int:
+    """Phi(R), the sum of phi(d) over d <= R, for blocks = moebius_blocks(R):
+    sum mu(e) * (R // e)^2 counts the coprime pairs (i, j) in 1..R, and
+    there are 2 * Phi(R) - 1 of them."""
+    return (1 + sum(M * J * J for J, M in blocks)) // 2
+
+
+def _count_offsets(smin: Q, smax: Q, blocks: list[tuple[int, int]], farey: int) -> int:
     """The offsets with denominator <= R strictly inside (smin, smax), for
-    blocks = moebius_blocks(R).
+    blocks = moebius_blocks(R) and farey = _farey(blocks).
 
     G(J) = sum over den <= J of ceil(smax*den) - floor(smin*den) - 1, two
     floor sums, counts the fractions num/den inside, in lowest terms or not.
     Those with gcd(num, den) = e are the offsets of denominator <= J // e,
     so G(J) = sum over e of C(J // e), C(J) the offsets of denominator
-    <= J, and Moebius inversion gives C(R) = sum mu(e) * G(R // e).
+    <= J, and Moebius inversion gives C(R) = sum mu(e) * G(R // e).  Between
+    integer ends no floor sum is needed: each unit interval holds Phi(R) - 1
+    offsets and the integers strictly inside add smax - smin - 1, so C(R) =
+    (smax - smin) * Phi(R) - 1.
 
     Numerators of 2^62 or more (largest at den = R) are refused.  The count
     is exact in Python ints at any size, but a scan over offsets that large
@@ -392,6 +402,8 @@ def _count_offsets(smin: Q, smax: Q, blocks: list[tuple[int, int]]) -> int:
         end = smin if abs(lo) >= 2 ** 62 else smax
         raise ValueError(f"crease offsets near {end} exceed the scan's range "
                          "(numerators below 2^62)")
+    if q == b == 1:
+        return (a - p) * farey - 1
     return sum(M * (-floor_sum(J + 1, b, -a, 0) - floor_sum(J + 1, q, p, 0) - J)
                for J, M in blocks)
 
@@ -428,10 +440,11 @@ def _scan_chunk(args):
     P, sigma, A, dirs, R = args
     poly = _IntegerPolygon(P, sigma)
     blocks = moebius_blocks(R)
+    farey = _farey(blocks)
     n = len(dirs)
     floors, n_creases = [None] * n, 0
     for k in range(n // 2):
-        floors[k], floors[n - 1 - k], count = _pair_floors(poly, dirs[k], A, blocks)
+        floors[k], floors[n - 1 - k], count = _pair_floors(poly, dirs[k], A, blocks, farey)
         n_creases += 2 * count
     # (has a floor, floor, push number, direction, part): a whole direction
     # (part None) is its vector until popped; its parts carry (a, smin, bden, iden)

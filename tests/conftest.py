@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kstab import geometry as geo
-from kstab.futaki import _rows, require_integral
+from kstab.futaki import require_integral
 from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures, parse_polytope_text
 from kstab.stability import PLConvexFunction, decompose
 
@@ -125,12 +125,12 @@ def unimodular_image(P, sigma, T, shift, f=None):
 
 def lattice_points(P: Polytope, k: int = 1):
     """The lattice points of k*P in lexicographic order, row by row (exact)."""
-    for prefix, lo, hi in _rows(P, k):
+    for prefix, lo, hi in oracle_rows(P, k):
         for y in range(lo, hi + 1):
             yield prefix + (y,)
 
 
-# -- the per-row scan the int64 row arrays replaced, kept as the row oracle ----
+# -- the per-row scan, kept as the oracle of the lattice sums --------------------
 
 def oracle_rows(P: Polytope, k: int):
     """(prefix, lo, hi) for each nonempty row of kP, one Python step per row.
@@ -159,15 +159,20 @@ def oracle_rows(P: Polytope, k: int):
             yield prefix, lo, hi
 
 
-def oracle_row_weights(P: Polytope, xi, k: int) -> tuple[int, int]:
-    """(d_k, w_k) summed over oracle_rows, each row in closed form."""
-    *xi_prefix, xi_last = xi
-    d = w = 0
+def oracle_row_sums(P: Polytope, k: int) -> tuple[int, list[int]]:
+    """(d_k, the sum of each coordinate) over oracle_rows, each row in closed form."""
+    d, sums = 0, [0] * P.dim
     for prefix, lo, hi in oracle_rows(P, k):
         n = hi - lo + 1
         d += n
-        w += n * sum(a * b for a, b in zip(xi_prefix, prefix)) + xi_last * (lo + hi) * n // 2
-    return d, w
+        sums = [s + v for s, v in zip(sums, (*(c * n for c in prefix), (lo + hi) * n // 2))]
+    return d, sums
+
+
+def oracle_row_weights(P: Polytope, xi, k: int) -> tuple[int, int]:
+    """(d_k, w_k) summed over oracle_rows."""
+    d, sums = oracle_row_sums(P, k)
+    return d, sum(x * s for x, s in zip(xi, sums))
 
 
 def oracle_ceiling_sum(P: Polytope, f: PLConvexFunction, k: int) -> Q:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,6 +239,18 @@ class TestFutakiCommand:
             d, s = (k + 1) * (k + 2) // 2, k * (k + 1) * (k + 2) // 6
             assert row.split(",")[:3] == [str(k), str(d), str((a + b) * s)]
 
+    def test_k_beyond_int64_is_counted(self, in_inputs, capsys):
+        # the int64 row arrays refused k = 2^61; by Pick's formula k times the
+        # unit triangle has d_k = k^2/2 + 3k/2 + 1 = C(k+2, 2) points, and
+        # their x coordinates sum to C(k+2, 3)
+        k0 = 2 ** 61
+        assert main(["futaki", "tri.poly", "--kmin", str(k0), "--kmax", str(k0 + 3),
+                     "--out", "o"]) == 0
+        rows = Path("o/weights.csv").read_text().splitlines()[1:]
+        assert rows == [f"{k},{(k * k + 3 * k) // 2 + 1},{math.comb(k + 2, 3)},1/3"
+                        for k in range(k0, k0 + 4)]
+        assert capsys.readouterr().out.splitlines()[-1] == "Futaki invariant (1/k coefficient): 0"
+
     def test_short_range_refused_before_counting(self, in_inputs, capsys, monkeypatch):
         # interpolating d_k and w_k needs k_max - k_min >= 3; the refusal
         # comes before any row is counted
@@ -395,12 +408,15 @@ class TestSolveCommand:
         assert len(list(Path("o").glob("grid_*.csv"))) == 6
         assert hessians["hessian_field"] == evaluations["evaluate"] >= 24
 
-    @pytest.mark.parametrize("argv, every, last", [
-        ("light.poly --mesh 25 --allow-nonzero-futaki", 4, 24),
-        ("box.poly --mesh 33", 1, 1)], ids=["light-escape-25", "weighted-box-33"])
-    def test_dumps_match_a_fresh_evaluation(self, in_inputs, monkeypatch, argv, every, last):
+    @pytest.mark.parametrize("argv, every, last, code", [
+        ("light.poly --mesh 25 --allow-nonzero-futaki", 4, 24, 4),
+        ("box.poly --mesh 33", 1, 1, 0),
+        ("light.poly --mesh 17 --allow-nonzero-futaki --max-iter 2", 2, 2, 1)],
+        ids=["light-escape-25", "weighted-box-33", "light-max-iter-17"])
+    def test_dumps_match_a_fresh_evaluation(self, in_inputs, monkeypatch, argv, every, last, code):
         # each grid_NNNNN.csv, and grid.csv, holds the rows the per-node
-        # oracle builds from a fresh evaluation of that iterate's phi
+        # oracle builds from a fresh evaluation of that iterate's phi; a run
+        # stopped at max-iter writes the last iterate it recorded
         from kstab import geometry as geo
         from test_geometry import oracle_grid_dump_rows
         phis, solve = {}, sol.solve
@@ -415,7 +431,7 @@ class TestSolveCommand:
 
         monkeypatch.setattr(sol, "solve", recording)
         argv = argv.split()
-        assert main(["solve", *argv, "--dump-every", str(every), "--out", "o"]) in (0, 4)
+        assert main(["solve", *argv, "--dump-every", str(every), "--out", "o"]) == code
         names = sorted(p.name for p in Path("o").glob("grid*.csv"))
         assert names == ["grid.csv"] + [f"grid_{it:05d}.csv" for it in range(every, last + 1, every)]
         grid = geo.PotentialGrid.build(*parse_polytope_text(Path(argv[0]).read_text()),
@@ -742,9 +758,8 @@ class TestOutputDirectory:
 class TestNumericParameters:
     """A ray scale or flow step that is zero, negative or not finite, a
     flow with fewer than one step, a ray whose F overflows, a matrix whose
-    [A, A*] overflows, a k too large to count in 64-bit integers or a run
-    that cannot allocate its arrays ends in one error line, exit 1 and no
-    --out directory."""
+    [A, A*] overflows or a run that cannot allocate its arrays ends in one
+    error line, exit 1 and no --out directory."""
 
     @pytest.mark.parametrize("argv", [
         "ray esc.poly --smax 0", "ray esc.poly --smax nan", "ray esc.poly --smax -5",
@@ -752,8 +767,7 @@ class TestNumericParameters:
         "flow-sphere --points pts.txt --step nan", "flow-matrix --matrix mat.txt --step 0",
         "flow-sphere --points pts.txt --max-steps 0", "flow-sphere --points pts.txt --max-steps -3",
         "flow-matrix --matrix mat.txt --max-steps 0",
-        "ray box.poly --quadratic 1,0,1 --smax 1e300", "flow-matrix --matrix big.txt",
-        "futaki tri.poly --kmin 2305843009213693952 --kmax 2305843009213693955"])
+        "ray box.poly --quadratic 1,0,1 --smax 1e300", "flow-matrix --matrix big.txt"])
     @pytest.mark.filterwarnings("error")
     def test_rejected(self, in_inputs, capsys, argv):
         assert main(argv.split() + ["--out", "o"]) == 1
@@ -915,14 +929,14 @@ class TestScipyFree:
 
 
 class TestNumpyFree:
-    """analyze, destabilize and a pipeline that stops before the solve load
-    no numpy: kstab resolves each export on first access, and each command
-    imports its numeric modules when it runs."""
+    """analyze, destabilize, futaki, filtration and a pipeline that stops
+    before the solve load no numpy: kstab resolves each export on first
+    access, and each command imports its numeric modules when it runs."""
 
     def test_imports_load_no_numpy(self, tmp_path):
         out = run_fresh("""
             import sys
-            import kstab, kstab.cli, kstab.stability, kstab.polytope, kstab._intpoly
+            import kstab, kstab.cli, kstab.stability, kstab.polytope, kstab._intpoly, kstab.futaki
             print(sorted(m for m in sys.modules if m.startswith("numpy")))
             """, tmp_path)
         assert out == "[]\n"
@@ -939,10 +953,13 @@ class TestNumpyFree:
             print([main(argv) for argv in (
                 ["analyze", "hex.poly", "--out", "a"],
                 ["destabilize", "hex.poly", "--resolution", "8", "--out", "d"],
-                ["pipeline", "hex.poly", "--out", "p"])])
+                ["pipeline", "hex.poly", "--out", "p"],
+                ["futaki", "tri.poly", "--kmin", "3", "--kmax", "9", "--out", "f"],
+                ["filtration", "tri.poly", "--pieces", "1,0,0;0,1,-1/2", "--ks", "4,8",
+                 "--out", "l"])])
             """, in_inputs)
         assert "help exit 0" in out.splitlines()
-        assert out.splitlines()[-1] == "[0, 2, 2]"
+        assert out.splitlines()[-1] == "[0, 2, 2, 0, 0]"
         assert (in_inputs / "d" / "verdict.json").read_bytes() == HEXAGON_R8.read_bytes()
 
     def test_exports(self):

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -21,8 +22,8 @@ from kstab.stability import L, PLConvexFunction, futaki_linear
 from kstab import stability as stab
 
 from conftest import (lattice_points, oracle_ceiling_sum, oracle_filtration_futaki,
-                      oracle_row_weights, oracle_rows, random_integral_polygon, random_polygon,
-                      unimodular_image)
+                      oracle_row_sums, oracle_row_weights, random_integral_polygon,
+                      random_polygon, unimodular_image)
 
 
 def box_lattice_points(P, k):
@@ -303,50 +304,96 @@ def row_corpus():
 
     Integral and rational polygons, segments, the square (whose x-facets are
     parallel to the rows) and the 3D test configurations, whose facets lifted
-    from P are parallel to the rows and cut the box's corners.
+    from P are parallel to the rows and cut the box's corners.  The slopes'
+    denominators make up to 12 cosets, and `ties` has pieces that tie along
+    the lattice lines x = 1, y = 1 and x + y = 2, three of them on the last.
     """
     rng = random.Random(19)
     crease = PLConvexFunction((((Q(1), Q(-1, 2)), Q(-1, 3)), ((Q(-1, 3), Q(2)), Q(1, 4)),
                                ((Q(0), Q(0)), Q(0))))
+    ties = PLConvexFunction((((Q(0), Q(0)), Q(0)), ((Q(1), Q(0)), Q(-1)),
+                             ((Q(1), Q(1)), Q(-2)), ((Q(1, 2), Q(1, 2)), Q(-1))))
     lifted = PLConvexFunction((((Q(1), Q(0), Q(-1, 2)), Q(0)), ((Q(0), Q(-1, 3), Q(1)), Q(-1, 5))))
-    abs_shift = PLConvexFunction((((Q(1),), Q(-1, 3)), ((Q(-2),), Q(1, 2))))
+    abs_shift = PLConvexFunction((((Q(1),), Q(-1, 3)), ((Q(-2),), Q(1, 2)), ((Q(3, 4),), Q(-1))))
     integral, rational = configuration_polytopes()
     polygons = [Polytope.from_vertices([(0, 0), (2, 0), (1, 3)]),
                 Polytope.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])]
     polygons += [random_integral_polygon(rng, span=2) for _ in range(2)]
     segments = [Polytope.from_vertices(v) for v in ([(0,), (1,)], [(-1,), (1,)], [(-3,), (5,)])]
-    return ([(P, crease) for P in polygons] + [(P, abs_shift) for P in segments]
+    return ([(P, crease) for P in polygons] + [(P, ties) for P in polygons[:2]]
+            + [(P, abs_shift) for P in segments]
             + [(P, lifted) for P in integral]
             + [(random_polygon(rng, span=4), None) for _ in range(3)]
             + [(Polytope.from_vertices([(Q(1, 3),), (Q(7, 2),)]), None)]
             + [(P, None) for P in rational])
 
 
+def section_sums(P, k):
+    """(d_k, the coordinate sums) over kP's lattice points from futaki's
+    sections and lattice sums, which take rational P too."""
+    d, sums = 0, [0] * P.dim
+    for c, ring in futaki._sections(P, k):
+        n, sx, sy = futaki._lattice_sums(ring)
+        d += n
+        sums = [a + b for a, b in zip(sums, (*(ci * n for ci in c), sx, sy))]
+    return d, sums
+
+
 class TestRowArraysCorpus:
-    """_rows, count_and_weigh and filtration_futaki against the per-row oracle.
+    """The lattice sums, count_and_weigh and filtration_futaki against the
+    per-row oracle: rational and integral polygons, segments, 3D slices,
+    rational slopes (cosets) and ties along lattice lines.
 
     The per-point filtration oracle skips the 3D configurations at k = 150
-    (millions of points); their rows and counts are compared there too.
+    (millions of points); their counts are compared there too.
     """
 
     @pytest.mark.parametrize("k", (1, 2, 3, 7, 20, 150))
     def test_against_the_row_oracle(self, k):
         for P, f in row_corpus():
-            rows = list(futaki._rows(P, k))
-            assert rows == list(oracle_rows(P, k))
-            assert all(type(v) is int for prefix, lo, hi in rows for v in (*prefix, lo, hi))
+            d, sums = oracle_row_sums(P, k)
+            assert section_sums(P, k) == (d, sums), (P, k)
             if f is None:
                 continue
             xi = (-2, 3, 1)[:P.dim]
             wd = count_and_weigh(P, xi, k)
-            assert (wd.d_k, wd.w_k) == oracle_row_weights(P, xi, k)
+            assert (wd.d_k, wd.w_k) == (d, sum(x * s for x, s in zip(xi, sums)))
             if P.dim < 3 or k <= 20:
                 assert filtration_futaki(P, f, k) == oracle_ceiling_sum(P, f, k)
 
+    @pytest.mark.parametrize("route", ("cosets", "columns"))
+    def test_each_route_against_the_oracle(self, monkeypatch, route):
+        # _ceiling_sum takes the cheaper of two routes; forced to one, each
+        # gives the oracle's statistic on every corpus entry with a function
+        def forced(ring, pieces):
+            if not ring:
+                return 0, 0
+            if route == "cosets":
+                dx, dy = (math.lcm(*(a[i].denominator for a, _ in pieces)) for i in (0, 1))
+                return futaki._coset_ceiling_sum(ring, pieces, dx, dy)
+            return futaki._column_ceiling_sum(ring, pieces, min(-(-x // w) for x, _, w in ring),
+                                              max(x // w for x, _, w in ring))
+
+        monkeypatch.setattr(futaki, "_ceiling_sum", forced)
+        for P, f in row_corpus():
+            for k in (1, 3, 7):
+                if f is not None:
+                    assert filtration_futaki(P, f, k) == oracle_ceiling_sum(P, f, k), (P, k)
+
+
+def pick(vertices, k):
+    """d_k of an integral polygon by Pick's formula: A k^2 + (B/2) k + 1."""
+    area2 = boundary = 0
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        area2 += x0 * y1 - x1 * y0
+        boundary += math.gcd(x1 - x0, y1 - y0)
+    return (abs(area2) * k * k + boundary * k) // 2 + 1
+
 
 class TestInt64Range:
-    """Box-relative int64 rows: a translation or a huge xi does not move the
-    range, and a k whose rows could leave int64 is refused up front."""
+    """Counts in Python ints: a translation or a huge xi changes nothing,
+    and a k whose rows left int64 (the row arrays refused it) is counted
+    exactly, as Pick's formula and the coordinate sums' closed forms say."""
 
     TRIANGLE = [(0, 0), (2, 0), (1, 3)]
 
@@ -371,12 +418,65 @@ class TestInt64Range:
         ([(0, 0), (1, 0), (0, 1)], 2 ** 61),    # about 2^61 rows of up to 2^61 points
         ([(0,), (1,)], 4 * 10 ** 9),            # one row whose n*(lo + hi) leaves int64
     ])
-    def test_out_of_range_k_is_refused(self, vertices, k):
+    def test_out_of_range_k_is_counted(self, vertices, k):
         P = Polytope.from_vertices(vertices)
-        with pytest.raises(ValueError, match="too large"):
-            count_and_weigh(P, (1,) * P.dim, k)
-        with pytest.raises(ValueError, match="too large"):
-            next(futaki._rows(P, k))
+        wd = count_and_weigh(P, (1,) * P.dim, k)
+        if P.dim == 2:
+            # each coordinate of k times the unit triangle sums to C(k + 2, 3)
+            assert wd.d_k == pick(vertices, k) == (k + 1) * (k + 2) // 2
+            assert wd.w_k == 2 * math.comb(k + 2, 3)
+        else:
+            assert (wd.d_k, wd.w_k) == (k + 1, k * (k + 1) // 2)
+        for extra in range(1, 4):
+            assert count_and_weigh(P, (1,) * P.dim, k + extra).d_k == (
+                pick(vertices, k + extra) if P.dim == 2 else k + extra + 1)
+
+
+class TestLatticeSums:
+    """_lattice_sums and _clip against a brute-force scan of the hull."""
+
+    @staticmethod
+    def brute(points):
+        """(N, sum x, sum y) by testing every point of the bounding box.
+
+        m is in the hull iff for every line through two of the points, m's
+        side (a cross product) lies in the range the points span, and m is
+        in the bounding box (which settles segments and points).
+        """
+        pts = sorted(set(points))
+        lines = []
+        for a, b in itertools.combinations(pts, 2):
+            def side(p, a=a, b=b):
+                return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            lines.append((side, min(map(side, pts)), max(map(side, pts))))
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        out = [0, 0, 0]
+        for m in itertools.product(range(math.ceil(min(xs)), math.floor(max(xs)) + 1),
+                                   range(math.ceil(min(ys)), math.floor(max(ys)) + 1)):
+            if all(lo <= side(m) <= hi for side, lo, hi in lines):
+                out = [out[0] + 1, out[1] + m[0], out[2] + m[1]]
+        return tuple(out)
+
+    def test_random_rational_hulls(self):
+        # polygons, and segments and points with rational ends (k = 1)
+        rng = random.Random(36)
+        for case in range(200):
+            pts = [(Q(rng.randint(-12, 12), rng.randint(1, 4)), Q(rng.randint(-12, 12), rng.randint(1, 4)))
+                   for _ in range(rng.randint(1, 6))]
+            if case % 4 == 0:
+                (x, y), d = pts[0], (rng.randint(-3, 3), rng.randint(-3, 3))
+                t = Q(rng.randint(0, 9), rng.randint(1, 3))
+                pts = [(x, y), (x + t * d[0], y + t * d[1])]
+            assert futaki._lattice_sums(futaki._ring(pts, 1)) == self.brute(pts), pts
+
+    def test_cut_keeps_lower_dimensional_parts(self):
+        # the square [0, 4]^2 cut to the line x + y = 3, and to its point (1, 2)
+        ring = futaki._ring([(0, 0), (4, 0), (4, 4), (0, 4)], 1)
+        line = futaki._clip(futaki._clip(ring, 1, 1, 3), -1, -1, -3)
+        assert futaki._lattice_sums(line) == (4, 6, 6)
+        point = futaki._clip(futaki._clip(line, 1, 0, 1), -1, 0, -1)
+        assert futaki._lattice_sums(point) == (1, 1, 2)
+        assert futaki._clip(line, 1, 1, 4) == []
 
 
 class TestPLFiltrationOracle:
@@ -417,6 +517,19 @@ class TestPLFiltrationOracle:
             self.check(segment_sym, PLConvexFunction.abs_coordinate(1), k, caplog)
             negative = PLConvexFunction.affine((Q(-3, 2),), Q(-2, 3))
             assert "below 0" in self.check(segment_sym, negative, k, caplog)[0]
+
+    def test_large_denominators_cost_columns_not_cosets(self, caplog):
+        # the slopes 1/997 and 1/991 make 988,027 cosets of kP's lattice
+        # points; a section with fewer columns than that times 3 * #pieces
+        # is summed column by column, in about the time of a row walk
+        P = Polytope.from_vertices([(0, 0), (3, 0), (0, 2)])
+        f = PLConvexFunction((((Q(1, 997), Q(1, 991)), Q(-1, 3)),
+                              ((Q(-1, 2), Q(1, 7)), Q(-1, 5))))
+        for k in (4, 128):
+            start = time.perf_counter()
+            filtration_futaki(P, f, k)
+            assert time.perf_counter() - start < 0.5
+            assert "below 0" in self.check(P, f, k, caplog)[0]
 
 
 class TestLatticePoints:

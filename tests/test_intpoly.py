@@ -49,8 +49,28 @@ class TestFloorSum:
             assert ip.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
     def test_one_implementation(self):
-        # the crease scan's offset count and the filtration share one floor_sum
-        assert futaki.floor_sum is stab.floor_sum is ip.floor_sum
+        # the crease scan's offset count and the lattice sums share _intpoly's floor sums
+        assert stab.floor_sum is futaki.floor_sum is ip.floor_sum
+        assert futaki.floor_sums is ip.floor_sums
+
+
+class TestFloorSums:
+    def test_against_direct_sums(self):
+        # a and b of either sign, n = 0 and slopes far beyond m
+        rng = random.Random(36)
+        for _ in range(2000):
+            n, m = rng.randint(0, 40), rng.randint(1, 30)
+            a, b = rng.randint(-200, 200), rng.randint(-2000, 2000)
+            f = [(a * i + b) // m for i in range(n)]
+            want = (sum(f), sum(i * v for i, v in enumerate(f)), sum(v * v for v in f))
+            assert ip.floor_sums(n, m, a, b) == want, (n, m, a, b)
+
+    def test_first_sum_is_floor_sum(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            n, m = rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 6)
+            a, b = rng.randint(-10 ** 9, 10 ** 9), rng.randint(-10 ** 12, 10 ** 12)
+            assert ip.floor_sums(n, m, a, b)[0] == ip.floor_sum(n, m, a, b)
 
 
 class TestMoebiusBlocks:

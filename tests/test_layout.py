@@ -40,18 +40,29 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
-def test_intpoly_is_a_leaf():
-    # the exact layers share _intpoly and load no numpy through it: it may
-    # import the standard library only, and nothing of kstab
-    tree = ast.parse((SRC / "_intpoly.py").read_text())
+def imports(module: str) -> set[str]:
+    """The modules that src/kstab/<module>.py imports, relative ones with their dots."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert sorted(name for name in imported
+    return imported
+
+
+def test_intpoly_is_a_leaf():
+    # the exact layers share _intpoly and load no numpy through it: it may
+    # import the standard library only, and nothing of kstab
+    assert sorted(name for name in imports("_intpoly")
                   if name.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+def test_futaki_loads_no_numpy_or_scipy():
+    # the lattice counts are Python int floor sums, so futaki and filtration
+    # run without numpy and scipy
+    assert sorted(name for name in imports("futaki")
+                  if name.split(".")[0] in ("numpy", "scipy")) == []
 
 
 def test_ci_runs_no_inline_checks():

@@ -894,6 +894,16 @@ class TestSolve:
         assert history_non_increasing(rep.mabuchi_history)
         assert time.time() - t0 < 10
 
+    def test_max_iter_reports_the_returned_iterate(self, square):
+        # a run stopped at max-iter returns the iterate it recorded last; one
+        # more step returned an unrecorded one (residual_sup 12.88, sup |final.r| 1.40)
+        rep = sol.solve(square, weighted_box(square), m=33, max_iter=2, phi0=bump2)
+        assert (rep.termination, rep.iterations, len(rep.residual_history)) == ("max-iter", 2, 2)
+        assert rep.residual_sup == rep.residual_history[-1] == float(np.abs(rep.final.r).max())
+        assert rep.mabuchi_history[-1] == rep.final.F
+        assert rep.min_det_history[-1] == float(rep.final.det.min())
+        assert rep.grid is rep.final.g
+
     @pytest.mark.parametrize("weight, termination", [(Q(1), "converged"),
                                                      (Q(1, 4), "divergence-certificate")])
     def test_measures_computed_once_per_grid(self, square, monkeypatch, weight, termination):

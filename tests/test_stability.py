@@ -571,7 +571,7 @@ class TestCreaseSearch:
         parts = [c for lo, hi in zip(cuts, cuts[1:]) for c in stab.admissible_offsets(lo, hi, 7)]
         assert sorted(parts) == sorted(stab.admissible_offsets(cuts[0], cuts[-1], 7))
         with pytest.raises(ValueError):
-            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), ip.moebius_blocks(1))
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), ip.moebius_blocks(1), 1)
 
     def test_parallel_matches_serial(self, square):
         v1 = crease_search(square, unit(square), 4, workers=1)
@@ -689,16 +689,17 @@ class TestPrunedScan:
             hi = lo + Q(rng.randint(1, 60), rng.randint(1, 7))
             R = rng.randint(1, 9)
             inside = [c for c in stab.admissible_offsets(lo, hi, R) if c != lo]
-            assert stab._count_offsets(lo, hi, ip.moebius_blocks(R)) == len(inside)
+            blocks = ip.moebius_blocks(R)
+            assert stab._count_offsets(lo, hi, blocks, stab._farey(blocks)) == len(inside)
         with pytest.raises(ValueError, match=r"exceed the scan's range \(numerators below 2\^62\)"):
-            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), ip.moebius_blocks(1))
+            stab._count_offsets(Q(2 ** 62), Q(2 ** 62 + 2), ip.moebius_blocks(1), 1)
 
     @pytest.mark.parametrize("smin, smax, end", [(-2 ** 62 - 2, 0, -2 ** 62 - 2),
                                                  (0, 2 ** 62 + 2, 2 ** 62 + 2)])
     def test_offset_overflow_names_its_end(self, smin, smax, end):
         with pytest.raises(ValueError, match=f"^crease offsets near {end} exceed the scan's "
                                              r"range \(numerators below 2\^62\)$"):
-            stab._count_offsets(Q(smin), Q(smax), ip.moebius_blocks(1))
+            stab._count_offsets(Q(smin), Q(smax), ip.moebius_blocks(1), 1)
 
     def test_offset_count_matches_enumeration(self):
         # every R in 1..48, on intervals with negative, integral and
@@ -712,7 +713,26 @@ class TestPrunedScan:
                 # num/den in lowest terms strictly inside (lo, hi), one by one
                 inside = sum(math.gcd(num, den) == 1 for den in range(1, R + 1)
                              for num in range(math.floor(lo * den) + 1, math.ceil(hi * den)))
-                assert stab._count_offsets(lo, hi, blocks) == inside, (lo, hi, R)
+                count = stab._count_offsets(lo, hi, blocks, stab._farey(blocks))
+                assert count == inside, (lo, hi, R)
+
+    def test_integer_ends_match_the_moebius_sum(self):
+        # the closed form (smax - smin) * Phi(R) - 1 at integer ends and the
+        # Moebius sum of floor sums agree, up to R = 200 and on rational ends
+        rng = random.Random(36)
+        for R in list(range(1, 41)) + [64, 97, 128, 200]:
+            blocks = ip.moebius_blocks(R)
+            farey = stab._farey(blocks)
+            assert farey == sum(math.gcd(d, j) == 1
+                                for d in range(1, R + 1) for j in range(1, d + 1))
+            for _ in range(6):
+                den = 1 if rng.random() < 0.5 else rng.randint(1, 2 * R)
+                lo = Q(rng.randint(-10 ** 6, 10 ** 6), den)
+                hi = lo + Q(rng.randint(1, 10 ** 4), 1 if den == 1 else rng.randint(1, 2 * R))
+                moebius = sum(M * (-ip.floor_sum(J + 1, hi.denominator, -hi.numerator, 0)
+                                   - ip.floor_sum(J + 1, lo.denominator, lo.numerator, 0) - J)
+                              for J, M in blocks)
+                assert stab._count_offsets(lo, hi, blocks, farey) == moebius, (lo, hi, R)
 
     def test_one_pair_matches_unpruned(self, monkeypatch, segment01, segment_sym):
         # a segment's directions (1,) and (-1,) are one antipodal pair
@@ -866,9 +886,10 @@ def assert_pair_floors(poly, a, A, R):
     sa, sneg = stab._sweep(poly, a), stab._sweep(poly, neg)
     assert flipped(sa) == sneg, a
     blocks = ip.moebius_blocks(R)
-    count = stab._count_offsets(*sweep_ends(poly, sneg), blocks)
-    assert stab._pair_floors(poly, a, A, blocks) == (ratio_floor(sa, A), ratio_floor(sneg, A),
-                                                     count), a
+    farey = stab._farey(blocks)
+    count = stab._count_offsets(*sweep_ends(poly, sneg), blocks, farey)
+    assert stab._pair_floors(poly, a, A, blocks, farey) == (
+        ratio_floor(sa, A), ratio_floor(sneg, A), count), a
 
 
 def assert_scan_pair_floors(P, sigma, R):
