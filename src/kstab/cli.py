@@ -41,22 +41,27 @@ def _load_polytope(path):
     return parse_polytope_text(Path(path).read_text())
 
 
-def _write_csv(path: Path, rows):
-    """Write rows as CSV lines ending in CRLF, each field as str (a float as its repr).
+def _write_csv(path: Path, columns: dict):
+    """Write columns {name: values} as CSV: the names, then one line per row,
+    each ending in CRLF and each field its str (a float's str is its repr).
 
     These are csv.writer's bytes for fields without a comma, quote or line
     break, which holds for every kstab payload: numbers, Fractions and plain
-    names.
+    names; ValueError names a field that would need quoting.
     """
-    text = "".join([",".join(map(str, row)) + "\r\n" for row in rows])
-    assert (text.count(",") == sum(len(row) - 1 for row in rows) and '"' not in text
-            and text.count("\n") == text.count("\r") == len(rows)), "a CSV field needs quoting"
+    cols = [[name, *map(str, values)] for name, values in columns.items()]
+    lines = len(cols[0])
+    text = "\r\n".join(map(",".join, zip(*cols, strict=True))) + "\r\n"
+    if (text.count(",") != (len(cols) - 1) * lines or '"' in text
+            or not text.count("\n") == text.count("\r") == lines):
+        bad = next(f for col in cols for f in col if any(c in f for c in ',"\r\n'))
+        raise ValueError(f"{path.name}: the field {bad!r} needs CSV quoting")
     path.write_bytes(text.encode())
 
 
 def _write_outputs(args, files: dict):
     """Create --out and write manifest.json, then each output: a name ending
-    in .csv takes rows (header first), any other name a JSON payload."""
+    in .csv takes columns {name: values}, any other name a JSON payload."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source = getattr(args, args.input)
@@ -204,7 +209,8 @@ def cmd_futaki(args) -> tuple[int, dict]:
           f"F0 = {fit.F0}, F1 = {fit.F1}, F2 = {fit.F2}")
     print(f"Futaki invariant (1/k coefficient): {fit.F1}")
     return EXIT_OK, {
-        "weights.csv": [["k", "d_k", "w_k", "F_k"]] + [[r.k, r.d_k, r.w_k, r.F_k] for r in rows],
+        "weights.csv": {name: [getattr(r, name) for r in rows]
+                        for name in ("k", "d_k", "w_k", "F_k")},
         "fit.json": {**coefs, "k_range": list(fit.k_range)},
     }
 
@@ -224,7 +230,7 @@ def cmd_filtration(args) -> tuple[int, dict]:
         f1 = (v1 - v2) / (Fraction(1, k1) - Fraction(1, k2))
         lines.append(f"extrapolated 1/k coefficient: {_float(f1, '1/k coefficient'):.8f}")
     print("\n".join(lines))
-    return EXIT_OK, {"filtration.csv": [["k", "statistic"]] + vals}
+    return EXIT_OK, {"filtration.csv": {"k": ks, "statistic": [v for _, v in vals]}}
 
 
 def cmd_solve(args) -> tuple[int, dict]:
@@ -250,8 +256,6 @@ def cmd_solve(args) -> tuple[int, dict]:
         print("divergence certificate:", report.certificate["message"])
         print(f"  min det(u_ab) = {report.certificate['min_det']:.3e} "
               f"near {report.certificate['min_det_location']}")
-    histories = zip(report.mabuchi_history, report.residual_history, report.min_det_history,
-                    report.sup_u_history, report.sup_phi_history)
     files = {
         "solve.json": {
             "termination": report.termination,
@@ -261,8 +265,11 @@ def cmd_solve(args) -> tuple[int, dict]:
             "mabuchi_final": report.mabuchi_history[-1] if report.mabuchi_history else None,
             "min_det_final": report.min_det_history[-1] if report.min_det_history else None,
         },
-        "histories.csv": [["iteration", "mabuchi", "residual_sup", "min_det", "sup_u", "sup_phi"]]
-                         + [[i, *row] for i, row in enumerate(histories)],
+        "histories.csv": {"iteration": range(len(report.mabuchi_history)),
+                          "mabuchi": report.mabuchi_history,
+                          "residual_sup": report.residual_history,
+                          "min_det": report.min_det_history, "sup_u": report.sup_u_history,
+                          "sup_phi": report.sup_phi_history},
     }
     if report.termination == "refused-futaki":
         print(f"Futaki vector {tuple(map(str, report.futaki))} is nonzero; "
@@ -301,7 +308,8 @@ def cmd_ray(args) -> tuple[int, dict]:
     print(f"quadrature L of the ray direction: {rs.l_value:.10g}")
     rel = abs(rs.slope - rs.l_value) / max(abs(rs.l_value), 1e-30)
     print(f"relative gap: {rel:.2e}")
-    return EXIT_OK, {"ray.csv": [["s", "mabuchi"]] + [[repr(s), repr(F)] for s, F in rs.samples]}
+    s, F = zip(*rs.samples)
+    return EXIT_OK, {"ray.csv": {"s": s, "mabuchi": F}}
 
 
 def cmd_flow_sphere(args) -> tuple[int, dict]:
@@ -330,8 +338,7 @@ def cmd_flow_sphere(args) -> tuple[int, dict]:
         print(f"antipodal structure: multiplicities ({plus:g}, {minus:g}) along "
               f"({axis[0]:.4f}, {axis[1]:.4f}, {axis[2]:.4f})")
     return EXIT_OK, {
-        "trajectory.csv": [["step", "mu_norm"]] + [
-            [i, float(v)] for i, v in enumerate(res.mu_norms)],
+        "trajectory.csv": {"step": range(len(res.mu_norms)), "mu_norm": map(float, res.mu_norms)},
         "flow.json": {
             "verdict": res.verdict,
             "mu_norm_final": res.mu_norms[-1],
@@ -356,8 +363,8 @@ def cmd_flow_matrix(args) -> tuple[int, dict]:
           f"after {res.steps} steps")
     print(f"Frobenius norm of the limit: {np.linalg.norm(res.matrix):.6g}")
     return EXIT_OK, {
-        "trajectory.csv": [["step", "commutator_norm"]] + [
-            [i, float(v)] for i, v in enumerate(res.commutator_norms)],
+        "trajectory.csv": {"step": range(len(res.commutator_norms)),
+                           "commutator_norm": map(float, res.commutator_norms)},
         "flow.json": {
             "verdict": res.verdict,
             "commutator_norm_final": res.commutator_norms[-1],

@@ -14,13 +14,15 @@ Grid layout: node arrays have shape (m1,) or (m1, m2) including boundary
 nodes.  Hessian data lives on the interior lattice (one layer in); the
 scalar curvature field lives two layers in, matching the stencil depth.
 Field functions take the fields they read; potential_fields runs each once
-per potential, and grid_dump_rows writes grid.csv from its det and div.
+per potential, and grid_dump_rows gives grid.csv's columns from its det
+and div.  A Mesh holds what depends on the axes only (u0 and u0'', the
+quadrature and extension weights, the log-singular field, the closed-form
+integrals), computed once: build and refined make one, with_phi shares it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 import warnings
@@ -92,7 +94,7 @@ class Axis1D:
         # nodes -> interior (d1, d2) and interior -> two layers in (d1i, d2i)
         self.d1, self.d2 = _stencils(x)
         self.d1i, self.d2i = _stencils(x[1:-1])
-        # extend_interior_field's weights by (layers, points)
+        # extend_interior_field's weights by (layers, points), per end
         self.extension = {lp: outer_extrapolation(x, *lp) for lp in ((1, 3), (2, 3), (2, 4))}
 
     # analytic reference potential (ell/w) log ell for the two end facets
@@ -222,49 +224,76 @@ def _box_axes(P: Polytope, sigma: BoundaryMeasure) -> list[tuple[float, float, f
     return out
 
 
+class Mesh:
+    """A tensor mesh: its axes, A = bvol/vol, and what depends on them only.
+
+    Computed here once, and read-only, as every grid on the mesh shares
+    them: u0 on the nodes, u0'' per axis (shaped to broadcast on the
+    interior lattice), the node and interior quadrature weights, the
+    log-singular field, and the closed-form integrals of u0, of the log
+    terms and of u0 on the boundary.  The axes hold the extension weights.
+    """
+
+    def __init__(self, axes: list[Axis1D], A: float):
+        self.axes, self.A, self.n = axes, A, len(axes)
+        self.shape = tuple(ax.m for ax in axes)
+        self.u0 = np.zeros(self.shape)
+        for a, ax in enumerate(axes):
+            self.u0 = self.u0 + _on_axis(ax.u0(), self.n, a)
+        self.u0_d2 = [_on_axis(ax.u0_d2(), self.n, a) for a, ax in enumerate(axes)]
+        self.node_weights = node_weights(self)
+        self.interior_weights = self.node_weights[(slice(1, -1),) * self.n]
+        self.log_singular = log_singular_field(self)
+        for arr in (self.u0, *self.u0_d2, self.node_weights, self.log_singular):
+            arr.flags.writeable = False
+        self.integral_u0 = integral_u0_exact(self)
+        self.integral_log_terms = integral_log_terms_exact(self)
+        self.boundary_integral_u0 = boundary_integral_u0_exact(self)
+
+
 class PotentialGrid:
     """Discretized symplectic potential u = u0 + phi on a graded box mesh.
 
-    A = bvol/vol is computed once and shared by the grids with_phi and
-    refined derive from this one; UnsupportedPolytopeError if it exceeds
-    the floats.
+    The mesh (axes, A and the constants of the axes) is made by build and
+    refined; with_phi grids share this grid's mesh.
     """
 
-    def __init__(self, P: Polytope, sigma: BoundaryMeasure, axes: list[Axis1D],
-                 phi: np.ndarray | None = None, A: float | None = None):
+    def __init__(self, P: Polytope, sigma: BoundaryMeasure, mesh: Mesh,
+                 phi: np.ndarray | None = None):
         self.P = P
         self.sigma = sigma
-        if A is None:
-            try:
-                A = float(measures(P, sigma).A)
-            except OverflowError:
-                raise UnsupportedPolytopeError(
-                    f"A = bvol/vol exceeds the float range (max {sys.float_info.max:g})") from None
-        self.A = A
-        self.axes = axes
-        self.n = len(axes)
-        self.shape = tuple(ax.m for ax in axes)
+        self.mesh = mesh
+        self.axes, self.A, self.n, self.shape = mesh.axes, mesh.A, mesh.n, mesh.shape
         self.phi = np.zeros(self.shape) if phi is None else np.asarray(phi, dtype=float)
         if self.phi.shape != self.shape:
             raise ValueError(f"phi must have shape {self.shape}")
 
     @classmethod
-    def build(cls, P: Polytope, sigma: BoundaryMeasure, m, phi=None) -> "PotentialGrid":
+    def build(cls, P: Polytope, sigma: BoundaryMeasure, m, phi=None, A=None) -> "PotentialGrid":
+        """The grid of m nodes per axis (an int, or one per axis) on a new mesh,
+        A = bvol/vol (measures(P, sigma).A unless given; UnsupportedPolytopeError
+        if it exceeds the floats)."""
         if isinstance(m, int):
             m = (m,) * P.dim
         spans = _box_axes(P, sigma)
         axes = [Axis1D(graded_nodes(lo, hi, mi), lo, hi, wl, wh)
                 for (lo, hi, wl, wh), mi in zip(spans, m)]
-        g = cls(P, sigma, axes)
+        try:
+            A = float(measures(P, sigma).A if A is None else A)
+        except OverflowError:
+            raise UnsupportedPolytopeError(
+                f"A = bvol/vol exceeds the float range (max {sys.float_info.max:g})") from None
+        g = cls(P, sigma, Mesh(axes, A))
         if phi is not None:
             g.phi = _phi_array(g, phi)
         return g
 
     def with_phi(self, phi) -> "PotentialGrid":
-        return PotentialGrid(self.P, self.sigma, self.axes, _phi_array(self, phi), self.A)
+        return PotentialGrid(self.P, self.sigma, self.mesh, _phi_array(self, phi))
 
     def refined(self, phi=None) -> "PotentialGrid":
-        """Bisection refinement: every gap exactly halved (nodes are nested).
+        """Bisection refinement: every gap exactly halved (nodes are nested),
+        on a new mesh.
 
         Use this for mesh-convergence studies; phi defaults to zero on the
         new grid (pass a callable to re-sample).
@@ -276,7 +305,7 @@ class PotentialGrid:
             nodes[0::2] = x
             nodes[1::2] = (x[:-1] + x[1:]) / 2
             axes.append(Axis1D(nodes, ax.lo, ax.hi, ax.w_lo, ax.w_hi))
-        g = PotentialGrid(self.P, self.sigma, axes, A=self.A)
+        g = PotentialGrid(self.P, self.sigma, Mesh(axes, self.A))
         if phi is not None:
             g.phi = _phi_array(g, phi)
         return g
@@ -287,13 +316,10 @@ class PotentialGrid:
         return list(np.meshgrid(*vecs, indexing="ij"))
 
     def u0_values(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for a, ax in enumerate(self.axes):
-            out = out + _on_axis(ax.u0(), self.n, a)
-        return out
+        return self.mesh.u0
 
     def u_values(self) -> np.ndarray:
-        return self.u0_values() + self.phi
+        return self.mesh.u0 + self.phi
 
     def find_node(self, x) -> tuple[int, ...]:
         idx = []
@@ -341,8 +367,8 @@ def hessian_field(g: PotentialGrid):
     """Hessian components of u on the interior lattice: u0's in closed form
     plus the difference Hessian of phi."""
     H = difference_hessian(g, g.phi)
-    for a, ax in enumerate(g.axes):
-        H[(a, a)] += _on_axis(ax.u0_d2(), g.n, a)
+    for a, d2 in enumerate(g.mesh.u0_d2):
+        H[(a, a)] += d2
     return H
 
 
@@ -445,8 +471,10 @@ def legendre(g: PotentialGrid, x):
 
 
 # -- quadrature ---------------------------------------------------------------
+# The functions of the axes alone take a mesh (or a grid); a grid reads their
+# values from its mesh.
 
-def node_weights(g: PotentialGrid) -> np.ndarray:
+def node_weights(g: Mesh | PotentialGrid) -> np.ndarray:
     """Tensor trapezoid weights for the full node grid."""
     w = g.axes[0].trapezoid
     if g.n == 1:
@@ -454,13 +482,8 @@ def node_weights(g: PotentialGrid) -> np.ndarray:
     return np.outer(w, g.axes[1].trapezoid)
 
 
-def interior_weights(g: PotentialGrid) -> np.ndarray:
-    w = node_weights(g)
-    return w[(slice(1, -1),) * g.n]
-
-
 def integrate_nodes(g: PotentialGrid, values: np.ndarray) -> float:
-    return float((node_weights(g) * values).sum())
+    return float((g.mesh.node_weights * values).sum())
 
 
 def extend_interior_field(g: PotentialGrid, F: np.ndarray, layers: int = 1,
@@ -470,34 +493,46 @@ def extend_interior_field(g: PotentialGrid, F: np.ndarray, layers: int = 1,
     Lagrange extrapolation through `points` nodes (outer_extrapolation,
     made once per axis) along axis 0, then along axis 1, which fills the
     corners from the completed rows; cubic at 2 layers is phi's closure.
+    Each end of an axis is one update, its terms summed in source order.
     """
     full = np.zeros(g.shape)
     full[(slice(layers, -layers),) * g.n] = F
     for a, ax in enumerate(g.axes):
         lines = np.moveaxis(full, a, 0)
-        for j, src, coef in ax.extension[(layers, points)]:
-            terms = [c * lines[i] for c, i in zip(coef, src)]
-            lines[j] = sum(terms[1:], terms[0])
+        for outer, src, coef in ax.extension[(layers, points)]:
+            terms = [_on_axis(c, g.n, 0) * lines[i] for c, i in zip(coef.T, src)]
+            lines[outer] = sum(terms[1:], terms[0])
     return full
 
 
 def outer_extrapolation(x: np.ndarray, layers: int, points: int):
     """Lagrange extrapolation to the `layers` outer nodes at each end of x.
 
-    Returns (j, src, coef) for each outer node j: src are the `points`
-    nodes nearest that end that are not outer, nearest first, and coef[p]
-    the Lagrange basis polynomial of x[src[p]] through x[src] evaluated at
-    x[j], a product over a product.
+    Returns (outer, src, coef) for each end: outer lists its outer nodes,
+    nearest the end first; src the `points` nodes nearest that end that
+    are not outer, nearest first; and coef[o, p] is the Lagrange basis
+    polynomial of x[src[p]] through x[src] evaluated at x[outer[o]], a
+    product over a product.
     """
     m = len(x)
     out = []
     for end, step in ((0, 1), (m - 1, -1)):
         src = [end + step * (layers + p) for p in range(points)]
-        for off in range(layers):
-            j = end + step * off
-            coef = [math.prod([x[j] - x[k] for k in src if k != i])
-                    / math.prod([x[i] - x[k] for k in src if k != i]) for i in src]
-            out.append((j, src, coef))
+        outer = [end + step * off for off in range(layers)]
+        coef = np.array([[math.prod([x[j] - x[k] for k in src if k != i])
+                          / math.prod([x[i] - x[k] for k in src if k != i]) for i in src]
+                         for j in outer])
+        out.append((outer, src, coef))
+    return out
+
+
+def log_singular_field(g: Mesh | PotentialGrid) -> np.ndarray:
+    """sum_k log(w_k ell_k) at the interior lattice (separable for boxes)."""
+    out = np.zeros(tuple(ax.m - 2 for ax in g.axes))
+    for a, ax in enumerate(g.axes):
+        x = ax.nodes[1:-1]
+        vec = np.log(ax.w_lo * (x - ax.lo)) + np.log(ax.w_hi * (ax.hi - x))
+        out = out + _on_axis(vec, g.n, a)
     return out
 
 
@@ -508,17 +543,17 @@ def _box_integral(axes: list[Axis1D], axis_integral) -> float:
                for a, ax in enumerate(axes))
 
 
-def integral_u0_exact(g: PotentialGrid) -> float:
+def integral_u0_exact(g: Mesh | PotentialGrid) -> float:
     """Closed-form integral of u0 over the box."""
     return _box_integral(g.axes, Axis1D.integral_u0)
 
 
-def integral_log_terms_exact(g: PotentialGrid) -> float:
+def integral_log_terms_exact(g: Mesh | PotentialGrid) -> float:
     """Closed-form integral of sum_k log(w_k ell_k) over the box."""
     return _box_integral(g.axes, Axis1D.integral_log_terms)
 
 
-def boundary_integral_u0_exact(g: PotentialGrid) -> float:
+def boundary_integral_u0_exact(g: Mesh | PotentialGrid) -> float:
     """Closed-form sigma-weighted boundary integral of u0, facet by facet
     (on the facets at the ends of axis a, axis a's term is constant)."""
     total = 0.0
@@ -546,20 +581,23 @@ def boundary_integral_nodes(g: PotentialGrid, values: np.ndarray) -> float:
 def l_functional_quadrature(g: PotentialGrid, values_phi: np.ndarray | None = None) -> float:
     """L(u0 + phi) with the u0 parts in closed form and phi by trapezoid."""
     phi = g.phi if values_phi is None else values_phi
-    boundary = boundary_integral_u0_exact(g) + boundary_integral_nodes(g, phi)
-    interior = integral_u0_exact(g) + integrate_nodes(g, phi)
+    boundary = g.mesh.boundary_integral_u0 + boundary_integral_nodes(g, phi)
+    interior = g.mesh.integral_u0 + integrate_nodes(g, phi)
     return boundary - g.A * interior
 
 
-def grid_dump_rows(g: PotentialGrid, det: np.ndarray, div: np.ndarray) -> list[list]:
-    """grid.csv from an evaluated potential's det(u_ab) and second divergence:
-    the header, then [x1[, x2], u, det_hess, S = -div/2] per node in C order,
-    NaN where undefined, coordinates as reprs formatted once per axis."""
+def grid_dump_rows(g: PotentialGrid, det: np.ndarray, div: np.ndarray) -> dict[str, list]:
+    """grid.csv's columns {name: values} from an evaluated potential's
+    det(u_ab) and second divergence: x1[, x2], u, det_hess and S = -div/2
+    over the nodes in C order, NaN where undefined; each axis's coordinates
+    are formatted once, as reprs."""
     det_full = np.full(g.shape, np.nan)
     det_full[(slice(1, -1),) * g.n] = det
     S_full = np.full(g.shape, np.nan)
     S_full[(slice(2, -2),) * g.n] = -0.5 * div
-    values = np.stack([g.u_values(), det_full, S_full], axis=-1).reshape(-1, 3).tolist()
-    coords = itertools.product(*(list(map(repr, ax.nodes.tolist())) for ax in g.axes))
-    return [["x1", "x2"][:g.n] + ["u", "det_hess", "S"]] + [
-        [*x, *v] for x, v in zip(coords, values)]
+    cols = {}
+    for a, ax in enumerate(g.axes):
+        after, before = math.prod(g.shape[a + 1:]), math.prod(g.shape[:a])
+        cols[f"x{a + 1}"] = [x for x in map(repr, ax.nodes.tolist()) for _ in range(after)] * before
+    return {**cols, "u": g.u_values().ravel().tolist(), "det_hess": det_full.ravel().tolist(),
+            "S": S_full.ravel().tolist()}

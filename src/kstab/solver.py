@@ -35,13 +35,13 @@ direction is smoothed by an H2-seminorm preconditioner M, the module's only
 sparse matrix: a 5^n-point stencil on the nodes summed from Newton's Hessian
 taps, exactly symmetric and positive definite, factored on first use by its
 one sparse LU in SuperLU's symmetric mode.  At m = 65 (2 cores, medians of
-21) building M takes about 10 ms and the factor 38 ms, against 19 ms and
-85 ms when M was summed from Kronecker products and factored with
-SuperLU's unsymmetric defaults (COLAMD, partial pivoting).  A run that
-leaves the phi ceiling while F is still decreasing terminates with a
-divergence certificate carrying the normalized escape direction: that is
-the numerical footprint of a destabilizing ray.  A step that finds no
-acceptable trial, in either regime, ends the run as stalled.
+21) building M takes about 3.5 ms and the factor 33 ms, against 11 ms and
+78 ms for M summed from Kronecker products (the tests' oracle) and
+factored with SuperLU's unsymmetric defaults (COLAMD, partial pivoting).
+A run that leaves the phi ceiling while F is still decreasing terminates
+with a divergence certificate carrying the normalized escape direction:
+that is the numerical footprint of a destabilizing ray.  A step that
+finds no acceptable trial, in either regime, ends the run as stalled.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kstab import geometry as geo
-from kstab.polytope import BoundaryMeasure, Polytope
-from kstab.stability import futaki_linear
+from kstab.polytope import BoundaryMeasure, Polytope, measures
+from kstab.stability import _futaki
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +108,7 @@ class GridOperators:
 
     def __init__(self, g: geo.PotentialGrid):
         self.g = g
-        self.t_full = geo.node_weights(g).ravel()
+        self.t_full = g.mesh.node_weights.ravel()
         self.deep_shape = tuple(m - 4 for m in g.shape)
         # affine basis on nodes (constants first), each coordinate taken from
         # its axis's lower end: far from the origin x itself would make the
@@ -116,6 +116,9 @@ class GridOperators:
         self.affine_basis = np.stack([np.ones(self.t_full.size)]
                                      + [(arr - ax.lo).ravel()
                                         for arr, ax in zip(g.node_grids(), g.axes)], axis=1)
+        # the Gram matrices of the affine basis and of the constants, by include_linear
+        self.gram = {lin: B.T @ (self.t_full[:, None] * B)
+                     for lin, B in ((True, self.affine_basis), (False, self.affine_basis[:, :1]))}
         self._precond = None
         # n + 1 deep nodes that fix the affine gauge of a Newton step
         k = self.deep_shape
@@ -127,10 +130,7 @@ class GridOperators:
     def gauge_project(self, v: np.ndarray, include_linear: bool) -> np.ndarray:
         """Remove the weighted-L2 best affine (or constant) fit from v."""
         B = self.affine_basis if include_linear else self.affine_basis[:, :1]
-        tw = self.t_full
-        G = B.T @ (tw[:, None] * B)
-        rhs = B.T @ (tw * v)
-        coef = np.linalg.solve(G, rhs)
+        coef = np.linalg.solve(self.gram[include_linear], B.T @ (self.t_full * v))
         return v - B @ coef
 
     def preconditioner(self):
@@ -158,7 +158,7 @@ class GridOperators:
             def on_grid(d):     # the nodes p with p + d a node
                 return tuple(slice(max(-k, 0), m - max(k, 0)) for k, m in zip(d, shape))
 
-            W = geo.interior_weights(g)
+            W = g.mesh.interior_weights
             S = np.zeros((5,) * n + shape)     # S[plane(d)][p] = M[p, p + d]
             for (a, b), taps in _pair_taps(g, False).items():
                 Wab = W if a == b else 2.0 * W
@@ -207,10 +207,11 @@ class GridOperators:
             R[:, range(1, 6), range(1, 6)] = 1.0
             # outer node j sits at [j - row + 1] in the stencil of deep row
             # `row`, and node i of its sources at column i - row + 1
-            for j, src, coef in ax.extension[(2, 4)]:
-                for row in range(max(j - 4, 0), min(j, m - 1) + 1):
-                    R[row, j - row + 1] = 0.0
-                    R[row, j - row + 1, [i - row + 1 for i in src]] = coef
+            for outer, src, coefs in ax.extension[(2, 4)]:
+                for j, coef in zip(outer, coefs):
+                    for row in range(max(j - 4, 0), min(j, m - 1) + 1):
+                        R[row, j - row + 1] = 0.0
+                        R[row, j - row + 1, [i - row + 1 for i in src]] = coef
             folds.append({row: R[row] for row in (0, 1, m - 2, m - 1)})
             reach.append(R.any(axis=1).T)
         planes = []
@@ -435,28 +436,18 @@ def _gmres(apply, precondition, b: np.ndarray, atol: float, cap: int):
 
 # -- Mabuchi functional -------------------------------------------------------
 
-def log_singular_field(g: geo.PotentialGrid) -> np.ndarray:
-    """sum_k log(w_k ell_k) at the interior lattice (separable for boxes)."""
-    out = np.zeros(tuple(ax.m - 2 for ax in g.axes))
-    for a, ax in enumerate(g.axes):
-        x = ax.nodes[1:-1]
-        vec = np.log(ax.w_lo * (x - ax.lo)) + np.log(ax.w_hi * (ax.hi - x))
-        out = out + geo._on_axis(vec, g.n, a)
-    return out
-
-
 def mabuchi(g: geo.PotentialGrid, det: np.ndarray) -> float:
     """F(u) = -int log det(u_ab) dmu + L(u) on the grid's quadrature, from
     det = det(u_ab) > 0 on the interior lattice (evaluate's field).
 
     The log-singular parts (reference potential and boundary-layer log
     terms) are integrated in closed form; the smooth remainders by
-    trapezoid.
+    trapezoid; the mesh keeps the log-singular field and its integral.
     """
     # log det ~ -sum log(w ell) near the boundary, so this sum is smooth
-    r = np.log(det) + log_singular_field(g)
+    r = np.log(det) + g.mesh.log_singular
     r_full = geo.extend_interior_field(g, r)
-    log_det_integral = geo.integrate_nodes(g, r_full) - geo.integral_log_terms_exact(g)
+    log_det_integral = geo.integrate_nodes(g, r_full) - g.mesh.integral_log_terms
     return -log_det_integral + geo.l_functional_quadrature(g)
 
 
@@ -652,11 +643,12 @@ def solve(P: Polytope, sigma: BoundaryMeasure, m=None, tol: float = 1e-5,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    fut = futaki_linear(P, sigma)
+    meas = measures(P, sigma)      # once: the Futaki vector and the grid's A
+    fut = _futaki(meas)
     futaki_zero = all(v == 0 for v in fut)
     if m is None:
         m = 256 if P.dim == 1 else 49
-    g = geo.PotentialGrid.build(P, sigma, m, phi=phi0)
+    g = geo.PotentialGrid.build(P, sigma, m, phi=phi0, A=meas.A)
     if g.phi.shape != g.shape:
         raise ValueError(f"phi0 must be a callable or an array of the mesh's shape "
                          f"{g.shape}, got shape {g.phi.shape}")

@@ -262,6 +262,12 @@ def scalar_curvature_field(g):
     return -0.5 * geo.potential_fields(g)[3]
 
 
+def oracle_csv(rows) -> bytes:
+    """CSV bytes of rows (header first) by the row formatter the column
+    writer replaced: each field's str, joined by commas, each line ending in CRLF."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows).encode()
+
+
 def count_calls(monkeypatch, module, names):
     """Patch module.name for each name with a wrapper counting its calls."""
     calls = dict.fromkeys(names, 0)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,10 +15,10 @@ from pathlib import Path
 import pytest
 
 from kstab import solver as sol
-from kstab.cli import _write_csv, main
+from kstab.cli import _parse_pieces, _write_csv, main
 from kstab.polytope import Polytope, parse_polytope_text
 
-from conftest import count_calls, format_polytope_text
+from conftest import count_calls, format_polytope_text, oracle_csv
 
 
 SQUARE = "dim 2\nvertices\n0 0\n1 0\n1 1\n0 1\n"
@@ -408,6 +409,30 @@ class TestSolveCommand:
         assert len(list(Path("o").glob("grid_*.csv"))) == 6
         assert hessians["hessian_field"] == evaluations["evaluate"] >= 24
 
+    @pytest.mark.parametrize("case", ["light-escape-25", "solve-box-33"])
+    def test_mesh_constants_computed_once_per_mesh(self, in_inputs, monkeypatch, case):
+        # what depends on the axes only is computed once per mesh, however
+        # many potentials are evaluated on it
+        import numpy as np
+        from kstab import geometry as geo
+        calls = count_calls(monkeypatch, geo, [
+            "Mesh", "node_weights", "log_singular_field", "integral_u0_exact",
+            "integral_log_terms_exact", "boundary_integral_u0_exact", "outer_extrapolation"])
+        per_axis = count_calls(monkeypatch, geo.Axis1D, ["u0", "u0_d2"])
+        evaluations = count_calls(monkeypatch, sol, ["evaluate"])
+        if case == "light-escape-25":
+            assert main(["solve", "light.poly", "--mesh", "25", "--allow-nonzero-futaki",
+                         "--dump-every", "4", "--out", "o"]) == 4
+        else:   # the benchmark's solve-box input
+            rep = sol.solve(*parse_polytope_text(BOX), m=33, tol=1e-6, phi0=lambda x, y: 0.02 * (
+                np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2))
+            assert rep.converged and rep.iterations > 1
+        assert evaluations["evaluate"] > 2
+        assert calls == {"Mesh": 1, "node_weights": 1, "log_singular_field": 1,
+                         "integral_u0_exact": 1, "integral_log_terms_exact": 1,
+                         "boundary_integral_u0_exact": 1, "outer_extrapolation": 3 * 2}
+        assert per_axis == {"u0": 2, "u0_d2": 2}
+
     @pytest.mark.parametrize("argv, every, last, code", [
         ("light.poly --mesh 25 --allow-nonzero-futaki", 4, 24, 4),
         ("box.poly --mesh 33", 1, 1, 0),
@@ -438,9 +463,8 @@ class TestSolveCommand:
                                        int(argv[2]))
         for name in names:
             rows = oracle_grid_dump_rows(grid.with_phi(phis[name]))
-            want = "x1,x2,u,det_hess,S\r\n" + "".join(",".join(map(repr, r)) + "\r\n"
-                                                    for r in rows)
-            assert Path("o", name).read_bytes() == want.encode(), name
+            want = oracle_csv([("x1", "x2", "u", "det_hess", "S"), *rows])
+            assert Path("o", name).read_bytes() == want, name
         assert Path("o", f"grid_{last:05d}.csv").read_bytes() == Path("o", "grid.csv").read_bytes()
 
     # nonzero Futaki: every step is a flow step, so each run ends in a
@@ -875,15 +899,97 @@ class TestCsvWriter:
         rows = [["k", "value", "ratio"], [1, float("nan"), Q(-7, 3)], [-2, -0.0, Q(5)],
                 [3, 1e-300, -2.5e+20], [10 ** 30, float("inf"), -float("inf")],
                 ["x1", 0.1 + 0.2, -1234567.125]]
-        _write_csv(tmp_path / "fast.csv", rows)
+        _write_csv(tmp_path / "fast.csv", dict(zip(rows[0], zip(*rows[1:]))))
         with (tmp_path / "csv.csv").open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == oracle_csv(rows)
 
     def test_field_that_needs_quoting_is_refused(self, tmp_path):
-        for bad in ("a,b", 'say "x"', "two\nlines"):
-            with pytest.raises(AssertionError):
-                _write_csv(tmp_path / "bad.csv", [["k", "name"], [1, bad]])
+        for bad in ("a,b", 'say "x"', "two\nlines", "cr\r"):
+            with pytest.raises(ValueError, match=f"bad.csv: the field {re.escape(repr(bad))} "):
+                _write_csv(tmp_path / "bad.csv", {"k": [1], "name": [bad]})
+        with pytest.raises(ValueError, match="the field 'a,b' "):
+            _write_csv(tmp_path / "bad.csv", {"a,b": [1], "name": [2]})
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_refused_field_is_an_error_line(self, in_inputs, capsys, monkeypatch):
+        import kstab.futaki
+
+        class Comma(Q):
+            def __str__(self):
+                return "1,2"
+
+        monkeypatch.setattr(kstab.futaki, "filtration_futaki", lambda P, f, k: Comma(1, 2))
+        assert main(["filtration", "tri.poly", "--pieces", "0,0,0", "--ks", "4",
+                     "--out", "o"]) == 1
+        assert capsys.readouterr().err == \
+            "error: filtration.csv: the field '1,2' needs CSV quoting\n"
+
+    # every CLI CSV against the row formatter, on rows built as the commands
+    # built them before they wrote columns
+    @staticmethod
+    def results(monkeypatch, module, name) -> list:
+        """Patch module.name to keep each call's result in the returned list."""
+        kept, fn = [], getattr(module, name)
+
+        def keeping(*args, **kwargs):
+            kept.append(fn(*args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(module, name, keeping)
+        return kept
+
+    def test_futaki_and_filtration(self, in_inputs):
+        from kstab.futaki import count_and_weigh, filtration_futaki
+        P, _ = parse_polytope_text(TRI)
+        assert main(["futaki", "tri.poly", "--xi", "0,1", "--kmin", "4", "--kmax", "9",
+                     "--out", "f"]) == 0
+        rows = [count_and_weigh(P, (0, 1), k) for k in range(4, 10)]
+        assert Path("f", "weights.csv").read_bytes() == oracle_csv(
+            [["k", "d_k", "w_k", "F_k"]] + [[r.k, r.d_k, r.w_k, r.F_k] for r in rows])
+        pieces = "0,0,0;1,0,-1/2"
+        assert main(["filtration", "tri.poly", "--pieces", pieces, "--ks", "8,3,32",
+                     "--out", "g"]) == 0
+        f = _parse_pieces(pieces, 2)
+        assert Path("g", "filtration.csv").read_bytes() == oracle_csv(
+            [["k", "statistic"]] + [(k, filtration_futaki(P, f, k)) for k in (8, 3, 32)])
+
+    @pytest.mark.parametrize("argv, dumps", [("seg.poly --mesh 40", 0),
+                                             ("box.poly --mesh 33 --dump-every 1", 1),
+                                             ("light.poly --mesh 17 --allow-nonzero-futaki", 0)],
+                             ids=["segment", "box", "escape"])
+    def test_solve(self, in_inputs, monkeypatch, argv, dumps):
+        from test_geometry import oracle_grid_dump_rows
+        reports = self.results(monkeypatch, sol, "solve")
+        assert main(["solve", *argv.split(), "--out", "o"]) in (0, 4)
+        (r,) = reports
+        histories = zip(r.mabuchi_history, r.residual_history, r.min_det_history,
+                        r.sup_u_history, r.sup_phi_history)
+        assert Path("o", "histories.csv").read_bytes() == oracle_csv(
+            [["iteration", "mabuchi", "residual_sup", "min_det", "sup_u", "sup_phi"]]
+            + [[i, *row] for i, row in enumerate(histories)])
+        grid = oracle_csv([["x1", "x2"][:r.grid.n] + ["u", "det_hess", "S"],
+                           *oracle_grid_dump_rows(r.grid)])
+        assert b",nan," in grid and Path("o", "grid.csv").read_bytes() == grid
+        assert [p.read_bytes() for p in Path("o").glob("grid_*.csv")] == [grid] * dumps
+
+    @pytest.mark.parametrize("argv, name, fn, series", [
+        ("flow-sphere --points pts.txt", "mu_norm", "sphere_flow", "mu_norms"),
+        ("flow-matrix --matrix mat.txt", "commutator_norm", "matrix_flow", "commutator_norms")])
+    def test_trajectory(self, in_inputs, monkeypatch, argv, name, fn, series):
+        from kstab import kempfness as kn
+        results = self.results(monkeypatch, kn, fn)
+        assert main([*argv.split(), "--out", "o"]) == 0
+        values = getattr(results[0], series)
+        assert Path("o", "trajectory.csv").read_bytes() == oracle_csv(
+            [["step", name]] + [[i, float(v)] for i, v in enumerate(values)])
+
+    def test_ray(self, in_inputs, monkeypatch):
+        results = self.results(monkeypatch, sol, "ray_slope")
+        assert main(["ray", "box.poly", "--quadratic", "1,0,1", "--mesh", "17", "--out", "o"]) == 0
+        assert Path("o", "ray.csv").read_bytes() == oracle_csv(
+            [["s", "mabuchi"]] + [[repr(s), repr(F)] for s, F in results[0].samples])
 
 
 def run_fresh(script, cwd):

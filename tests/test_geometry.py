@@ -306,23 +306,46 @@ class TestFieldExtension:
     def test_grid_dump_shape(self, segment01):
         g = geo.guillemin(segment01, unit(segment01), m=17)
         _, det, _, div = geo.potential_fields(g)
-        rows = geo.grid_dump_rows(g, det, div)
-        assert rows[0] == ["x1", "u", "det_hess", "S"]
-        assert len(rows) == 18
-        assert len(rows[1]) == 4   # x, u, det, S
-        assert math.isnan(rows[1][2])
+        cols = geo.grid_dump_rows(g, det, div)
+        assert list(cols) == ["x1", "u", "det_hess", "S"]
+        assert [len(c) for c in cols.values()] == [17] * 4
+        assert math.isnan(cols["det_hess"][0])
 
     def test_grid_dump_matches_per_node_loop(self):
         for g in perturbed_grids()[1:]:   # a weighted segment and a weighted box
             _, det, _, div = geo.potential_fields(g)
             got = geo.grid_dump_rows(g, det, div)
-            assert got[0] == ["x1", "x2"][:g.n] + ["u", "det_hess", "S"]
+            assert list(got) == ["x1", "x2"][:g.n] + ["u", "det_hess", "S"]
             # the coordinates are written as their reprs; repr keeps NaN cells
             # comparable, pins every bit of the rest and tells a numpy scalar
             # from a float
-            assert [r[:g.n] + list(map(repr, r[g.n:])) for r in got[1:]] == \
+            rows = list(zip(*got.values()))
+            assert [list(r[:g.n]) + list(map(repr, r[g.n:])) for r in rows] == \
                    [list(map(repr, r)) for r in oracle_grid_dump_rows(g)]
-            assert any(math.isnan(v) for r in got[1:] for v in r[g.n:])
+            assert any(math.isnan(v) for r in rows for v in r[g.n:])
+
+
+class TestMesh:
+    def test_with_phi_shares_the_mesh_and_refined_makes_its_own(self, square):
+        sigma = BoundaryMeasure(tuple(Q(2) if f.normal[0] else Q(3) for f in square.facets))
+        g = geo.PotentialGrid.build(square, sigma, 17)
+        assert g.with_phi(lambda x, y: x * y).mesh is g.mesh
+        fine = g.refined()
+        assert fine.mesh is not g.mesh and fine.shape == (33, 33)
+        # the coarse grid's constants first: a refined grid reading them fails
+        for h in (g, fine):
+            axes = h.axes
+            assert np.array_equal(h.u0_values(), np.add.outer(axes[0].u0(), axes[1].u0()))
+            assert all(np.array_equal(d2, geo._on_axis(ax.u0_d2(), 2, a))
+                       for a, (d2, ax) in enumerate(zip(h.mesh.u0_d2, axes)))
+            assert np.array_equal(h.mesh.node_weights, np.outer(axes[0].trapezoid,
+                                                                axes[1].trapezoid))
+            assert np.array_equal(h.mesh.interior_weights, h.mesh.node_weights[1:-1, 1:-1])
+            assert np.array_equal(h.mesh.log_singular, geo.log_singular_field(h))
+            assert (h.mesh.integral_u0, h.mesh.integral_log_terms, h.mesh.boundary_integral_u0) \
+                == (geo.integral_u0_exact(h), geo.integral_log_terms_exact(h),
+                    geo.boundary_integral_u0_exact(h))
+            assert not h.mesh.u0.flags.writeable and not h.mesh.node_weights.flags.writeable
 
 
 def oracle_grid_dump_rows(g):

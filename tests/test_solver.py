@@ -165,8 +165,8 @@ def closure_1d(x):
     m = len(x)
     E = np.zeros((m, m - 4))
     E[2:-2] = np.eye(m - 4)
-    for j, src, coef in geo.outer_extrapolation(x, 2, 4):
-        E[j, [i - 2 for i in src]] = coef
+    for outer, src, coef in geo.outer_extrapolation(x, 2, 4):
+        E[np.ix_(outer, [i - 2 for i in src])] = coef
     return sp.csr_matrix(E)
 
 
@@ -480,7 +480,7 @@ def h2_matrix(g, cross=2):
     Hess_ab^T W Hess_ab, the mixed term counted `cross` times, then the
     uniform and the weighted ridge."""
     hess = hessian_matrices(g)
-    W = sp.diags(geo.interior_weights(g).ravel())
+    W = sp.diags(g.mesh.interior_weights.ravel())
     M = sum((1 if a == b else cross) * (hess[(a, b)].T @ W @ hess[(a, b)])
             for a in range(g.n) for b in range(a, g.n))
     t = geo.node_weights(g).ravel()
@@ -913,15 +913,16 @@ class TestSolve:
             calls.append(args)
             return measures(*args)
 
-        for mod in (geo, stab):
+        for mod in (geo, stab, sol):
             monkeypatch.setattr(mod, "measures", counted)
         sigma = BoundaryMeasure(tuple(
             weight if f.normal == (-1, 0) else Q(1) for f in square.facets))
         rep = sol.solve(square, sigma, m=25, tol=1e-6, phi0=bump2,
                         require_futaki_zero=False, max_iter=600)
         assert rep.termination == termination and rep.iterations > 1
-        # futaki_linear and the first grid; every later grid shares its A
-        assert len(calls) == 2
+        # once per solve: the Futaki vector and the first grid's A; every
+        # later grid shares its mesh, and with it A
+        assert len(calls) == 1
 
     def test_weighted_segment_refused(self, segment01):
         rep = sol.solve(segment01, BoundaryMeasure((Q(1), Q(2))), m=64)
