@@ -442,46 +442,44 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
                     help="send kstab's log records at this level and above to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
+    scan = argparse.ArgumentParser(add_help=False)      # flags of the crease scan
+    scan.add_argument("--resolution", type=int, default=8)
+    scan.add_argument("--workers", type=int, default=None,
+                      help="parallel worker processes (default: serial)")
+    mesh = argparse.ArgumentParser(add_help=False)      # flags of the Abreu solve
+    mesh.add_argument("--mesh", type=int, default=None)
+    mesh.add_argument("--tol", type=float, default=1e-5)
+    mesh.add_argument("--max-iter", type=int, default=400)
 
     def add(name, fn, input="polytope", **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=fn, input=input)   # input: the argument naming the input file
+        if input == "polytope":
+            p.add_argument("polytope")
         p.add_argument("--out", default=f"kstab-{name}-out", help="output directory")
         return p
 
-    p = add("analyze", cmd_analyze, help="measures, Delzant check, Futaki vector")
-    p.add_argument("polytope")
-
-    p = add("destabilize", cmd_destabilize, help="crease search for destabilizers")
-    p.add_argument("polytope")
-    p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel worker processes (default: serial)")
+    add("analyze", cmd_analyze, help="measures, Delzant check, Futaki vector")
+    add("destabilize", cmd_destabilize, help="crease search for destabilizers", parents=[scan])
 
     p = add("futaki", cmd_futaki, help="lattice-point weight table and exact Futaki expansion")
-    p.add_argument("polytope")
     p.add_argument("--xi", default="1,0")
     p.add_argument("--kmin", type=int, default=4)
     p.add_argument("--kmax", type=int, default=40)
 
     p = add("filtration", cmd_filtration, help="filtration weight statistic of a PL function")
-    p.add_argument("polytope")
     p.add_argument("--pieces", required=True,
                    help="affine pieces 'a1,..,an,b' separated by ';'")
     p.add_argument("--ks", default="32,64,128,256", help="comma-separated k values")
 
-    p = add("solve", cmd_solve, help="solve the constant scalar curvature equation")
-    p.add_argument("polytope")
-    p.add_argument("--mesh", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=400)
+    p = add("solve", cmd_solve, help="solve the constant scalar curvature equation",
+            parents=[mesh])
     p.add_argument("--dump-every", type=int, default=0,
                    help="write a grid snapshot CSV every N iterations")
     p.add_argument("--allow-nonzero-futaki", action="store_true",
                    help="skip the Futaki refusal (divergence experiments)")
 
     p = add("ray", cmd_ray, help="Mabuchi slope along a convex ray")
-    p.add_argument("polytope")
     p.add_argument("--quadratic", default=None,
                    help="rationals qxx[,qxy,qyy] of the quadratic part")
     p.add_argument("--linear", default=None, help="rationals of the linear part")
@@ -498,13 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--max-steps", type=int, default=100000)
 
-    p = add("pipeline", cmd_pipeline, help="destabilize, then solve if stable")
-    p.add_argument("polytope")
-    p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--mesh", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=400)
-    p.add_argument("--workers", type=int, default=None)
+    add("pipeline", cmd_pipeline, help="destabilize, then solve if stable", parents=[scan, mesh])
 
     return ap
 

@@ -20,7 +20,8 @@ point: between consecutive vertex abscissae every column runs from
 ceil(L(x)) to floor(U(x)), L and U linear, so a slab is two calls of
 kstab._intpoly.floor_sums, each O(log k) integer steps.  A polytope of
 dimension 1 or 2 is one such polygon (a segment lies on y = 0), and one of
-dimension 3 is one polygon per slice x1 = c (_sections).  All of it is
+dimension 3 is one polygon per slice x1 = c (_sections).  The polygons are
+kstab.polytope's integer rings, cut by its _clip and _cell.  All of it is
 Python ints, so no k is refused and no numpy is loaded.
 
 The filtration of f = max_j <a_j, x> + b_j sums ceil(k f(m/k)) = max_j
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from kstab._intpoly import divide_series, floor_sum, floor_sums, interpolate_consecutive
-from kstab.polytope import Polytope, _cross
+from kstab.polytope import Polytope, _cell, _chain, _clip, _ring
 from kstab.stability import PLConvexFunction
 
 log = logging.getLogger(__name__)
@@ -86,17 +87,6 @@ def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _chain(pts, turn: int):
-    """The hull chain over pts (sorted, one per abscissa) turning one way:
-    turn = 1 for the upper chain, -1 for the lower one."""
-    out = []
-    for p in pts:
-        while len(out) > 1 and turn * _cross(out[-2], out[-1], p) >= 0:
-            out.pop()
-        out.append(p)
-    return out
-
-
 def _column_sums(p, q, den: int, x0: int, n: int, sign: int):
     """floor_sums of sign * (the line through p and q) at x = x0..x0+n-1,
     for p and q given as integer points den times their coordinates."""
@@ -107,8 +97,8 @@ def _column_sums(p, q, den: int, x0: int, n: int, sign: int):
 
 def _lattice_sums(ring) -> tuple[int, int, int]:
     """(N, sum of x, sum of y) over the lattice points of the convex hull of
-    a ring of plane points (see _clip), which may be a polygon, a segment, a
-    point or empty.
+    a ring (kstab.polytope), which may be a polygon, a segment, a point or
+    empty.
 
     The hull's upper and lower chains split its abscissae into slabs, each
     inside one edge of each chain.  The integer columns x of a slab run from
@@ -155,40 +145,9 @@ def _lattice_sums(ring) -> tuple[int, int, int]:
     return N, sx, sy
 
 
-def _clip(ring, a0: int, a1: int, c: int):
-    """The part of a convex ring where a0*x + a1*y >= c (Sutherland-Hodgman).
-
-    A ring lists a polygon's vertices in cyclic order, or a segment's ends,
-    or one point, each as integers (X, Y, W), W > 0, for the point (X/W,
-    Y/W); the inequality is closed and its coefficients are integers, so a
-    cut keeps lower-dimensional parts and the crossing points are exact.
-    """
-    out = []
-    for p, q in zip(ring, ring[1:] + ring[:1]):
-        sp = a0 * p[0] + a1 * p[1] - c * p[2]      # W times the signed value at p
-        sq = a0 * q[0] + a1 * q[1] - c * q[2]
-        if sp >= 0:
-            out.append(p)
-        if sp > 0 > sq or sp < 0 < sq:
-            x, y, w = (sp * qi - sq * pi for pi, qi in zip(p, q))
-            g = math.gcd(x, y, w) * (1 if w > 0 else -1)
-            out.append((x // g, y // g, w // g))
-    return out
-
-
-def _ring(points, k: int):
-    """k times rational plane points, as the integer triples of a ring (_clip)."""
-    out = []
-    for x, y in points:
-        w = math.lcm(x.denominator, y.denominator)
-        out.append((k * x.numerator * (w // x.denominator),
-                    k * y.numerator * (w // y.denominator), w))
-    return out
-
-
 def _sections(P: Polytope, k: int):
     """kP as plane polygons: pairs (c, ring) such that kP's lattice points
-    are the (*c, x, y) over the lattice points (x, y) of the ring (_clip).
+    are the (*c, x, y) over the lattice points (x, y) of the ring.
 
     In dimensions 1 and 2 there is one pair, c = (), and ring is kP's
     vertices (a segment on y = 0 in dimension 1).  In dimension 3 there is
@@ -198,7 +157,7 @@ def _sections(P: Polytope, k: int):
     if k <= 0:
         raise ValueError("k must be a positive integer")
     if P.dim < 3:
-        yield (), _ring(((*v, 0)[:2] for v in P.vertices), k)
+        yield (), _ring(P.vertices, k)
         return
     (lo, hi), (y0, y1), (z0, z1) = P.bounding_box()
     rect = _ring(((y0, z0), (y1, z0), (y1, z1), (y0, z1)), k)
@@ -266,20 +225,9 @@ def expansion_exact(P: Polytope, xi) -> tuple[Q, Q, Q]:
     return _series(P.dim, [count_and_weigh(P, xi, k) for k in range(1, P.dim + 3)])
 
 
-def _cell(ring, lines, j: int, gap: int):
-    """The part of the ring (_clip) where line j of lines, integer triples
-    (c, a0, a1) valued c + a0*x + a1*y, is at least every other line, and
-    at least gap above the lines of lower index."""
-    c, a0, a1 = lines[j]
-    for i, (ci, b0, b1) in enumerate(lines):
-        if i != j:
-            ring = _clip(ring, a0 - b0, a1 - b1, ci - c + gap * (i < j))
-    return ring
-
-
 def _coset_ceiling_sum(ring, pieces, dx: int, dy: int) -> tuple[int, int]:
     """(sum of max_j ceil(<a_j, m> + b_j), their number) over the lattice
-    points m of the ring (_clip), for pieces (a_j, b_j) with a_j a pair of
+    points m of the ring, for pieces (a_j, b_j) with a_j a pair of
     rationals and b_j a rational, dx and dy the lcms of the slopes'
     denominators on each axis.
 
@@ -347,7 +295,7 @@ def _column_ceiling_sum(ring, pieces, xlo: int, xhi: int) -> tuple[int, int]:
 
 def _ceiling_sum(ring, pieces) -> tuple[int, int]:
     """(sum of max_j ceil(<a_j, m> + b_j), their number) over the lattice
-    points of the ring (_clip): by cosets (_coset_ceiling_sum) when they
+    points of the ring: by cosets (_coset_ceiling_sum) when they
     cost less than the ring's integer columns, else column by column.
 
     A coset takes O((#edges + #pieces) * #pieces * log k) steps and a
@@ -368,7 +316,7 @@ def _ceiling_sum(ring, pieces) -> tuple[int, int]:
 
 def _lattice_min(ring, lines) -> int | None:
     """The least of max_j c_j + a_j0*x + a_j1*y, integer lines (c, a0, a1),
-    over the lattice points of the nonempty ring (_clip) when its real
+    over the lattice points of the nonempty ring when its real
     minimum is negative; None when that minimum is not.
 
     The real minimum is the least of each line on its _cell's vertices.

@@ -2,12 +2,20 @@
 
 Polytopes are stored both as vertex lists and as facet inequalities
 <nu, x> >= c with primitive integer inward normals nu.  All arithmetic in
-this module is exact (fractions.Fraction); floating point enters the
-package only in the mesh/solver layers.  In dimension 1 the "facets" are
-the two endpoints and the boundary measure is a weighted counting measure;
-in dimension 2 the boundary measure on an edge is the lattice measure
-(Euclidean length divided by the Euclidean norm of the primitive normal),
-optionally rescaled by a positive weight per facet.
+this module is exact: Fractions, and integer rings for plane polygons;
+floating point enters the package only in the mesh/solver layers.  In
+dimension 1 the "facets" are the two endpoints and the boundary measure
+is a weighted counting measure; in dimension 2 the boundary measure on an
+edge is the lattice measure (Euclidean length divided by the Euclidean
+norm of the primitive normal), optionally rescaled by a positive weight
+per facet.
+
+A ring is a convex polygon's vertices in cyclic order, a segment's ends
+(on y = 0 for a segment of the line) or one point, each as integers
+(X, Y, W), W > 0, for (X/W, Y/W).  _clip cuts a ring by an integer
+half-plane, _cell cuts it to where one of several integer lines is the
+largest, and _chain is a monotone hull chain.  clip, the convex hull,
+kstab.stability.decompose and kstab.futaki's lattice sums share them.
 """
 
 from __future__ import annotations
@@ -269,27 +277,79 @@ class Polytope:
         return hash((self.dim, frozenset(self.vertices), frozenset(self.facets)))
 
 
-# -- hull and facet helpers -------------------------------------------------
+# -- hull, integer rings and facet helpers -----------------------------------
 
 def _cross(o, a, b) -> Q:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _chain(pts, turn: int):
+    """The hull chain from the first to the last of sorted points, collinear
+    ones dropped: turn = 1 for the upper chain, -1 for the lower one."""
+    out = []
+    for p in pts:
+        while len(out) > 1 and turn * _cross(out[-2], out[-1], p) >= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
 def _convex_hull_2d(pts: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
-    """Monotone chain; returns extreme points in CCW order (collinear dropped)."""
+    """Extreme points in CCW order from the least one (collinear dropped)."""
     pts = sorted(set(pts))
     if len(pts) <= 2:
         return pts
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return _chain(pts, -1)[:-1] + _chain(pts, 1)[:0:-1]
+
+
+def _ring(points, k: int):
+    """k times rational points of the plane, or of the line (x as (x, 0)),
+    as the integer triples of a ring."""
+    out = []
+    for x, y in ((*p, 0)[:2] for p in points):
+        w = math.lcm(x.denominator, y.denominator)
+        out.append((k * x.numerator * (w // x.denominator),
+                    k * y.numerator * (w // y.denominator), w))
+    return out
+
+
+def _clip(ring, a0: int, a1: int, c: int):
+    """The part of a convex ring where a0*x + a1*y >= c (Sutherland-Hodgman).
+
+    The inequality is closed and its coefficients are integers, so a cut
+    keeps lower-dimensional parts and the crossing points are exact.
+    """
+    out = []
+    for p, q in zip(ring, ring[1:] + ring[:1]):
+        sp = a0 * p[0] + a1 * p[1] - c * p[2]      # W times the signed value at p
+        sq = a0 * q[0] + a1 * q[1] - c * q[2]
+        if sp >= 0:
+            out.append(p)
+        if sp > 0 > sq or sp < 0 < sq:
+            x, y, w = (sp * qi - sq * pi for pi, qi in zip(p, q))
+            g = math.gcd(x, y, w) * (1 if w > 0 else -1)
+            out.append((x // g, y // g, w // g))
+    return out
+
+
+def _cell(ring, lines, j: int, gap: int):
+    """The part of the ring where line j of lines, integer triples
+    (c, a0, a1) valued c + a0*x + a1*y, is at least every other line, and
+    at least gap above the lines of lower index."""
+    c, a0, a1 = lines[j]
+    for i, (ci, b0, b1) in enumerate(lines):
+        if i != j:
+            ring = _clip(ring, a0 - b0, a1 - b1, ci - c + gap * (i < j))
+    return ring
+
+
+def _polytope(ring, dim: int):
+    """The Polytope of dimension dim spanned by a ring, or EMPTY if the ring
+    spans less."""
+    try:
+        return Polytope.from_vertices((Q(x, w), Q(y, w))[:dim] for x, y, w in ring)
+    except DegenerateInputError:
+        return EMPTY
 
 
 def _edge_facet(p: tuple[Q, Q], q: tuple[Q, Q]) -> Facet:
@@ -384,50 +444,19 @@ EMPTY = EmptyClip()
 def clip(P: Polytope, halfspace: tuple[Sequence, object]):
     """P intersected with {<a, x> >= c}; returns EMPTY if not full-dimensional.
 
-    The halfspace data may be rational; it is rescaled to a primitive
-    integer normal internally.
+    The halfspace data may be rational; it is scaled to integers by the lcm
+    of its denominators and cuts the ring of P's vertices once (_clip).
     """
-    a, c = halfspace
-    a = [_frac(v) for v in a]
-    c = _frac(c)
-    nu, s = _primitivize(a)
-    c = c / s
-    if P.dim == 1:
-        (lo,), (hi,) = P.vertices
-        if nu == (1,):
-            lo = max(lo, c)
-        else:
-            hi = min(hi, -c)
-        if lo >= hi:
-            return EMPTY
-        return Polytope.from_vertices([(lo,), (hi,)])
-    if P.dim != 2:
+    a, c = _point(halfspace[0]), _frac(halfspace[1])
+    if len(a) != P.dim:
+        raise ValueError("the half-space and P have different dimensions")
+    if not any(a):
+        raise ValueError("the half-space has a zero normal")
+    if P.dim > 2:
         raise NotImplementedError("clip is implemented for n <= 2")
-    out = _clip_ring(P.vertices, nu, c)
-    if len(out) < 3:
-        return EMPTY
-    hull = _convex_hull_2d(out)
-    if len(hull) < 3:
-        return EMPTY
-    return Polytope.from_vertices(hull)
-
-
-def _clip_ring(ring: Sequence[tuple[Q, Q]], nu: tuple[int, int], c: Q) -> list[tuple[Q, Q]]:
-    """Sutherland-Hodgman pass keeping {<nu, x> >= c}."""
-    def val(p):
-        return nu[0] * p[0] + nu[1] * p[1] - c
-
-    out = []
-    m = len(ring)
-    for i in range(m):
-        p, q = ring[i], ring[(i + 1) % m]
-        vp, vq = val(p), val(q)
-        if vp >= 0:
-            out.append(p)
-        if (vp > 0 > vq) or (vp < 0 < vq):
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
+    den = math.lcm(c.denominator, *(v.denominator for v in a))
+    a0, a1 = (*(int(v * den) for v in a), 0)[:2]
+    return _polytope(_clip(_ring(P.vertices, 1), a0, a1, int(c * den)), P.dim)
 
 
 def integrate_affine(P: Polytope, a: Sequence, b) -> Q:

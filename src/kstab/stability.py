@@ -28,12 +28,14 @@ from kstab.polytope import (
     Facet,
     Measures,
     Polytope,
-    clip,
     integrate_affine,
     measures,
+    _cell,
     _frac,
     _point,
+    _polytope,
     _primitivize,
+    _ring,
 )
 
 Q = Fraction
@@ -50,6 +52,8 @@ class PLConvexFunction:
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("need at least one affine piece")
+        if len({len(a) for a, _ in self.pieces}) > 1:
+            raise ValueError("pieces have slopes of different lengths")
         norm = tuple(sorted({(tuple(_frac(c) for c in a), _frac(b)) for a, b in self.pieces}))
         object.__setattr__(self, "pieces", norm)
 
@@ -92,29 +96,19 @@ def decompose(P: Polytope, f: PLConvexFunction) -> list[tuple[int, Polytope]]:
     """Full-dimensional cells on which one piece of f is maximal.
 
     Returns (piece index, cell) pairs; pieces that are nowhere maximal are
-    dropped (the canonical form of f relative to P).
+    dropped (the canonical form of f relative to P).  Each cell is a _cell
+    of P's vertex ring and the integer lines D*(b, a0, a1), D the lcm of
+    the pieces' denominators.
     """
-    cells = []
-    pieces = f.pieces
-    for i, (ai, bi) in enumerate(pieces):
-        cell = P
-        dominated = False
-        for j, (aj, bj) in enumerate(pieces):
-            if i == j:
-                continue
-            diff = tuple(x - y for x, y in zip(ai, aj))
-            if all(d == 0 for d in diff):
-                if bi < bj or (bi == bj and j < i):
-                    dominated = True
-                    break
-                continue
-            cell = clip(cell, (diff, bj - bi))
-            if cell is EMPTY:
-                dominated = True
-                break
-        if not dominated and cell is not EMPTY:
-            cells.append((i, cell))
-    return cells
+    if f.dim != P.dim:
+        raise ValueError("f and P have different dimensions")
+    if P.dim > 2:
+        raise NotImplementedError("decompose is implemented for n <= 2")
+    D = math.lcm(*(c.denominator for a, b in f.pieces for c in (*a, b)))
+    lines = [(int(D * b), *(int(D * c) for c in (*a, 0)[:2])) for a, b in f.pieces]
+    ring = _ring(P.vertices, 1)
+    cells = [(i, _polytope(_cell(ring, lines, i, 0), P.dim)) for i in range(len(lines))]
+    return [(i, cell) for i, cell in cells if cell is not EMPTY]
 
 
 def L(P: Polytope, sigma: BoundaryMeasure, f: PLConvexFunction) -> Q:
@@ -586,8 +580,6 @@ def test_configuration(P: Polytope, f: PLConvexFunction) -> TestConfiguration:
         pts += [(v[0], top) for v in P.vertices]
         Qp = Polytope.from_vertices(pts)
         return TestConfiguration(Qp, [c for _, c in cells], top, len(cells) == 1)
-    if P.dim != 2:
-        raise NotImplementedError("test configurations are built for n <= 2")
     facets = []
     for fc in P.facets:
         facets.append(Facet(fc.normal + (0,), fc.offset))

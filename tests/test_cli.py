@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from kstab import solver as sol
-from kstab.cli import _parse_pieces, _write_csv, main
+from kstab.cli import _parse_pieces, _write_csv, build_parser, main, vars_of
 from kstab.polytope import Polytope, parse_polytope_text
 
 from conftest import count_calls, format_polytope_text, oracle_csv
@@ -771,6 +771,21 @@ class TestOutputDirectory:
         assert list(manifest["inputs"]) == [t for t in argv.split() if t in INPUTS]
         assert manifest["command"] == manifest["parameters"]["command"] == argv.split()[0]
         assert not {"func", "input", "log_level", "seed"} & set(manifest["parameters"])
+
+    def test_shared_flags(self, capsys):
+        # the crease scan's and the solve's flags, with their defaults and help
+        scan = {"resolution": 8, "workers": None}
+        mesh = {"mesh": None, "tol": 1e-5, "max_iter": 400}
+        for name, flags in [("destabilize", scan), ("solve", {**mesh, "dump_every": 0,
+                                                               "allow_nonzero_futaki": False}),
+                            ("pipeline", {**scan, **mesh})]:
+            params = vars_of(build_parser().parse_args([name, "P"]))
+            assert params == {"command": name, "polytope": "P", "out": f"kstab-{name}-out",
+                              **flags}
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            usage = capsys.readouterr().out
+            assert ("parallel worker processes" in usage) == ("workers" in flags)
 
     def test_no_seed_option(self, in_inputs, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kstab import futaki, polytope
 from kstab.polytope import (
     EMPTY,
     BoundaryMeasure,
@@ -156,6 +157,11 @@ class TestClip:
     def test_tangent_halfspace_empty(self, square):
         # keep-set touches the square only along an edge: measure zero
         assert clip(square, ((1, 0), 1)) is EMPTY
+
+    def test_one_implementation(self):
+        # clip, the hull, decompose and the lattice sums cut the same integer rings
+        for name in ("_ring", "_clip", "_chain", "_cell"):
+            assert getattr(futaki, name) is getattr(polytope, name), name
 
     def test_redundant_facet_rejected(self):
         with pytest.raises(ValueError, match="redundant"):

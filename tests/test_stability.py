@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from kstab import _intpoly as ip
-from kstab.polytope import BoundaryMeasure, Polytope, integrate_affine, measures
+from kstab.polytope import BoundaryMeasure, Polytope, clip, integrate_affine, measures
 from kstab import stability as stab
 from kstab.stability import (
     L,
@@ -246,6 +246,52 @@ class TestPLConvexFunction:
         cells = decompose(square, f)
         assert [i for i, _ in cells] == [0]
         assert L(square, BoundaryMeasure.unit(square), f) == 0
+
+
+class TestDecompose:
+    def test_cells_tile_random(self):
+        # segments and polygons; pieces with equal slopes, and pieces that tie
+        # along a line through an edge of P
+        rng = random.Random(38)
+
+        def rational(span):
+            return Q(rng.randint(-span, span), rng.randint(1, 3))
+
+        for case in range(120):
+            if case % 3:
+                P = random_polygon(rng)
+            else:
+                P = Polytope.from_vertices([(Q(-rng.randint(0, 6), rng.randint(1, 3)),),
+                                            (Q(rng.randint(1, 6), rng.randint(1, 3)),)])
+            pieces = [(tuple(rational(4) for _ in range(P.dim)), rational(8))
+                      for _ in range(rng.randint(1, 5))]
+            if case % 4 == 1:
+                pieces.append((pieces[0][0], pieces[0][1] + rational(2)))
+            if case % 4 == 2 and P.dim == 2:
+                (x0, y0), (x1, y1) = P.vertices[:2]
+                t, (a0, a1), b = rational(2), pieces[0][0], pieces[0][1]
+                pieces.append(((a0 + t * (y0 - y1), a1 + t * (x1 - x0)),
+                               b - t * ((y0 - y1) * x0 + (x1 - x0) * y0)))
+            f = PLConvexFunction(tuple(pieces))
+            cells = decompose(P, f)
+            assert sum(measures(cell).vol for _, cell in cells) == measures(P).vol
+            for i, cell in cells:
+                a, b = f.pieces[i]
+                for v in cell.vertices:
+                    assert f(v) == sum(ai * vi for ai, vi in zip(a, v)) + b
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("call", [
+        lambda sq, seg: L(sq, unit(sq), PLConvexFunction.abs_coordinate(1)),
+        lambda sq, seg: L(seg, unit(seg), PLConvexFunction.abs_coordinate(2)),
+        lambda sq, seg: decompose(seg, PLConvexFunction.crease((1, 0), 0)),
+        lambda sq, seg: clip(sq, ((1,), 0)),
+        lambda sq, seg: PLConvexFunction((((1,), 0), ((1, 2), 0))),
+    ], ids=["L-square-1d", "L-segment-2d", "decompose", "clip", "ragged-slopes"])
+    def test_value_error(self, square, segment_sym, call):
+        with pytest.raises(ValueError, match="different (dimensions|lengths)"):
+            call(square, segment_sym)
 
 
 class TestL:
